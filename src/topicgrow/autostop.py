@@ -13,35 +13,24 @@ from __future__ import annotations
 
 import logging
 import time
-
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import background_model, doc_language_model
 from .errors import AlgorithmError, DataError
-from .nplsa import doc_self_loglik
+from .nplsa import _WARM_KEEP, doc_self_loglik
 from .plsa import (
-    EmConfig,
     TraceRow,
-    _em_sweep,
+    _e_step,
     _floor_rows,
+    _m_step,
     em_refine,
     fold_in_all,
     log_likelihood,
 )
 
 logger = logging.getLogger(__name__)
-
-_WARM_KEEP = 0.9
-
-
-@dataclass(frozen=True)
-class DiversityScore:
-    """Mean pairwise L2 distance between topic rows at a given topic count."""
-
-    value: float
-    k: int
 
 
 @dataclass
@@ -66,10 +55,6 @@ def diversity(topics) -> float:
     for i in range(k - 1):
         total += float(np.sqrt(((topics[i + 1 :] - topics[i]) ** 2).sum(axis=1)).sum())
     return total * 2.0 / (k * (k - 1))
-
-
-def diversity_score(topics) -> DiversityScore:
-    return DiversityScore(value=diversity(topics), k=topics.shape[0])
 
 
 def query_distance(theta_q, topics):
@@ -230,7 +215,9 @@ def _grow(corpus, config, detector, score_fn, max_topics, max_spawns):
         new_mixes, _ = fold_in_all(corpus, topics, config, init_mixes=init)
         new_mixes[d_star] = 0.0
         new_mixes[d_star, k - 1] = 1.0
-        topics, mixes = _em_sweep(corpus, topics, new_mixes, config.smoothing_floor)
+        topics, mixes = _m_step(
+            corpus, _e_step(corpus, topics, new_mixes)[0], config.smoothing_floor
+        )
 
         spawns += 1
         score, fields = score_fn(topics)
@@ -238,7 +225,7 @@ def _grow(corpus, config, detector, score_fn, max_topics, max_spawns):
             TraceRow(
                 iteration=spawns,
                 k=k,
-                loglik=log_likelihood(corpus, topics, mixes),
+                loglik=_e_step(corpus, topics, mixes)[1],
                 epsilon=float(deltas[d_star]),
                 wall_ms=(time.perf_counter() - t0) * 1000.0,
                 mean_delta=float(deltas.mean()),
@@ -304,7 +291,7 @@ def train_weakly_supervised(
     The query model is estimated once by pseudo feedback; growth then follows
     the same farthest-first loop as train_parameter_free but stops when the
     minimum L2 distance between the query model and the topics reaches its
-    minimum. Returns (topics, trace).
+    minimum. Returns (topics, mixes, trace).
     """
     query = estimate_query_model(corpus, query_terms, lam=lam, max_iters=feedback_iters)
     if detector is None:
@@ -314,5 +301,4 @@ def train_weakly_supervised(
         dist, idx = query_distance(query.theta_q, topics)
         return dist, {"query_distance": dist, "closest_topic": idx}
 
-    topics, _, trace = _grow(corpus, config, detector, score_fn, max_topics, max_spawns)
-    return topics, trace
+    return _grow(corpus, config, detector, score_fn, max_topics, max_spawns)

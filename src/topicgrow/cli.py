@@ -102,8 +102,6 @@ def build_parser():
     train.add_argument("--fold-in-tol", type=float, default=1e-6)
     train.add_argument("--min-df", type=int, default=1, help="text ingestion: df filter")
     train.add_argument("--stopwords", help="text ingestion: stopword file")
-    train.add_argument("--threads", type=int, default=1,
-                       help="data-parallelism cap (this build computes serially)")
 
     ev = sub.add_parser("eval", help="evaluate a trained model")
     _add_common(ev)
@@ -231,8 +229,6 @@ def _mutually_exclusive(args):
 
 def _cmd_train(args, out_dir):
     _mutually_exclusive(args)
-    if args.threads < 1:
-        raise UsageError("--threads must be >= 1")
     stopwords = read_stopwords(args.stopwords) if args.stopwords else None
     corpus = load_corpus(args.corpus, min_df=args.min_df, stopwords=stopwords)
     config = _em_config(args)
@@ -241,7 +237,6 @@ def _cmd_train(args, out_dir):
         "seed": args.seed,
         "smoothing_floor": config.smoothing_floor,
     }
-    mixes = None
     query_cols = False
 
     if args.algo == "plsa":
@@ -269,7 +264,7 @@ def _cmd_train(args, out_dir):
         meta["best_diversity"] = detector.best_score
     else:
         detector = StopDetector(mode="minimize", patience=args.patience)
-        topics, trace = train_weakly_supervised(
+        topics, mixes, trace = train_weakly_supervised(
             corpus, args.query.split(), config, lam=args.lam, detector=detector,
             max_topics=args.max_topics, max_spawns=args.max_spawns,
         )
@@ -291,8 +286,6 @@ def _cmd_train(args, out_dir):
 
 
 def _truth_errors(topics, vocab, truth_path):
-    import json
-
     with open(truth_path, encoding="utf-8") as fh:
         truth = json.load(fh)
     truth_topics = np.asarray(truth["topics"], dtype=float)
@@ -355,8 +348,6 @@ def main(argv=None):
             level=logging.INFO if args.verbose else logging.WARNING,
             format="%(levelname)s %(name)s: %(message)s",
         )
-        from pathlib import Path
-
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "synth":

@@ -86,6 +86,7 @@ class Corpus:
                 raise DataError("invalid count: counts must be >= 1")
             self.docs.append((ids, counts))
         self._flat = None
+        self._segments = None
         self._doc_tokens = np.array([c.sum() for _, c in self.docs], dtype=np.int64)
 
     @property
@@ -117,6 +118,18 @@ class Corpus:
             counts = np.concatenate([c for _, c in self.docs]).astype(np.float64)
             self._flat = (doc_idx, word_idx, counts)
         return self._flat
+
+    def segments(self):
+        """Each document's run in the flat arrays as (starts, lengths), cached.
+
+        Empty documents are rejected above, so ``np.add.reduceat(x, starts)``
+        sums exactly one document per output entry.
+        """
+        if self._segments is None:
+            lengths = np.array([ids.size for ids, _ in self.docs], dtype=np.int64)
+            starts = np.concatenate(([0], np.cumsum(lengths[:-1])))
+            self._segments = (starts, lengths)
+        return self._segments
 
 
 def ingest_text(lines, min_df=1, stopwords=None):
@@ -163,14 +176,13 @@ def ingest_text(lines, min_df=1, stopwords=None):
     return Corpus(vocab, docs, doc_ids, dropped)
 
 
-def ingest_sparse(triples):
+def ingest_sparse(triples, vocab=None):
     """Build a Corpus from (doc_id, term, count) triples.
 
-    Duplicate (doc, term) pairs are summed. The vocabulary and the document
-    list both follow first-appearance order. Counts must be positive integers.
+    Duplicate (doc, term) pairs are summed. Documents, and terms unless a
+    ``vocab`` fixes them, follow first-appearance order. Counts must be positive integers.
     """
-    terms = []
-    term_ids = {}
+    term_ids = {} if vocab is None else vocab.index
     doc_order = []
     doc_counts = {}
     for lineno, (doc_id, term, count) in enumerate(triples, start=1):
@@ -179,18 +191,20 @@ def ingest_sparse(triples):
         count = int(count)
         if count < 1:
             raise DataError(f"invalid count {count!r} at entry {lineno}")
-        if term not in term_ids:
-            term_ids[term] = len(terms)
-            terms.append(term)
+        tid = term_ids.get(term)
+        if tid is None:
+            if vocab is not None:
+                raise DataError(f"term {term!r} at entry {lineno} is not in the vocabulary")
+            tid = term_ids[term] = len(term_ids)
         if doc_id not in doc_counts:
             doc_counts[doc_id] = {}
             doc_order.append(doc_id)
         row = doc_counts[doc_id]
-        tid = term_ids[term]
         row[tid] = row.get(tid, 0) + count
     if not doc_order:
         raise DataError("empty corpus: no triples")
-    vocab = Vocabulary(terms)
+    if vocab is None:
+        vocab = Vocabulary(term_ids)
     docs = []
     for doc_id in doc_order:
         row = doc_counts[doc_id]
@@ -252,27 +266,32 @@ def read_text_corpus(path, min_df=1, stopwords=None):
 
 
 def read_sparse_corpus(path):
-    """Read a sparse corpus file: a "docs= terms= nnz=" header, then doc/term/count triples."""
+    """Read a sparse corpus file: a "docs= terms= nnz=" header, the vocabulary one
+    term per line, then doc/term/count triples. Without vocabulary lines the
+    terms of the triples are taken in order of first appearance.
+    """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
         m = SPARSE_HEADER_RE.match(header)
         if not m:
             raise DataError(f"bad sparse corpus header: {header.strip()!r}")
         n_docs, n_terms, nnz = (int(g) for g in m.groups())
-        triples = []
+        terms, triples = [], []
         for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
             parts = line.split()
+            if not parts:
+                continue
+            if len(parts) == 1 and not triples:
+                terms.append(parts[0])
+                continue
             if len(parts) != 3:
-                raise DataError(f"bad sparse corpus line {lineno}: {line!r}")
+                raise DataError(f"bad sparse corpus line {lineno}: {line.strip()!r}")
             try:
                 count = int(parts[2])
             except ValueError:
                 raise DataError(f"invalid count {parts[2]!r} at line {lineno}") from None
             triples.append((parts[0], parts[1], count))
-    corpus = ingest_sparse(triples)
+    corpus = ingest_sparse(triples, vocab=Vocabulary(terms) if terms else None)
     if corpus.n_docs != n_docs or corpus.n_terms != n_terms or len(triples) != nnz:
         raise DataError(
             f"sparse corpus header mismatch: header says docs={n_docs} terms={n_terms} "
@@ -282,10 +301,12 @@ def read_sparse_corpus(path):
 
 
 def write_sparse_corpus(corpus, path):
-    """Write a corpus in the sparse triple format read by read_sparse_corpus."""
+    """Write a corpus in the sparse format read by read_sparse_corpus, vocabulary included."""
     nnz = sum(ids.size for ids, _ in corpus.docs)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"docs={corpus.n_docs} terms={corpus.n_terms} nnz={nnz}\n")
+        for term in corpus.vocab.terms:
+            fh.write(f"{term}\n")
         for d, (ids, counts) in enumerate(corpus.docs):
             doc_id = corpus.doc_ids[d]
             for tid, c in zip(ids, counts):

@@ -15,7 +15,6 @@ import numpy as np
 
 from .corpus import Vocabulary
 from .errors import DataError
-from .plsa import TraceRow
 
 BASE_COLUMNS = ["iter", "K", "loglik", "objective", "diversity", "epsilon"]
 QUERY_COLUMNS = ["query_distance", "closest_topic"]
@@ -74,28 +73,3 @@ def write_trace(path, rows, query_cols=False):
                 record += [_fmt(row.query_distance), _fmt(row.closest_topic)]
             record.append(_fmt(row.wall_ms))
             writer.writerow(record)
-
-
-def read_trace(path):
-    rows = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            rows.append(
-                TraceRow(
-                    iteration=int(rec["iter"]),
-                    k=int(rec["K"]),
-                    loglik=float(rec["loglik"]) if rec.get("loglik") else None,
-                    objective=float(rec["objective"]) if rec.get("objective") else None,
-                    diversity=float(rec["diversity"]) if rec.get("diversity") else None,
-                    epsilon=float(rec["epsilon"]) if rec.get("epsilon") else None,
-                    query_distance=(
-                        float(rec["query_distance"]) if rec.get("query_distance") else None
-                    ),
-                    closest_topic=(
-                        int(rec["closest_topic"]) if rec.get("closest_topic") else None
-                    ),
-                    wall_ms=float(rec["wall_ms"]) if rec.get("wall_ms") else None,
-                )
-            )
-    return rows

@@ -4,6 +4,10 @@ Topics are a row-stochastic ``(K, V)`` array of word probabilities p(w|z);
 document mixes are simplex vectors p(z|d), either a dense ``(D, K)`` array or a
 ragged list of per-document vectors. Posteriors p(z|d,w) for one document are a
 ``(n_distinct_words, K)`` array over its distinct words.
+
+The batched kernels work topic-major on the corpus's flat arrays: ``(K, nnz)``
+with one contiguous row per topic, and per-document sums by ``np.add.reduceat``.
+A log-likelihood returned or traced with parameters is always theirs.
 """
 
 from __future__ import annotations
@@ -153,11 +157,7 @@ def log_likelihood(corpus, topics, mixes):
     vectors covering only the leading topics.
     """
     if isinstance(mixes, np.ndarray) and mixes.ndim == 2:
-        doc_idx, word_idx, counts = corpus.flat()
-        denom = np.einsum("ij,ij->i", mixes[doc_idx], topics[:, word_idx].T)
-        if np.any(denom <= 0.0):
-            raise DataError("unmodelable word: zero mixture probability")
-        return float(np.dot(counts, np.log(denom)))
+        return _e_step(corpus, topics, mixes)[1]
     total = 0.0
     for d, mix in enumerate(mixes):
         ids, counts = corpus.docs[d]
@@ -168,41 +168,61 @@ def log_likelihood(corpus, topics, mixes):
     return total
 
 
-def _em_sweep(corpus, topics, mixes, smoothing_floor):
-    """One vectorized E+M pass over the whole corpus. Returns updated params."""
-    doc_idx, word_idx, counts = corpus.flat()
-    k = topics.shape[0]
-    joint = mixes[doc_idx] * topics[:, word_idx].T
-    denom = joint.sum(axis=1)
+def _e_step(corpus, topics, mixes):
+    """Batched E-step for dense (D, K) ``mixes``. Returns ``(weighted, loglik)``.
+
+    ``weighted[z, i]`` is n(d,w) p(z|d,w) for flat entry i = (d, w), and
+    ``loglik`` is the log-likelihood of the given parameters.
+    """
+    _, word_idx, counts = corpus.flat()
+    _, lengths = corpus.segments()
+    weighted = np.take(topics, word_idx, axis=1)
+    for z in range(weighted.shape[0]):
+        weighted[z] *= np.repeat(mixes[:, z], lengths)
+    denom = weighted.sum(axis=0)
     if np.any(denom <= 0.0):
         raise DataError("unmodelable word: zero mixture probability in E-step")
-    weighted = joint * (counts / denom)[:, None]
+    loglik = float(np.dot(counts, np.log(denom)))
+    weighted *= counts / denom
+    return weighted, loglik
+
+
+def _m_step(corpus, weighted, smoothing_floor):
+    """Batched M-step from the E-step's ``weighted``. Returns (topics, mixes (D, K)).
+
+    Topic rows are floored then renormalized; a topic without mass is reset to uniform.
+    """
+    _, word_idx, _ = corpus.flat()
+    starts, _ = corpus.segments()
+    k = weighted.shape[0]
     topic_mass = np.empty((k, corpus.n_terms))
-    new_mixes = np.empty((corpus.n_docs, k))
     for z in range(k):
-        topic_mass[z] = np.bincount(word_idx, weights=weighted[:, z], minlength=corpus.n_terms)
-        new_mixes[:, z] = np.bincount(doc_idx, weights=weighted[:, z], minlength=corpus.n_docs)
+        topic_mass[z] = np.bincount(word_idx, weights=weighted[z], minlength=corpus.n_terms)
     dead = topic_mass.sum(axis=1) == 0.0
     if dead.any():
         logger.warning("m_step: %d topic(s) received zero mass, reset to uniform", dead.sum())
         topic_mass[dead] = 1.0
     topics = _floor_rows(topic_mass, smoothing_floor)
-    new_mixes /= new_mixes.sum(axis=1, keepdims=True)
-    return topics, new_mixes
+    mix_mass = np.add.reduceat(weighted, starts, axis=1)
+    mix_mass /= mix_mass.sum(axis=0)
+    return topics, mix_mass.T
 
 
 def em_refine(corpus, topics, mixes, config, trace=None, start_iter=1, phase=""):
     """Run full EM at fixed K from the given parameters until convergence.
 
-    Appends one TraceRow per iteration when ``trace`` is given and returns
-    (topics, mixes, last_loglik).
+    Each iteration is an M-step followed by the E-step of its result, whose
+    log-likelihood is that of the parameters the function would return at that
+    point. Appends one TraceRow per iteration when ``trace`` is given and
+    returns (topics, mixes, last_loglik).
     """
+    weighted, _ = _e_step(corpus, topics, mixes)
     prev_ll = None
-    ll = None
     for it in range(config.max_iters):
         t0 = time.perf_counter()
-        topics, mixes = _em_sweep(corpus, topics, mixes, config.smoothing_floor)
-        ll = log_likelihood(corpus, topics, mixes)
+        topics, mixes = _m_step(corpus, weighted, config.smoothing_floor)
+        del weighted  # free it before the next E-step allocates its own
+        weighted, ll = _e_step(corpus, topics, mixes)
         wall = (time.perf_counter() - t0) * 1000.0
         if trace is not None:
             trace.append(
@@ -276,31 +296,34 @@ def fold_in(doc, topics, config, init_mix=None, ll_history=None):
 def fold_in_all(corpus, topics, config, init_mixes=None):
     """Vectorized fold-in of every document at once against frozen topics.
 
-    Equivalent to calling fold_in per document (iteration continues until the
-    slowest document plateaus). Returns (mixes (D, K), fitted lls (D,)).
+    Topic-major: p(w|z) of every flat entry is gathered once into ``(K, nnz)``
+    and the ``(K, D)`` mixes are re-estimated by per-document segment sums.
+    Iteration continues until every document plateaus. Returns (mixes (D, K),
+    fitted lls (D,)), the lls being those of the returned mixes.
     """
-    doc_idx, word_idx, counts = corpus.flat()
-    d_count, k = corpus.n_docs, topics.shape[0]
-    rows = topics[:, word_idx].T
+    _, word_idx, counts = corpus.flat()
+    starts, lengths = corpus.segments()
+    k = topics.shape[0]
+    rows = np.take(topics, word_idx, axis=1)
     if init_mixes is None:
-        mixes = np.full((d_count, k), 1.0 / k)
+        mixes = np.full((k, corpus.n_docs), 1.0 / k)
     else:
-        mixes = np.asarray(init_mixes, dtype=float).copy()
+        mixes = np.asarray(init_mixes, dtype=float).T.copy()
     prev_lls = None
-    for _ in range(config.fold_in_max_iters):
-        probs = np.einsum("ij,ij->i", mixes[doc_idx], rows)
+    for it in range(config.fold_in_max_iters + 1):
+        weighted = np.repeat(mixes, lengths, axis=1)
+        weighted *= rows
+        probs = weighted.sum(axis=0)
         if np.any(probs <= 0.0):
             raise DataError("unmodelable word: zero mixture probability in fold-in")
-        lls = np.bincount(doc_idx, weights=counts * np.log(probs), minlength=d_count)
-        if prev_lls is not None and np.all(
+        lls = np.add.reduceat(counts * np.log(probs), starts)
+        converged = prev_lls is not None and np.all(
             np.abs(lls - prev_lls) <= config.fold_in_rel_tol * (np.abs(prev_lls) + 1e-12)
-        ):
-            return mixes, lls
+        )
+        if converged or it == config.fold_in_max_iters:
+            return mixes.T, lls
         prev_lls = lls
-        weighted = mixes[doc_idx] * rows * (counts / probs)[:, None]
-        for z in range(k):
-            mixes[:, z] = np.bincount(doc_idx, weights=weighted[:, z], minlength=d_count)
-        mixes /= mixes.sum(axis=1, keepdims=True)
-    probs = np.einsum("ij,ij->i", mixes[doc_idx], rows)
-    lls = np.bincount(doc_idx, weights=counts * np.log(probs), minlength=d_count)
-    return mixes, lls
+        weighted *= counts / probs
+        mixes = np.add.reduceat(weighted, starts, axis=1)
+        mixes /= mixes.sum(axis=0)
+        del weighted  # free it before the next pass allocates its own

@@ -223,9 +223,11 @@ class TestWeaklySupervised:
         rng = np.random.default_rng(59)
         corpus = clustered_corpus(rng)
         detector = StopDetector(mode="minimize", patience=3)
-        topics, trace = train_weakly_supervised(
+        topics, mixes, trace = train_weakly_supervised(
             corpus, ["t01"], EmConfig(seed=4, max_iters=60), detector=detector
         )
+        assert mixes.shape == (corpus.n_docs, topics.shape[0])
+        np.testing.assert_allclose(mixes.sum(axis=1), 1.0, atol=1e-9)
         # cluster 0 owns terms t00..t05; the closest topic should live there
         snap_topics, _ = detector.best_snapshot
         model = estimate_query_model(corpus, ["t01"])

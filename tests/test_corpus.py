@@ -186,6 +186,28 @@ class TestFiles:
         for d in range(corpus.n_docs):
             assert row_as_dict(loaded, d) == row_as_dict(corpus, d)
 
+    def test_sparse_roundtrip_keeps_unused_terms(self, tmp_path):
+        vocab = Vocabulary(["a", "unused", "b"])
+        corpus = Corpus(vocab, [(np.array([0, 2]), np.array([2, 1]))], ["d0"])
+        path = tmp_path / "corpus.sparse"
+        write_sparse_corpus(corpus, path)
+        loaded = read_sparse_corpus(path)
+        assert loaded.vocab == vocab
+        assert row_as_dict(loaded, 0) == {"a": 2, "b": 1}
+
+    def test_sparse_without_vocabulary_lines(self, tmp_path):
+        path = tmp_path / "corpus.sparse"
+        path.write_text("docs=2 terms=2 nnz=3\nd0 b 1\nd0 a 2\nd1 b 3\n")
+        loaded = read_sparse_corpus(path)
+        assert loaded.vocab.terms == ["b", "a"]
+        assert row_as_dict(loaded, 1) == {"b": 3}
+
+    def test_term_outside_vocabulary_rejected(self, tmp_path):
+        path = tmp_path / "bad.sparse"
+        path.write_text("docs=1 terms=1 nnz=1\na\nd0 b 1\n")
+        with pytest.raises(DataError, match="not in the vocabulary"):
+            read_sparse_corpus(path)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.sparse"
         path.write_text("docs=zzz\n")

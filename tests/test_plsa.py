@@ -3,11 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from topicgrow.corpus import background_model, doc_language_model, ingest_sparse
+from topicgrow.corpus import (
+    Corpus,
+    Vocabulary,
+    background_model,
+    doc_language_model,
+    ingest_sparse,
+)
 from topicgrow.errors import DataError
 from topicgrow.plsa import (
     EmConfig,
+    _e_step,
+    _m_step,
     e_step_doc,
+    em_refine,
     fold_in,
     fold_in_all,
     log_likelihood,
@@ -104,6 +113,76 @@ class TestMStep:
         assert np.all(topics >= 1e-6 * (1 - 1e-12))
         np.testing.assert_allclose(topics.sum(axis=1), 1.0, atol=1e-9)
         np.testing.assert_allclose(mixes.sum(axis=1), 1.0, atol=1e-9)
+
+
+def oracle_posteriors(corpus, topics, mixes):
+    return [e_step_doc(corpus, d, topics, mixes[d]) for d in range(corpus.n_docs)]
+
+
+def topic_major(corpus, posteriors):
+    """Per-document posteriors as the kernel's (K, nnz) count-weighted array."""
+    return (np.concatenate(posteriors) * corpus.flat()[2][:, None]).T
+
+
+class TestKernel:
+    """The batched topic-major kernel against the per-document E- and M-steps."""
+
+    def test_e_step_matches_per_doc_oracle(self):
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            corpus, topics, mixes = random_instance(rng)
+            weighted, ll = _e_step(corpus, topics, mixes)
+            expected = topic_major(corpus, oracle_posteriors(corpus, topics, mixes))
+            np.testing.assert_allclose(weighted, expected, rtol=1e-12, atol=1e-15)
+            assert ll == pytest.approx(brute_force_loglik(corpus, topics, mixes), abs=1e-10)
+
+    @pytest.mark.parametrize("floor", [0.0, 1e-6])
+    def test_m_step_matches_per_doc_oracle(self, floor):
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            corpus, topics, mixes = random_instance(rng)
+            posteriors = oracle_posteriors(corpus, topics, mixes)
+            new_topics, new_mixes = _m_step(corpus, topic_major(corpus, posteriors), floor)
+            oracle_topics, oracle_mixes = m_step(corpus, posteriors, smoothing_floor=floor)
+            np.testing.assert_allclose(new_topics, oracle_topics, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(new_mixes, oracle_mixes, rtol=1e-12, atol=1e-15)
+
+    def test_hand_evaluated_posterior(self):
+        # p(z|d,w) = (0.6*0.1, 0.4*0.3) / 0.18 = (1/3, 2/3)
+        corpus = ingest_sparse([(0, "a", 1)])
+        weighted, ll = _e_step(corpus, np.array([[0.1], [0.3]]), np.array([[0.6, 0.4]]))
+        np.testing.assert_allclose(weighted, [[1.0 / 3.0], [2.0 / 3.0]], atol=1e-15)
+        assert ll == pytest.approx(math.log(0.18), abs=1e-15)
+
+    def test_hand_evaluated_mix(self):
+        # doc {a:2, b:1}; posterior one-hot per word -> p(z|d) = (2/3, 1/3)
+        corpus = ingest_sparse([(0, "a", 2), (0, "b", 1)])
+        _, mixes = _m_step(corpus, np.array([[2.0, 0.0], [0.0, 1.0]]), 0.0)
+        np.testing.assert_allclose(mixes[0], [2.0 / 3.0, 1.0 / 3.0], atol=1e-15)
+
+    def test_dead_topic_reset_to_uniform(self):
+        corpus = ingest_sparse([(0, "a", 1)])
+        topics, _ = _m_step(corpus, np.array([[1.0], [0.0]]), 0.0)
+        np.testing.assert_allclose(topics[1], [1.0])
+
+    def test_unused_term_gets_exactly_the_floor(self):
+        vocab = Vocabulary(["a", "unused", "b", "c"])
+        docs = [(np.array([0, 2]), np.array([3, 1])), (np.array([2, 3]), np.array([2, 2]))]
+        corpus = Corpus(vocab, docs, ["d0", "d1"])
+        config = EmConfig(seed=4, max_iters=30, smoothing_floor=1e-6)
+        topics, _, _ = train_plsa(corpus, 2, config)
+        assert np.all(topics[:, 1] == config.smoothing_floor)
+
+    @pytest.mark.parametrize("max_iters", [1, 2, 200])
+    def test_trace_loglik_belongs_to_returned_parameters(self, max_iters):
+        rng = np.random.default_rng(19)
+        corpus, topics, mixes = random_instance(rng, n_docs=6, n_terms=8, k=3)
+        config = EmConfig(seed=0, max_iters=max_iters)
+        trace = []
+        topics, mixes, ll = em_refine(corpus, topics, mixes, config, trace=trace)
+        assert (len(trace) < max_iters) == (max_iters == 200)  # only the large budget converges
+        assert trace[-1].loglik == ll == log_likelihood(corpus, topics, mixes)
+        assert ll == pytest.approx(brute_force_loglik(corpus, topics, mixes), abs=1e-10)
 
 
 class TestLogLikelihood:
@@ -230,6 +309,14 @@ class TestFoldIn:
         fold_in(doc, topics, EmConfig(seed=0), ll_history=history)
         for prev, cur in zip(history, history[1:]):
             assert cur >= prev - 1e-8 * abs(prev)
+
+    @pytest.mark.parametrize("budget", [0, 50])
+    def test_batch_unmodelable_word_raises(self, budget):
+        # with a zero budget the only pass is the final one
+        corpus = ingest_sparse([(0, "a", 1), (0, "b", 1), (1, "a", 2)])
+        topics = np.array([[1.0, 0.0]])
+        with pytest.raises(DataError, match="unmodelable"):
+            fold_in_all(corpus, topics, EmConfig(seed=0, fold_in_max_iters=budget))
 
     def test_batch_matches_per_doc(self):
         rng = np.random.default_rng(31)
