@@ -249,10 +249,7 @@ def _cmd_train(args, out_dir):
             max_topics=args.max_topics,
             order_seed=args.order_seed,
         )
-        topics = state.topics
-        mixes = np.zeros((corpus.n_docs, state.k))
-        for d, mix in enumerate(state.mixes):
-            mixes[d, : mix.size] = mix
+        topics, mixes = state.topics, state.mixes
         meta["epsilon"] = args.epsilon
     elif args.algo == "auto":
         detector = StopDetector(mode="maximize", patience=args.patience)

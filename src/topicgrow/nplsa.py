@@ -19,7 +19,16 @@ import numpy as np
 
 from .corpus import doc_language_model
 from .errors import AlgorithmError, DataError
-from .plsa import EmConfig, TraceRow, _floor_rows, e_step_doc, fold_in, log_likelihood
+from .plsa import (
+    EmConfig,
+    TraceRow,
+    _doc_logliks,
+    _e_step,
+    _floor_rows,
+    _m_step,
+    fold_in,
+    fold_in_docs,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -33,13 +42,13 @@ _WARM_KEEP = 0.9
 class NplsaState:
     """Model state of a growth run.
 
-    ``mixes`` is ragged: each document's mix covers the first ``fitted_counts[d]``
-    topics, the number of topics that existed when the document was last
-    visited. ``epsilon`` is the spawn threshold in nats.
+    ``mixes`` is dense ``(D, K)``: document d's mix is zero past its first
+    ``fitted_counts[d]`` topics, the number of topics that existed when it was
+    last visited. ``epsilon`` is the spawn threshold in nats.
     """
 
     topics: np.ndarray
-    mixes: list
+    mixes: np.ndarray
     fitted_counts: np.ndarray
     epsilon: float
 
@@ -63,13 +72,6 @@ def doc_self_loglik(doc):
     return float(np.dot(counts, np.log(counts / counts.sum())))
 
 
-def warm_start_mix(mix, k):
-    """Zero-pad a stored mix to k entries and blend with uniform mass."""
-    padded = np.zeros(k)
-    padded[: mix.size] = mix
-    return _WARM_KEEP * padded + (1.0 - _WARM_KEEP) / k
-
-
 def delta(doc, topics, config, init_mix=None):
     """Goodness-of-fit deficit of a document under the given topics, in nats.
 
@@ -81,48 +83,23 @@ def delta(doc, topics, config, init_mix=None):
     return doc_self_loglik(doc) - fitted_ll
 
 
-def _best_fit(doc, topics, config, old_mix):
-    """Fold a document in, but never fall below its previous fit.
+def _best_fits(corpus, docs, topics, mixes, old_lls, config):
+    """Fold documents in, but never fall below their previous fit.
 
-    The fold-in warm start blends in uniform mass so new topics are reachable;
-    when it stops short of the optimum it can land below the value of the old
-    (zero-padded) mix, which would break the monotonicity of the penalized
-    objective. Returning whichever of the two fits is better restores the
-    guarantee while still letting new topics be adopted.
+    ``old_lls`` are the documents' log-likelihoods under ``mixes``. The fold-in
+    warm start blends in uniform mass so new topics are reachable; when it stops
+    short of the optimum it can land below the old (zero-padded) mix, which would
+    break the monotonicity of the penalized objective. Taking whichever of the
+    two fits is better restores the guarantee while still letting new topics be
+    adopted. Returns (mixes (len(docs), K), lls (len(docs),)).
     """
     k = topics.shape[0]
-    fit_mix, fit_ll = fold_in(doc, topics, config, init_mix=warm_start_mix(old_mix, k))
-    ids, counts = doc
-    probs = old_mix @ topics[: old_mix.size, ids]
-    if np.all(probs > 0.0):
-        old_ll = float(np.dot(counts, np.log(probs)))
-        if old_ll > fit_ll:
-            padded = np.zeros(k)
-            padded[: old_mix.size] = old_mix
-            return padded, old_ll
-    return fit_mix, fit_ll
-
-
-def _prune_dead_topics(topics, mix_masses, fitted_counts):
-    """Drop topics whose accumulated M-step mass is exactly zero.
-
-    A topic with zero total mass has zero posterior weight in every document,
-    so removing it leaves every likelihood unchanged and only reduces the
-    topic-count penalty. Returns updated (topics, mix_masses, fitted_counts).
-    """
-    alive = topics.sum(axis=1) > 0.0
-    if alive.all():
-        return topics, mix_masses, fitted_counts
-    n_dead = int((~alive).sum())
-    logger.info("pruning %d dead topic(s)", n_dead)
-    topics = topics[alive]
-    new_masses = []
-    new_counts = np.empty_like(fitted_counts)
-    for d, mass in enumerate(mix_masses):
-        t_d = fitted_counts[d]
-        new_masses.append(mass[alive[: mass.size]])
-        new_counts[d] = int(alive[:t_d].sum())
-    return topics, new_masses, new_counts
+    old = np.zeros((docs.size, k))
+    old[:, : mixes.shape[1]] = mixes[docs]
+    warm = _WARM_KEEP * old + (1.0 - _WARM_KEEP) / k
+    fit_mixes, fit_lls = fold_in_docs(corpus, docs, topics, config, warm)
+    use_old = old_lls[docs] > fit_lls
+    return np.where(use_old[:, None], old, fit_mixes), np.where(use_old, old_lls[docs], fit_lls)
 
 
 def train_nplsa(corpus, epsilon, config, max_topics=1000, order_seed=None):
@@ -131,9 +108,10 @@ def train_nplsa(corpus, epsilon, config, max_topics=1000, order_seed=None):
     Starts from one random topic. Each sweep visits the documents in corpus
     order (or in a fixed permutation drawn from ``order_seed``); per document
     it computes ``delta`` and either promotes the document's language model to
-    a new topic, runs the standard E-step (if the document has already been
-    fitted against all current topics), or folds the document in against the
-    topics it has not seen. After the sweep the M-step re-estimates all
+    a new topic, keeps its mix (if it has already been fitted against all
+    current topics), or takes its fold-in fit. A spawn only appends a topic, so
+    unvisited documents are folded in batches and those after a spawn are
+    re-folded. One E-step and M-step over the final topics then re-estimate all
     parameters. The run stops once a full sweep spawns nothing and the
     log-likelihood has plateaued. Returns (NplsaState, trace).
     """
@@ -142,56 +120,72 @@ def train_nplsa(corpus, epsilon, config, max_topics=1000, order_seed=None):
     d_count = corpus.n_docs
     rng = np.random.default_rng(config.seed)
     topics = _floor_rows(rng.dirichlet(np.ones(corpus.n_terms), size=1), config.smoothing_floor)
-    mixes = [np.ones(1) for _ in range(d_count)]
+    mixes = np.ones((d_count, 1))
     fitted = np.ones(d_count, dtype=np.int64)
     self_lls = np.array([doc_self_loglik(corpus.docs[d]) for d in range(d_count)])
+    doc_lls = _doc_logliks(corpus, topics, mixes)
 
-    if order_seed is None:
-        order = np.arange(d_count)
-    else:
+    order = np.arange(d_count)
+    if order_seed is not None:
         order = np.random.default_rng(order_seed).permutation(d_count)
 
     trace = []
     prev_ll = None
     for sweep in range(1, config.max_iters + 1):
         t0 = time.perf_counter()
-        spawned = 0
-        posteriors = [None] * d_count
-        for d in order:
-            doc = corpus.docs[d]
-            ids, _ = doc
+        spawned = []
+        # Row d is the mix whose E-step gives document d's posterior this sweep:
+        # its old mix, unless it is refitted or spawns a topic.
+        post_mixes = mixes.copy()
+        pending = order
+        step = d_count  # batch size: doubled after a batch without a spawn, else 2x its gap
+        while pending.size:
             k = topics.shape[0]
-            fit_mix, fit_ll = _best_fit(doc, topics, config, mixes[d])
-            if self_lls[d] - fit_ll > epsilon:
-                if k + 1 > max_topics:
-                    raise AlgorithmError(
-                        f"topic explosion: more than {max_topics} topics; "
-                        f"raise epsilon (currently {epsilon}) or the topic cap"
-                    )
-                topics = np.vstack([topics, doc_language_model(corpus, d)])
-                post = np.zeros((ids.size, k + 1))
-                post[:, k] = 1.0
-                spawned += 1
-            elif fitted[d] == k:
-                post = e_step_doc(corpus, d, topics, mixes[d])
-            else:
-                post = e_step_doc(corpus, d, topics, fit_mix)
-            fitted[d] = topics.shape[0]
-            posteriors[d] = post
+            head = pending[:step]
+            # A document already fitted against every topic and within epsilon under its
+            # old mix can neither spawn nor change its posterior mix: it needs no fold-in.
+            stale = fitted[head] < k
+            fold = stale | (self_lls[head] - doc_lls[head] > epsilon)
+            deficits = np.zeros(head.size)
+            if fold.any():
+                docs = head[fold]
+                fits, best = _best_fits(corpus, docs, topics, mixes, doc_lls, config)
+                deficits[fold] = self_lls[docs] - best
+                post_mixes[docs[stale[fold]]] = fits[stale[fold]]
+            over = np.flatnonzero(deficits > epsilon)
+            n_ok = over[0] if over.size else head.size
+            fitted[head[:n_ok]] = k
+            if not over.size:
+                pending, step = pending[head.size :], 2 * step
+                continue
+            if k + 1 > max_topics:
+                raise AlgorithmError(
+                    f"topic explosion: more than {max_topics} topics; "
+                    f"raise epsilon (currently {epsilon}) or the topic cap"
+                )
+            d = pending[n_ok]
+            topics = np.vstack([topics, doc_language_model(corpus, d)])
+            post_mixes = np.hstack([post_mixes, np.zeros((d_count, 1))])
+            post_mixes[d] = np.eye(1, k + 1, k)
+            fitted[d] = k + 1
+            spawned.append(int(d))
+            pending, step = pending[n_ok + 1 :], 2 * (n_ok + 1)
 
-        k = topics.shape[0]
-        topic_mass = np.zeros((k, corpus.n_terms))
-        mix_masses = []
-        for d in range(d_count):
-            ids, counts = corpus.docs[d]
-            weighted = posteriors[d] * counts[:, None]
-            topic_mass[: weighted.shape[1], ids] += weighted.T
-            mix_masses.append(weighted.sum(axis=0))
-        topic_mass, mix_masses, fitted = _prune_dead_topics(topic_mass, mix_masses, fitted)
-        topics = _floor_rows(topic_mass, config.smoothing_floor)
-        mixes = [mass / mass.sum() for mass in mix_masses]
+        weighted, _ = _e_step(corpus, topics, post_mixes)
+        alive = weighted.any(axis=1)
+        if not alive.all():
+            # A topic without mass has zero posterior weight in every document:
+            # dropping it leaves every likelihood unchanged and lowers the penalty.
+            logger.info("pruning %d dead topic(s)", int((~alive).sum()))
+            weighted = weighted[alive]
+            fitted = np.cumsum(alive)[fitted - 1]
+        topics, mixes = _m_step(corpus, weighted, config.smoothing_floor)
+        del weighted
 
-        ll = log_likelihood(corpus, topics, mixes)
+        doc_lls = _doc_logliks(corpus, topics, mixes)
+        ll = float(doc_lls.sum())
+        if not np.isfinite(ll):
+            raise DataError("unmodelable word: zero mixture probability")
         k = topics.shape[0]
         trace.append(
             TraceRow(
@@ -201,10 +195,11 @@ def train_nplsa(corpus, epsilon, config, max_topics=1000, order_seed=None):
                 objective=ll - epsilon * k,
                 epsilon=epsilon,
                 wall_ms=(time.perf_counter() - t0) * 1000.0,
+                spawned=tuple(spawned),
             )
         )
         if (
-            spawned == 0
+            not spawned
             and prev_ll is not None
             and abs(ll - prev_ll) <= config.rel_tol * (abs(prev_ll) + 1e-12)
         ):
@@ -224,14 +219,13 @@ def penalized_objective(state, corpus, config=None):
     """
     if config is None:
         config = EmConfig(seed=0)
-    k = state.k
-    mixes = []
-    for d in range(corpus.n_docs):
-        mix = state.mixes[d]
-        if state.fitted_counts[d] < k:
-            mix, _ = _best_fit(corpus.docs[d], state.topics, config, mix)
-        mixes.append(mix)
-    ll = log_likelihood(corpus, state.topics, mixes)
+    lls = _doc_logliks(corpus, state.topics, state.mixes)
+    stale = np.flatnonzero(state.fitted_counts < state.k)
+    if stale.size:
+        lls[stale] = _best_fits(corpus, stale, state.topics, state.mixes, lls, config)[1]
+    ll = float(lls.sum())
+    if not np.isfinite(ll):
+        raise DataError("unmodelable word: zero mixture probability")
     return PenalizedObjective(
-        loglik=ll, k=k, epsilon=state.epsilon, value=ll - state.epsilon * k
+        loglik=ll, k=state.k, epsilon=state.epsilon, value=ll - state.epsilon * state.k
     )

@@ -1,9 +1,7 @@
 """Classical PLSA: EM training at fixed K, document fold-in, and likelihood evaluation.
 
 Topics are a row-stochastic ``(K, V)`` array of word probabilities p(w|z);
-document mixes are simplex vectors p(z|d), either a dense ``(D, K)`` array or a
-ragged list of per-document vectors. Posteriors p(z|d,w) for one document are a
-``(n_distinct_words, K)`` array over its distinct words.
+document mixes are simplex rows p(z|d) of a dense ``(D, K)`` array.
 
 The batched kernels work topic-major on the corpus's flat arrays: ``(K, nnz)``
 with one contiguous row per topic, and per-document sums by ``np.add.reduceat``.
@@ -43,6 +41,8 @@ class EmConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise DataError("max_iters must be >= 1")
+        if self.fold_in_max_iters < 1:
+            raise DataError("fold_in_max_iters must be >= 1")
         if self.rel_tol <= 0 or self.fold_in_rel_tol <= 0:
             raise DataError("rel_tol must be > 0")
         if not 0 <= self.smoothing_floor <= 1e-3:
@@ -53,8 +53,8 @@ class EmConfig:
 class TraceRow:
     """One line of a training trace; unset fields stay None.
 
-    ``mean_delta`` and ``phase`` are in-memory diagnostics and are not part of
-    the CSV serialization.
+    ``mean_delta``, ``phase`` and ``spawned`` (ids of the documents that spawned
+    a topic) are in-memory diagnostics and are not part of the CSV serialization.
     """
 
     iteration: int
@@ -68,6 +68,7 @@ class TraceRow:
     wall_ms: float | None = None
     mean_delta: float | None = field(default=None, repr=False)
     phase: str = field(default="", repr=False)
+    spawned: tuple = field(default=(), repr=False)
 
 
 def init_topics(k, n_terms, rng):
@@ -97,10 +98,9 @@ def _floor_rows(mat, floor):
 
 
 def e_step_doc(corpus, d, topics, mix):
-    """Posterior p(z|d,w) over the distinct words of document d.
+    """Posterior p(z|d,w) over the distinct words of document d, one row per word.
 
-    Each row of the result is proportional to p(z|d) * p(w|z), normalized
-    over topics.
+    No trainer calls it (they use ``_e_step``); ``perfbench/tracing.py`` still names it.
     """
     ids, _ = corpus.docs[d]
     if mix.size != topics.shape[0]:
@@ -112,60 +112,9 @@ def e_step_doc(corpus, d, topics, mix):
     return joint / denom[:, None]
 
 
-def accumulate_m_step(corpus, posteriors, k):
-    """Sum count-weighted posteriors into unnormalized topic and mix masses.
-
-    Accepts ragged posteriors: a document whose posterior has fewer than k
-    columns contributes only to the leading topics (it was last fitted before
-    the newer topics existed). Returns (topic_mass (k, V), mix_masses list).
-    """
-    topic_mass = np.zeros((k, corpus.n_terms))
-    mix_masses = []
-    for d, post in enumerate(posteriors):
-        ids, counts = corpus.docs[d]
-        weighted = post * counts[:, None]
-        k_d = post.shape[1]
-        topic_mass[:k_d, ids] += weighted.T
-        mix_masses.append(weighted.sum(axis=0))
-    return topic_mass, mix_masses
-
-
-def m_step(corpus, posteriors, smoothing_floor=1e-9):
-    """Re-estimate topics and mixes from per-document posteriors.
-
-    p(z|d) is proportional to sum_w n(d,w) p(z|d,w); p(w|z) is proportional to
-    sum_d n(d,w) p(z|d,w). Topic rows are floored then renormalized. A topic
-    that received no mass at all is reset to the uniform distribution.
-    """
-    k = max(post.shape[1] for post in posteriors)
-    topic_mass, mix_masses = accumulate_m_step(corpus, posteriors, k)
-    dead = topic_mass.sum(axis=1) == 0.0
-    if dead.any():
-        logger.warning("m_step: %d topic(s) received zero mass, reset to uniform", dead.sum())
-        topic_mass[dead] = 1.0
-    topics = _floor_rows(topic_mass, smoothing_floor)
-    mixes = np.zeros((corpus.n_docs, k))
-    for d, mass in enumerate(mix_masses):
-        mixes[d, : mass.size] = mass / mass.sum()
-    return topics, mixes
-
-
 def log_likelihood(corpus, topics, mixes):
-    """Total log-likelihood sum_d sum_w n(d,w) log sum_z p(z|d) p(w|z), in nats.
-
-    ``mixes`` may be a dense (D, K) array or a ragged list of per-document
-    vectors covering only the leading topics.
-    """
-    if isinstance(mixes, np.ndarray) and mixes.ndim == 2:
-        return _e_step(corpus, topics, mixes)[1]
-    total = 0.0
-    for d, mix in enumerate(mixes):
-        ids, counts = corpus.docs[d]
-        probs = mix @ topics[: mix.size, ids]
-        if np.any(probs <= 0.0):
-            raise DataError("unmodelable word: zero mixture probability")
-        total += float(np.dot(counts, np.log(probs)))
-    return total
+    """Total log-likelihood sum_d sum_w n(d,w) log sum_z p(z|d) p(w|z), in nats."""
+    return _e_step(corpus, topics, mixes)[1]
 
 
 def _e_step(corpus, topics, mixes):
@@ -185,6 +134,17 @@ def _e_step(corpus, topics, mixes):
     loglik = float(np.dot(counts, np.log(denom)))
     weighted *= counts / denom
     return weighted, loglik
+
+
+def _doc_logliks(corpus, topics, mixes):
+    """Per-document log-likelihoods over the first mixes.shape[1] topics; -inf if unmodelable."""
+    _, word_idx, counts = corpus.flat()
+    starts, lengths = corpus.segments()
+    probs = np.zeros(word_idx.size)
+    for z in range(mixes.shape[1]):
+        probs += topics[z, word_idx] * np.repeat(mixes[:, z], lengths)
+    with np.errstate(divide="ignore"):
+        return np.add.reduceat(counts * np.log(probs), starts)
 
 
 def _m_step(corpus, weighted, smoothing_floor):
@@ -291,6 +251,53 @@ def fold_in(doc, topics, config, init_mix=None, ll_history=None):
     if ll_history is not None:
         ll_history.append(ll)
     return mix, ll
+
+
+def fold_in_docs(corpus, docs, topics, config, init_mixes):
+    """Fold in the documents ``docs`` against frozen topics, each to its own plateau.
+
+    Topic-major like ``fold_in_all``, but a document stops iterating on its own
+    plateau or at the ``fold_in_max_iters`` cap, so each gets ``fold_in``'s
+    iterates up to round-off. ``init_mixes`` is ``(len(docs), K)``. Returns
+    (mixes (len(docs), K), fitted lls (len(docs),)).
+    """
+    _, word_idx, counts = corpus.flat()
+    starts, lengths = corpus.segments()
+    lens = lengths[docs]
+    seg = np.cumsum(lens) - lens
+    entries = np.arange(lens.sum()) + np.repeat(starts[docs] - seg, lens)
+    rows = np.take(topics, word_idx[entries], axis=1)
+    cnt = counts[entries]
+    mixes = np.asarray(init_mixes, dtype=float).T.copy()
+    out_mixes = np.empty_like(mixes)
+    out_lls = np.empty(lens.size)
+    active = np.arange(lens.size)  # positions in ``docs`` still iterating
+    prev_lls = None
+    for it in range(config.fold_in_max_iters + 1):
+        weighted = np.repeat(mixes, lens, axis=1)
+        weighted *= rows
+        probs = weighted.sum(axis=0)
+        if np.any(probs <= 0.0):
+            raise DataError("unmodelable word: zero mixture probability in fold-in")
+        lls = np.add.reduceat(cnt * np.log(probs), seg)
+        done = np.full(active.size, it == config.fold_in_max_iters)
+        if prev_lls is not None:
+            done |= np.abs(lls - prev_lls) <= config.fold_in_rel_tol * (np.abs(prev_lls) + 1e-12)
+        out_mixes[:, active[done]] = mixes[:, done]
+        out_lls[active[done]] = lls[done]
+        if done.all():
+            return out_mixes.T, out_lls
+        weighted *= cnt / probs
+        mixes = np.add.reduceat(weighted, seg, axis=1)
+        mixes /= mixes.sum(axis=0)
+        del weighted  # free it before the next pass allocates its own
+        prev_lls = lls
+        if done.any():  # converged documents leave the working arrays
+            keep = np.flatnonzero(~done)
+            on = np.flatnonzero(np.repeat(~done, lens))
+            rows, cnt = np.take(rows, on, axis=1), cnt[on]
+            active, lens, mixes, prev_lls = active[keep], lens[keep], mixes[:, keep], lls[keep]
+            seg = np.cumsum(lens) - lens
 
 
 def fold_in_all(corpus, topics, config, init_mixes=None):

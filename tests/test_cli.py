@@ -1,11 +1,12 @@
 """End-to-end runs of the command-line pipeline: synth, then train, then eval."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from topicgrow.cli import main
+from topicgrow.cli import EXIT_DATA, main
 from topicgrow.corpus import background_model, load_corpus
 
 SYNTH = ["--profile", "desk", "--docs", "30", "--doc-len", "40", "--topics", "3", "--vocab", "60"]
@@ -55,3 +56,25 @@ def test_synth_train_eval(synth_dir, tmp_path, algo):
     assert report["K"] == k
     for key in ("tqe", "tce", "pmi", "perplexity"):
         assert np.isfinite(report[key]), key
+
+
+def test_nplsa_order_seed_run_is_reproducible(synth_dir, tmp_path):
+    corpus = synth_dir / "corpus.sparse"
+    models = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        code = main(["train", "--algo", "nplsa", "--epsilon", "30", "--order-seed", "7",
+                     "--corpus", str(corpus), "--out", str(out), "--seed", "1"])
+        assert code == 0
+        models.append((out / "model.json").read_bytes())
+        with open(out / "trace.csv", encoding="utf-8", newline="") as fh:
+            objective = [float(row["objective"]) for row in csv.DictReader(fh)]
+        assert len(objective) > 1
+        assert all(cur >= prev for prev, cur in zip(objective, objective[1:]))
+    assert models[0] == models[1]
+
+
+def test_fold_in_iters_below_one_is_a_data_error(synth_dir, tmp_path):
+    code = main(["train", "--algo", "auto", "--fold-in-iters", "0", "--corpus",
+                 str(synth_dir / "corpus.sparse"), "--out", str(tmp_path), "--seed", "1"])
+    assert code == EXIT_DATA

@@ -12,7 +12,8 @@ from topicgrow.nplsa import (
     penalized_objective,
     train_nplsa,
 )
-from topicgrow.plsa import EmConfig, _floor_rows
+from topicgrow.plsa import EmConfig, _floor_rows, fold_in
+from topicgrow.synthgen import PROFILES, SynthConfig, generate_corpus
 
 
 def random_corpus(rng, n_docs=8, n_terms=10, max_count=6):
@@ -21,6 +22,80 @@ def random_corpus(rng, n_docs=8, n_terms=10, max_count=6):
         for t in rng.choice(n_terms, size=rng.integers(2, n_terms), replace=False):
             triples.append((d, f"t{t}", int(rng.integers(1, max_count))))
     return ingest_sparse(triples)
+
+
+def serial_nplsa(corpus, epsilon, config, order_seed=None):
+    """Reference nPLSA: one fold-in and one E-step per visited document, ragged mixes.
+
+    Returns (topics, dense mixes, fitted_counts, per-sweep (K, loglik, objective,
+    spawned doc ids)).
+    """
+    n_docs = corpus.n_docs
+    rng = np.random.default_rng(config.seed)
+    topics = _floor_rows(rng.dirichlet(np.ones(corpus.n_terms), size=1), config.smoothing_floor)
+    mixes = [np.ones(1)] * n_docs
+    fitted = np.ones(n_docs, dtype=np.int64)
+    order = np.arange(n_docs)
+    if order_seed is not None:
+        order = np.random.default_rng(order_seed).permutation(n_docs)
+    sweeps = []
+    prev_ll = None
+    for _ in range(config.max_iters):
+        spawned = []
+        posteriors = [None] * n_docs
+        for d in order:
+            ids, counts = corpus.docs[d]
+            k = topics.shape[0]
+            old = np.zeros(k)
+            old[: mixes[d].size] = mixes[d]
+            fit_mix, fit_ll = fold_in(corpus.docs[d], topics, config, init_mix=0.9 * old + 0.1 / k)
+            old_probs = old @ topics[:, ids]
+            if np.all(old_probs > 0.0):
+                old_ll = float(np.dot(counts, np.log(old_probs)))
+                if old_ll > fit_ll:  # never fall below the previous fit
+                    fit_mix, fit_ll = old, old_ll
+            if doc_self_loglik(corpus.docs[d]) - fit_ll > epsilon:
+                topics = np.vstack([topics, doc_language_model(corpus, d)])
+                post = np.zeros((ids.size, k + 1))
+                post[:, k] = 1.0
+                spawned.append(int(d))
+            else:
+                mix = old if fitted[d] == k else fit_mix
+                joint = mix[None, :] * topics[:, ids].T
+                post = joint / joint.sum(axis=1)[:, None]
+            fitted[d] = topics.shape[0]
+            posteriors[d] = post
+        topic_mass = np.zeros((topics.shape[0], corpus.n_terms))
+        mix_mass = np.zeros((n_docs, topics.shape[0]))
+        for d, post in enumerate(posteriors):
+            ids, counts = corpus.docs[d]
+            weighted = post * counts[:, None]
+            topic_mass[: post.shape[1], ids] += weighted.T
+            mix_mass[d, : post.shape[1]] = weighted.sum(axis=0)
+        alive = topic_mass.sum(axis=1) > 0.0
+        fitted = np.array([alive[:t].sum() for t in fitted])
+        topics = _floor_rows(topic_mass[alive], config.smoothing_floor)
+        mixes = [mix_mass[d, alive][: fitted[d]] / mix_mass[d].sum() for d in range(n_docs)]
+        ll = 0.0
+        for d, mix in enumerate(mixes):
+            ids, counts = corpus.docs[d]
+            ll += float(np.dot(counts, np.log(mix @ topics[: mix.size, ids])))
+        k = topics.shape[0]
+        sweeps.append((k, ll, ll - epsilon * k, tuple(spawned)))
+        if not spawned and prev_ll is not None and abs(ll - prev_ll) <= config.rel_tol * (
+            abs(prev_ll) + 1e-12
+        ):
+            break
+        prev_ll = ll
+    dense = np.zeros((n_docs, topics.shape[0]))
+    for d, mix in enumerate(mixes):
+        dense[d, : mix.size] = mix
+    return topics, dense, fitted, sweeps
+
+
+def desk_corpus(seed, n_docs=60):
+    profile = dict(PROFILES["desk"], n_docs=n_docs)
+    return generate_corpus(SynthConfig(seed=seed, **profile))[0]
 
 
 class TestDelta:
@@ -102,10 +177,12 @@ class TestTrainNplsa:
         rng = np.random.default_rng(17)
         corpus = random_corpus(rng)
         state, trace = train_nplsa(corpus, 5.0, EmConfig(seed=2, max_iters=50))
+        assert state.mixes.shape == (corpus.n_docs, state.k)
         assert np.all(state.fitted_counts <= state.k)
+        assert np.all(state.mixes >= 0.0)
+        np.testing.assert_allclose(state.mixes.sum(axis=1), 1.0, atol=1e-9)
         for d, mix in enumerate(state.mixes):
-            assert mix.size == state.fitted_counts[d]
-            assert abs(mix.sum() - 1.0) < 1e-9
+            assert np.all(mix[state.fitted_counts[d] :] == 0.0)
         np.testing.assert_allclose(state.topics.sum(axis=1), 1.0, atol=1e-9)
         ks = [row.k for row in trace]
         assert ks == sorted(ks)  # growth never loses live topics on this corpus
@@ -121,12 +198,43 @@ class TestTrainNplsa:
         assert [r.loglik for r in t1] == [r.loglik for r in t2]
 
 
+class TestSerialEquivalence:
+    """The batched sweep against the per-document reference sweep."""
+
+    @staticmethod
+    def assert_same_run(corpus, epsilon, config, order_seed):
+        state, trace = train_nplsa(corpus, epsilon, config, order_seed=order_seed)
+        topics, mixes, fitted, sweeps = serial_nplsa(corpus, epsilon, config, order_seed)
+        ks, lls, objectives, spawned = (list(column) for column in zip(*sweeps))
+        assert [row.spawned for row in trace] == spawned
+        assert [row.k for row in trace] == ks
+        np.testing.assert_array_equal(state.fitted_counts, fitted)
+        np.testing.assert_allclose([row.loglik for row in trace], lls, rtol=1e-12)
+        np.testing.assert_allclose([row.objective for row in trace], objectives, rtol=1e-12)
+        np.testing.assert_allclose(state.topics, topics, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(state.mixes, mixes, rtol=1e-12, atol=1e-12)
+        return trace
+
+    @pytest.mark.parametrize("order_seed", [None, 7])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_desk_corpus(self, seed, order_seed):
+        trace = self.assert_same_run(
+            desk_corpus(seed), 150.0, EmConfig(seed=1, max_iters=15), order_seed
+        )
+        assert sum(len(row.spawned) for row in trace) >= 3
+
+    @pytest.mark.parametrize("epsilon", [2.0, 8.0])
+    def test_random_corpus(self, epsilon):
+        corpus = random_corpus(np.random.default_rng(11), n_docs=10, n_terms=12)
+        self.assert_same_run(corpus, epsilon, EmConfig(seed=1, max_iters=60), order_seed=3)
+
+
 class TestPenalizedObjective:
     def test_arithmetic(self):
         corpus = ingest_sparse([(0, "a", 1)])
         state = NplsaState(
             topics=np.array([[1.0]]),
-            mixes=[np.array([1.0])],
+            mixes=np.array([[1.0]]),
             fitted_counts=np.array([1]),
             epsilon=10.0,
         )
@@ -153,7 +261,7 @@ class TestPenalizedObjective:
         )
         spawned = NplsaState(
             topics=np.vstack([base.topics, doc_language_model(corpus, d_out)]),
-            mixes=[m.copy() for m in base.mixes[:d_out]] + [np.array([0.0, 1.0])],
+            mixes=np.vstack([np.pad(base.mixes[:d_out], ((0, 0), (0, 1))), [0.0, 1.0]]),
             fitted_counts=np.array([1, 1, 2]),
             epsilon=eps,
         )

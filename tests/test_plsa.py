@@ -14,13 +14,13 @@ from topicgrow.errors import DataError
 from topicgrow.plsa import (
     EmConfig,
     _e_step,
+    _floor_rows,
     _m_step,
-    e_step_doc,
     em_refine,
     fold_in,
     fold_in_all,
+    fold_in_docs,
     log_likelihood,
-    m_step,
     train_plsa,
 )
 
@@ -49,70 +49,30 @@ def random_instance(rng, n_docs=4, n_terms=6, k=3):
     return corpus, topics, mixes
 
 
-class TestEStep:
-    def test_single_topic_posterior_is_one(self):
-        corpus = ingest_sparse([(0, "a", 2), (0, "b", 1)])
-        post = e_step_doc(corpus, 0, np.array([[0.3, 0.7]]), np.array([1.0]))
-        np.testing.assert_array_equal(post, np.ones((2, 1)))
-
-    def test_symmetric_topics_give_even_posterior(self):
-        corpus = ingest_sparse([(0, "a", 1), (0, "b", 1)])
-        topics = np.array([[0.4, 0.6], [0.4, 0.6]])
-        post = e_step_doc(corpus, 0, topics, np.array([0.5, 0.5]))
-        np.testing.assert_allclose(post, np.full((2, 2), 0.5))
-
-    def test_hand_evaluated_posterior(self):
-        # p(z|d,w) = (0.6*0.1, 0.4*0.3) / 0.18 = (1/3, 2/3)
-        corpus = ingest_sparse([(0, "a", 1)])
-        topics = np.array([[0.1], [0.3]])
-        post = e_step_doc(corpus, 0, topics, np.array([0.6, 0.4]))
-        np.testing.assert_allclose(post, [[1.0 / 3.0, 2.0 / 3.0]], atol=1e-15)
-
-    def test_rows_sum_to_one(self):
-        rng = np.random.default_rng(3)
-        corpus, topics, mixes = random_instance(rng)
-        for d in range(corpus.n_docs):
-            post = e_step_doc(corpus, d, topics, mixes[d])
-            np.testing.assert_allclose(post.sum(axis=1), 1.0, atol=1e-9)
+def e_step_doc(corpus, d, topics, mix):
+    """Per-document oracle: posterior p(z|d,w) over the distinct words of document d."""
+    ids, _ = corpus.docs[d]
+    joint = mix[None, :] * topics[:, ids].T
+    return joint / joint.sum(axis=1)[:, None]
 
 
-class TestMStep:
-    def test_single_doc_single_topic(self):
-        corpus = ingest_sparse([(0, "a", 1), (1, "b", 1)])
-        posteriors = [np.ones((1, 1)), np.ones((1, 1))]
-        topics, mixes = m_step(corpus, posteriors, smoothing_floor=0.0)
-        np.testing.assert_allclose(topics, [[0.5, 0.5]])
-        np.testing.assert_allclose(mixes, [[1.0], [1.0]])
+def m_step(corpus, posteriors, smoothing_floor):
+    """Per-document oracle M-step: topics floored and renormalized, dead topics uniform."""
+    k = posteriors[0].shape[1]
+    topic_mass = np.zeros((k, corpus.n_terms))
+    mixes = np.zeros((corpus.n_docs, k))
+    for d, post in enumerate(posteriors):
+        ids, counts = corpus.docs[d]
+        weighted = post * counts[:, None]
+        topic_mass[:, ids] += weighted.T
+        mixes[d] = weighted.sum(axis=0) / weighted.sum()
+    topic_mass[topic_mass.sum(axis=1) == 0.0] = 1.0
+    return _floor_rows(topic_mass, smoothing_floor), mixes
 
-    def test_even_posteriors_recover_background(self):
-        corpus = ingest_sparse([(0, "a", 1), (1, "b", 1)])
-        posteriors = [np.full((1, 2), 0.5), np.full((1, 2), 0.5)]
-        topics, mixes = m_step(corpus, posteriors, smoothing_floor=0.0)
-        bg = background_model(corpus)
-        np.testing.assert_allclose(topics[0], bg, atol=1e-12)
-        np.testing.assert_allclose(topics[1], bg, atol=1e-12)
-        np.testing.assert_allclose(mixes, np.full((2, 2), 0.5))
 
-    def test_hand_evaluated_mix(self):
-        # doc {a:2, b:1}; posterior one-hot per word -> p(z|d) = (2/3, 1/3)
-        corpus = ingest_sparse([(0, "a", 2), (0, "b", 1)])
-        posteriors = [np.array([[1.0, 0.0], [0.0, 1.0]])]
-        _, mixes = m_step(corpus, posteriors, smoothing_floor=0.0)
-        np.testing.assert_allclose(mixes[0], [2.0 / 3.0, 1.0 / 3.0], atol=1e-15)
-
-    def test_dead_topic_reset_to_uniform(self):
-        corpus = ingest_sparse([(0, "a", 1)])
-        posteriors = [np.array([[1.0, 0.0]])]
-        topics, _ = m_step(corpus, posteriors, smoothing_floor=0.0)
-        np.testing.assert_allclose(topics[1], [1.0])
-
-    def test_floor_respected(self):
-        corpus = ingest_sparse([(0, "a", 5), (0, "b", 1), (1, "a", 2)])
-        posteriors = [np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([[1.0, 0.0]])]
-        topics, mixes = m_step(corpus, posteriors, smoothing_floor=1e-6)
-        assert np.all(topics >= 1e-6 * (1 - 1e-12))
-        np.testing.assert_allclose(topics.sum(axis=1), 1.0, atol=1e-9)
-        np.testing.assert_allclose(mixes.sum(axis=1), 1.0, atol=1e-9)
+def posteriors_of(corpus, topics, mixes):
+    """The kernel's posteriors p(z|d,w) as a topic-major (K, nnz) array."""
+    return _e_step(corpus, topics, mixes)[0] / corpus.flat()[2]
 
 
 def oracle_posteriors(corpus, topics, mixes):
@@ -122,6 +82,69 @@ def oracle_posteriors(corpus, topics, mixes):
 def topic_major(corpus, posteriors):
     """Per-document posteriors as the kernel's (K, nnz) count-weighted array."""
     return (np.concatenate(posteriors) * corpus.flat()[2][:, None]).T
+
+
+class TestEStep:
+    def test_single_topic_posterior_is_one(self):
+        corpus = ingest_sparse([(0, "a", 2), (0, "b", 1)])
+        post = posteriors_of(corpus, np.array([[0.3, 0.7]]), np.array([[1.0]]))
+        np.testing.assert_array_equal(post, np.ones((1, 2)))
+
+    def test_symmetric_topics_give_even_posterior(self):
+        corpus = ingest_sparse([(0, "a", 1), (0, "b", 1)])
+        topics = np.array([[0.4, 0.6], [0.4, 0.6]])
+        post = posteriors_of(corpus, topics, np.array([[0.5, 0.5]]))
+        np.testing.assert_allclose(post, np.full((2, 2), 0.5))
+
+    def test_hand_evaluated_posterior(self):
+        # p(z|d,w) = (0.6*0.1, 0.4*0.3) / 0.18 = (1/3, 2/3)
+        corpus = ingest_sparse([(0, "a", 1)])
+        topics = np.array([[0.1], [0.3]])
+        post = posteriors_of(corpus, topics, np.array([[0.6, 0.4]]))
+        np.testing.assert_allclose(post, [[1.0 / 3.0], [2.0 / 3.0]], atol=1e-15)
+
+    def test_rows_sum_to_one(self):
+        rng = np.random.default_rng(3)
+        corpus, topics, mixes = random_instance(rng)
+        post = posteriors_of(corpus, topics, mixes)
+        np.testing.assert_allclose(post.sum(axis=0), 1.0, atol=1e-9)
+
+
+class TestMStep:
+    def test_single_doc_single_topic(self):
+        corpus = ingest_sparse([(0, "a", 1), (1, "b", 1)])
+        topics, mixes = _m_step(corpus, np.ones((1, 2)), smoothing_floor=0.0)
+        np.testing.assert_allclose(topics, [[0.5, 0.5]])
+        np.testing.assert_allclose(mixes, [[1.0], [1.0]])
+
+    def test_even_posteriors_recover_background(self):
+        corpus = ingest_sparse([(0, "a", 1), (1, "b", 1)])
+        topics, mixes = _m_step(corpus, np.full((2, 2), 0.5), smoothing_floor=0.0)
+        bg = background_model(corpus)
+        np.testing.assert_allclose(topics[0], bg, atol=1e-12)
+        np.testing.assert_allclose(topics[1], bg, atol=1e-12)
+        np.testing.assert_allclose(mixes, np.full((2, 2), 0.5))
+
+    def test_hand_evaluated_mix(self):
+        # doc {a:2, b:1}; posterior one-hot per word -> p(z|d) = (2/3, 1/3)
+        corpus = ingest_sparse([(0, "a", 2), (0, "b", 1)])
+        posteriors = [np.array([[1.0, 0.0], [0.0, 1.0]])]
+        _, mixes = _m_step(corpus, topic_major(corpus, posteriors), smoothing_floor=0.0)
+        np.testing.assert_allclose(mixes[0], [2.0 / 3.0, 1.0 / 3.0], atol=1e-15)
+
+    def test_dead_topic_reset_to_uniform(self):
+        corpus = ingest_sparse([(0, "a", 1)])
+        posteriors = [np.array([[1.0, 0.0]])]
+        topics, _ = _m_step(corpus, topic_major(corpus, posteriors), smoothing_floor=0.0)
+        np.testing.assert_allclose(topics[1], [1.0])
+
+    def test_floor_respected(self):
+        corpus = ingest_sparse([(0, "a", 5), (0, "b", 1), (1, "a", 2)])
+        posteriors = [np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([[1.0, 0.0]])]
+        topics, mixes = _m_step(corpus, topic_major(corpus, posteriors), smoothing_floor=1e-6)
+        assert np.all(topics >= 1e-6 * (1 - 1e-12))
+        np.testing.assert_allclose(topics.sum(axis=1), 1.0, atol=1e-9)
+        np.testing.assert_allclose(mixes.sum(axis=1), 1.0, atol=1e-9)
 
 
 class TestKernel:
@@ -143,7 +166,7 @@ class TestKernel:
             corpus, topics, mixes = random_instance(rng)
             posteriors = oracle_posteriors(corpus, topics, mixes)
             new_topics, new_mixes = _m_step(corpus, topic_major(corpus, posteriors), floor)
-            oracle_topics, oracle_mixes = m_step(corpus, posteriors, smoothing_floor=floor)
+            oracle_topics, oracle_mixes = m_step(corpus, posteriors, floor)
             np.testing.assert_allclose(new_topics, oracle_topics, rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(new_mixes, oracle_mixes, rtol=1e-12, atol=1e-15)
 
@@ -203,17 +226,6 @@ class TestLogLikelihood:
             fast = log_likelihood(corpus, topics, mixes)
             slow = brute_force_loglik(corpus, topics, mixes)
             assert fast == pytest.approx(slow, abs=1e-10)
-
-    def test_ragged_mixes_match_padded(self):
-        rng = np.random.default_rng(11)
-        corpus, topics, mixes = random_instance(rng, k=3)
-        ragged = [m.copy() for m in mixes]
-        ragged[0] = np.array([1.0])  # doc 0 fitted against topic 0 only
-        padded = mixes.copy()
-        padded[0] = [1.0, 0.0, 0.0]
-        assert log_likelihood(corpus, topics, ragged) == pytest.approx(
-            log_likelihood(corpus, topics, padded), abs=1e-12
-        )
 
     def test_unmodelable_word_raises(self):
         corpus = ingest_sparse([(0, "a", 1), (0, "b", 1)])
@@ -310,9 +322,8 @@ class TestFoldIn:
         for prev, cur in zip(history, history[1:]):
             assert cur >= prev - 1e-8 * abs(prev)
 
-    @pytest.mark.parametrize("budget", [0, 50])
+    @pytest.mark.parametrize("budget", [1, 50])
     def test_batch_unmodelable_word_raises(self, budget):
-        # with a zero budget the only pass is the final one
         corpus = ingest_sparse([(0, "a", 1), (0, "b", 1), (1, "a", 2)])
         topics = np.array([[1.0, 0.0]])
         with pytest.raises(DataError, match="unmodelable"):
@@ -329,3 +340,47 @@ class TestFoldIn:
             # slightly closer to the optimum than the per-doc loop
             assert lls[d] >= ll - 1e-8 * abs(ll)
             assert lls[d] == pytest.approx(ll, rel=1e-5)
+
+
+def sparse_topic_instance():
+    """Eight documents against four sparse topics: they plateau after 7 to 31 passes."""
+    rng = np.random.default_rng(2)
+    triples = []
+    for d in range(8):
+        for t in rng.choice(12, size=rng.integers(2, 8), replace=False):
+            triples.append((d, f"t{t:02d}", int(rng.integers(1, 6))))
+    corpus = ingest_sparse(triples)
+    topics = rng.dirichlet(np.full(corpus.n_terms, 0.3), size=4)
+    return corpus, 0.999 * topics + 0.001 / corpus.n_terms
+
+
+class TestFoldInDocs:
+    """The per-document-masked batch kernel against single-document ``fold_in``."""
+
+    def test_each_document_matches_fold_in(self):
+        corpus, topics = sparse_topic_instance()
+        config = EmConfig(seed=0, fold_in_max_iters=30)
+        passes = []
+        for d in range(corpus.n_docs):
+            history = []
+            fold_in(corpus.docs[d], topics, config, ll_history=history)
+            passes.append(len(history))
+        docs = np.array([6, 1, 4, 0, 7, 3])  # a subset, out of corpus order
+        assert len({passes[d] for d in docs}) == docs.size
+        assert passes[1] == config.fold_in_max_iters + 1  # doc 1 stops at the cap
+        init = np.random.default_rng(3).dirichlet(np.ones(4), size=docs.size)
+        mixes, lls = fold_in_docs(corpus, docs, topics, config, init)
+        for i, d in enumerate(docs):
+            mix, ll = fold_in(corpus.docs[d], topics, config, init_mix=init[i])
+            np.testing.assert_allclose(mixes[i], mix, rtol=1e-12, atol=1e-12)
+            assert lls[i] == pytest.approx(ll, rel=1e-12)
+
+    def test_zero_probability_word_raises(self):
+        corpus = ingest_sparse([(0, "a", 1), (0, "b", 1), (1, "a", 2)])
+        topics = np.array([[1.0, 0.0]])
+        with pytest.raises(DataError, match="unmodelable"):
+            fold_in_docs(corpus, np.array([1, 0]), topics, EmConfig(seed=0), np.ones((2, 1)))
+
+    def test_fold_in_budget_must_be_positive(self):
+        with pytest.raises(DataError, match="fold_in_max_iters"):
+            EmConfig(seed=0, fold_in_max_iters=0)
