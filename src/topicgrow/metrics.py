@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .plsa import fold_in
+from .corpus import Corpus
+from .plsa import _doc_logliks, fold_in_docs
 
 logger = logging.getLogger(__name__)
 
@@ -146,10 +147,10 @@ def perplexity(held_out, topics, config, split_fraction=0.8):
     """Held-out perplexity of the unseen portion of each document.
 
     Each document's tokens are shuffled with the run seed and split at
-    ``split_fraction``; the observed part is folded in against the frozen
-    topics and the remainder is scored under the fitted mixture. Documents
-    shorter than two tokens are skipped. Returns
-    exp(-sum_j log p(unseen_j) / sum_j |unseen_j|).
+    ``split_fraction``; the observed parts are folded in together against the
+    frozen topics (``fold_in_docs``, uniform start) and each remainder is scored
+    under its document's fitted mixture. Documents shorter than two tokens are
+    skipped. Returns exp(-sum_j log p(unseen_j) / sum_j |unseen_j|).
     """
     topics = np.asarray(topics, dtype=float)
     if held_out.n_terms != topics.shape[1]:
@@ -157,28 +158,27 @@ def perplexity(held_out, topics, config, split_fraction=0.8):
     if not 0.0 < split_fraction < 1.0:
         raise DataError("split_fraction must lie in (0, 1)")
     rng = np.random.default_rng(config.seed)
-    total_ll = 0.0
-    total_tokens = 0
-    skipped = 0
-    for d in range(held_out.n_docs):
-        ids, counts = held_out.docs[d]
+    seen_rows, unseen_rows = [], []
+    for ids, counts in held_out.docs:
         tokens = np.repeat(ids, counts)
         if tokens.size < 2:
-            skipped += 1
             continue
         tokens = rng.permutation(tokens)
         n1 = min(max(int(split_fraction * tokens.size), 1), tokens.size - 1)
-        seen, unseen = tokens[:n1], tokens[n1:]
-        seen_counts = np.bincount(seen)
-        seen_ids = np.nonzero(seen_counts)[0]
-        mix, _ = fold_in((seen_ids, seen_counts[seen_ids]), topics, config)
-        probs = mix @ topics[:, unseen]
-        if np.any(probs <= 0.0):
-            raise DataError("unmodelable word: zero predictive probability")
-        total_ll += float(np.log(probs).sum())
-        total_tokens += unseen.size
+        seen_rows.append(np.unique(tokens[:n1], return_counts=True))
+        unseen_rows.append(np.unique(tokens[n1:], return_counts=True))
+    skipped = held_out.n_docs - len(seen_rows)
     if skipped:
         logger.warning("perplexity: skipped %d document(s) shorter than 2 tokens", skipped)
-    if total_tokens == 0:
+    if not seen_rows:
         raise DataError("no evaluable documents for perplexity")
-    return math.exp(-total_ll / total_tokens)
+    doc_ids = list(range(len(seen_rows)))
+    seen = Corpus(held_out.vocab, seen_rows, doc_ids)
+    unseen = Corpus(held_out.vocab, unseen_rows, doc_ids)
+    k = topics.shape[0]
+    mixes, _ = fold_in_docs(seen, np.arange(seen.n_docs), topics, config,
+                            np.full((seen.n_docs, k), 1.0 / k))
+    lls = _doc_logliks(unseen, topics, mixes)
+    if not np.all(np.isfinite(lls)):
+        raise DataError("unmodelable word: zero predictive probability")
+    return math.exp(-float(lls.sum()) / unseen.total_tokens)

@@ -256,10 +256,12 @@ def fold_in(doc, topics, config, init_mix=None, ll_history=None):
 def fold_in_docs(corpus, docs, topics, config, init_mixes):
     """Fold in the documents ``docs`` against frozen topics, each to its own plateau.
 
-    Topic-major like ``fold_in_all``, but a document stops iterating on its own
-    plateau or at the ``fold_in_max_iters`` cap, so each gets ``fold_in``'s
-    iterates up to round-off. ``init_mixes`` is ``(len(docs), K)``. Returns
-    (mixes (len(docs), K), fitted lls (len(docs),)).
+    Topic-major: p(w|z) of the documents' flat entries is gathered once into
+    ``(K, nnz)`` and the ``(K, len(docs))`` mixes are re-estimated by
+    per-document segment sums. A document stops iterating on its own plateau
+    or at the ``fold_in_max_iters`` cap and leaves the working arrays, so each
+    gets ``fold_in``'s iterates up to round-off. ``init_mixes`` is
+    ``(len(docs), K)``. Returns (mixes (len(docs), K), fitted lls (len(docs),)).
     """
     _, word_idx, counts = corpus.flat()
     starts, lengths = corpus.segments()
@@ -301,36 +303,12 @@ def fold_in_docs(corpus, docs, topics, config, init_mixes):
 
 
 def fold_in_all(corpus, topics, config, init_mixes=None):
-    """Vectorized fold-in of every document at once against frozen topics.
+    """Fold in every document against frozen topics: ``fold_in_docs`` over the whole corpus.
 
-    Topic-major: p(w|z) of every flat entry is gathered once into ``(K, nnz)``
-    and the ``(K, D)`` mixes are re-estimated by per-document segment sums.
-    Iteration continues until every document plateaus. Returns (mixes (D, K),
+    Each document stops on its own plateau or at the ``fold_in_max_iters`` cap;
+    ``init_mixes`` (D, K) defaults to uniform mixes. Returns (mixes (D, K),
     fitted lls (D,)), the lls being those of the returned mixes.
     """
-    _, word_idx, counts = corpus.flat()
-    starts, lengths = corpus.segments()
-    k = topics.shape[0]
-    rows = np.take(topics, word_idx, axis=1)
     if init_mixes is None:
-        mixes = np.full((k, corpus.n_docs), 1.0 / k)
-    else:
-        mixes = np.asarray(init_mixes, dtype=float).T.copy()
-    prev_lls = None
-    for it in range(config.fold_in_max_iters + 1):
-        weighted = np.repeat(mixes, lengths, axis=1)
-        weighted *= rows
-        probs = weighted.sum(axis=0)
-        if np.any(probs <= 0.0):
-            raise DataError("unmodelable word: zero mixture probability in fold-in")
-        lls = np.add.reduceat(counts * np.log(probs), starts)
-        converged = prev_lls is not None and np.all(
-            np.abs(lls - prev_lls) <= config.fold_in_rel_tol * (np.abs(prev_lls) + 1e-12)
-        )
-        if converged or it == config.fold_in_max_iters:
-            return mixes.T, lls
-        prev_lls = lls
-        weighted *= counts / probs
-        mixes = np.add.reduceat(weighted, starts, axis=1)
-        mixes /= mixes.sum(axis=0)
-        del weighted  # free it before the next pass allocates its own
+        init_mixes = np.full((corpus.n_docs, topics.shape[0]), 1.0 / topics.shape[0])
+    return fold_in_docs(corpus, np.arange(corpus.n_docs), topics, config, init_mixes)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from topicgrow import autostop
 from topicgrow.autostop import (
     StopDetector,
     diversity,
@@ -14,7 +15,10 @@ from topicgrow.autostop import (
 )
 from topicgrow.corpus import background_model, ingest_sparse
 from topicgrow.errors import DataError
-from topicgrow.plsa import EmConfig
+from topicgrow.metrics import topic_coverage_error
+from topicgrow.nplsa import doc_self_loglik
+from topicgrow.plsa import EmConfig, fold_in
+from topicgrow.synthgen import PROFILES, SynthConfig, generate_corpus
 
 
 class TestDiversity:
@@ -256,3 +260,86 @@ class TestWeaklySupervised:
             detector=detector,
         )
         assert detector.best_k <= 5
+
+
+def spy_fold_ins(monkeypatch):
+    """Record (topics, init_mixes, mixes, lls) of every ``fold_in_all`` call the grow makes."""
+    calls = []
+    real = autostop.fold_in_all
+
+    def spy(corpus, topics, config, init_mixes=None):
+        mixes, lls = real(corpus, topics, config, init_mixes=init_mixes)
+        calls.append((topics.copy(), np.array(init_mixes), mixes.copy(), lls.copy()))
+        return mixes, lls
+
+    monkeypatch.setattr(autostop, "fold_in_all", spy)
+    return calls
+
+
+def check_fold_ins(corpus, config, calls, trace):
+    """Each fold-in equals per-document ``fold_in``; each deficit is the argmax document's."""
+    for topics, init, mixes, lls in calls:
+        for d in range(corpus.n_docs):
+            mix, ll = fold_in(corpus.docs[d], topics, config, init_mix=init[d])
+            np.testing.assert_allclose(mixes[d], mix, rtol=1e-12, atol=1e-12)
+            assert lls[d] == pytest.approx(ll, rel=1e-12)
+    grow = [row for row in trace if row.phase == "grow"]
+    assert len(calls) == 2 * len(grow)  # two fold-ins per spawn
+    self_lls = np.array([doc_self_loglik(doc) for doc in corpus.docs])
+    for row, (_, _, _, lls) in zip(grow, calls[::2]):
+        d_star = int(np.argmax(self_lls - lls))
+        assert row.epsilon == doc_self_loglik(corpus.docs[d_star]) - lls[d_star]
+
+
+class TestGrowFoldIns:
+    def test_parameter_free_fold_ins_match_fold_in(self, monkeypatch):
+        calls = spy_fold_ins(monkeypatch)
+        corpus = clustered_corpus(np.random.default_rng(67), n_docs=18)
+        config = EmConfig(seed=7, max_iters=40)
+        _, _, trace = train_parameter_free(corpus, config, max_spawns=5)
+        check_fold_ins(corpus, config, calls, trace)
+
+    def test_weakly_supervised_fold_ins_match_fold_in(self, monkeypatch):
+        calls = spy_fold_ins(monkeypatch)
+        corpus = clustered_corpus(np.random.default_rng(71), n_docs=18)
+        config = EmConfig(seed=8, max_iters=40)
+        _, _, trace = train_weakly_supervised(corpus, ["t07"], config, max_spawns=4)
+        check_fold_ins(corpus, config, calls, trace)
+
+
+def fold_in_until_slowest(corpus, topics, config, init_mixes):
+    """Reference batch fold-in: every document iterates until the slowest one plateaus."""
+    _, word_idx, counts = corpus.flat()
+    starts, lengths = corpus.segments()
+    rows = np.take(topics, word_idx, axis=1)
+    mixes = np.asarray(init_mixes, dtype=float).T.copy()
+    prev_lls = None
+    for it in range(config.fold_in_max_iters + 1):
+        weighted = np.repeat(mixes, lengths, axis=1) * rows
+        probs = weighted.sum(axis=0)
+        lls = np.add.reduceat(counts * np.log(probs), starts)
+        converged = prev_lls is not None and np.all(
+            np.abs(lls - prev_lls) <= config.fold_in_rel_tol * (np.abs(prev_lls) + 1e-12)
+        )
+        if converged or it == config.fold_in_max_iters:
+            return mixes.T, lls
+        prev_lls = lls
+        weighted *= counts / probs
+        mixes = np.add.reduceat(weighted, starts, axis=1)
+        mixes /= mixes.sum(axis=0)
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_desk_grid_picks_the_reference_k(monkeypatch, seed):
+    """Per-document stopping moves deficits slightly but not the chosen K or the fit."""
+    corpus, truth = generate_corpus(SynthConfig(seed=seed, **PROFILES["desk"]))
+    config = EmConfig(seed=seed)
+    results = []
+    for fold_in_all in (fold_in_until_slowest, autostop.fold_in_all):
+        monkeypatch.setattr(autostop, "fold_in_all", fold_in_all)
+        detector = StopDetector(mode="maximize", patience=15)
+        topics, _, _ = train_parameter_free(corpus, config, detector=detector, max_spawns=14)
+        results.append((detector.best_k, topic_coverage_error(topics, truth.topics)))
+    (ref_k, ref_tce), (k, tce) = results
+    assert k == ref_k
+    assert tce == pytest.approx(ref_tce, rel=0.10)

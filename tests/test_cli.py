@@ -74,6 +74,24 @@ def test_nplsa_order_seed_run_is_reproducible(synth_dir, tmp_path):
     assert models[0] == models[1]
 
 
+def test_auto_run_is_reproducible(synth_dir, tmp_path):
+    corpus = synth_dir / "corpus.sparse"
+    models = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        code = main(["train", "--algo", "auto", "--max-spawns", "6", "--corpus", str(corpus),
+                     "--out", str(out), "--seed", "1"])
+        assert code == 0
+        models.append((out / "model.json").read_bytes())
+        with open(out / "trace.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        # grow and rollback rows carry the diversity score; the EM refine rows do not
+        refine = [float(row["loglik"]) for row in rows if not row["diversity"]]
+        assert len(refine) > 1
+        assert all(cur >= prev for prev, cur in zip(refine, refine[1:]))
+    assert models[0] == models[1]
+
+
 def test_fold_in_iters_below_one_is_a_data_error(synth_dir, tmp_path):
     code = main(["train", "--algo", "auto", "--fold-in-iters", "0", "--corpus",
                  str(synth_dir / "corpus.sparse"), "--out", str(tmp_path), "--seed", "1"])

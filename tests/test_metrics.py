@@ -218,3 +218,42 @@ class TestPerplexity:
         corpus = ingest_sparse([(0, "a", 3)])
         with pytest.raises(DataError):
             perplexity(corpus, np.array([[1.0]]), EmConfig(seed=0), split_fraction=1.0)
+
+    def test_no_evaluable_documents_raises(self):
+        corpus = ingest_sparse([(0, "a", 1), (1, "b", 1)])
+        with pytest.raises(DataError, match="no evaluable documents"):
+            perplexity(corpus, np.array([[0.5, 0.5]]), EmConfig(seed=0))
+
+    def test_zero_predictive_probability_raises(self):
+        # whichever token is seen, its fold-in zeroes the other topic's weight
+        corpus = ingest_sparse([(0, "a", 1), (0, "b", 1)])
+        topics = np.array([[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(DataError, match="zero predictive probability"):
+            perplexity(corpus, topics, EmConfig(seed=0))
+
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_matches_per_document_fold_in_oracle(self, k):
+        rng = np.random.default_rng(17)
+        triples = [(0, "t0", 1)]  # one token: skipped
+        for d in range(1, 25):
+            for t in rng.choice(30, size=rng.integers(2, 12), replace=False):
+                triples.append((d, f"t{t}", int(rng.integers(1, 8))))
+        corpus = ingest_sparse(triples)
+        topics = rng.dirichlet(np.full(corpus.n_terms, 0.5), size=k)
+        topics = 0.99 * topics + 0.01 / corpus.n_terms
+        config = EmConfig(seed=11, fold_in_max_iters=40)
+        # oracle: split each document in rng order, fold its seen part in on its own
+        split_rng = np.random.default_rng(config.seed)
+        total_ll, total_n = 0.0, 0
+        for ids, counts in corpus.docs:
+            tokens = np.repeat(ids, counts)
+            if tokens.size < 2:
+                continue
+            tokens = split_rng.permutation(tokens)
+            n1 = min(max(int(0.8 * tokens.size), 1), tokens.size - 1)
+            seen_ids, seen_counts = np.unique(tokens[:n1], return_counts=True)
+            mix, _ = fold_in((seen_ids, seen_counts), topics, config)
+            total_ll += float(np.log(mix @ topics[:, tokens[n1:]]).sum())
+            total_n += tokens.size - n1
+        expected = math.exp(-total_ll / total_n)
+        assert perplexity(corpus, topics, config) == pytest.approx(expected, rel=1e-12)

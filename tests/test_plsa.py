@@ -330,16 +330,24 @@ class TestFoldIn:
             fold_in_all(corpus, topics, EmConfig(seed=0, fold_in_max_iters=budget))
 
     def test_batch_matches_per_doc(self):
-        rng = np.random.default_rng(31)
-        corpus, topics, _ = random_instance(rng, n_docs=6, n_terms=8, k=3)
-        config = EmConfig(seed=0)
-        mixes, lls = fold_in_all(corpus, topics, config)
+        corpus, topics = sparse_topic_instance()
+        config = EmConfig(seed=0, fold_in_max_iters=30)
+        passes = []
         for d in range(corpus.n_docs):
-            _, ll = fold_in(corpus.docs[d], topics, config)
-            # batch iterates until the slowest doc converges, so it may land
-            # slightly closer to the optimum than the per-doc loop
-            assert lls[d] >= ll - 1e-8 * abs(ll)
-            assert lls[d] == pytest.approx(ll, rel=1e-5)
+            history = []
+            fold_in(corpus.docs[d], topics, config, ll_history=history)
+            passes.append(len(history))
+        assert min(passes) <= 7  # one document plateaus early
+        assert max(passes) == config.fold_in_max_iters + 1  # one is stopped by the cap
+        warm = np.random.default_rng(5).dirichlet(np.ones(4), size=corpus.n_docs)
+        for init in (None, warm):  # None is the uniform start
+            mixes, lls = fold_in_all(corpus, topics, config, init_mixes=init)
+            for d in range(corpus.n_docs):
+                mix, ll = fold_in(
+                    corpus.docs[d], topics, config, init_mix=None if init is None else init[d]
+                )
+                np.testing.assert_allclose(mixes[d], mix, rtol=1e-12, atol=1e-12)
+                assert lls[d] == pytest.approx(ll, rel=1e-12)
 
 
 def sparse_topic_instance():
