@@ -170,8 +170,10 @@ def _grow(corpus, config, detector, score_fn, max_topics, max_spawns):
     Each iteration folds every document against the current topics, promotes
     the document with the largest likelihood-ratio deficit, folds the rest in
     against the enlarged topic set, and runs one M-step. Both fold-ins are
-    ``fold_in_all`` from a warm start, each document stopping on its own
-    plateau, so a deficit is the one ``fold_in`` would give. After the detector
+    ``fold_in_all`` from a warm start: padded blocks of documents sorted
+    longest first, each document stopping on its own plateau and converged
+    ones leaving their block in batches, so a deficit is the one ``fold_in``
+    would give up to round-off. After the detector
     fires (or the spawn budget runs out) the best snapshot is restored and
     refined with plain EM. Returns (topics, mixes, trace).
     """

@@ -3,9 +3,11 @@
 Topics are a row-stochastic ``(K, V)`` array of word probabilities p(w|z);
 document mixes are simplex rows p(z|d) of a dense ``(D, K)`` array.
 
-The batched kernels work topic-major on the corpus's flat arrays: ``(K, nnz)``
+The EM kernel works topic-major on the corpus's flat arrays: ``(K, nnz)``
 with one contiguous row per topic, and per-document sums by ``np.add.reduceat``.
-A log-likelihood returned or traced with parameters is always theirs.
+The batched fold-in works on padded ``(n, L, K)`` blocks of documents sorted
+longest first (``fold_in_docs``). A log-likelihood returned or traced with
+parameters is always theirs.
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ import numpy as np
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
+
+_BLOCK_ENTRIES = 1 << 17  # padded (document, word, topic) entries per fold-in block
+_DROP_SHARE = 0.3  # converged share of a block's working documents at which they leave it
 
 
 @dataclass(frozen=True)
@@ -43,8 +48,9 @@ class EmConfig:
             raise DataError("max_iters must be >= 1")
         if self.fold_in_max_iters < 1:
             raise DataError("fold_in_max_iters must be >= 1")
-        if self.rel_tol <= 0 or self.fold_in_rel_tol <= 0:
-            raise DataError("rel_tol must be > 0")
+        for name in ("rel_tol", "fold_in_rel_tol"):
+            if not 0 < getattr(self, name) < np.inf:  # also rejects NaN
+                raise DataError(f"{name} must be finite and > 0")
         if not 0 <= self.smoothing_floor <= 1e-3:
             raise DataError("smoothing_floor must lie in [0, 1e-3]")
 
@@ -256,58 +262,86 @@ def fold_in(doc, topics, config, init_mix=None, ll_history=None):
 def fold_in_docs(corpus, docs, topics, config, init_mixes):
     """Fold in the documents ``docs`` against frozen topics, each to its own plateau.
 
-    Topic-major: p(w|z) of the documents' flat entries is gathered once into
-    ``(K, nnz)`` and the ``(K, len(docs))`` mixes are re-estimated by
-    per-document segment sums. A document stops iterating on its own plateau
-    or at the ``fold_in_max_iters`` cap and leaves the working arrays, so each
-    gets ``fold_in``'s iterates up to round-off. ``init_mixes`` is
-    ``(len(docs), K)``. Returns (mixes (len(docs), K), fitted lls (len(docs),)).
+    The documents are sorted longest first and cut into blocks of at most
+    ``_BLOCK_ENTRIES`` padded (document, word, topic) entries. A block's p(w|z)
+    is gathered once into ``(n, L, K)``, L being its longest document; padding
+    rows are 1 with count 0, so they add log 1 = 0 and nothing to the mixes.
+    Each pass is two batched matmuls, ``probs = rows @ mix`` and
+    ``mix *= (cnt / probs) @ rows``. A document stops iterating on its own
+    plateau or at the ``fold_in_max_iters`` cap, where its result is written;
+    converged documents keep iterating unread until they are at least
+    ``_DROP_SHARE`` of the block's working rows, then leave it together. Each
+    document gets ``fold_in``'s iterates up to round-off. ``init_mixes`` is
+    ``(len(docs), K)``. Returns (mixes (len(docs), K), fitted lls (len(docs),))
+    in the order of ``docs``.
     """
     _, word_idx, counts = corpus.flat()
     starts, lengths = corpus.segments()
-    lens = lengths[docs]
-    seg = np.cumsum(lens) - lens
-    entries = np.arange(lens.sum()) + np.repeat(starts[docs] - seg, lens)
-    rows = np.take(topics, word_idx[entries], axis=1)
-    cnt = counts[entries]
-    mixes = np.asarray(init_mixes, dtype=float).T.copy()
-    out_mixes = np.empty_like(mixes)
+    k = topics.shape[0]
+    table = np.vstack([topics.T, np.ones(k)])  # row n_terms is the padding word
+    init_mixes = np.asarray(init_mixes, dtype=float)
+    out_mixes = np.empty((len(docs), k))
+    out_lls = np.empty(len(docs))
+    order = np.argsort(-lengths[docs], kind="stable")
+    i = 0
+    while i < order.size:
+        width = lengths[docs[order[i]]]
+        block = order[i : i + max(1, _BLOCK_ENTRIES // (width * k))]
+        i += block.size
+        out_mixes[block], out_lls[block] = _fold_in_block(
+            word_idx, counts, starts[docs[block]], lengths[docs[block]], table,
+            init_mixes[block], config,
+        )
+    return out_mixes, out_lls
+
+
+def _fold_in_block(word_idx, counts, starts, lens, table, init_mixes, config):
+    """``fold_in_docs`` on one block of documents sorted longest first."""
+    on = np.arange(lens[0]) < lens[:, None]  # (n, L): real entries, row-major
+    entries = np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    words = np.full(on.shape, table.shape[0] - 1)
+    words[on] = word_idx[entries]
+    cnt = np.zeros(on.shape)
+    cnt[on] = counts[entries]
+    rows = np.take(table, words, axis=0)
+    mix = init_mixes.copy()
+    out_mixes = np.empty_like(mix)
     out_lls = np.empty(lens.size)
-    active = np.arange(lens.size)  # positions in ``docs`` still iterating
+    active = np.arange(lens.size)  # block positions of the working rows
+    done = np.zeros(lens.size, dtype=bool)  # plateaued, result written, not yet dropped
     prev_lls = None
     for it in range(config.fold_in_max_iters + 1):
-        weighted = np.repeat(mixes, lens, axis=1)
-        weighted *= rows
-        probs = weighted.sum(axis=0)
+        probs = (rows @ mix[:, :, None])[:, :, 0]
         if np.any(probs <= 0.0):
             raise DataError("unmodelable word: zero mixture probability in fold-in")
-        lls = np.add.reduceat(cnt * np.log(probs), seg)
-        done = np.full(active.size, it == config.fold_in_max_iters)
+        lls = np.einsum("nl,nl->n", cnt, np.log(probs))
+        new = np.full(done.size, it == config.fold_in_max_iters)
         if prev_lls is not None:
-            done |= np.abs(lls - prev_lls) <= config.fold_in_rel_tol * (np.abs(prev_lls) + 1e-12)
-        out_mixes[:, active[done]] = mixes[:, done]
-        out_lls[active[done]] = lls[done]
+            new |= np.abs(lls - prev_lls) <= config.fold_in_rel_tol * (np.abs(prev_lls) + 1e-12)
+        new &= ~done
+        out_mixes[active[new]] = mix[new]
+        out_lls[active[new]] = lls[new]
+        done |= new
         if done.all():
-            return out_mixes.T, out_lls
-        weighted *= cnt / probs
-        mixes = np.add.reduceat(weighted, seg, axis=1)
-        mixes /= mixes.sum(axis=0)
-        del weighted  # free it before the next pass allocates its own
+            return out_mixes, out_lls
+        mix *= ((cnt / probs)[:, None, :] @ rows)[:, 0, :]
+        mix /= mix.sum(axis=1, keepdims=True)
         prev_lls = lls
-        if done.any():  # converged documents leave the working arrays
+        if done.sum() >= _DROP_SHARE * done.size:  # converged documents leave the block
             keep = np.flatnonzero(~done)
-            on = np.flatnonzero(np.repeat(~done, lens))
-            rows, cnt = np.take(rows, on, axis=1), cnt[on]
-            active, lens, mixes, prev_lls = active[keep], lens[keep], mixes[:, keep], lls[keep]
-            seg = np.cumsum(lens) - lens
+            width = lens[active[keep]].max()
+            rows, cnt = rows[keep, :width], cnt[keep, :width]
+            active, mix, prev_lls, done = active[keep], mix[keep], prev_lls[keep], done[keep]
 
 
 def fold_in_all(corpus, topics, config, init_mixes=None):
     """Fold in every document against frozen topics: ``fold_in_docs`` over the whole corpus.
 
-    Each document stops on its own plateau or at the ``fold_in_max_iters`` cap;
-    ``init_mixes`` (D, K) defaults to uniform mixes. Returns (mixes (D, K),
-    fitted lls (D,)), the lls being those of the returned mixes.
+    The documents run in padded blocks sorted longest first, two batched
+    matmuls per pass; each stops on its own plateau or at the
+    ``fold_in_max_iters`` cap, and converged documents leave their block in
+    batches. ``init_mixes`` (D, K) defaults to uniform mixes. Returns
+    (mixes (D, K), fitted lls (D,)), the lls being those of the returned mixes.
     """
     if init_mixes is None:
         init_mixes = np.full((corpus.n_docs, topics.shape[0]), 1.0 / topics.shape[0])

@@ -96,3 +96,9 @@ def test_fold_in_iters_below_one_is_a_data_error(synth_dir, tmp_path):
     code = main(["train", "--algo", "auto", "--fold-in-iters", "0", "--corpus",
                  str(synth_dir / "corpus.sparse"), "--out", str(tmp_path), "--seed", "1"])
     assert code == EXIT_DATA
+
+
+def test_nan_fold_in_tolerance_is_a_data_error(synth_dir, tmp_path):
+    code = main(["train", "--algo", "auto", "--fold-in-tol", "nan", "--corpus",
+                 str(synth_dir / "corpus.sparse"), "--out", str(tmp_path), "--seed", "1"])
+    assert code == EXIT_DATA == 2

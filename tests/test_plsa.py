@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from topicgrow import plsa
 from topicgrow.corpus import (
     Corpus,
     Vocabulary,
@@ -362,8 +363,20 @@ def sparse_topic_instance():
     return corpus, 0.999 * topics + 0.001 / corpus.n_terms
 
 
+def mixed_length_instance(k):
+    """Fourteen documents of 1 to 48 distinct words against k sparse topics."""
+    rng = np.random.default_rng(5)
+    triples = []
+    for d, size in enumerate([48, 1, 3, 20, 2, 7, 30, 5, 12, 1, 9, 16, 4, 25]):
+        for t in rng.choice(60, size=size, replace=False):
+            triples.append((d, f"t{t:02d}", int(rng.integers(1, 6))))
+    corpus = ingest_sparse(triples)
+    topics = rng.dirichlet(np.full(corpus.n_terms, 0.3), size=k)
+    return corpus, 0.999 * topics + 0.001 / corpus.n_terms
+
+
 class TestFoldInDocs:
-    """The per-document-masked batch kernel against single-document ``fold_in``."""
+    """The padded-block batch kernel against single-document ``fold_in``."""
 
     def test_each_document_matches_fold_in(self):
         corpus, topics = sparse_topic_instance()
@@ -383,12 +396,69 @@ class TestFoldInDocs:
             np.testing.assert_allclose(mixes[i], mix, rtol=1e-12, atol=1e-12)
             assert lls[i] == pytest.approx(ll, rel=1e-12)
 
+    def test_blocks_match_fold_in(self, monkeypatch):
+        corpus, topics = mixed_length_instance(k=4)
+        config = EmConfig(seed=0, fold_in_max_iters=30)
+        docs = np.array([3, 0, 9, 6, 1, 13, 3, 7, 11, 2, 5, 12])  # out of order, 3 twice
+        init = np.random.default_rng(4).dirichlet(np.ones(4), size=docs.size)
+        expected, passes = [], []
+        for i, d in enumerate(docs):
+            history = []
+            expected.append(fold_in(corpus.docs[d], topics, config, init[i], history))
+            passes.append(len(history))
+        # Under one block, at least 30% plateau before the slowest, so the batch drop runs.
+        assert np.mean(np.array(passes) < max(passes)) >= 0.3
+        blocks = []  # each block's document lengths
+        kernel = plsa._fold_in_block
+
+        def spy(*args):
+            blocks.append(list(args[3]))
+            return kernel(*args)
+
+        monkeypatch.setattr(plsa, "_fold_in_block", spy)
+        results = {}
+        for budget in 2 ** np.arange(6, 18):
+            monkeypatch.setattr(plsa, "_BLOCK_ENTRIES", int(budget))
+            blocks.clear()
+            results[budget] = fold_in_docs(corpus, docs, topics, config, init)
+            assert all(len(b) == 1 or len(b) * b[0] * 4 <= budget for b in blocks)
+            if budget == 2**6:  # several blocks; the 48-word document (192 entries) alone
+                assert len(blocks) > 2 and blocks[0] == [48]
+        assert len(blocks) == 1  # 2^17: one block
+        for mixes, lls in results.values():
+            np.testing.assert_allclose(mixes, results[2**17][0], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(lls, results[2**17][1], rtol=1e-12)
+            for i, (mix, ll) in enumerate(expected):
+                np.testing.assert_allclose(mixes[i], mix, rtol=1e-12, atol=1e-12)
+                assert lls[i] == pytest.approx(ll, rel=1e-12)
+
+    def test_single_topic_matches_fold_in(self, monkeypatch):
+        corpus, topics = mixed_length_instance(k=1)
+        monkeypatch.setattr(plsa, "_BLOCK_ENTRIES", 2**4)
+        docs = np.array([5, 0, 1, 5, 3])
+        mixes, lls = fold_in_docs(corpus, docs, topics, EmConfig(seed=0), np.ones((5, 1)))
+        np.testing.assert_array_equal(mixes, 1.0)
+        for i, d in enumerate(docs):
+            assert lls[i] == pytest.approx(fold_in(corpus.docs[d], topics, EmConfig(seed=0))[1],
+                                           rel=1e-12)
+
     def test_zero_probability_word_raises(self):
-        corpus = ingest_sparse([(0, "a", 1), (0, "b", 1), (1, "a", 2)])
-        topics = np.array([[1.0, 0.0]])
+        # The bad word "z" is the whole of the shortest document, padded in one
+        # block with the longer ones.
+        corpus = ingest_sparse(
+            [(0, "a", 1), (0, "b", 2), (0, "c", 1), (1, "a", 2), (1, "c", 1), (2, "z", 1)]
+        )
+        topics = np.array([[0.5, 0.3, 0.2, 0.0], [0.2, 0.2, 0.6, 0.0]])
+        init = np.full((3, 2), 0.5)
         with pytest.raises(DataError, match="unmodelable"):
-            fold_in_docs(corpus, np.array([1, 0]), topics, EmConfig(seed=0), np.ones((2, 1)))
+            fold_in_docs(corpus, np.array([2, 0, 1]), topics, EmConfig(seed=0), init)
 
     def test_fold_in_budget_must_be_positive(self):
         with pytest.raises(DataError, match="fold_in_max_iters"):
             EmConfig(seed=0, fold_in_max_iters=0)
+
+    @pytest.mark.parametrize("name", ["rel_tol", "fold_in_rel_tol"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-6])
+    def test_tolerance_must_be_finite_and_positive(self, name, value):
+        with pytest.raises(DataError, match=f"^{name} must be finite and > 0"):
+            EmConfig(seed=0, **{name: value})
