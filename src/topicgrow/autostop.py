@@ -229,7 +229,7 @@ def _grow(corpus, config, detector, score_fn, max_topics, max_spawns):
             TraceRow(
                 iteration=spawns,
                 k=k,
-                loglik=_e_step(corpus, topics, mixes)[1],
+                loglik=float(_e_step(corpus, topics, mixes)[1].sum()),
                 epsilon=float(deltas[d_star]),
                 wall_ms=(time.perf_counter() - t0) * 1000.0,
                 mean_delta=float(deltas.mean()),

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import json
 import logging
 import math
 from collections import Counter
@@ -13,11 +12,9 @@ import numpy as np
 
 from .errors import DataError
 from .corpus import Corpus
-from .plsa import _doc_logliks, fold_in_docs
+from .plsa import _e_step, fold_in_docs
 
 logger = logging.getLogger(__name__)
-
-STATS_FORMAT = "cooccurrence-stats-v1"
 
 
 @dataclass(frozen=True)
@@ -61,26 +58,6 @@ class CooccurrenceStats:
         if i > j:
             i, j = j, i
         return self.co_df.get((i, j), 0)
-
-    def save(self, path):
-        payload = {
-            "format": STATS_FORMAT,
-            "n_docs": self.n_docs,
-            "terms": self.terms,
-            "df": self.df.tolist(),
-            "co_df": [[int(i), int(j), int(c)] for (i, j), c in sorted(self.co_df.items())],
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-
-    @classmethod
-    def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload.get("format") != STATS_FORMAT:
-            raise DataError(f"unsupported stats file format: {payload.get('format')!r}")
-        co = {(i, j): c for i, j, c in payload["co_df"]}
-        return cls(payload["terms"], payload["df"], co, payload["n_docs"])
 
 
 def _check_same_vocab(learned, truth):
@@ -149,8 +126,9 @@ def perplexity(held_out, topics, config, split_fraction=0.8):
     Each document's tokens are shuffled with the run seed and split at
     ``split_fraction``; the observed parts are folded in together against the
     frozen topics (``fold_in_docs``, uniform start) and each remainder is scored
-    under its document's fitted mixture. Documents shorter than two tokens are
-    skipped. Returns exp(-sum_j log p(unseen_j) / sum_j |unseen_j|).
+    under its document's fitted mixture by the EM kernel's E-step. Documents
+    shorter than two tokens are skipped. Returns
+    exp(-sum_j log p(unseen_j) / sum_j |unseen_j|).
     """
     topics = np.asarray(topics, dtype=float)
     if held_out.n_terms != topics.shape[1]:
@@ -178,7 +156,8 @@ def perplexity(held_out, topics, config, split_fraction=0.8):
     k = topics.shape[0]
     mixes, _ = fold_in_docs(seen, np.arange(seen.n_docs), topics, config,
                             np.full((seen.n_docs, k), 1.0 / k))
-    lls = _doc_logliks(unseen, topics, mixes)
-    if not np.all(np.isfinite(lls)):
-        raise DataError("unmodelable word: zero predictive probability")
+    try:
+        lls = _e_step(unseen, topics, mixes)[1]
+    except DataError:
+        raise DataError("unmodelable word: zero predictive probability") from None
     return math.exp(-float(lls.sum()) / unseen.total_tokens)

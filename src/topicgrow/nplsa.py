@@ -1,12 +1,12 @@
 """PLSA extended with a per-document goodness-of-fit test that grows the topic set.
 
-Each document is scored by ``delta``: the gap between the log-likelihood under
-its own unsmoothed language model (the best any model can do) and the best
-mixture fit achievable with the current topics. When the gap exceeds a
-threshold ``epsilon``, the document's language model is promoted to a new
-topic. A run therefore explores increasing numbers of topics within a single
-EM execution while monotonically improving the penalized objective
-``log-likelihood - epsilon * K``.
+Each document is scored by its deficit: the gap between the log-likelihood
+under its own unsmoothed language model (``doc_self_loglik``, the best any
+model can do) and the best mixture fit achievable with the current topics.
+When the deficit exceeds a threshold ``epsilon``, the document's language model
+is promoted to a new topic. A run therefore explores increasing numbers of
+topics within a single EM execution while monotonically improving the
+penalized objective ``log-likelihood - epsilon * K``.
 """
 
 from __future__ import annotations
@@ -22,11 +22,9 @@ from .errors import AlgorithmError, DataError
 from .plsa import (
     EmConfig,
     TraceRow,
-    _doc_logliks,
     _e_step,
     _floor_rows,
     _m_step,
-    fold_in,
     fold_in_docs,
 )
 
@@ -72,17 +70,6 @@ def doc_self_loglik(doc):
     return float(np.dot(counts, np.log(counts / counts.sum())))
 
 
-def delta(doc, topics, config, init_mix=None):
-    """Goodness-of-fit deficit of a document under the given topics, in nats.
-
-    Returns log p(doc | own MLE) - log p(doc | best mix of topics), the
-    likelihood-ratio distance between the saturated one-document model and the
-    fold-in fit. Always >= 0 up to smoothing and convergence slack.
-    """
-    _, fitted_ll = fold_in(doc, topics, config, init_mix=init_mix)
-    return doc_self_loglik(doc) - fitted_ll
-
-
 def _best_fits(corpus, docs, topics, mixes, old_lls, config):
     """Fold documents in, but never fall below their previous fit.
 
@@ -107,23 +94,30 @@ def train_nplsa(corpus, epsilon, config, max_topics=1000, order_seed=None):
 
     Starts from one random topic. Each sweep visits the documents in corpus
     order (or in a fixed permutation drawn from ``order_seed``); per document
-    it computes ``delta`` and either promotes the document's language model to
-    a new topic, keeps its mix (if it has already been fitted against all
-    current topics), or takes its fold-in fit. A spawn only appends a topic, so
-    unvisited documents are folded in batches and those after a spawn are
-    re-folded. One E-step and M-step over the final topics then re-estimate all
-    parameters. The run stops once a full sweep spawns nothing and the
-    log-likelihood has plateaued. Returns (NplsaState, trace).
+    it computes the deficit ``doc_self_loglik`` minus the fold-in fit and either
+    promotes the document's language model to a new topic, keeps its mix (if it
+    has already been fitted against all current topics), or takes its fold-in
+    fit. A spawn only appends a topic, so unvisited documents are folded in
+    batches and those after a spawn are re-folded. One E-step and M-step over
+    the final topics then re-estimate all parameters.
+
+    Each sweep starts from the E-step of the current parameters, run once
+    before the first sweep and after every M-step. Its per-document
+    log-likelihoods are the previous sweep's traced log-likelihood and let a
+    document already within epsilon skip its fold-in; unless the sweep spawned
+    or refitted a document, its posterior also feeds the M-step. The run stops
+    once a full sweep spawns nothing and the log-likelihood has plateaued.
+    Returns (NplsaState, trace).
     """
-    if epsilon <= 0:
-        raise DataError("epsilon must be > 0")
+    if not 0 < epsilon < np.inf:  # also rejects NaN
+        raise DataError("epsilon must be finite and > 0")
     d_count = corpus.n_docs
     rng = np.random.default_rng(config.seed)
     topics = _floor_rows(rng.dirichlet(np.ones(corpus.n_terms), size=1), config.smoothing_floor)
     mixes = np.ones((d_count, 1))
     fitted = np.ones(d_count, dtype=np.int64)
     self_lls = np.array([doc_self_loglik(corpus.docs[d]) for d in range(d_count)])
-    doc_lls = _doc_logliks(corpus, topics, mixes)
+    weighted, doc_lls = _e_step(corpus, topics, mixes)
 
     order = np.arange(d_count)
     if order_seed is not None:
@@ -135,8 +129,10 @@ def train_nplsa(corpus, epsilon, config, max_topics=1000, order_seed=None):
         t0 = time.perf_counter()
         spawned = []
         # Row d is the mix whose E-step gives document d's posterior this sweep:
-        # its old mix, unless it is refitted or spawns a topic.
+        # its old mix, unless it is refitted or spawns a topic. Without either,
+        # ``weighted`` already is that E-step.
         post_mixes = mixes.copy()
+        refit = fitted.min() < topics.shape[0]
         pending = order
         step = d_count  # batch size: doubled after a batch without a spawn, else 2x its gap
         while pending.size:
@@ -171,7 +167,9 @@ def train_nplsa(corpus, epsilon, config, max_topics=1000, order_seed=None):
             spawned.append(int(d))
             pending, step = pending[n_ok + 1 :], 2 * (n_ok + 1)
 
-        weighted, _ = _e_step(corpus, topics, post_mixes)
+        if spawned or refit:
+            del weighted  # free it before the next E-step allocates its own
+            weighted, _ = _e_step(corpus, topics, post_mixes)
         alive = weighted.any(axis=1)
         if not alive.all():
             # A topic without mass has zero posterior weight in every document:
@@ -181,11 +179,8 @@ def train_nplsa(corpus, epsilon, config, max_topics=1000, order_seed=None):
             fitted = np.cumsum(alive)[fitted - 1]
         topics, mixes = _m_step(corpus, weighted, config.smoothing_floor)
         del weighted
-
-        doc_lls = _doc_logliks(corpus, topics, mixes)
+        weighted, doc_lls = _e_step(corpus, topics, mixes)
         ll = float(doc_lls.sum())
-        if not np.isfinite(ll):
-            raise DataError("unmodelable word: zero mixture probability")
         k = topics.shape[0]
         trace.append(
             TraceRow(
@@ -219,13 +214,11 @@ def penalized_objective(state, corpus, config=None):
     """
     if config is None:
         config = EmConfig(seed=0)
-    lls = _doc_logliks(corpus, state.topics, state.mixes)
+    lls = _e_step(corpus, state.topics, state.mixes)[1]
     stale = np.flatnonzero(state.fitted_counts < state.k)
     if stale.size:
         lls[stale] = _best_fits(corpus, stale, state.topics, state.mixes, lls, config)[1]
     ll = float(lls.sum())
-    if not np.isfinite(ll):
-        raise DataError("unmodelable word: zero mixture probability")
     return PenalizedObjective(
         loglik=ll, k=state.k, epsilon=state.epsilon, value=ll - state.epsilon * state.k
     )

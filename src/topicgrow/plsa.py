@@ -5,9 +5,12 @@ document mixes are simplex rows p(z|d) of a dense ``(D, K)`` array.
 
 The EM kernel works topic-major on the corpus's flat arrays: ``(K, nnz)``
 with one contiguous row per topic, and per-document sums by ``np.add.reduceat``.
-The batched fold-in works on padded ``(n, L, K)`` blocks of documents sorted
-longest first (``fold_in_docs``). A log-likelihood returned or traced with
-parameters is always theirs.
+Its E-step (``_e_step``) is the one pass that evaluates the mixture probability
+of every corpus entry, so it also returns the per-document log-likelihoods that
+training traces, nPLSA's spawn test, perplexity and the penalized objective
+read. The batched fold-in works on padded ``(n, L, K)`` blocks of documents
+sorted longest first (``fold_in_docs``). A log-likelihood returned or traced
+with parameters is always theirs.
 """
 
 from __future__ import annotations
@@ -120,37 +123,28 @@ def e_step_doc(corpus, d, topics, mix):
 
 def log_likelihood(corpus, topics, mixes):
     """Total log-likelihood sum_d sum_w n(d,w) log sum_z p(z|d) p(w|z), in nats."""
-    return _e_step(corpus, topics, mixes)[1]
+    return float(_e_step(corpus, topics, mixes)[1].sum())
 
 
 def _e_step(corpus, topics, mixes):
-    """Batched E-step for dense (D, K) ``mixes``. Returns ``(weighted, loglik)``.
+    """Batched E-step for dense (D, K) ``mixes``. Returns ``(weighted, doc_lls)``.
 
     ``weighted[z, i]`` is n(d,w) p(z|d,w) for flat entry i = (d, w), and
-    ``loglik`` is the log-likelihood of the given parameters.
+    ``doc_lls[d]`` is document d's log-likelihood under the given parameters,
+    summed from the same per-entry mixture probabilities that normalize the
+    posterior; ``doc_lls.sum()`` is the corpus log-likelihood.
     """
     _, word_idx, counts = corpus.flat()
-    _, lengths = corpus.segments()
+    starts, lengths = corpus.segments()
     weighted = np.take(topics, word_idx, axis=1)
     for z in range(weighted.shape[0]):
         weighted[z] *= np.repeat(mixes[:, z], lengths)
     denom = weighted.sum(axis=0)
-    if np.any(denom <= 0.0):
+    if not np.all(denom > 0.0):  # also rejects NaN
         raise DataError("unmodelable word: zero mixture probability in E-step")
-    loglik = float(np.dot(counts, np.log(denom)))
+    doc_lls = np.add.reduceat(counts * np.log(denom), starts)
     weighted *= counts / denom
-    return weighted, loglik
-
-
-def _doc_logliks(corpus, topics, mixes):
-    """Per-document log-likelihoods over the first mixes.shape[1] topics; -inf if unmodelable."""
-    _, word_idx, counts = corpus.flat()
-    starts, lengths = corpus.segments()
-    probs = np.zeros(word_idx.size)
-    for z in range(mixes.shape[1]):
-        probs += topics[z, word_idx] * np.repeat(mixes[:, z], lengths)
-    with np.errstate(divide="ignore"):
-        return np.add.reduceat(counts * np.log(probs), starts)
+    return weighted, doc_lls
 
 
 def _m_step(corpus, weighted, smoothing_floor):
@@ -188,7 +182,8 @@ def em_refine(corpus, topics, mixes, config, trace=None, start_iter=1, phase="")
         t0 = time.perf_counter()
         topics, mixes = _m_step(corpus, weighted, config.smoothing_floor)
         del weighted  # free it before the next E-step allocates its own
-        weighted, ll = _e_step(corpus, topics, mixes)
+        weighted, doc_lls = _e_step(corpus, topics, mixes)
+        ll = float(doc_lls.sum())
         wall = (time.perf_counter() - t0) * 1000.0
         if trace is not None:
             trace.append(

@@ -102,3 +102,9 @@ def test_nan_fold_in_tolerance_is_a_data_error(synth_dir, tmp_path):
     code = main(["train", "--algo", "auto", "--fold-in-tol", "nan", "--corpus",
                  str(synth_dir / "corpus.sparse"), "--out", str(tmp_path), "--seed", "1"])
     assert code == EXIT_DATA == 2
+
+
+def test_nan_epsilon_is_a_data_error(synth_dir, tmp_path):
+    code = main(["train", "--algo", "nplsa", "--epsilon", "nan", "--corpus",
+                 str(synth_dir / "corpus.sparse"), "--out", str(tmp_path), "--seed", "1"])
+    assert code == EXIT_DATA == 2

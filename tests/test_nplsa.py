@@ -3,17 +3,22 @@ import math
 import numpy as np
 import pytest
 
+from topicgrow import nplsa
 from topicgrow.corpus import background_model, doc_language_model, ingest_sparse
 from topicgrow.errors import AlgorithmError, DataError
 from topicgrow.nplsa import (
     NplsaState,
-    delta,
     doc_self_loglik,
     penalized_objective,
     train_nplsa,
 )
 from topicgrow.plsa import EmConfig, _floor_rows, fold_in
 from topicgrow.synthgen import PROFILES, SynthConfig, generate_corpus
+
+
+def deficit(doc, topics, config):
+    """Goodness-of-fit deficit in nats: log p(doc | own MLE) - log p(doc | fold-in fit)."""
+    return doc_self_loglik(doc) - fold_in(doc, topics, config)[1]
 
 
 def random_corpus(rng, n_docs=8, n_terms=10, max_count=6):
@@ -106,13 +111,13 @@ class TestDelta:
         # tight inner budget so convergence slack does not mask the floor slack
         config = EmConfig(seed=0, fold_in_max_iters=500, fold_in_rel_tol=1e-13)
         for d in range(2):
-            assert delta(corpus.docs[d], topics, config) <= 1e-6
+            assert deficit(corpus.docs[d], topics, config) <= 1e-6
 
     def test_floored_one_hot_hand_value(self):
         # doc {a:4} against the floored one-hot-at-b topic: 0 - 4*log(1e-9)
         corpus = ingest_sparse([(0, "a", 4), (1, "b", 1)])
         topics = np.array([[1e-9, 1.0 - 1e-9]])
-        value = delta(corpus.docs[0], topics, EmConfig(seed=0))
+        value = deficit(corpus.docs[0], topics, EmConfig(seed=0))
         assert value == pytest.approx(-4 * math.log(1e-9), rel=1e-9)
 
     def test_never_meaningfully_negative(self):
@@ -122,7 +127,7 @@ class TestDelta:
             corpus = random_corpus(rng, n_docs=4, n_terms=8)
             topics = rng.dirichlet(np.ones(corpus.n_terms), size=int(rng.integers(1, 4)))
             for d in range(corpus.n_docs):
-                assert delta(corpus.docs[d], topics, config) >= -1e-9
+                assert deficit(corpus.docs[d], topics, config) >= -1e-9
 
     def test_self_loglik(self):
         doc = (np.array([0, 1]), np.array([1, 3]))
@@ -170,8 +175,25 @@ class TestTrainNplsa:
 
     def test_invalid_epsilon(self):
         corpus = ingest_sparse([(0, "a", 1)])
-        with pytest.raises(DataError):
-            train_nplsa(corpus, 0.0, EmConfig(seed=0))
+        for epsilon in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DataError):
+                train_nplsa(corpus, epsilon, EmConfig(seed=0))
+
+    def test_one_e_step_per_sweep_without_spawn_or_refit(self, monkeypatch):
+        # A spawn leaves the documents visited before it fitted against fewer
+        # topics, so the sweep after a spawning sweep refits them.
+        calls = []
+        e_step, m_step = nplsa._e_step, nplsa._m_step
+        monkeypatch.setattr(nplsa, "_e_step", lambda *a: calls.append("E") or e_step(*a))
+        monkeypatch.setattr(nplsa, "_m_step", lambda *a: calls.append("M") or m_step(*a))
+        _, trace = train_nplsa(desk_corpus(1), 150.0, EmConfig(seed=1, max_iters=15))
+        spawned = [bool(row.spawned) for row in trace]
+        rerun = [cur or prev for prev, cur in zip([False] + spawned, spawned)]
+        assert 0 < sum(rerun) < len(rerun)
+        expected = ["E"]
+        for again in rerun:
+            expected += ["E"] * again + ["M", "E"]
+        assert calls == expected
 
     def test_state_invariants(self):
         rng = np.random.default_rng(17)
@@ -245,7 +267,7 @@ class TestPenalizedObjective:
 
     def test_spawn_improves_objective(self):
         # three docs, two clearly shared and one outlier; spawning the outlier's
-        # model must beat paying the per-topic penalty when delta > epsilon
+        # model must beat paying the per-topic penalty when its deficit > epsilon
         corpus = ingest_sparse(
             [(0, "a", 6), (0, "b", 2), (1, "a", 4), (1, "b", 4), (2, "x", 5), (2, "y", 5)]
         )
@@ -253,7 +275,7 @@ class TestPenalizedObjective:
         base, _ = train_nplsa(corpus, 1e9, config)  # K=1 background fit
         eps = 3.0
         d_out = 2
-        gap = delta(corpus.docs[d_out], base.topics, config)
+        gap = deficit(corpus.docs[d_out], base.topics, config)
         assert gap > eps
 
         before = penalized_objective(

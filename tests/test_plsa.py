@@ -26,17 +26,24 @@ from topicgrow.plsa import (
 )
 
 
-def brute_force_loglik(corpus, topics, mixes):
-    """Independent double-loop evaluation of the training log-likelihood."""
-    total = 0.0
+def brute_force_doc_logliks(corpus, topics, mixes):
+    """Independent double-loop evaluation of each document's log-likelihood."""
+    lls = []
     for d in range(corpus.n_docs):
         ids, counts = corpus.docs[d]
+        total = 0.0
         for tid, c in zip(ids, counts):
             inner = 0.0
             for z in range(topics.shape[0]):
                 inner += mixes[d][z] * topics[z][tid]
             total += c * math.log(inner)
-    return total
+        lls.append(total)
+    return lls
+
+
+def brute_force_loglik(corpus, topics, mixes):
+    """Independent double-loop evaluation of the training log-likelihood."""
+    return sum(brute_force_doc_logliks(corpus, topics, mixes))
 
 
 def random_instance(rng, n_docs=4, n_terms=6, k=3):
@@ -155,10 +162,13 @@ class TestKernel:
         rng = np.random.default_rng(3)
         for _ in range(5):
             corpus, topics, mixes = random_instance(rng)
-            weighted, ll = _e_step(corpus, topics, mixes)
+            weighted, doc_lls = _e_step(corpus, topics, mixes)
             expected = topic_major(corpus, oracle_posteriors(corpus, topics, mixes))
             np.testing.assert_allclose(weighted, expected, rtol=1e-12, atol=1e-15)
-            assert ll == pytest.approx(brute_force_loglik(corpus, topics, mixes), abs=1e-10)
+            assert doc_lls.shape == (corpus.n_docs,)
+            np.testing.assert_allclose(
+                doc_lls, brute_force_doc_logliks(corpus, topics, mixes), rtol=0, atol=1e-10
+            )
 
     @pytest.mark.parametrize("floor", [0.0, 1e-6])
     def test_m_step_matches_per_doc_oracle(self, floor):
@@ -174,9 +184,9 @@ class TestKernel:
     def test_hand_evaluated_posterior(self):
         # p(z|d,w) = (0.6*0.1, 0.4*0.3) / 0.18 = (1/3, 2/3)
         corpus = ingest_sparse([(0, "a", 1)])
-        weighted, ll = _e_step(corpus, np.array([[0.1], [0.3]]), np.array([[0.6, 0.4]]))
+        weighted, doc_lls = _e_step(corpus, np.array([[0.1], [0.3]]), np.array([[0.6, 0.4]]))
         np.testing.assert_allclose(weighted, [[1.0 / 3.0], [2.0 / 3.0]], atol=1e-15)
-        assert ll == pytest.approx(math.log(0.18), abs=1e-15)
+        assert doc_lls[0] == pytest.approx(math.log(0.18), abs=1e-15)
 
     def test_hand_evaluated_mix(self):
         # doc {a:2, b:1}; posterior one-hot per word -> p(z|d) = (2/3, 1/3)
