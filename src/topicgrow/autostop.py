@@ -219,8 +219,9 @@ def _grow(corpus, config, detector, score_fn, max_topics, max_spawns):
         new_mixes, _ = fold_in_all(corpus, topics, config, init_mixes=init)
         new_mixes[d_star] = 0.0
         new_mixes[d_star, k - 1] = 1.0
+        ratio, doc_counts, _ = _e_step(corpus, topics, new_mixes)
         topics, mixes = _m_step(
-            corpus, _e_step(corpus, topics, new_mixes)[0], config.smoothing_floor
+            corpus, topics, new_mixes, ratio, doc_counts, config.smoothing_floor
         )
 
         spawns += 1
@@ -229,7 +230,7 @@ def _grow(corpus, config, detector, score_fn, max_topics, max_spawns):
             TraceRow(
                 iteration=spawns,
                 k=k,
-                loglik=float(_e_step(corpus, topics, mixes)[1].sum()),
+                loglik=float(_e_step(corpus, topics, mixes)[2].sum()),
                 epsilon=float(deltas[d_star]),
                 wall_ms=(time.perf_counter() - t0) * 1000.0,
                 mean_delta=float(deltas.mean()),

@@ -15,6 +15,8 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 SPARSE_HEADER_RE = re.compile(r"^docs=(\d+)\s+terms=(\d+)\s+nnz=(\d+)\s*$")
 
+_BLOCK_CELLS = 1 << 12  # padded (document, word) cells per block of the EM layout
+
 
 def tokenize(text):
     """Lowercase and split on runs of non-alphanumeric characters."""
@@ -87,6 +89,7 @@ class Corpus:
             self.docs.append((ids, counts))
         self._flat = None
         self._segments = None
+        self._layout = None
         self._doc_tokens = np.array([c.sum() for _, c in self.docs], dtype=np.int64)
 
     @property
@@ -130,6 +133,85 @@ class Corpus:
             starts = np.concatenate(([0], np.cumsum(lengths[:-1])))
             self._segments = (starts, lengths)
         return self._segments
+
+    def layout(self):
+        """The padded block layout of the EM kernel (``BlockLayout``), cached.
+
+        It does not depend on the number of topics.
+        """
+        if self._layout is None:
+            self._layout = BlockLayout(self)
+        return self._layout
+
+
+def pad_runs(starts, lengths, cells, fill):
+    """Sort runs longest first and cut them into padded blocks of at most ``cells`` cells.
+
+    Run i is the flat indices ``starts[i]`` to ``starts[i] + lengths[i] - 1``.
+    The runs are stably sorted by decreasing length (``order``) and cut into
+    consecutive blocks, each a row per run padded to the length of its first
+    run; a run longer than ``cells`` sits alone. Returns ``(order, blocks,
+    idx)``: ``idx`` is every cell's flat index, ``fill`` in the padding, block
+    after block and row-major within one, and a block ``(r0, r1, c0, c1)``
+    holds the runs ``order[r0:r1]`` in the cells ``idx[c0:c1]``.
+    """
+    order = np.argsort(-lengths, kind="stable")
+    blocks, parts = [], [np.empty(0, dtype=np.int64)]
+    r0 = c0 = 0
+    while r0 < order.size:
+        width = lengths[order[r0]]
+        runs = order[r0 : r0 + max(1, cells // width)]
+        idx = starts[runs, None] + np.arange(width)
+        idx[np.arange(width) >= lengths[runs, None]] = fill
+        blocks.append((r0, r0 + runs.size, c0, c0 + idx.size))
+        parts.append(idx.ravel())
+        r0, c0 = r0 + runs.size, c0 + idx.size
+    return order, tuple(blocks), np.concatenate(parts)
+
+
+class BlockLayout:
+    """A corpus's entries in padded blocks, seen from both sides, for the EM kernel.
+
+    Document side: the documents sorted longest first (``doc_order``) and cut
+    by ``pad_runs`` into blocks of at most ``_BLOCK_CELLS`` cells, each
+    document a row padded to its block's longest. ``words`` and ``counts`` hold
+    every cell's term id and count, the padding being term ``n_terms`` with
+    count 0; ``row_starts`` is the first cell of each row. Word side: the terms
+    that occur, sorted by decreasing document frequency (``word_order``), each
+    a row of the documents that hold it in increasing order, cut the same way.
+    ``word_docs`` holds every cell's document, 0 in the padding, and
+    ``word_cells`` the document-side cell of the same entry, ``n_cells`` (one
+    past the last) in the padding. A block in ``doc_blocks`` or
+    ``word_blocks`` is ``(r0, r1, c0, c1)``: rows ``r0:r1`` of its side's
+    order, cells ``c0:c1``; ``max_cells`` is the most cells of any block.
+    """
+
+    def __init__(self, corpus):
+        doc_idx, word_idx, counts = corpus.flat()
+        starts, lengths = corpus.segments()
+        nnz = word_idx.size
+        self.doc_order, self.doc_blocks, entries = pad_runs(starts, lengths, _BLOCK_CELLS, nnz)
+        self.words = np.append(word_idx, corpus.n_terms)[entries]
+        self.counts = np.append(counts, 0.0)[entries]
+        self.n_cells = entries.size
+        self.row_starts = np.concatenate(
+            [np.arange(c0, c1, (c1 - c0) // (r1 - r0)) for r0, r1, c0, c1 in self.doc_blocks]
+        )
+        cell_of = np.empty(nnz + 1, dtype=np.int64)
+        cell_of[entries] = np.arange(entries.size)
+        cell_of[nnz] = entries.size
+
+        df = np.bincount(word_idx, minlength=corpus.n_terms)
+        used = np.flatnonzero(df)
+        by_word = np.append(np.argsort(word_idx, kind="stable"), nnz)
+        word_runs, self.word_blocks, entries = pad_runs(
+            (np.cumsum(df) - df)[used], df[used], _BLOCK_CELLS, nnz
+        )
+        entries = by_word[entries]
+        self.word_order = used[word_runs]
+        self.word_docs = np.append(doc_idx, 0)[entries]
+        self.word_cells = cell_of[entries]
+        self.max_cells = max(c1 - c0 for _, _, c0, c1 in self.doc_blocks + self.word_blocks)
 
 
 def ingest_text(lines, min_df=1, stopwords=None):

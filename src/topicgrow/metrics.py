@@ -157,7 +157,7 @@ def perplexity(held_out, topics, config, split_fraction=0.8):
     mixes, _ = fold_in_docs(seen, np.arange(seen.n_docs), topics, config,
                             np.full((seen.n_docs, k), 1.0 / k))
     try:
-        lls = _e_step(unseen, topics, mixes)[1]
+        lls = _e_step(unseen, topics, mixes)[2]
     except DataError:
         raise DataError("unmodelable word: zero predictive probability") from None
     return math.exp(-float(lls.sum()) / unseen.total_tokens)

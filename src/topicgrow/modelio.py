@@ -37,19 +37,33 @@ def write_model(path, vocab, topics, mixes=None, meta=None):
 
 
 def read_model(path):
-    """Load a model file into (vocab, topics, mixes or None, meta)."""
+    """Load a model file into (vocab, topics, mixes or None, meta).
+
+    Topic rows and, when present, mix rows must be finite, non-negative and
+    sum to 1 within 1e-9; anything else is a DataError.
+    """
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     try:
         vocab = Vocabulary(payload["vocab"])
         topics = np.asarray(payload["topics"], dtype=float)
+        mixes = payload.get("mixes")
+        if mixes is not None:
+            mixes = np.asarray(mixes, dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"bad model file {path}: {exc}") from exc
     if topics.ndim != 2 or topics.shape[1] != len(vocab):
         raise DataError(f"bad model file {path}: topic shape does not match vocabulary")
-    mixes = payload.get("mixes")
-    if mixes is not None:
-        mixes = np.asarray(mixes, dtype=float)
+    if mixes is not None and (mixes.ndim != 2 or mixes.shape[1] != topics.shape[0]):
+        raise DataError(f"bad model file {path}: mix shape does not match the topics")
+    for name, rows in (("topic", topics), ("mix", mixes)):
+        if rows is not None and not (
+            np.all(np.isfinite(rows)) and np.all(rows >= 0.0)
+            and np.all(np.abs(rows.sum(axis=1) - 1.0) <= 1e-9)
+        ):
+            raise DataError(
+                f"bad model file {path}: a {name} row is not a probability distribution"
+            )
     return vocab, topics, mixes, payload.get("meta", {})
 
 

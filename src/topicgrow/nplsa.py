@@ -105,9 +105,10 @@ def train_nplsa(corpus, epsilon, config, max_topics=1000, order_seed=None):
     before the first sweep and after every M-step. Its per-document
     log-likelihoods are the previous sweep's traced log-likelihood and let a
     document already within epsilon skip its fold-in; unless the sweep spawned
-    or refitted a document, its posterior also feeds the M-step. The run stops
-    once a full sweep spawns nothing and the log-likelihood has plateaued.
-    Returns (NplsaState, trace).
+    or refitted a document, its expected counts also feed the M-step. A topic
+    whose expected counts are zero in every document is pruned before the
+    M-step. The run stops once a full sweep spawns nothing and the
+    log-likelihood has plateaued. Returns (NplsaState, trace).
     """
     if not 0 < epsilon < np.inf:  # also rejects NaN
         raise DataError("epsilon must be finite and > 0")
@@ -117,7 +118,7 @@ def train_nplsa(corpus, epsilon, config, max_topics=1000, order_seed=None):
     mixes = np.ones((d_count, 1))
     fitted = np.ones(d_count, dtype=np.int64)
     self_lls = np.array([doc_self_loglik(corpus.docs[d]) for d in range(d_count)])
-    weighted, doc_lls = _e_step(corpus, topics, mixes)
+    ratio, doc_counts, doc_lls = _e_step(corpus, topics, mixes)
 
     order = np.arange(d_count)
     if order_seed is not None:
@@ -128,9 +129,9 @@ def train_nplsa(corpus, epsilon, config, max_topics=1000, order_seed=None):
     for sweep in range(1, config.max_iters + 1):
         t0 = time.perf_counter()
         spawned = []
-        # Row d is the mix whose E-step gives document d's posterior this sweep:
-        # its old mix, unless it is refitted or spawns a topic. Without either,
-        # ``weighted`` already is that E-step.
+        # Row d is the mix whose E-step gives document d's expected counts this
+        # sweep: its old mix, unless it is refitted or spawns a topic. Without
+        # either, ``ratio`` and ``doc_counts`` already are that E-step.
         post_mixes = mixes.copy()
         refit = fitted.min() < topics.shape[0]
         pending = order
@@ -168,18 +169,19 @@ def train_nplsa(corpus, epsilon, config, max_topics=1000, order_seed=None):
             pending, step = pending[n_ok + 1 :], 2 * (n_ok + 1)
 
         if spawned or refit:
-            del weighted  # free it before the next E-step allocates its own
-            weighted, _ = _e_step(corpus, topics, post_mixes)
-        alive = weighted.any(axis=1)
+            ratio, doc_counts, _ = _e_step(corpus, topics, post_mixes)
+        alive = doc_counts.any(axis=0)
         if not alive.all():
-            # A topic without mass has zero posterior weight in every document:
-            # dropping it leaves every likelihood unchanged and lowers the penalty.
+            # A topic without expected counts has zero posterior weight in every
+            # document: dropping it leaves every likelihood unchanged and lowers the penalty.
             logger.info("pruning %d dead topic(s)", int((~alive).sum()))
-            weighted = weighted[alive]
+            topics, post_mixes = topics[alive], post_mixes[:, alive]
+            doc_counts = doc_counts[:, alive]
             fitted = np.cumsum(alive)[fitted - 1]
-        topics, mixes = _m_step(corpus, weighted, config.smoothing_floor)
-        del weighted
-        weighted, doc_lls = _e_step(corpus, topics, mixes)
+        topics, mixes = _m_step(
+            corpus, topics, post_mixes, ratio, doc_counts, config.smoothing_floor
+        )
+        ratio, doc_counts, doc_lls = _e_step(corpus, topics, mixes)
         ll = float(doc_lls.sum())
         k = topics.shape[0]
         trace.append(
@@ -214,7 +216,7 @@ def penalized_objective(state, corpus, config=None):
     """
     if config is None:
         config = EmConfig(seed=0)
-    lls = _e_step(corpus, state.topics, state.mixes)[1]
+    lls = _e_step(corpus, state.topics, state.mixes)[2]
     stale = np.flatnonzero(state.fitted_counts < state.k)
     if stale.size:
         lls[stale] = _best_fits(corpus, stale, state.topics, state.mixes, lls, config)[1]

@@ -3,14 +3,20 @@
 Topics are a row-stochastic ``(K, V)`` array of word probabilities p(w|z);
 document mixes are simplex rows p(z|d) of a dense ``(D, K)`` array.
 
-The EM kernel works topic-major on the corpus's flat arrays: ``(K, nnz)``
-with one contiguous row per topic, and per-document sums by ``np.add.reduceat``.
-Its E-step (``_e_step``) is the one pass that evaluates the mixture probability
-of every corpus entry, so it also returns the per-document log-likelihoods that
-training traces, nPLSA's spawn test, perplexity and the penalized objective
-read. The batched fold-in works on padded ``(n, L, K)`` blocks of documents
-sorted longest first (``fold_in_docs``). A log-likelihood returned or traced
-with parameters is always theirs.
+The EM kernel never forms the posterior p(z|d,w). PLSA's EM update is the
+KL-NMF multiplicative update: with R = n(d,w) / p(w|d) at the corpus entries,
+the expected counts are n(d,z) = p(z|d) (R p(w|z)^T) and n(z,w) = p(w|z)
+(p(z|d)^T R). Both run on the padded blocks of ``Corpus.layout()``, built once
+per corpus whatever K: the E-step (``_e_step``) on documents sorted longest
+first, gathering p(w|z) into ``(n, L, K)`` blocks, and the M-step
+(``_m_step``) on words sorted by document frequency, gathering the mixes of
+the documents that hold them. The E-step is the one pass that evaluates the
+mixture probability of every corpus entry, so it also returns the
+per-document log-likelihoods that training traces, nPLSA's spawn test,
+perplexity and the penalized objective read. The batched fold-in works on
+padded ``(n, L, K)`` blocks of documents sorted longest first
+(``fold_in_docs``), cut by the same ``pad_runs``. A log-likelihood returned or
+traced with parameters is always theirs.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .corpus import pad_runs
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
@@ -123,66 +130,97 @@ def e_step_doc(corpus, d, topics, mix):
 
 def log_likelihood(corpus, topics, mixes):
     """Total log-likelihood sum_d sum_w n(d,w) log sum_z p(z|d) p(w|z), in nats."""
-    return float(_e_step(corpus, topics, mixes)[1].sum())
+    return float(_e_step(corpus, topics, mixes)[2].sum())
 
 
 def _e_step(corpus, topics, mixes):
-    """Batched E-step for dense (D, K) ``mixes``. Returns ``(weighted, doc_lls)``.
+    """E-step for dense (D, K) ``mixes``. Returns ``(ratio, doc_counts, doc_lls)``.
 
-    ``weighted[z, i]`` is n(d,w) p(z|d,w) for flat entry i = (d, w), and
-    ``doc_lls[d]`` is document d's log-likelihood under the given parameters,
-    summed from the same per-entry mixture probabilities that normalize the
-    posterior; ``doc_lls.sum()`` is the corpus log-likelihood.
+    Runs on the document side of ``corpus.layout()``: per block, p(w|z) is
+    gathered once into ``(n, L, K)``, ``probs = rows @ mix`` is every entry's
+    mixture probability p(w|d), ``ratio = n(d,w) / p(w|d)`` and
+    ``doc_counts = mix * (ratio @ rows)`` is n(d,z) = sum_w n(d,w) p(z|d,w).
+    Padding cells are a word of probability 1 with count 0, so they add
+    nothing. ``ratio`` stays in the layout's cells for ``_m_step``, with one
+    zero cell appended; ``doc_lls[d]`` is document d's log-likelihood under
+    the given parameters, so ``doc_lls.sum()`` is the corpus log-likelihood.
+    An entry whose mixture probability is zero or not finite is a DataError.
     """
-    _, word_idx, counts = corpus.flat()
-    starts, lengths = corpus.segments()
-    weighted = np.take(topics, word_idx, axis=1)
-    for z in range(weighted.shape[0]):
-        weighted[z] *= np.repeat(mixes[:, z], lengths)
-    denom = weighted.sum(axis=0)
-    if not np.all(denom > 0.0):  # also rejects NaN
-        raise DataError("unmodelable word: zero mixture probability in E-step")
-    doc_lls = np.add.reduceat(counts * np.log(denom), starts)
-    weighted *= counts / denom
-    return weighted, doc_lls
+    lay = corpus.layout()
+    k = topics.shape[0]
+    table = np.vstack([topics.T, np.ones(k)])  # row n_terms is the padding word
+    mix = mixes[lay.doc_order]
+    probs = np.empty(lay.n_cells)
+    ratio = np.empty(lay.n_cells + 1)
+    ratio[-1] = 0.0
+    sorted_counts = np.empty((corpus.n_docs, k))  # n(d,z) in the order of doc_order
+    work = np.empty(lay.max_cells * k)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for r0, r1, c0, c1 in lay.doc_blocks:
+            shape = (r1 - r0, (c1 - c0) // (r1 - r0))
+            rows = np.take(table, lay.words[c0:c1], axis=0, mode="clip",
+                           out=work[: (c1 - c0) * k].reshape(c1 - c0, k)).reshape(*shape, k)
+            np.matmul(rows, mix[r0:r1, :, None], out=probs[c0:c1].reshape(*shape, 1))
+            np.divide(lay.counts[c0:c1], probs[c0:c1], out=ratio[c0:c1])
+            np.matmul(ratio[c0:c1].reshape(shape[0], 1, shape[1]), rows,
+                      out=sorted_counts[r0:r1, None, :])
+        np.log(probs, out=probs)
+        lls = np.add.reduceat(lay.counts * probs, lay.row_starts)
+    if not np.isfinite(lls).all():
+        raise DataError("unmodelable word: zero or non-finite mixture probability in E-step")
+    sorted_counts *= mix
+    doc_counts = np.empty_like(sorted_counts)
+    doc_counts[lay.doc_order] = sorted_counts
+    doc_lls = np.empty_like(lls)
+    doc_lls[lay.doc_order] = lls
+    return ratio, doc_counts, doc_lls
 
 
-def _m_step(corpus, weighted, smoothing_floor):
-    """Batched M-step from the E-step's ``weighted``. Returns (topics, mixes (D, K)).
+def _m_step(corpus, topics, mixes, ratio, doc_counts, smoothing_floor):
+    """M-step from the E-step of ``topics`` and ``mixes``. Returns (topics, mixes (D, K)).
 
-    Topic rows are floored then renormalized; a topic without mass is reset to uniform.
+    The topic counts n(z,w) = p(w|z) sum_d p(z|d) ratio(d,w) run on the word
+    side of ``corpus.layout()``: per block, the mixes of the documents holding
+    each word are gathered once into ``(n, L, K)`` and one batched matmul with
+    the ratio gives the sums. Topic rows are floored then renormalized; a topic
+    without mass is reset to uniform. The mixes are the normalized ``doc_counts``.
     """
-    _, word_idx, _ = corpus.flat()
-    starts, _ = corpus.segments()
-    k = weighted.shape[0]
-    topic_mass = np.empty((k, corpus.n_terms))
-    for z in range(k):
-        topic_mass[z] = np.bincount(word_idx, weights=weighted[z], minlength=corpus.n_terms)
+    lay = corpus.layout()
+    k = topics.shape[0]
+    cells = ratio[lay.word_cells]
+    sums = np.empty((lay.word_order.size, k))
+    work = np.empty(lay.max_cells * k)
+    for r0, r1, c0, c1 in lay.word_blocks:
+        shape = (r1 - r0, (c1 - c0) // (r1 - r0))
+        rows = np.take(mixes, lay.word_docs[c0:c1], axis=0, mode="clip",
+                       out=work[: (c1 - c0) * k].reshape(c1 - c0, k)).reshape(*shape, k)
+        np.matmul(cells[c0:c1].reshape(shape[0], 1, shape[1]), rows, out=sums[r0:r1, None, :])
+    topic_mass = np.zeros((k, corpus.n_terms))
+    topic_mass[:, lay.word_order] = sums.T
+    topic_mass *= topics
     dead = topic_mass.sum(axis=1) == 0.0
     if dead.any():
         logger.warning("m_step: %d topic(s) received zero mass, reset to uniform", dead.sum())
         topic_mass[dead] = 1.0
     topics = _floor_rows(topic_mass, smoothing_floor)
-    mix_mass = np.add.reduceat(weighted, starts, axis=1)
-    mix_mass /= mix_mass.sum(axis=0)
-    return topics, mix_mass.T
+    return topics, doc_counts / doc_counts.sum(axis=1, keepdims=True)
 
 
 def em_refine(corpus, topics, mixes, config, trace=None, start_iter=1, phase=""):
     """Run full EM at fixed K from the given parameters until convergence.
 
-    Each iteration is an M-step followed by the E-step of its result, whose
-    log-likelihood is that of the parameters the function would return at that
-    point. Appends one TraceRow per iteration when ``trace`` is given and
-    returns (topics, mixes, last_loglik).
+    Each iteration is an M-step, from the expected counts of the previous
+    E-step, followed by the E-step of its result, whose log-likelihood is that
+    of the parameters the function would return at that point. Appends one
+    TraceRow per iteration when ``trace`` is given and returns (topics, mixes,
+    last_loglik).
     """
-    weighted, _ = _e_step(corpus, topics, mixes)
+    ratio, doc_counts, _ = _e_step(corpus, topics, mixes)
     prev_ll = None
     for it in range(config.max_iters):
         t0 = time.perf_counter()
-        topics, mixes = _m_step(corpus, weighted, config.smoothing_floor)
-        del weighted  # free it before the next E-step allocates its own
-        weighted, doc_lls = _e_step(corpus, topics, mixes)
+        topics, mixes = _m_step(corpus, topics, mixes, ratio, doc_counts, config.smoothing_floor)
+        ratio, doc_counts, doc_lls = _e_step(corpus, topics, mixes)
         ll = float(doc_lls.sum())
         wall = (time.perf_counter() - t0) * 1000.0
         if trace is not None:
@@ -274,30 +312,22 @@ def fold_in_docs(corpus, docs, topics, config, init_mixes):
     starts, lengths = corpus.segments()
     k = topics.shape[0]
     table = np.vstack([topics.T, np.ones(k)])  # row n_terms is the padding word
+    words = np.append(word_idx, corpus.n_terms)  # flat index nnz is the padding cell
+    counts = np.append(counts, 0.0)
     init_mixes = np.asarray(init_mixes, dtype=float)
     out_mixes = np.empty((len(docs), k))
     out_lls = np.empty(len(docs))
-    order = np.argsort(-lengths[docs], kind="stable")
-    i = 0
-    while i < order.size:
-        width = lengths[docs[order[i]]]
-        block = order[i : i + max(1, _BLOCK_ENTRIES // (width * k))]
-        i += block.size
+    order, blocks, idx = pad_runs(starts[docs], lengths[docs], _BLOCK_ENTRIES // k, word_idx.size)
+    for r0, r1, c0, c1 in blocks:
+        block, cells = order[r0:r1], idx[c0:c1].reshape(r1 - r0, -1)
         out_mixes[block], out_lls[block] = _fold_in_block(
-            word_idx, counts, starts[docs[block]], lengths[docs[block]], table,
-            init_mixes[block], config,
+            words[cells], counts[cells], table, lengths[docs[block]], init_mixes[block], config
         )
     return out_mixes, out_lls
 
 
-def _fold_in_block(word_idx, counts, starts, lens, table, init_mixes, config):
-    """``fold_in_docs`` on one block of documents sorted longest first."""
-    on = np.arange(lens[0]) < lens[:, None]  # (n, L): real entries, row-major
-    entries = np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
-    words = np.full(on.shape, table.shape[0] - 1)
-    words[on] = word_idx[entries]
-    cnt = np.zeros(on.shape)
-    cnt[on] = counts[entries]
+def _fold_in_block(words, cnt, table, lens, init_mixes, config):
+    """``fold_in_docs`` on one block: padded (n, L) words and counts, ``lens`` longest first."""
     rows = np.take(table, words, axis=0)
     mix = init_mixes.copy()
     out_mixes = np.empty_like(mix)

@@ -108,3 +108,17 @@ def test_nan_epsilon_is_a_data_error(synth_dir, tmp_path):
     code = main(["train", "--algo", "nplsa", "--epsilon", "nan", "--corpus",
                  str(synth_dir / "corpus.sparse"), "--out", str(tmp_path), "--seed", "1"])
     assert code == EXIT_DATA == 2
+
+
+@pytest.mark.parametrize("value", [float("inf"), -0.5])
+def test_eval_of_a_tampered_model_is_a_data_error(synth_dir, tmp_path, value):
+    corpus = synth_dir / "corpus.sparse"
+    assert main(["train", "--algo", "plsa", "--k", "3", "--corpus", str(corpus),
+                 "--out", str(tmp_path), "--seed", "1"]) == 0
+    model = tmp_path / "model.json"
+    payload = json.loads(model.read_text(encoding="utf-8"))
+    payload["topics"][1][0] = value
+    model.write_text(json.dumps(payload), encoding="utf-8")  # inf is written as Infinity
+    code = main(["eval", "--model", str(model), "--out", str(tmp_path),
+                 "--corpus", str(corpus), "--seed", "1"])
+    assert code == EXIT_DATA == 2

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from topicgrow import plsa
+from topicgrow import autostop, plsa
+from topicgrow import corpus as corpus_module
 from topicgrow.corpus import (
     Corpus,
     Vocabulary,
@@ -24,6 +25,7 @@ from topicgrow.plsa import (
     log_likelihood,
     train_plsa,
 )
+from topicgrow.synthgen import PROFILES, SynthConfig, generate_corpus
 
 
 def brute_force_doc_logliks(corpus, topics, mixes):
@@ -78,56 +80,67 @@ def m_step(corpus, posteriors, smoothing_floor):
     return _floor_rows(topic_mass, smoothing_floor), mixes
 
 
-def posteriors_of(corpus, topics, mixes):
-    """The kernel's posteriors p(z|d,w) as a topic-major (K, nnz) array."""
-    return _e_step(corpus, topics, mixes)[0] / corpus.flat()[2]
-
-
 def oracle_posteriors(corpus, topics, mixes):
     return [e_step_doc(corpus, d, topics, mixes[d]) for d in range(corpus.n_docs)]
 
 
-def topic_major(corpus, posteriors):
-    """Per-document posteriors as the kernel's (K, nnz) count-weighted array."""
-    return (np.concatenate(posteriors) * corpus.flat()[2][:, None]).T
+def oracle_doc_counts(corpus, posteriors):
+    """Expected counts n(d,z) = sum_w n(d,w) p(z|d,w), one row per document."""
+    return np.array([post.T @ corpus.docs[d][1] for d, post in enumerate(posteriors)])
+
+
+def doc_counts_of(corpus, topics, mixes):
+    return _e_step(corpus, topics, mixes)[1]
+
+
+def em_step(corpus, topics, mixes, smoothing_floor=0.0):
+    """One E-step and M-step of the kernel. Returns (topics, mixes)."""
+    ratio, doc_counts, _ = _e_step(corpus, topics, mixes)
+    return _m_step(corpus, topics, mixes, ratio, doc_counts, smoothing_floor)
+
+
+# Topics whose posteriors are one-hot: topic 0 explains only "a", topic 1 only "b".
+ONE_HOT = np.array([[1.0, 0.0], [0.0, 1.0]])
 
 
 class TestEStep:
     def test_single_topic_posterior_is_one(self):
         corpus = ingest_sparse([(0, "a", 2), (0, "b", 1)])
-        post = posteriors_of(corpus, np.array([[0.3, 0.7]]), np.array([[1.0]]))
-        np.testing.assert_array_equal(post, np.ones((1, 2)))
+        counts = doc_counts_of(corpus, np.array([[0.3, 0.7]]), np.array([[1.0]]))
+        np.testing.assert_array_equal(counts, [[3.0]])
 
     def test_symmetric_topics_give_even_posterior(self):
         corpus = ingest_sparse([(0, "a", 1), (0, "b", 1)])
         topics = np.array([[0.4, 0.6], [0.4, 0.6]])
-        post = posteriors_of(corpus, topics, np.array([[0.5, 0.5]]))
-        np.testing.assert_allclose(post, np.full((2, 2), 0.5))
+        counts = doc_counts_of(corpus, topics, np.array([[0.5, 0.5]]))
+        np.testing.assert_allclose(counts, np.full((1, 2), 1.0))
 
     def test_hand_evaluated_posterior(self):
-        # p(z|d,w) = (0.6*0.1, 0.4*0.3) / 0.18 = (1/3, 2/3)
+        # p(z|d,w) = (0.6*0.1, 0.4*0.3) / 0.18 = (1/3, 2/3), times n(d,w) = 1
         corpus = ingest_sparse([(0, "a", 1)])
         topics = np.array([[0.1], [0.3]])
-        post = posteriors_of(corpus, topics, np.array([[0.6, 0.4]]))
-        np.testing.assert_allclose(post, [[1.0 / 3.0], [2.0 / 3.0]], atol=1e-15)
+        counts = doc_counts_of(corpus, topics, np.array([[0.6, 0.4]]))
+        np.testing.assert_allclose(counts, [[1.0 / 3.0, 2.0 / 3.0]], atol=1e-15)
 
     def test_rows_sum_to_one(self):
+        # the posterior rows sum to one, so each document's counts sum to its length
         rng = np.random.default_rng(3)
         corpus, topics, mixes = random_instance(rng)
-        post = posteriors_of(corpus, topics, mixes)
-        np.testing.assert_allclose(post.sum(axis=0), 1.0, atol=1e-9)
+        counts = doc_counts_of(corpus, topics, mixes)
+        lengths = [corpus.doc_tokens(d) for d in range(corpus.n_docs)]
+        np.testing.assert_allclose(counts.sum(axis=1), lengths, atol=1e-9)
 
 
 class TestMStep:
     def test_single_doc_single_topic(self):
         corpus = ingest_sparse([(0, "a", 1), (1, "b", 1)])
-        topics, mixes = _m_step(corpus, np.ones((1, 2)), smoothing_floor=0.0)
+        topics, mixes = em_step(corpus, np.array([[0.3, 0.7]]), np.ones((2, 1)))
         np.testing.assert_allclose(topics, [[0.5, 0.5]])
         np.testing.assert_allclose(mixes, [[1.0], [1.0]])
 
     def test_even_posteriors_recover_background(self):
         corpus = ingest_sparse([(0, "a", 1), (1, "b", 1)])
-        topics, mixes = _m_step(corpus, np.full((2, 2), 0.5), smoothing_floor=0.0)
+        topics, mixes = em_step(corpus, np.full((2, 2), 0.5), np.full((2, 2), 0.5))
         bg = background_model(corpus)
         np.testing.assert_allclose(topics[0], bg, atol=1e-12)
         np.testing.assert_allclose(topics[1], bg, atol=1e-12)
@@ -136,35 +149,33 @@ class TestMStep:
     def test_hand_evaluated_mix(self):
         # doc {a:2, b:1}; posterior one-hot per word -> p(z|d) = (2/3, 1/3)
         corpus = ingest_sparse([(0, "a", 2), (0, "b", 1)])
-        posteriors = [np.array([[1.0, 0.0], [0.0, 1.0]])]
-        _, mixes = _m_step(corpus, topic_major(corpus, posteriors), smoothing_floor=0.0)
+        _, mixes = em_step(corpus, ONE_HOT, np.array([[0.5, 0.5]]))
         np.testing.assert_allclose(mixes[0], [2.0 / 3.0, 1.0 / 3.0], atol=1e-15)
 
     def test_dead_topic_reset_to_uniform(self):
         corpus = ingest_sparse([(0, "a", 1)])
-        posteriors = [np.array([[1.0, 0.0]])]
-        topics, _ = _m_step(corpus, topic_major(corpus, posteriors), smoothing_floor=0.0)
+        topics, _ = em_step(corpus, np.array([[1.0], [1.0]]), np.array([[1.0, 0.0]]))
         np.testing.assert_allclose(topics[1], [1.0])
 
     def test_floor_respected(self):
         corpus = ingest_sparse([(0, "a", 5), (0, "b", 1), (1, "a", 2)])
-        posteriors = [np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([[1.0, 0.0]])]
-        topics, mixes = _m_step(corpus, topic_major(corpus, posteriors), smoothing_floor=1e-6)
+        mixes = np.array([[0.5, 0.5], [1.0, 0.0]])
+        topics, mixes = em_step(corpus, ONE_HOT, mixes, smoothing_floor=1e-6)
         assert np.all(topics >= 1e-6 * (1 - 1e-12))
         np.testing.assert_allclose(topics.sum(axis=1), 1.0, atol=1e-9)
         np.testing.assert_allclose(mixes.sum(axis=1), 1.0, atol=1e-9)
 
 
 class TestKernel:
-    """The batched topic-major kernel against the per-document E- and M-steps."""
+    """The expected-counts kernel against the per-document E- and M-steps."""
 
     def test_e_step_matches_per_doc_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(5):
             corpus, topics, mixes = random_instance(rng)
-            weighted, doc_lls = _e_step(corpus, topics, mixes)
-            expected = topic_major(corpus, oracle_posteriors(corpus, topics, mixes))
-            np.testing.assert_allclose(weighted, expected, rtol=1e-12, atol=1e-15)
+            _, doc_counts, doc_lls = _e_step(corpus, topics, mixes)
+            expected = oracle_doc_counts(corpus, oracle_posteriors(corpus, topics, mixes))
+            np.testing.assert_allclose(doc_counts, expected, rtol=1e-12, atol=1e-15)
             assert doc_lls.shape == (corpus.n_docs,)
             np.testing.assert_allclose(
                 doc_lls, brute_force_doc_logliks(corpus, topics, mixes), rtol=0, atol=1e-10
@@ -175,28 +186,34 @@ class TestKernel:
         rng = np.random.default_rng(5)
         for _ in range(5):
             corpus, topics, mixes = random_instance(rng)
-            posteriors = oracle_posteriors(corpus, topics, mixes)
-            new_topics, new_mixes = _m_step(corpus, topic_major(corpus, posteriors), floor)
-            oracle_topics, oracle_mixes = m_step(corpus, posteriors, floor)
+            new_topics, new_mixes = em_step(corpus, topics, mixes, floor)
+            oracle_topics, oracle_mixes = m_step(
+                corpus, oracle_posteriors(corpus, topics, mixes), floor
+            )
             np.testing.assert_allclose(new_topics, oracle_topics, rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(new_mixes, oracle_mixes, rtol=1e-12, atol=1e-15)
 
     def test_hand_evaluated_posterior(self):
         # p(z|d,w) = (0.6*0.1, 0.4*0.3) / 0.18 = (1/3, 2/3)
         corpus = ingest_sparse([(0, "a", 1)])
-        weighted, doc_lls = _e_step(corpus, np.array([[0.1], [0.3]]), np.array([[0.6, 0.4]]))
-        np.testing.assert_allclose(weighted, [[1.0 / 3.0], [2.0 / 3.0]], atol=1e-15)
+        _, doc_counts, doc_lls = _e_step(corpus, np.array([[0.1], [0.3]]), np.array([[0.6, 0.4]]))
+        np.testing.assert_allclose(doc_counts, [[1.0 / 3.0, 2.0 / 3.0]], atol=1e-15)
         assert doc_lls[0] == pytest.approx(math.log(0.18), abs=1e-15)
 
     def test_hand_evaluated_mix(self):
-        # doc {a:2, b:1}; posterior one-hot per word -> p(z|d) = (2/3, 1/3)
+        # doc {a:2, b:1}; posterior one-hot per word -> n(d,z) = (2, 1), p(z|d) = (2/3, 1/3)
         corpus = ingest_sparse([(0, "a", 2), (0, "b", 1)])
-        _, mixes = _m_step(corpus, np.array([[2.0, 0.0], [0.0, 1.0]]), 0.0)
+        ratio, doc_counts, _ = _e_step(corpus, ONE_HOT, np.array([[0.5, 0.5]]))
+        np.testing.assert_allclose(doc_counts, [[2.0, 1.0]], atol=1e-15)
+        _, mixes = _m_step(corpus, ONE_HOT, np.array([[0.5, 0.5]]), ratio, doc_counts, 0.0)
         np.testing.assert_allclose(mixes[0], [2.0 / 3.0, 1.0 / 3.0], atol=1e-15)
 
     def test_dead_topic_reset_to_uniform(self):
         corpus = ingest_sparse([(0, "a", 1)])
-        topics, _ = _m_step(corpus, np.array([[1.0], [0.0]]), 0.0)
+        topics, mixes = np.array([[1.0], [1.0]]), np.array([[1.0, 0.0]])
+        ratio, doc_counts, _ = _e_step(corpus, topics, mixes)
+        np.testing.assert_array_equal(doc_counts, [[1.0, 0.0]])
+        topics, _ = _m_step(corpus, topics, mixes, ratio, doc_counts, 0.0)
         np.testing.assert_allclose(topics[1], [1.0])
 
     def test_unused_term_gets_exactly_the_floor(self):
@@ -217,6 +234,216 @@ class TestKernel:
         assert (len(trace) < max_iters) == (max_iters == 200)  # only the large budget converges
         assert trace[-1].loglik == ll == log_likelihood(corpus, topics, mixes)
         assert ll == pytest.approx(brute_force_loglik(corpus, topics, mixes), abs=1e-10)
+
+
+def layout_instance():
+    """Nine documents of 1 to 40 distinct words out of 49 terms, with rare and common words.
+
+    Term "w00" is in every document (df = D), which makes up the whole of
+    the single-word documents 4 and 7. "w46" occurs only in the 3-word
+    document 2 and "w47" only in the 40-word document 3 (df = 1); "w48" occurs
+    nowhere.
+    """
+    rng = np.random.default_rng(8)
+    sizes = [6, 12, 3, 40, 1, 9, 17, 1, 5]
+    triples = []
+    for d, size in enumerate(sizes):
+        words = list(rng.choice(np.arange(1, 46), size=size - 1, replace=False))
+        if d in (2, 3):
+            words[-1] = 44 + d
+        for t in [0, *words]:
+            triples.append((d, f"w{t:02d}", int(rng.integers(1, 6))))
+    vocab = Vocabulary([f"w{t:02d}" for t in range(49)])
+    return ingest_sparse(triples, vocab=vocab)
+
+
+def layout_corpus(monkeypatch, cells):
+    """A fresh ``layout_instance`` whose EM layout is cut at ``cells`` padded cells per block."""
+    monkeypatch.setattr(corpus_module, "_BLOCK_CELLS", cells)
+    corpus = layout_instance()
+    corpus.layout()
+    return corpus
+
+
+class TestBlockLayout:
+    """The kernel on padded blocks against the per-document oracle, across block budgets."""
+
+    BUDGETS = [1, 8, 32, 64, 4096]
+
+    def test_instance_covers_the_edge_cases(self):
+        corpus = layout_instance()
+        df = np.bincount(corpus.flat()[1], minlength=corpus.n_terms)
+        assert df[0] == corpus.n_docs and df[46] == df[47] == 1 and df[48] == 0
+        assert 46 in corpus.docs[2][0] and 47 in corpus.docs[3][0]
+        assert sorted(corpus.segments()[1])[:3] == [1, 1, 3]
+
+    @pytest.mark.parametrize("cells", BUDGETS)
+    def test_blocks_cover_every_entry_once(self, monkeypatch, cells):
+        corpus = layout_corpus(monkeypatch, cells)
+        lay = corpus.layout()
+        doc_idx, word_idx, counts = corpus.flat()
+        lengths = corpus.segments()[1]
+        if cells == 1:  # one document, and one word, per block
+            assert len(lay.doc_blocks) == corpus.n_docs
+            assert len(lay.word_blocks) == lay.word_order.size
+        if cells == 32:  # the 40-word document sits alone in its block
+            assert lay.doc_blocks[0][:2] == (0, 1) and lengths[lay.doc_order[0]] == 40
+        real = lay.words < corpus.n_terms
+        assert real.sum() == word_idx.size == lay.counts[real].size
+        assert np.all(lay.counts[~real] == 0.0)
+        on = lay.word_cells < lay.n_cells
+        assert on.sum() == word_idx.size
+        np.testing.assert_array_equal(np.sort(lay.word_cells[on]), np.flatnonzero(real))
+        word_of_row = np.repeat(
+            lay.word_order, [(c1 - c0) // (r1 - r0) for r0, r1, c0, c1 in lay.word_blocks
+                             for _ in range(r1 - r0)]
+        )
+        np.testing.assert_array_equal(lay.words[lay.word_cells[on]], word_of_row[on])
+        assert lay.max_cells <= max(cells, lengths.max(), np.bincount(word_idx).max())
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("cells", BUDGETS)
+    def test_matches_oracle(self, monkeypatch, cells, k):
+        corpus = layout_corpus(monkeypatch, cells)
+        rng = np.random.default_rng(k)
+        topics = rng.dirichlet(np.ones(corpus.n_terms), size=k)
+        mixes = rng.dirichlet(np.ones(k), size=corpus.n_docs)
+        posteriors = oracle_posteriors(corpus, topics, mixes)
+        ratio, doc_counts, doc_lls = _e_step(corpus, topics, mixes)
+        np.testing.assert_allclose(
+            doc_counts, oracle_doc_counts(corpus, posteriors), rtol=1e-12, atol=1e-15
+        )
+        np.testing.assert_allclose(
+            doc_lls, brute_force_doc_logliks(corpus, topics, mixes), rtol=1e-12
+        )
+        new_topics, new_mixes = _m_step(corpus, topics, mixes, ratio, doc_counts, 1e-9)
+        oracle_topics, oracle_mixes = m_step(corpus, posteriors, 1e-9)
+        np.testing.assert_allclose(new_topics, oracle_topics, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(new_mixes, oracle_mixes, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("bad", [0.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("cells", [64, 4096])
+    def test_bad_probability_in_a_padded_block_raises(self, monkeypatch, cells, bad):
+        # "w46" is the last word of the 3-word document 2, padded in a block of
+        # longer documents under either budget; "w47" is in the longest document.
+        corpus = layout_corpus(monkeypatch, cells)
+        lay = corpus.layout()
+        row = int(np.flatnonzero(lay.doc_order == 2)[0])
+        r0, r1, c0, c1 = next(b for b in lay.doc_blocks if b[0] <= row < b[1])
+        assert r1 - r0 > 1 and (c1 - c0) // (r1 - r0) > 3
+        rng = np.random.default_rng(0)
+        mixes = rng.dirichlet(np.ones(2), size=corpus.n_docs)
+        for term in (46, 47):
+            topics = rng.dirichlet(np.ones(corpus.n_terms), size=2)
+            topics[:, term] = bad
+            with pytest.raises(DataError, match="unmodelable"):
+                _e_step(corpus, topics, mixes)
+            with pytest.raises(DataError, match="unmodelable"):
+                log_likelihood(corpus, topics, mixes)
+
+    def test_fold_in_of_no_documents(self):
+        corpus = layout_instance()
+        topics = np.full((2, corpus.n_terms), 1.0 / corpus.n_terms)
+        mixes, lls = fold_in_docs(corpus, np.array([], dtype=np.int64), topics,
+                                  EmConfig(seed=0), np.ones((0, 2)))
+        assert mixes.shape == (0, 2) and lls.shape == (0,)
+
+    def test_results_do_not_depend_on_call_history(self):
+        def run(corpus, k):
+            rng = np.random.default_rng(k)
+            topics = rng.dirichlet(np.ones(corpus.n_terms), size=k)
+            mixes = rng.dirichlet(np.ones(k), size=corpus.n_docs)
+            ratio, doc_counts, doc_lls = _e_step(corpus, topics, mixes)
+            return (ratio, doc_counts, doc_lls,
+                    *_m_step(corpus, topics, mixes, ratio, doc_counts, 1e-9))
+
+        used = layout_instance()
+        first = run(used, 3)
+        run(used, 5)
+        for again, fresh in zip(run(used, 3), run(layout_instance(), 3)):
+            np.testing.assert_array_equal(again, fresh)
+        for a, b in zip(first, run(layout_instance(), 3)):
+            np.testing.assert_array_equal(a, b)
+
+
+def topic_major_e_step(corpus, topics, mixes):
+    """Reference E-step: the topic-major ``(K, nnz)`` posterior kernel the package used to run.
+
+    Returns ``(weighted, doc_counts, doc_lls)``: ``weighted[z, i]`` is
+    n(d,w) p(z|d,w) for flat entry i and stands in for the kernel's ratio.
+    """
+    _, word_idx, counts = corpus.flat()
+    starts, lengths = corpus.segments()
+    weighted = np.take(topics, word_idx, axis=1)
+    for z in range(weighted.shape[0]):
+        weighted[z] *= np.repeat(mixes[:, z], lengths)
+    denom = weighted.sum(axis=0)
+    if not np.all(denom > 0.0):
+        raise DataError("unmodelable word: zero mixture probability in E-step")
+    doc_lls = np.add.reduceat(counts * np.log(denom), starts)
+    weighted *= counts / denom
+    return weighted, np.add.reduceat(weighted, starts, axis=1).T, doc_lls
+
+
+def topic_major_m_step(corpus, topics, mixes, weighted, doc_counts, smoothing_floor):
+    """Reference M-step of ``topic_major_e_step``'s ``weighted``. Returns (topics, mixes)."""
+    _, word_idx, _ = corpus.flat()
+    starts, _ = corpus.segments()
+    k = weighted.shape[0]
+    topic_mass = np.empty((k, corpus.n_terms))
+    for z in range(k):
+        topic_mass[z] = np.bincount(word_idx, weights=weighted[z], minlength=corpus.n_terms)
+    topic_mass[topic_mass.sum(axis=1) == 0.0] = 1.0
+    mix_mass = np.add.reduceat(weighted, starts, axis=1)
+    mix_mass /= mix_mass.sum(axis=0)
+    return _floor_rows(topic_mass, smoothing_floor), mix_mass.T
+
+
+def desk_corpus(seed, n_docs=60):
+    profile = dict(PROFILES["desk"], n_docs=n_docs)
+    return generate_corpus(SynthConfig(seed=seed, **profile))[0]
+
+
+class TestTopicMajorEquivalence:
+    """Trainers on the kernel against the same trainers on the topic-major reference."""
+
+    @staticmethod
+    def both(monkeypatch, train):
+        fast = train()
+        for module in (plsa, autostop):
+            monkeypatch.setattr(module, "_e_step", topic_major_e_step)
+            monkeypatch.setattr(module, "_m_step", topic_major_m_step)
+        return fast, train()
+
+    @pytest.mark.parametrize("k", [1, 4, 10])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_train_plsa(self, monkeypatch, seed, k):
+        corpus = desk_corpus(seed)
+        (topics, mixes, trace), (ref_topics, ref_mixes, ref_trace) = self.both(
+            monkeypatch, lambda: train_plsa(corpus, k, EmConfig(seed=seed))
+        )
+        assert len(trace) == len(ref_trace) > 1
+        np.testing.assert_allclose([r.loglik for r in trace], [r.loglik for r in ref_trace],
+                                   rtol=1e-12)
+        np.testing.assert_allclose(topics, ref_topics, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(mixes, ref_mixes, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_train_parameter_free(self, monkeypatch, seed):
+        corpus = desk_corpus(seed)
+
+        def train():
+            detector = autostop.StopDetector(patience=9)
+            return autostop.train_parameter_free(corpus, EmConfig(seed=seed), detector,
+                                                 max_spawns=8)
+
+        (topics, _, trace), (ref_topics, _, ref_trace) = self.both(monkeypatch, train)
+        assert [(r.k, r.phase) for r in trace] == [(r.k, r.phase) for r in ref_trace]
+        np.testing.assert_allclose([r.loglik for r in trace], [r.loglik for r in ref_trace],
+                                   rtol=1e-12)
+        np.testing.assert_allclose([r.epsilon or 0.0 for r in trace],
+                                   [r.epsilon or 0.0 for r in ref_trace], rtol=1e-12)
+        np.testing.assert_allclose(topics, ref_topics, rtol=1e-9, atol=1e-12)
 
 
 class TestLogLikelihood:
@@ -243,6 +470,14 @@ class TestLogLikelihood:
         topics = np.array([[1.0, 0.0]])
         with pytest.raises(DataError, match="unmodelable"):
             log_likelihood(corpus, topics, np.array([[1.0]]))
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_probability_raises(self, bad):
+        corpus = ingest_sparse([(0, "a", 1), (0, "b", 1), (1, "b", 2)])
+        topics = np.array([[0.5, 0.5], [0.2, 0.8]])
+        topics[1, 0] = bad
+        with pytest.raises(DataError, match="unmodelable"):
+            log_likelihood(corpus, topics, np.full((2, 2), 0.5))
 
 
 class TestTrainPlsa:
