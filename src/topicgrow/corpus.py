@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import re
+from itertools import chain
 
 import numpy as np
 
@@ -56,9 +57,13 @@ class Vocabulary:
 class Corpus:
     """A vocabulary plus one sparse count row per document.
 
-    Each row is a pair of integer arrays ``(term_ids, counts)`` with term ids
-    strictly increasing within the row and every count >= 1. Instances are
-    immutable after construction and safe to share read-only across workers.
+    The rows are stored flat, document after document, in two int64 arrays:
+    the term ids, strictly increasing within a row, and the counts, every one
+    >= 1. ``docs[d]`` is document d's row as a pair of read-only views
+    ``(term_ids, counts)`` into those arrays; ``flat()`` and ``segments()``
+    return the arrays and the rows' runs in them. Rows given out of order are
+    sorted on construction. Instances are immutable after construction and safe
+    to share read-only across workers.
     """
 
     def __init__(self, vocab, docs, doc_ids, dropped_doc_ids=()):
@@ -69,28 +74,32 @@ class Corpus:
         self.vocab = vocab
         self.doc_ids = list(doc_ids)
         self.dropped_doc_ids = list(dropped_doc_ids)
-        self.docs = []
-        n_terms = len(vocab)
-        for ids, counts in docs:
-            ids = np.asarray(ids, dtype=np.int64)
-            counts = np.asarray(counts, dtype=np.int64)
-            if ids.size == 0:
-                raise DataError("empty document row")
-            if ids.shape != counts.shape:
-                raise DataError("row ids/counts shape mismatch")
-            order = np.argsort(ids, kind="stable")
-            ids, counts = ids[order], counts[order]
-            if np.any(np.diff(ids) == 0):
-                raise DataError("duplicate term id within a document row")
-            if ids[0] < 0 or ids[-1] >= n_terms:
-                raise DataError("term id out of vocabulary range")
-            if np.any(counts < 1):
-                raise DataError("invalid count: counts must be >= 1")
-            self.docs.append((ids, counts))
+        ids = [np.asarray(row_ids, dtype=np.int64) for row_ids, _ in docs]
+        counts = [np.asarray(row_counts, dtype=np.int64) for _, row_counts in docs]
+        lengths = np.array([row.size for row in ids], dtype=np.int64)
+        if not lengths.all():
+            raise DataError("empty document row")
+        if any(i.ndim != 1 or i.shape != c.shape for i, c in zip(ids, counts)):
+            raise DataError("row ids/counts shape mismatch")
+        starts = np.cumsum(lengths) - lengths
+        word_idx, counts = np.concatenate(ids), np.concatenate(counts)
+        if _row_steps(word_idx, starts).min(initial=1) < 0:
+            order = np.lexsort((word_idx, np.repeat(starts, lengths)))  # stable
+            word_idx, counts = word_idx[order], counts[order]
+        if _row_steps(word_idx, starts).min(initial=1) == 0:
+            raise DataError("duplicate term id within a document row")
+        if word_idx.min() < 0 or word_idx.max() >= len(vocab):
+            raise DataError("term id out of vocabulary range")
+        if counts.min() < 1:
+            raise DataError("invalid count: counts must be >= 1")
+        for array in (word_idx, counts, starts, lengths):
+            array.flags.writeable = False
+        self._word_idx, self._counts = word_idx, counts
+        self._segments = (starts, lengths)
+        self.docs = split_rows(word_idx, counts, lengths)
+        self._doc_tokens = np.add.reduceat(counts, starts)
         self._flat = None
-        self._segments = None
         self._layout = None
-        self._doc_tokens = np.array([c.sum() for _, c in self.docs], dtype=np.int64)
 
     @property
     def n_docs(self):
@@ -109,29 +118,24 @@ class Corpus:
         return int(self._doc_tokens[d])
 
     def flat(self):
-        """Flattened nonzero entries as (doc_idx, word_idx, counts) float/int arrays.
+        """The nonzero entries as (doc_idx, word_idx, counts) arrays, counts as float64.
 
-        Cached; used by the vectorized EM kernels.
+        Built from the stored arrays on first use and cached; used by the
+        vectorized EM kernels.
         """
         if self._flat is None:
-            doc_idx = np.concatenate(
-                [np.full(ids.size, d, dtype=np.int64) for d, (ids, _) in enumerate(self.docs)]
-            )
-            word_idx = np.concatenate([ids for ids, _ in self.docs])
-            counts = np.concatenate([c for _, c in self.docs]).astype(np.float64)
-            self._flat = (doc_idx, word_idx, counts)
+            doc_idx = np.repeat(np.arange(self.n_docs), self._segments[1])
+            counts = self._counts.astype(np.float64)
+            doc_idx.flags.writeable = counts.flags.writeable = False
+            self._flat = (doc_idx, self._word_idx, counts)
         return self._flat
 
     def segments(self):
-        """Each document's run in the flat arrays as (starts, lengths), cached.
+        """Each document's run in the flat arrays as (starts, lengths).
 
         Empty documents are rejected above, so ``np.add.reduceat(x, starts)``
         sums exactly one document per output entry.
         """
-        if self._segments is None:
-            lengths = np.array([ids.size for ids, _ in self.docs], dtype=np.int64)
-            starts = np.concatenate(([0], np.cumsum(lengths[:-1])))
-            self._segments = (starts, lengths)
         return self._segments
 
     def layout(self):
@@ -142,6 +146,19 @@ class Corpus:
         if self._layout is None:
             self._layout = BlockLayout(self)
         return self._layout
+
+
+def _row_steps(word_idx, starts):
+    """Differences of consecutive entries, 1 where a new row starts."""
+    steps = np.diff(word_idx)
+    steps[starts[1:] - 1] = 1
+    return steps
+
+
+def split_rows(term_ids, counts, lengths):
+    """Cut flat row arrays into a list of per-document ``(term_ids, counts)`` views."""
+    ends = np.cumsum(lengths).tolist()
+    return [(term_ids[a:b], counts[a:b]) for a, b in zip([0] + ends[:-1], ends)]
 
 
 def pad_runs(starts, lengths, cells, fill):
@@ -218,44 +235,43 @@ def ingest_text(lines, min_df=1, stopwords=None):
     """Build a Corpus from raw document strings, one document per entry.
 
     Tokens are lowercased and split on non-alphanumeric runs. Terms that
-    appear in fewer than ``min_df`` documents or in ``stopwords`` are removed;
-    documents left empty by the filter are dropped and their ids recorded on
-    ``Corpus.dropped_doc_ids``. The vocabulary is sorted lexicographically so
-    repeated ingestion of the same input is bit-identical.
+    appear in fewer than ``min_df`` documents or in ``stopwords`` (compared
+    lowercased) are removed; documents left empty by the filter are dropped
+    and their ids recorded on ``Corpus.dropped_doc_ids``. The vocabulary is
+    sorted lexicographically so repeated ingestion of the same input is
+    bit-identical.
     """
     lines = list(lines)
     if not lines:
         raise DataError("empty corpus: no input documents")
     if min_df < 1:
         raise DataError("min_df must be >= 1")
-    stopwords = set(stopwords) if stopwords else set()
+    stopwords = {term.lower() for term in stopwords} if stopwords else set()
 
-    token_lists = [tokenize(line) for line in lines]
-    df = {}
-    for tokens in token_lists:
-        for term in set(tokens):
-            df[term] = df.get(term, 0) + 1
-    kept = sorted(t for t, n in df.items() if n >= min_df and t not in stopwords)
-    vocab = Vocabulary(kept)
+    term_ids = {}  # first-appearance ids
+    rows = [[term_ids.setdefault(t, len(term_ids)) for t in tokenize(line)] for line in lines]
+    terms = sorted(term_ids)
+    rank = np.empty(len(terms), dtype=np.int64)  # first-appearance id -> place in ``terms``
+    rank[[term_ids[t] for t in terms]] = np.arange(len(terms))
+    token_terms = rank[np.fromiter(chain.from_iterable(rows), dtype=np.int64)]
+    token_docs = np.repeat(np.arange(len(lines)), [len(row) for row in rows])
+    keys, counts = np.unique(token_docs * len(terms) + token_terms, return_counts=True)
+    docs, words = np.divmod(keys, len(terms))
 
-    docs, doc_ids, dropped = [], [], []
-    for i, tokens in enumerate(token_lists):
-        counts = {}
-        for term in tokens:
-            tid = vocab.index.get(term)
-            if tid is not None:
-                counts[tid] = counts.get(tid, 0) + 1
-        if counts:
-            ids = sorted(counts)
-            docs.append((np.array(ids), np.array([counts[t] for t in ids])))
-            doc_ids.append(str(i))
-        else:
-            dropped.append(str(i))
-    if not docs:
+    keep = np.bincount(words, minlength=len(terms)) >= min_df
+    keep &= np.array([t not in stopwords for t in terms], dtype=bool)
+    kept = keep[words]
+    docs, words, counts = docs[kept], (np.cumsum(keep) - 1)[words[kept]], counts[kept]
+    vocab = Vocabulary(t for t, k in zip(terms, keep) if k)
+
+    lengths = np.bincount(docs, minlength=len(lines))
+    if not lengths.any():
         raise DataError("empty corpus: all documents empty after filtering")
+    dropped = [str(i) for i in np.flatnonzero(lengths == 0)]
     if dropped:
         logger.warning("dropped %d empty documents after filtering", len(dropped))
-    return Corpus(vocab, docs, doc_ids, dropped)
+    doc_ids = [str(i) for i in np.flatnonzero(lengths)]
+    return Corpus(vocab, split_rows(words, counts, lengths[lengths > 0]), doc_ids, dropped)
 
 
 def ingest_sparse(triples, vocab=None):
@@ -316,22 +332,17 @@ def reindex_corpus(corpus, vocab):
 
     Documents left empty are dropped and recorded on ``dropped_doc_ids``.
     """
-    docs, doc_ids, dropped = [], [], []
-    for d, (ids, counts) in enumerate(corpus.docs):
-        new = {}
-        for tid, c in zip(ids, counts):
-            mapped = vocab.index.get(corpus.vocab.term_of(tid))
-            if mapped is not None:
-                new[mapped] = new.get(mapped, 0) + int(c)
-        if new:
-            kept = sorted(new)
-            docs.append((np.array(kept), np.array([new[t] for t in kept])))
-            doc_ids.append(corpus.doc_ids[d])
-        else:
-            dropped.append(corpus.doc_ids[d])
-    if not docs:
+    new_id = np.array([vocab.index.get(term, -1) for term in corpus.vocab.terms], dtype=np.int64)
+    word_idx = new_id[corpus._word_idx]
+    kept = word_idx >= 0
+    lengths = np.add.reduceat(kept, corpus.segments()[0])
+    if not lengths.any():
         raise DataError("empty corpus: no documents survive reindexing")
-    return Corpus(vocab, docs, doc_ids, dropped)
+    doc_ids = [corpus.doc_ids[d] for d in np.flatnonzero(lengths)]
+    dropped = [corpus.doc_ids[d] for d in np.flatnonzero(lengths == 0)]
+    # Distinct terms keep distinct ids, so rows need only the constructor's sort.
+    rows = split_rows(word_idx[kept], corpus._counts[kept], lengths[lengths > 0])
+    return Corpus(vocab, rows, doc_ids, dropped)
 
 
 def read_stopwords(path):

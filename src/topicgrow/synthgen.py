@@ -3,9 +3,17 @@
 Documents follow the standard Dirichlet-multinomial generative process: topic
 word distributions are symmetric-Dirichlet draws kept only if sufficiently far
 from all previously accepted topics, each document draws a topic mixture and
-then samples tokens topic-by-topic. All randomness flows through named
+then a topic and a word for every token. All randomness flows through named
 counter-based streams so the same seed reproduces the corpus bit-for-bit, even
 if documents are generated in parallel.
+
+Stream layout: stream 0 draws the candidate topics, ``_CANDIDATE_BATCH`` at a
+time. Stream d+1 draws document d: its Dirichlet mixture, then ``doc_len``
+uniforms that pick the tokens' topics in position order, then ``doc_len``
+uniforms that pick their words, spent topic by topic in increasing topic order
+and in position order within a topic. A uniform u picks from a distribution p
+the number of entries of p's cumulative sums, divided by their last entry,
+that are <= u; this is how ``Generator.choice`` samples with ``p=``.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, Vocabulary
+from .corpus import Corpus, Vocabulary, split_rows
 from .errors import AlgorithmError, DataError
 
 # One Philox stream per logical unit: stream 0 draws the topics, stream d+1
@@ -23,6 +31,7 @@ from .errors import AlgorithmError, DataError
 RNG_ALGORITHM = "numpy.random.Philox4x64 key=(seed, stream); stream 0 topics, stream d+1 document d"
 
 _CANDIDATE_BATCH = 256
+_BLOCK_TOKENS = 1 << 13  # tokens per block of documents drawn together; bounds the temporaries
 _MAX_REJECTIONS_PER_TOPIC = 10_000
 
 
@@ -91,6 +100,9 @@ def sample_distinct_topics(config, rng=None):
     A candidate is accepted iff its minimum L2 distance to every previously
     accepted topic exceeds ``min_topic_dist``. Candidates are drawn in fixed
     batches so the stream consumption, and hence the result, is reproducible.
+    A batch's distances to the topics accepted before it are computed over the
+    whole batch at once; a candidate is then checked alone only against the
+    topics accepted earlier in its own batch.
     """
     if rng is None:
         rng = stream_rng(config.seed, 0)
@@ -100,15 +112,22 @@ def sample_distinct_topics(config, rng=None):
     budget = _MAX_REJECTIONS_PER_TOPIC * config.n_topics
     while len(accepted) < config.n_topics:
         batch = rng.dirichlet(alpha, size=_CANDIDATE_BATCH)
-        for cand in batch:
+        # One (batch, V) operation per earlier topic, in one buffer the size of the batch.
+        near = np.zeros(_CANDIDATE_BATCH, dtype=bool)
+        diff = np.empty_like(batch) if accepted else None
+        for topic in accepted:
+            np.square(np.subtract(batch, topic, out=diff), out=diff)
+            near |= np.sqrt(diff.sum(axis=1)) <= config.min_topic_dist
+        earlier = len(accepted)
+        for i in range(_CANDIDATE_BATCH):
             if len(accepted) == config.n_topics:
                 break
-            if accepted:
-                dmin = np.sqrt(((np.asarray(accepted) - cand) ** 2).sum(axis=1)).min()
-            else:
-                dmin = np.inf
-            if dmin > config.min_topic_dist:
-                accepted.append(cand)
+            if not near[i] and (
+                len(accepted) == earlier
+                or np.sqrt(((np.asarray(accepted[earlier:]) - batch[i]) ** 2).sum(axis=1)).min()
+                > config.min_topic_dist
+            ):
+                accepted.append(batch[i].copy())  # a copy, so that a spent batch is freed
             else:
                 rejections += 1
                 if rejections > budget:
@@ -120,6 +139,13 @@ def sample_distinct_topics(config, rng=None):
     return np.asarray(accepted)
 
 
+def _cdf_rows(probs):
+    """Row-wise cumulative sums, each row divided by its last entry so that it ends at 1."""
+    cdf = np.cumsum(probs, axis=1)
+    cdf /= cdf[:, -1:]
+    return cdf
+
+
 def generate_corpus(config):
     """Generate (Corpus, SyntheticTruth) for the given configuration.
 
@@ -127,31 +153,59 @@ def generate_corpus(config):
     from Dirichlet(alpha), each token draws a topic from the mixture and a
     word from that topic. Token-level assignments are kept on the truth
     object.
+
+    Document d's stream (stream d+1) yields its Dirichlet mixture, then
+    ``doc_len`` uniforms for the topics, then ``doc_len`` uniforms for the
+    words, spent as the module docstring describes. ``Generator.choice``
+    consumes the same stream when it draws the topics and then the words of
+    each topic in turn, so corpora equal those of that per-topic form. Only the
+    draws run per document; the rest runs once per block of documents of at
+    most ``_BLOCK_TOKENS`` tokens (or one document, if longer).
     """
     topics = sample_distinct_topics(config)
-    vocab = make_vocabulary(config.vocab_size)
-    k = config.n_topics
-
-    doc_mixes = np.empty((config.n_docs, k))
-    docs, doc_ids, assignments = [], [], []
+    topic_cdf = _cdf_rows(topics)
+    doc_mixes = np.empty((config.n_docs, config.n_topics))
+    rows, assignments = [], []
+    step = max(1, _BLOCK_TOKENS // config.doc_len)
+    for first in range(0, config.n_docs, step):
+        z, w = _draw_block(config, topic_cdf, first, doc_mixes[first : first + step])
+        rows += _count_rows(w, config.vocab_size)
+        assignments += zip(z, w)
     id_width = len(str(config.n_docs - 1))
-    for d in range(config.n_docs):
-        rng = stream_rng(config.seed, d + 1)
-        mix = rng.dirichlet(np.full(k, config.alpha))
-        doc_mixes[d] = mix
-        z = rng.choice(k, size=config.doc_len, p=mix)
-        w = np.empty(config.doc_len, dtype=np.int64)
-        for t in range(k):
-            sel = z == t
-            n_t = int(sel.sum())
-            if n_t:
-                w[sel] = rng.choice(config.vocab_size, size=n_t, p=topics[t])
-        counts = np.bincount(w, minlength=config.vocab_size)
-        ids = np.nonzero(counts)[0]
-        docs.append((ids, counts[ids]))
-        doc_ids.append(f"d{d:0{id_width}d}")
-        assignments.append((z.astype(np.int64), w))
-
-    corpus = Corpus(vocab, docs, doc_ids)
+    doc_ids = [f"d{d:0{id_width}d}" for d in range(config.n_docs)]
+    corpus = Corpus(make_vocabulary(config.vocab_size), rows, doc_ids)
     truth = SyntheticTruth(topics=topics, doc_mixes=doc_mixes, assignments=assignments)
     return corpus, truth
+
+
+def _draw_block(config, topic_cdf, first, mixes):
+    """Draw documents ``first, first + 1, ...``, one per row of ``mixes``.
+
+    Fills ``mixes`` in place and returns the token topics and token words,
+    each a ``(len(mixes), doc_len)`` array.
+    """
+    shape = (len(mixes), config.doc_len)
+    topic_u = np.empty(shape)
+    word_u = np.empty(shape)
+    alpha = np.full(config.n_topics, config.alpha)
+    for i in range(len(mixes)):
+        rng = stream_rng(config.seed, first + i + 1)
+        mixes[i] = rng.dirichlet(alpha)
+        rng.random(out=topic_u[i])
+        rng.random(out=word_u[i])
+    z = np.zeros(shape, dtype=np.int64)
+    for column in _cdf_rows(mixes).T:
+        z += topic_u >= column[:, None]
+    # The topic uniforms are spent: their buffer takes each token's word uniform.
+    np.put_along_axis(topic_u, np.argsort(z, axis=1, kind="stable"), word_u, axis=1)
+    w = np.empty(shape, dtype=np.int64)
+    for t, cdf in enumerate(topic_cdf):
+        sel = z == t
+        w[sel] = cdf.searchsorted(topic_u[sel], side="right")
+    return z, w
+
+
+def _count_rows(w, vocab_size):
+    """Each row of token words ``w`` as a count row ``(term_ids, counts)``, ids increasing."""
+    keys, counts = np.unique(np.arange(len(w))[:, None] * vocab_size + w, return_counts=True)
+    return split_rows(keys % vocab_size, counts, np.bincount(keys // vocab_size, minlength=len(w)))

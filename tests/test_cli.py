@@ -122,3 +122,18 @@ def test_eval_of_a_tampered_model_is_a_data_error(synth_dir, tmp_path, value):
     code = main(["eval", "--model", str(model), "--out", str(tmp_path),
                  "--corpus", str(corpus), "--seed", "1"])
     assert code == EXIT_DATA == 2
+
+
+def test_train_stopwords_match_any_case(tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("The cat sat on the mat\nA dog and the cat\nTHE dog ran and ran\n"
+                      "cats and dogs\nthe mat and the dog\n")
+    stopwords = tmp_path / "stop.txt"
+    stopwords.write_text("The\nAND\non\n")
+    out = tmp_path / "model"
+    code = main(["train", "--algo", "plsa", "--k", "2", "--corpus", str(corpus),
+                 "--stopwords", str(stopwords), "--out", str(out), "--seed", "1"])
+    assert code == 0
+    with open(out / "model.json", encoding="utf-8") as fh:
+        vocab = json.load(fh)["vocab"]
+    assert vocab == ["a", "cat", "cats", "dog", "dogs", "mat", "ran", "sat"]

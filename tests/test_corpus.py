@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,70 @@ from topicgrow.errors import DataError
 def row_as_dict(corpus, d):
     ids, counts = corpus.docs[d]
     return {corpus.vocab.term_of(int(t)): int(c) for t, c in zip(ids, counts)}
+
+
+def reference_ingest_text(lines, min_df=1, stopwords=None):
+    """The dictionary-counting ingest loop, kept as the reference:
+    returns (terms, rows, doc_ids, dropped doc ids)."""
+    stopwords = set(stopwords) if stopwords else set()
+    token_lists = [tokenize(line) for line in lines]
+    df = {}
+    for tokens in token_lists:
+        for term in set(tokens):
+            df[term] = df.get(term, 0) + 1
+    kept = sorted(t for t, n in df.items() if n >= min_df and t not in stopwords)
+    index = {t: i for i, t in enumerate(kept)}
+    rows, doc_ids, dropped = [], [], []
+    for i, tokens in enumerate(token_lists):
+        counts = {}
+        for term in tokens:
+            tid = index.get(term)
+            if tid is not None:
+                counts[tid] = counts.get(tid, 0) + 1
+        if counts:
+            ids = sorted(counts)
+            rows.append((np.array(ids), np.array([counts[t] for t in ids])))
+            doc_ids.append(str(i))
+        else:
+            dropped.append(str(i))
+    return kept, rows, doc_ids, dropped
+
+
+def reference_reindex(corpus, vocab):
+    """The per-entry reindex loop, kept as the reference: returns (rows, doc_ids, dropped)."""
+    rows, doc_ids, dropped = [], [], []
+    for d, (ids, counts) in enumerate(corpus.docs):
+        new = {}
+        for tid, c in zip(ids, counts):
+            mapped = vocab.index.get(corpus.vocab.term_of(tid))
+            if mapped is not None:
+                new[mapped] = new.get(mapped, 0) + int(c)
+        if new:
+            kept = sorted(new)
+            rows.append((np.array(kept), np.array([new[t] for t in kept])))
+            doc_ids.append(corpus.doc_ids[d])
+        else:
+            dropped.append(corpus.doc_ids[d])
+    return rows, doc_ids, dropped
+
+
+def assert_rows_equal(corpus, rows):
+    assert corpus.n_docs == len(rows)
+    for (ids, counts), (ref_ids, ref_counts) in zip(corpus.docs, rows):
+        np.testing.assert_array_equal(ids, ref_ids)
+        np.testing.assert_array_equal(counts, ref_counts)
+        assert ids.dtype == counts.dtype == np.int64
+
+
+def random_lines(rng, n_lines, words):
+    """Mixed-case lines of Zipf-distributed words and punctuation, some of them empty."""
+    weights = 1.0 / np.arange(1, len(words) + 1)
+    lines = []
+    for _ in range(n_lines):
+        n = int(rng.integers(0, 12))
+        picks = rng.choice(words, size=n, p=weights / weights.sum())
+        lines.append(" ".join(w.upper() if rng.random() < 0.2 else w for w in picks) + ".,!"[n % 3])
+    return lines
 
 
 class TestVocabulary:
@@ -68,6 +134,37 @@ class TestIngestText:
 
     def test_tokenizer_splits_punctuation(self):
         assert tokenize("Foo-bar, baz42! qux_quux") == ["foo", "bar", "baz42", "qux", "quux"]
+
+    def test_capitalized_stopwords_are_removed(self):
+        corpus = ingest_text(["The cat and the dog"], stopwords={"The", "and"})
+        assert corpus.vocab.terms == ["cat", "dog"]
+        assert row_as_dict(corpus, 0) == {"cat": 1, "dog": 1}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_reference_loop(self, seed, caplog):
+        rng = np.random.default_rng(seed)
+        words = ["alpha", "beta", "gamma", "delta", "eps", "eta", "theta", "x1", "b2_c"]
+        words += [f"rare{i}" for i in range(20)]
+        lines = random_lines(rng, int(rng.integers(1, 40)), words)
+        min_df = int(rng.integers(1, 4))
+        stopwords = set(rng.choice(["beta", "eta", "theta", "absent"], size=2).tolist())
+        terms, rows, doc_ids, dropped = reference_ingest_text(lines, min_df, stopwords)
+        if not rows:
+            with pytest.raises(DataError, match="all documents empty"):
+                ingest_text(lines, min_df=min_df, stopwords=stopwords)
+            return
+        with caplog.at_level(logging.WARNING, logger="topicgrow.corpus"):
+            corpus = ingest_text(lines, min_df=min_df, stopwords=stopwords)
+        assert corpus.vocab.terms == terms
+        assert_rows_equal(corpus, rows)
+        assert corpus.doc_ids == doc_ids
+        assert corpus.dropped_doc_ids == dropped
+        expected = [f"dropped {len(dropped)} empty documents after filtering"] if dropped else []
+        assert [r.getMessage() for r in caplog.records] == expected
+
+    def test_no_tokens_at_all_is_error(self):
+        with pytest.raises(DataError, match="all documents empty"):
+            ingest_text(["", "?!"])
 
     def test_deterministic(self):
         lines = ["the cat sat", "a cat ran", "dogs ran fast"]
@@ -158,6 +255,60 @@ class TestLanguageModels:
 
 
 class TestCorpusInvariants:
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([([0], [1]), ([], [])], "empty document row"),
+            ([([0], [1]), ([0, 1], [1])], "row ids/counts shape mismatch"),
+            ([([0], [1]), ([2, 0, 2], [1, 1, 1])], "duplicate term id within a document row"),
+            ([([0], [1]), ([1, 1], [1, 1])], "duplicate term id within a document row"),
+            ([([0], [1]), ([0, 3], [1, 1])], "term id out of vocabulary range"),
+            ([([0], [1]), ([-1, 0], [1, 1])], "term id out of vocabulary range"),
+            ([([0], [1]), ([1, 0], [2, 0])], "invalid count: counts must be >= 1"),
+            ([([0], [1]), ([1], [-4])], "invalid count: counts must be >= 1"),
+        ],
+    )
+    def test_each_defect_keeps_its_message(self, rows, message):
+        vocab = Vocabulary(["a", "b", "c"])
+        rows = [(np.array(i, dtype=np.int64), np.array(c, dtype=np.int64)) for i, c in rows]
+        with pytest.raises(DataError) as raised:
+            Corpus(vocab, rows, ["d0", "d1"])
+        assert str(raised.value) == message
+
+    def test_unsorted_rows_come_out_sorted(self):
+        vocab = Vocabulary(["a", "b", "c", "d"])
+        rows = [([3, 0, 2], [5, 6, 7]), ([1], [2]), ([2, 1], [8, 9])]
+        corpus = Corpus(vocab, rows, ["x", "y", "z"])
+        assert_rows_equal(corpus, [([0, 2, 3], [6, 7, 5]), ([1], [2]), ([1, 2], [9, 8])])
+
+    def test_row_boundaries_are_not_compared(self):
+        # a row may start at or below the last term of the row before it
+        vocab = Vocabulary(["a", "b", "c"])
+        corpus = Corpus(vocab, [([1, 2], [1, 1]), ([2], [3]), ([0, 1], [4, 5])], ["x", "y", "z"])
+        assert_rows_equal(corpus, [([1, 2], [1, 1]), ([2], [3]), ([0, 1], [4, 5])])
+
+    def test_docs_flat_and_segments_agree(self):
+        rng = np.random.default_rng(5)
+        rows = []
+        for _ in range(30):
+            ids = rng.choice(40, size=int(rng.integers(1, 12)), replace=False)
+            rows.append((ids, rng.integers(1, 9, size=ids.size)))
+        corpus = Corpus(Vocabulary([f"t{i}" for i in range(40)]), rows, [str(d) for d in range(30)])
+        doc_idx, word_idx, counts = corpus.flat()
+        starts, lengths = corpus.segments()
+        assert counts.dtype == np.float64
+        np.testing.assert_array_equal(doc_idx, np.repeat(np.arange(30), lengths))
+        for d, ((ids, row_counts), (ref_ids, ref_counts)) in enumerate(zip(corpus.docs, rows)):
+            order = np.argsort(ref_ids)
+            np.testing.assert_array_equal(ids, ref_ids[order])
+            np.testing.assert_array_equal(row_counts, ref_counts[order])
+            run = slice(starts[d], starts[d] + lengths[d])
+            np.testing.assert_array_equal(word_idx[run], ids)
+            np.testing.assert_array_equal(counts[run], row_counts)
+            assert corpus.doc_tokens(d) == ref_counts.sum()
+            assert not ids.flags.writeable and not row_counts.flags.writeable
+        assert corpus.total_tokens == sum(c.sum() for _, c in rows)
+
     def test_duplicate_term_id_rejected(self):
         vocab = Vocabulary(["a", "b"])
         with pytest.raises(DataError):
@@ -229,3 +380,26 @@ class TestReindex:
         assert out.n_docs == 1
         assert row_as_dict(out, 0) == {"a": 2, "b": 1}
         assert out.dropped_doc_ids == ["1"]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        terms = [f"t{i}" for i in range(30)]
+        triples = [
+            (f"doc{d}", terms[t], int(rng.integers(1, 5)))
+            for d in range(20)
+            for t in rng.choice(30, size=int(rng.integers(1, 6)), replace=False)
+        ]
+        corpus = ingest_sparse(triples)
+        target = Vocabulary(rng.permutation(terms[:18] + ["new1", "new2"]).tolist())
+        rows, doc_ids, dropped = reference_reindex(corpus, target)
+        out = reindex_corpus(corpus, target)
+        assert out.vocab == target
+        assert_rows_equal(out, rows)
+        assert out.doc_ids == doc_ids
+        assert out.dropped_doc_ids == dropped
+
+    def test_no_surviving_document_is_error(self):
+        corpus = ingest_sparse([(0, "a", 2), (1, "b", 1)])
+        with pytest.raises(DataError, match="no documents survive"):
+            reindex_corpus(corpus, Vocabulary(["c"]))

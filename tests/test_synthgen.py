@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from topicgrow import synthgen
 from topicgrow.errors import AlgorithmError, DataError
 from topicgrow.synthgen import (
+    PROFILES,
     SynthConfig,
     generate_corpus,
     sample_distinct_topics,
@@ -15,6 +17,63 @@ def desk_config(**overrides):
     params = dict(seed=11, n_docs=30, doc_len=80, n_topics=5, vocab_size=60)
     params.update(overrides)
     return SynthConfig(**params)
+
+
+def reference_distinct_topics(config):
+    """The candidate-by-candidate acceptance loop, kept as the reference."""
+    rng = stream_rng(config.seed, 0)
+    alpha = np.full(config.vocab_size, config.beta)
+    accepted = []
+    rejections = 0
+    budget = synthgen._MAX_REJECTIONS_PER_TOPIC * config.n_topics
+    while len(accepted) < config.n_topics:
+        batch = rng.dirichlet(alpha, size=synthgen._CANDIDATE_BATCH)
+        for cand in batch:
+            if len(accepted) == config.n_topics:
+                break
+            if accepted:
+                dmin = np.sqrt(((np.asarray(accepted) - cand) ** 2).sum(axis=1)).min()
+            else:
+                dmin = np.inf
+            if dmin > config.min_topic_dist:
+                accepted.append(cand)
+            else:
+                rejections += 1
+                if rejections > budget:
+                    raise AlgorithmError(f"unsatisfiable after {rejections} rejections")
+    return np.asarray(accepted)
+
+
+def reference_generate(config):
+    """The per-document generator with one ``Generator.choice`` per topic, kept as the
+    reference: returns (rows, doc_ids, topics, mixes, assignments)."""
+    topics = reference_distinct_topics(config)
+    k = config.n_topics
+    mixes = np.empty((config.n_docs, k))
+    rows, doc_ids, assignments = [], [], []
+    id_width = len(str(config.n_docs - 1))
+    for d in range(config.n_docs):
+        rng = stream_rng(config.seed, d + 1)
+        mix = rng.dirichlet(np.full(k, config.alpha))
+        mixes[d] = mix
+        z = rng.choice(k, size=config.doc_len, p=mix)
+        w = np.empty(config.doc_len, dtype=np.int64)
+        for t in range(k):
+            sel = z == t
+            n_t = int(sel.sum())
+            if n_t:
+                w[sel] = rng.choice(config.vocab_size, size=n_t, p=topics[t])
+        counts = np.bincount(w, minlength=config.vocab_size)
+        ids = np.nonzero(counts)[0]
+        rows.append((ids, counts[ids]))
+        doc_ids.append(f"d{d:0{id_width}d}")
+        assignments.append((z.astype(np.int64), w))
+    return rows, doc_ids, topics, mixes, assignments
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestConfig:
@@ -55,8 +114,67 @@ class TestDistinctTopics:
         with pytest.raises(AlgorithmError, match="unsatisfiable"):
             sample_distinct_topics(config)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            dict(n_topics=6, vocab_size=10, beta=1.0, min_topic_dist=0.6),  # 24 batches
+            dict(n_topics=8, vocab_size=10, beta=0.5, min_topic_dist=0.8),  # 5 batches
+            dict(seed=3, n_topics=20, vocab_size=1000, min_topic_dist=0.5),  # 2 batches
+        ],
+    )
+    def test_same_acceptances_as_reference(self, overrides):
+        config = desk_config(**overrides)
+        assert same_bytes(sample_distinct_topics(config), reference_distinct_topics(config))
+
+    def test_budget_runs_out_where_the_reference_does(self, monkeypatch):
+        monkeypatch.setattr(synthgen, "_MAX_REJECTIONS_PER_TOPIC", 30)
+        config = desk_config(n_topics=10, vocab_size=10, beta=0.2, min_topic_dist=1.1)
+        with pytest.raises(AlgorithmError) as expected:
+            reference_distinct_topics(config)
+        rejections = int(str(expected.value).split()[-2])
+        assert rejections == 30 * config.n_topics + 1
+        with pytest.raises(AlgorithmError, match=f"unsatisfiable: {rejections} rejections "):
+            sample_distinct_topics(config)
+
+
+GENERATOR_CASES = [
+    *(dict(seed=seed, **PROFILES["desk"]) for seed in (1, 2, 3)),
+    *(dict(PROFILES["paper"], seed=seed, n_docs=200) for seed in (1, 1001)),
+    dict(seed=4, n_docs=30, doc_len=80, n_topics=1, vocab_size=60),
+    dict(seed=5, n_docs=30, doc_len=1, n_topics=5, vocab_size=60),
+    dict(seed=6, n_docs=1, doc_len=80, n_topics=5, vocab_size=60),
+    dict(seed=7, n_docs=30, doc_len=80, n_topics=5, vocab_size=60, alpha=1000.0),
+]
+
+
+def assert_matches_reference(config):
+    corpus, truth = generate_corpus(config)
+    rows, doc_ids, topics, mixes, assignments = reference_generate(config)
+    assert corpus.doc_ids == doc_ids
+    assert corpus.n_docs == len(rows)
+    for (ids, counts), (ref_ids, ref_counts) in zip(corpus.docs, rows):
+        assert same_bytes(ids, ref_ids) and same_bytes(counts, ref_counts)
+    assert same_bytes(truth.topics, topics)
+    assert same_bytes(truth.doc_mixes, mixes)
+    assert len(truth.assignments) == len(assignments)
+    for (z, w), (ref_z, ref_w) in zip(truth.assignments, assignments):
+        assert same_bytes(z, ref_z) and same_bytes(w, ref_w)
+
 
 class TestGenerateCorpus:
+    @pytest.mark.parametrize(
+        "params", GENERATOR_CASES, ids=lambda p: ",".join(f"{k}={v}" for k, v in p.items())
+    )
+    def test_bit_identical_to_per_topic_choice(self, params):
+        assert_matches_reference(SynthConfig(**params))
+
+    @pytest.mark.parametrize("block_tokens", [1, 250, 1 << 30])
+    def test_block_size_does_not_change_the_corpus(self, monkeypatch, block_tokens):
+        # one document per block, blocks that split the corpus unevenly, one block
+        monkeypatch.setattr(synthgen, "_BLOCK_TOKENS", block_tokens)
+        assert_matches_reference(desk_config(seed=8, n_docs=23, doc_len=50))
+
     def test_row_counts_sum_to_doc_len(self):
         config = desk_config()
         corpus, _ = generate_corpus(config)
