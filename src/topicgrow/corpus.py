@@ -280,35 +280,60 @@ def ingest_sparse(triples, vocab=None):
     Duplicate (doc, term) pairs are summed. Documents, and terms unless a
     ``vocab`` fixes them, follow first-appearance order. Counts must be positive integers.
     """
-    term_ids = {} if vocab is None else vocab.index
-    doc_order = []
-    doc_counts = {}
-    for lineno, (doc_id, term, count) in enumerate(triples, start=1):
+    entries = _SparseEntries(() if vocab is None else vocab.terms)
+    for entry, (doc_id, term, count) in enumerate(triples, start=1):
         if isinstance(count, float) and not count.is_integer():
-            raise DataError(f"invalid count {count!r} at entry {lineno}")
-        count = int(count)
-        if count < 1:
-            raise DataError(f"invalid count {count!r} at entry {lineno}")
-        tid = term_ids.get(term)
-        if tid is None:
-            if vocab is not None:
-                raise DataError(f"term {term!r} at entry {lineno} is not in the vocabulary")
-            tid = term_ids[term] = len(term_ids)
-        if doc_id not in doc_counts:
-            doc_counts[doc_id] = {}
-            doc_order.append(doc_id)
-        row = doc_counts[doc_id]
-        row[tid] = row.get(tid, 0) + count
-    if not doc_order:
-        raise DataError("empty corpus: no triples")
-    if vocab is None:
-        vocab = Vocabulary(term_ids)
-    docs = []
-    for doc_id in doc_order:
-        row = doc_counts[doc_id]
-        ids = sorted(row)
-        docs.append((np.array(ids), np.array([row[t] for t in ids])))
-    return Corpus(vocab, docs, [str(d) for d in doc_order])
+            raise DataError(f"invalid count {count!r} at entry {entry}")
+        entries.add(doc_id, term, int(count))
+    return entries.corpus(vocab)
+
+
+class _SparseEntries:
+    """(doc_id, term, count) entries kept as flat integer lists as they arrive.
+
+    Documents get ids in order of first appearance. Terms get their place in
+    ``vocab_terms``, and a term outside those the next free id, so that a
+    fixed vocabulary can name it; without ``vocab_terms`` that is order of
+    first appearance.
+    """
+
+    def __init__(self, vocab_terms):
+        self.doc_index = {}
+        self.term_index = dict(zip(vocab_terms, range(len(vocab_terms))))
+        self.docs, self.words, self.counts = [], [], []
+
+    def add(self, doc_id, term, count):
+        self.docs.append(self.doc_index.setdefault(doc_id, len(self.doc_index)))
+        self.words.append(self.term_index.setdefault(term, len(self.term_index)))
+        self.counts.append(count)
+
+    def corpus(self, vocab):
+        """The Corpus of the entries, on ``vocab`` if given, else on the terms seen.
+
+        Rejects, at the first entry that has one, a count below 1 or a term
+        outside ``vocab``; duplicate (doc, term) pairs are summed.
+        """
+        if not self.counts:
+            raise DataError("empty corpus: no triples")
+        words = np.array(self.words, dtype=np.int64)
+        counts = np.array(self.counts, dtype=np.int64)
+        n_terms = len(self.term_index) if vocab is None else len(vocab)
+        bad = np.flatnonzero((counts < 1) | (words >= n_terms))
+        if bad.size:
+            entry = bad[0]
+            if counts[entry] < 1:
+                raise DataError(f"invalid count {int(counts[entry])!r} at entry {entry + 1}")
+            term = list(self.term_index)[words[entry]]
+            raise DataError(f"term {term!r} at entry {entry + 1} is not in the vocabulary")
+        if vocab is None:
+            vocab = Vocabulary(self.term_index)
+        keys, inverse = np.unique(np.array(self.docs, dtype=np.int64) * n_terms + words,
+                                  return_inverse=True)
+        sums = np.zeros(keys.size, dtype=np.int64)
+        np.add.at(sums, inverse, counts)  # integer sums: a float bincount rounds above 2**53
+        docs, words = np.divmod(keys, n_terms)
+        lengths = np.bincount(docs, minlength=len(self.doc_index))
+        return Corpus(vocab, split_rows(words, sums, lengths), [str(d) for d in self.doc_index])
 
 
 def doc_language_model(corpus, d):
@@ -362,6 +387,12 @@ def read_sparse_corpus(path):
     """Read a sparse corpus file: a "docs= terms= nnz=" header, the vocabulary one
     term per line, then doc/term/count triples. Without vocabulary lines the
     terms of the triples are taken in order of first appearance.
+
+    The triples are read straight into flat integer arrays, one id per
+    document and per term, and go through the same builder as
+    ``ingest_sparse``: a line that is not a triple or whose count is not an
+    integer is reported by line number, a count below 1 or a term outside the
+    vocabulary by entry number, the triples counted from 1.
     """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
@@ -369,12 +400,12 @@ def read_sparse_corpus(path):
         if not m:
             raise DataError(f"bad sparse corpus header: {header.strip()!r}")
         n_docs, n_terms, nnz = (int(g) for g in m.groups())
-        terms, triples = [], []
+        terms, entries = [], None
         for lineno, line in enumerate(fh, start=2):
             parts = line.split()
             if not parts:
                 continue
-            if len(parts) == 1 and not triples:
+            if len(parts) == 1 and entries is None:
                 terms.append(parts[0])
                 continue
             if len(parts) != 3:
@@ -383,12 +414,17 @@ def read_sparse_corpus(path):
                 count = int(parts[2])
             except ValueError:
                 raise DataError(f"invalid count {parts[2]!r} at line {lineno}") from None
-            triples.append((parts[0], parts[1], count))
-    corpus = ingest_sparse(triples, vocab=Vocabulary(terms) if terms else None)
-    if corpus.n_docs != n_docs or corpus.n_terms != n_terms or len(triples) != nnz:
+            if entries is None:
+                entries = _SparseEntries(terms)
+            entries.add(parts[0], parts[1], count)
+    vocab = Vocabulary(terms) if terms else None
+    entries = entries or _SparseEntries(terms)
+    corpus = entries.corpus(vocab)
+    if corpus.n_docs != n_docs or corpus.n_terms != n_terms or len(entries.counts) != nnz:
         raise DataError(
             f"sparse corpus header mismatch: header says docs={n_docs} terms={n_terms} "
-            f"nnz={nnz}, file has docs={corpus.n_docs} terms={corpus.n_terms} nnz={len(triples)}"
+            f"nnz={nnz}, file has docs={corpus.n_docs} terms={corpus.n_terms} "
+            f"nnz={len(entries.counts)}"
         )
     return corpus
 

@@ -1,11 +1,15 @@
-"""Evaluation metrics: topic quality/coverage error, PMI coherence, perplexity."""
+"""Evaluation metrics: topic quality/coverage error, PMI coherence, perplexity.
+
+PMI reads co-document frequencies of a reference corpus only for the pairs
+within each topic's top words; ``CooccurrenceStats`` counts those pairs on
+demand, from the corpus's flat arrays, and never enumerates all pairs.
+"""
 
 from __future__ import annotations
 
 import itertools
 import logging
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +19,8 @@ from .corpus import Corpus
 from .plsa import _e_step, fold_in_docs
 
 logger = logging.getLogger(__name__)
+
+_PAIR_BLOCK_CELLS = 1 << 16  # (document, top word) cells per block of ``count_pairs``
 
 
 @dataclass(frozen=True)
@@ -29,30 +35,63 @@ class PmiConfig:
 
 
 class CooccurrenceStats:
-    """Document and co-document frequencies from a reference corpus.
+    """Document and co-document frequencies of a reference corpus.
 
-    ``df[i]`` counts documents containing term i; ``co_df[(i, j)]`` (i < j)
-    counts documents containing both. Probabilities are estimated as
-    frequency / n_docs.
+    ``df[i]`` counts the documents that contain term i. Co-document
+    frequencies are counted on demand, only for the pairs asked for:
+    ``count_pairs`` stores in ``co_df[(i, j)]`` (i < j) the number of
+    documents that contain both terms, for each pair it counted that some
+    document holds, and ``co(i, j)`` reads it, 0 for a pair not stored.
+    Probabilities are estimated as frequency / n_docs.
     """
 
-    def __init__(self, terms, df, co_df, n_docs):
+    def __init__(self, terms, n_docs, doc_idx, word_idx):
+        """The reference's terms and document count, and its flat
+        (document, term) entries, each pair at most once, sorted by document."""
         self.terms = list(terms)
         self.index = {t: i for i, t in enumerate(self.terms)}
-        self.df = np.asarray(df, dtype=np.int64)
-        self.co_df = dict(co_df)
         self.n_docs = int(n_docs)
-        if self.df.shape != (len(self.terms),):
-            raise DataError("df length does not match terms")
+        self._doc_idx, self._word_idx = doc_idx, word_idx
+        self.df = np.bincount(word_idx, minlength=len(self.terms))
+        self.co_df = {}
 
     @classmethod
     def from_corpus(cls, corpus):
-        df = np.zeros(corpus.n_terms, dtype=np.int64)
-        co = Counter()
-        for ids, _ in corpus.docs:
-            df[ids] += 1
-            co.update(itertools.combinations(ids.tolist(), 2))
-        return cls(corpus.vocab.terms, df, co, corpus.n_docs)
+        doc_idx, word_idx, _ = corpus.flat()
+        return cls(corpus.vocab.terms, corpus.n_docs, doc_idx, word_idx)
+
+    def count_pairs(self, groups):
+        """Count the documents holding both terms of each pair within each group.
+
+        ``groups`` is a sequence of arrays of distinct term ids. The 0/1
+        incidence matrix X of documents by the groups' terms is built in
+        blocks of documents, and each group's counts are ``X.T @ X`` over its
+        own columns, so memory grows with the groups' sizes, not with the
+        corpus. The counts are sums of 0/1 products, so they are exact.
+        """
+        width = max((len(ids) for ids in groups), default=0)
+        if width < 2:
+            return
+        union = np.unique(np.concatenate(groups))
+        m = union.size
+        col = np.full(len(self.terms), m)  # column m collects the terms outside the groups
+        col[union] = np.arange(m)
+        pick = np.full((len(groups), width), m + 1)  # column m + 1 stays 0: padding
+        for g, ids in enumerate(groups):
+            pick[g, : len(ids)] = col[ids]
+        counts = np.zeros((len(groups), width, width))
+        step = max(1, _PAIR_BLOCK_CELLS // pick.size)
+        firsts = np.arange(0, self.n_docs, step)
+        bounds = np.append(np.searchsorted(self._doc_idx, firsts), self._doc_idx.size)
+        for d0, e0, e1 in zip(firsts, bounds[:-1], bounds[1:]):
+            x = np.zeros((step, m + 2))
+            x[self._doc_idx[e0:e1] - d0, col[self._word_idx[e0:e1]]] = 1.0
+            xg = x[:, pick].transpose(1, 0, 2)  # (group, document, word)
+            counts += xg.transpose(0, 2, 1) @ xg
+        g, a, b = np.nonzero(np.triu(counts, 1))
+        i, j = union[pick[g, a]], union[pick[g, b]]
+        pairs = zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist())
+        self.co_df.update(zip(pairs, counts[g, a, b].astype(np.int64).tolist()))
 
     def co(self, i, j):
         if i > j:
@@ -95,20 +134,28 @@ def pmi_coherence(topics, vocab, stats, cfg=PmiConfig()):
     """Mean pointwise mutual information over top-word pairs, averaged over topics.
 
     Word probabilities come from the reference-corpus document frequencies.
-    Pairs that never co-occur contribute the additively smoothed ratio
+    The co-document frequencies of the pairs within each topic's top words
+    that the reference knows are counted first, in one ``stats.count_pairs``
+    call. Pairs that never co-occur contribute the additively smoothed ratio
     (co-df of 0.5), and a top word missing from the stats is treated as having
-    df 0.5, so the score stays finite.
+    df 0.5, so the score stays finite. A model of fewer than two terms has no
+    pairs to score and raises ``DataError``.
     """
     topics = np.asarray(topics, dtype=float)
+    if topics.shape[1] < 2:
+        raise DataError(
+            f"PMI needs at least 2 ranked words per topic; the model has {topics.shape[1]} term(s)"
+        )
     n = stats.n_docs
+    ranked = [[stats.index.get(vocab.term_of(int(w))) for w in top_words(row, cfg.top_n)]
+              for row in topics]
+    stats.count_pairs([np.array([i for i in sids if i is not None], dtype=np.int64)
+                       for sids in ranked])
     per_topic = []
-    for row in topics:
-        ranked = top_words(row, cfg.top_n)
-        sids = [stats.index.get(vocab.term_of(int(w))) for w in ranked]
+    for sids in ranked:
         total = 0.0
         pairs = 0
-        for a, b in itertools.combinations(range(len(ranked)), 2):
-            i, j = sids[a], sids[b]
+        for i, j in itertools.combinations(sids, 2):
             df_i = stats.df[i] if i is not None and stats.df[i] > 0 else 0.5
             df_j = stats.df[j] if j is not None and stats.df[j] > 0 else 0.5
             co = stats.co(i, j) if i is not None and j is not None else 0

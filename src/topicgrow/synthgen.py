@@ -31,6 +31,7 @@ from .errors import AlgorithmError, DataError
 RNG_ALGORITHM = "numpy.random.Philox4x64 key=(seed, stream); stream 0 topics, stream d+1 document d"
 
 _CANDIDATE_BATCH = 256
+_UNUSED_SEED = np.random.SeedSequence(0)  # replaced by the keyed state in ``stream_rng``
 _BLOCK_TOKENS = 1 << 13  # tokens per block of documents drawn together; bounds the temporaries
 _MAX_REJECTIONS_PER_TOPIC = 10_000
 
@@ -80,9 +81,24 @@ class SyntheticTruth:
 
 
 def stream_rng(seed, stream):
-    """Counter-based generator for one logical stream of a seeded run."""
-    key = np.array([seed, stream], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Counter-based generator for one logical stream of a seeded run.
+
+    It draws what ``Generator(Philox(key=[seed, stream]))`` draws. That
+    constructor first seeds a ``SeedSequence`` from OS entropy and then
+    discards it; here the bit generator starts from a fixed sequence and is
+    then given the keyed state, counter 0 and an empty buffer.
+    """
+    bit_gen = np.random.Philox(_UNUSED_SEED)
+    bit_gen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64),
+                  "key": np.array([seed, stream], dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return np.random.Generator(bit_gen)
 
 
 def term_name(i, vocab_size):

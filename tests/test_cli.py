@@ -137,3 +137,14 @@ def test_train_stopwords_match_any_case(tmp_path):
     with open(out / "model.json", encoding="utf-8") as fh:
         vocab = json.load(fh)["vocab"]
     assert vocab == ["a", "cat", "cats", "dog", "dogs", "mat", "ran", "sat"]
+
+
+def test_pmi_of_a_single_term_model_is_a_data_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("cat cat\ncat\n")
+    assert main(["train", "--algo", "plsa", "--k", "1", "--corpus", str(corpus),
+                 "--out", str(tmp_path), "--seed", "1"]) == 0
+    code = main(["eval", "--model", str(tmp_path / "model.json"), "--out", str(tmp_path),
+                 "--reference", str(corpus), "--seed", "1"])
+    assert code == EXIT_DATA == 2
+    assert "at least 2 ranked words per topic" in capsys.readouterr().err

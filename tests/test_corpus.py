@@ -4,18 +4,21 @@ import numpy as np
 import pytest
 
 from topicgrow.corpus import (
+    SPARSE_HEADER_RE,
     Corpus,
     Vocabulary,
     background_model,
     doc_language_model,
     ingest_sparse,
     ingest_text,
+    load_corpus,
     read_sparse_corpus,
     reindex_corpus,
     tokenize,
     write_sparse_corpus,
 )
 from topicgrow.errors import DataError
+from topicgrow.synthgen import SynthConfig, generate_corpus
 
 
 def row_as_dict(corpus, d):
@@ -173,6 +176,161 @@ class TestIngestText:
         assert a.vocab == b.vocab
         for (ia, ca), (ib, cb) in zip(a.docs, b.docs):
             assert np.array_equal(ia, ib) and np.array_equal(ca, cb)
+
+
+def reference_ingest_sparse(triples, vocab=None):
+    """The dictionary-counting sparse ingest, kept as the reference."""
+    term_ids = {} if vocab is None else vocab.index
+    doc_order = []
+    doc_counts = {}
+    for lineno, (doc_id, term, count) in enumerate(triples, start=1):
+        if isinstance(count, float) and not count.is_integer():
+            raise DataError(f"invalid count {count!r} at entry {lineno}")
+        count = int(count)
+        if count < 1:
+            raise DataError(f"invalid count {count!r} at entry {lineno}")
+        tid = term_ids.get(term)
+        if tid is None:
+            if vocab is not None:
+                raise DataError(f"term {term!r} at entry {lineno} is not in the vocabulary")
+            tid = term_ids[term] = len(term_ids)
+        if doc_id not in doc_counts:
+            doc_counts[doc_id] = {}
+            doc_order.append(doc_id)
+        row = doc_counts[doc_id]
+        row[tid] = row.get(tid, 0) + count
+    if not doc_order:
+        raise DataError("empty corpus: no triples")
+    if vocab is None:
+        vocab = Vocabulary(term_ids)
+    docs = []
+    for doc_id in doc_order:
+        row = doc_counts[doc_id]
+        ids = sorted(row)
+        docs.append((np.array(ids), np.array([row[t] for t in ids])))
+    return Corpus(vocab, docs, [str(d) for d in doc_order])
+
+
+def reference_read_sparse(path):
+    """The sparse file reader that kept every triple as a tuple, kept as the reference."""
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline()
+        m = SPARSE_HEADER_RE.match(header)
+        if not m:
+            raise DataError(f"bad sparse corpus header: {header.strip()!r}")
+        n_docs, n_terms, nnz = (int(g) for g in m.groups())
+        terms, triples = [], []
+        for lineno, line in enumerate(fh, start=2):
+            parts = line.split()
+            if not parts:
+                continue
+            if len(parts) == 1 and not triples:
+                terms.append(parts[0])
+                continue
+            if len(parts) != 3:
+                raise DataError(f"bad sparse corpus line {lineno}: {line.strip()!r}")
+            try:
+                count = int(parts[2])
+            except ValueError:
+                raise DataError(f"invalid count {parts[2]!r} at line {lineno}") from None
+            triples.append((parts[0], parts[1], count))
+    corpus = reference_ingest_sparse(triples, vocab=Vocabulary(terms) if terms else None)
+    if corpus.n_docs != n_docs or corpus.n_terms != n_terms or len(triples) != nnz:
+        raise DataError(
+            f"sparse corpus header mismatch: header says docs={n_docs} terms={n_terms} "
+            f"nnz={nnz}, file has docs={corpus.n_docs} terms={corpus.n_terms} nnz={len(triples)}"
+        )
+    return corpus
+
+
+def outcome(read, *args):
+    """What a reader makes of its input: the corpus's parts, or its DataError message."""
+    try:
+        corpus = read(*args)
+    except DataError as exc:
+        return str(exc)
+    return (corpus.vocab.terms, corpus.doc_ids, *(a.tolist() for a in corpus.flat()))
+
+
+def random_sparse_text(rng, vocab_lines):
+    """A sparse file of random triples, with duplicate pairs and blank lines."""
+    terms = [f"t{i}" for i in rng.permutation(25)]
+    lines = []
+    for _ in range(int(rng.integers(1, 60))):
+        lines.append(f"doc{rng.integers(12)} {rng.choice(terms[:20])} {rng.integers(1, 6)}")
+        if rng.random() < 0.3:
+            lines.append(lines[-1])  # the same pair again: counts are summed
+        if rng.random() < 0.2:
+            lines.append(" " * int(rng.integers(3)))
+    docs = {line.split()[0] for line in lines if line.strip()}
+    seen = {line.split()[1] for line in lines if line.strip()}
+    nnz = sum(1 for line in lines if line.strip())
+    head = [f"docs={len(docs)} terms={len(terms) if vocab_lines else len(seen)} nnz={nnz}"]
+    return "\n".join(head + (terms if vocab_lines else []) + lines) + "\n"
+
+
+class TestSparseReaderOracle:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_synth_round_trip(self, tmp_path, seed):
+        corpus, _ = generate_corpus(SynthConfig(seed=seed, n_docs=40, doc_len=30, n_topics=3,
+                                                vocab_size=80))
+        path = tmp_path / "corpus.sparse"
+        write_sparse_corpus(corpus, path)
+        got = outcome(load_corpus, path)
+        assert got == outcome(reference_read_sparse, path)
+        assert got[:2] == (corpus.vocab.terms, corpus.doc_ids)
+
+    @pytest.mark.parametrize("vocab_lines", [True, False])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_files(self, tmp_path, seed, vocab_lines):
+        path = tmp_path / "corpus.sparse"
+        path.write_text(random_sparse_text(np.random.default_rng(seed), vocab_lines))
+        got = outcome(load_corpus, path)
+        assert isinstance(got, tuple)
+        assert got == outcome(reference_read_sparse, path)
+
+    @pytest.mark.parametrize("text", [
+        "docs=zzz\n",
+        "",
+        "docs=1 terms=1 nnz=1\nd0 a\n",
+        "docs=1 terms=1 nnz=1\nd0 a 1 extra\n",
+        "docs=1 terms=1 nnz=2\nd0 a 1\nlonely\n",
+        "docs=1 terms=1 nnz=1\nd0 a 1.5\n",
+        "docs=1 terms=1 nnz=1\nd0 a x\n",
+        "docs=1 terms=1 nnz=1\nd0 a 0\n",
+        "docs=1 terms=1 nnz=2\nd0 a 1\nd0 a -2\n",
+        "docs=1 terms=1 nnz=1\na\nd0 b 1\n",
+        "docs=1 terms=2 nnz=2\na\nb\nd0 a 1\nd0 c 0\n",  # count before term, one entry
+        "docs=1 terms=2 nnz=1\na\na\nd0 a 1\n",
+        "docs=0 terms=0 nnz=0\n",
+        "docs=0 terms=1 nnz=0\na\n\n",
+        "docs=5 terms=1 nnz=1\nd0 a 1\n",
+        "docs=1 terms=3 nnz=1\nd0 a 1\n",
+        "docs=1 terms=1 nnz=1\nd0 a 1\nd0 a 2\n",
+        # several faults: the file's lines are checked before its entries
+        "docs=1 terms=1 nnz=2\nd0 a 0\nd0 a 1 2\n",
+        "docs=1 terms=1 nnz=2\na\na\nd0 b 0\nd0 a x\n",
+        "docs=1 terms=1 nnz=2\na\nd0 b 1\nd0 a 0\n",
+    ])
+    def test_malformed_files_keep_their_messages(self, tmp_path, text):
+        path = tmp_path / "bad.sparse"
+        path.write_text(text)
+        got = outcome(read_sparse_corpus, path)
+        assert isinstance(got, str)
+        assert got == outcome(reference_read_sparse, path)
+
+    @pytest.mark.parametrize("triples, vocab", [
+        ([(0, "a", 2), (1, "b", 3.0), (0, "a", 1), (2, "c", True)], None),
+        ([("x", "b", 1), ("y", "a", 2), ("x", "b", 4)], Vocabulary(["a", "b", "z"])),
+        ([(0, "a", 1.5)], None),
+        ([(0, "a", 1), (0, "b", float("nan"))], None),
+        ([(0, "a", -1.0)], None),
+        ([(0, "a", 1), (1, "q", 2)], Vocabulary(["a"])),
+        ([], None),
+    ])
+    def test_triples_match_the_reference(self, triples, vocab):
+        assert outcome(ingest_sparse, triples, vocab) == outcome(
+            reference_ingest_sparse, triples, vocab)
 
 
 class TestIngestSparse:

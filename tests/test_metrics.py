@@ -1,4 +1,7 @@
+import itertools
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +18,67 @@ from topicgrow.metrics import (
     top_words,
 )
 from topicgrow.plsa import EmConfig, fold_in
+from topicgrow.synthgen import SynthConfig, generate_corpus
+
+
+class AllPairsStats:
+    """Oracle: the statistics PMI was scored from when every within-document
+    pair of a reference corpus was counted up front."""
+
+    def __init__(self, corpus):
+        self.terms = list(corpus.vocab.terms)
+        self.index = {t: i for i, t in enumerate(self.terms)}
+        self.df = np.zeros(corpus.n_terms, dtype=np.int64)
+        self.co_df = Counter()
+        for ids, _ in corpus.docs:
+            self.df[ids] += 1
+            self.co_df.update(itertools.combinations(ids.tolist(), 2))
+        self.n_docs = corpus.n_docs
+
+    def co(self, i, j):
+        if i > j:
+            i, j = j, i
+        return self.co_df.get((i, j), 0)
+
+
+def oracle_pmi(topics, vocab, stats, top_n):
+    """Oracle: PMI scored pair by pair from ``AllPairsStats``."""
+    n = stats.n_docs
+    per_topic = []
+    for row in np.asarray(topics, dtype=float):
+        ranked = top_words(row, top_n)
+        sids = [stats.index.get(vocab.term_of(int(w))) for w in ranked]
+        total = 0.0
+        pairs = 0
+        for a, b in itertools.combinations(range(len(ranked)), 2):
+            i, j = sids[a], sids[b]
+            df_i = stats.df[i] if i is not None and stats.df[i] > 0 else 0.5
+            df_j = stats.df[j] if j is not None and stats.df[j] > 0 else 0.5
+            co = stats.co(i, j) if i is not None and j is not None else 0
+            if co == 0:
+                co = 0.5
+            total += math.log(co * n / (df_i * df_j))
+            pairs += 1
+        per_topic.append(total / pairs)
+    return float(np.mean(per_topic))
+
+
+def random_reference(rng, n_docs, n_terms, max_len):
+    triples = []
+    for d in range(n_docs):
+        for t in rng.choice(n_terms, size=rng.integers(1, max_len + 1), replace=False):
+            triples.append((d, f"t{t}", 1))
+    return ingest_sparse(triples)
+
+
+def top_word_pairs(topics, vocab, stats, top_n):
+    """The distinct pairs (i, j), i < j, of reference ids within each topic's top words."""
+    pairs = set()
+    for row in topics:
+        sids = [stats.index.get(vocab.term_of(int(w))) for w in top_words(row, top_n)]
+        sids = [i for i in sids if i is not None]
+        pairs.update((min(i, j), max(i, j)) for i, j in itertools.combinations(sids, 2))
+    return pairs
 
 
 def brute_force_tqe(learned, truth):
@@ -121,20 +185,16 @@ class TestPmi:
         assert score == pytest.approx(math.log(0.5 * 2 / (1 * 1)), abs=1e-12)
 
     def test_scale_invariance(self):
-        corpus = ingest_sparse(
-            [(0, "a", 1), (0, "b", 1), (1, "a", 1), (1, "c", 1),
-             (2, "a", 1), (2, "b", 1), (2, "c", 1)]
-        )
-        stats = CooccurrenceStats.from_corpus(corpus)
-        scaled = CooccurrenceStats(
-            stats.terms,
-            stats.df * 3,
-            {pair: c * 3 for pair, c in stats.co_df.items()},
-            stats.n_docs * 3,
-        )
+        triples = [(0, "a", 1), (0, "b", 1), (1, "a", 1), (1, "c", 1),
+                   (2, "a", 1), (2, "b", 1), (2, "c", 1)]
+        corpus = ingest_sparse(triples)
+        # three copies of each document: every df, co-df and n triples
+        tripled = ingest_sparse([(f"{d}.{copy}", t, c) for d, t, c in triples for copy in range(3)])
         topics = np.array([[0.5, 0.3, 0.2]])
-        a = pmi_coherence(topics, corpus.vocab, stats, PmiConfig(top_n=3))
-        b = pmi_coherence(topics, corpus.vocab, scaled, PmiConfig(top_n=3))
+        a = pmi_coherence(topics, corpus.vocab, CooccurrenceStats.from_corpus(corpus),
+                          PmiConfig(top_n=3))
+        b = pmi_coherence(topics, tripled.vocab, CooccurrenceStats.from_corpus(tripled),
+                          PmiConfig(top_n=3))
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_missing_word_smoothed(self):
@@ -147,15 +207,60 @@ class TestPmi:
 
     def test_stats_invariants(self):
         rng = np.random.default_rng(9)
-        triples = []
-        for d in range(12):
-            for t in rng.choice(8, size=rng.integers(2, 6), replace=False):
-                triples.append((d, f"t{t}", 1))
-        corpus = ingest_sparse(triples)
+        corpus = random_reference(rng, 12, 8, 5)
         stats = CooccurrenceStats.from_corpus(corpus)
+        assert stats.co_df == {}  # nothing is counted before PMI asks
+        topics = rng.dirichlet(np.ones(corpus.n_terms), size=3)
+        pmi_coherence(topics, corpus.vocab, stats, PmiConfig(top_n=4))
+        oracle = AllPairsStats(corpus)
+        assert stats.co_df
         for (i, j), c in stats.co_df.items():
             assert i < j
-            assert c <= min(stats.df[i], stats.df[j])
+            assert 0 < c <= min(stats.df[i], stats.df[j])
+            assert c == oracle.co(i, j)
+        np.testing.assert_array_equal(stats.df, oracle.df)
+
+    @pytest.mark.parametrize("top_n", [2, 3, 20])
+    @pytest.mark.parametrize("k", [1, 7, 40])
+    def test_matches_all_pairs_oracle(self, top_n, k):
+        rng = np.random.default_rng(100 * top_n + k)
+        for _ in range(3):
+            corpus = random_reference(rng, int(rng.integers(5, 60)), 30, 12)
+            # the model knows 6 terms the reference never saw
+            vocab = Vocabulary(corpus.vocab.terms + [f"new{i}" for i in range(6)])
+            topics = rng.dirichlet(np.full(len(vocab), 0.3), size=k)
+            stats = CooccurrenceStats.from_corpus(corpus)
+            got = pmi_coherence(topics, vocab, stats, PmiConfig(top_n=top_n))
+            assert got == oracle_pmi(topics, vocab, AllPairsStats(corpus), top_n)
+
+    def test_stores_only_top_word_pairs(self):
+        rng = np.random.default_rng(21)
+        corpus = random_reference(rng, 80, 50, 20)
+        topics = rng.dirichlet(np.full(corpus.n_terms, 0.3), size=6)
+        stats = CooccurrenceStats.from_corpus(corpus)
+        pmi_coherence(topics, corpus.vocab, stats, PmiConfig(top_n=5))
+        wanted = top_word_pairs(topics, corpus.vocab, stats, 5)
+        assert set(stats.co_df) <= wanted
+        assert len(stats.co_df) <= len(wanted) < len(AllPairsStats(corpus).co_df)
+
+    def test_paper_scale_reference_memory(self):
+        # Counting every within-document pair of this reference up front
+        # allocates about 18 MiB; the top-word pairs need a few.
+        reference, truth = generate_corpus(SynthConfig(seed=3, n_docs=1000))
+        tracemalloc.start()
+        try:
+            stats = CooccurrenceStats.from_corpus(reference)
+            pmi_coherence(truth.topics, reference.vocab, stats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
+
+    def test_single_term_model_is_a_data_error(self):
+        corpus = ingest_sparse([(0, "cat", 2), (1, "cat", 1)])
+        stats = CooccurrenceStats.from_corpus(corpus)
+        with pytest.raises(DataError, match="at least 2 ranked words per topic"):
+            pmi_coherence(np.array([[1.0]]), corpus.vocab, stats)
 
     def test_top_words_tie_breaks_low_index(self):
         ids = top_words(np.array([0.2, 0.4, 0.2, 0.2]), 3)

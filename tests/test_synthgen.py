@@ -76,6 +76,38 @@ def same_bytes(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+class TestStreamRng:
+    @pytest.mark.parametrize("seed, stream", [
+        (0, 0), (1, 1), (5, 3), (2, 1201), (12345, 0), (2**63 + 7, 2**40), (2**64 - 1, 2**64 - 1),
+    ])
+    def test_draws_equal_philox_keyed_by_seed_and_stream(self, seed, stream):
+        keyed = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+        rng = stream_rng(seed, stream)
+        assert same_bytes(rng.dirichlet(np.full(7, 0.1)), keyed.dirichlet(np.full(7, 0.1)))
+        assert same_bytes(rng.random(301), keyed.random(301))
+        assert same_bytes(rng.integers(0, 2**32, 9, dtype=np.uint32),
+                          keyed.integers(0, 2**32, 9, dtype=np.uint32))
+        assert same_bytes(rng.standard_normal(5), keyed.standard_normal(5))
+
+    def test_no_os_entropy_is_drawn(self, monkeypatch):
+        from numpy.random import bit_generator
+
+        if not hasattr(bit_generator, "randbits"):
+            pytest.skip("this numpy draws seed entropy elsewhere")
+
+        def no_entropy(*args):
+            raise AssertionError("OS entropy drawn")
+
+        monkeypatch.setattr(bit_generator, "randbits", no_entropy)
+        generate_corpus(desk_config(n_docs=3))
+
+    def test_streams_do_not_share_state(self):
+        a, b = stream_rng(3, 1), stream_rng(3, 1)
+        first = a.random(4)
+        assert same_bytes(b.random(4), first)
+        assert not same_bytes(a.random(4), first)
+
+
 class TestConfig:
     def test_rejects_bad_threshold(self):
         with pytest.raises(DataError):
