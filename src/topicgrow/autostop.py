@@ -17,13 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import background_model, doc_language_model
+from .corpus import background_model, doc_language_model, pooled_counts
 from .errors import AlgorithmError, DataError
-from .nplsa import _WARM_KEEP, doc_self_loglik
+from .nplsa import MAX_TOPICS, growth_start, warm_start
 from .plsa import (
     TraceRow,
     _e_step,
-    _floor_rows,
     _m_step,
     em_refine,
     fold_in_all,
@@ -31,6 +30,8 @@ from .plsa import (
 )
 
 logger = logging.getLogger(__name__)
+
+DEFAULT_LAM = 0.5  # default weight of the query model against the background in pseudo feedback
 
 
 @dataclass
@@ -64,7 +65,7 @@ def query_distance(theta_q, topics):
     return float(dists[idx]), idx
 
 
-def estimate_query_model(corpus, query_terms, lam=0.5, max_iters=50):
+def estimate_query_model(corpus, query_terms, lam=DEFAULT_LAM, max_iters=50):
     """Estimate a query language model by model-based pseudo feedback.
 
     The feedback set is every document containing at least one query term.
@@ -73,25 +74,19 @@ def estimate_query_model(corpus, query_terms, lam=0.5, max_iters=50):
     pooled feedback MLE and is re-estimated by EM on the feedback tokens.
     EM steps whose objective gain is negligible are not applied, so as
     lam -> 0 (where the objective is flat in theta_q) the initializer is
-    returned unchanged.
+    returned unchanged. ``lam`` must lie in [0, 1].
     """
-    term_ids = set()
-    for raw in query_terms:
-        term = raw.strip().lower()
-        if term in corpus.vocab.index:
-            term_ids.add(corpus.vocab.index[term])
-    feedback = [
-        d
-        for d in range(corpus.n_docs)
-        if term_ids & set(corpus.docs[d][0].tolist())
-    ]
-    if not feedback:
+    if not 0.0 <= lam <= 1.0:  # also rejects NaN
+        raise DataError(f"lam must lie in [0, 1], got {lam}")
+    terms = [raw.strip().lower() for raw in query_terms]
+    term_ids = [corpus.vocab.index[t] for t in terms if t in corpus.vocab.index]
+    doc_idx, word_idx, _ = corpus.flat()
+    feedback = np.zeros(corpus.n_docs, dtype=bool)
+    feedback[doc_idx[np.isin(word_idx, term_ids)]] = True
+    if not feedback.any():
         raise DataError(f"query not in corpus: no document matches {list(query_terms)!r}")
 
-    pooled = np.zeros(corpus.n_terms)
-    for d in feedback:
-        ids, counts = corpus.docs[d]
-        pooled[ids] += counts
+    pooled = pooled_counts(corpus, feedback)
     support = pooled > 0
     counts = pooled[support]
     theta_c = background_model(corpus)[support]
@@ -113,11 +108,7 @@ def estimate_query_model(corpus, query_terms, lam=0.5, max_iters=50):
         cur, obj = cand, new_obj
     theta_q = np.zeros(corpus.n_terms)
     theta_q[support] = cur
-    return QueryModel(
-        terms=[t.strip().lower() for t in query_terms],
-        theta_q=theta_q,
-        feedback_size=len(feedback),
-    )
+    return QueryModel(terms=terms, theta_q=theta_q, feedback_size=int(feedback.sum()))
 
 
 class StopDetector:
@@ -177,11 +168,9 @@ def _grow(corpus, config, detector, score_fn, max_topics, max_spawns):
     fires (or the spawn budget runs out) the best snapshot is restored and
     refined with plain EM. Returns (topics, mixes, trace).
     """
-    d_count = corpus.n_docs
-    rng = np.random.default_rng(config.seed)
-    topics = _floor_rows(rng.dirichlet(np.ones(corpus.n_terms), size=1), config.smoothing_floor)
-    mixes = np.ones((d_count, 1))
-    self_lls = np.array([doc_self_loglik(corpus.docs[d]) for d in range(d_count)])
+    if max_spawns is not None and max_spawns < 0:
+        raise DataError("max_spawns must be >= 0")
+    topics, mixes, self_lls = growth_start(corpus, config, max_topics)
 
     trace = []
     score, fields = score_fn(topics)
@@ -207,16 +196,13 @@ def _grow(corpus, config, detector, score_fn, max_topics, max_spawns):
             )
         t0 = time.perf_counter()
 
-        init = _WARM_KEEP * mixes + (1.0 - _WARM_KEEP) / k
-        fit_mixes, fit_lls = fold_in_all(corpus, topics, config, init_mixes=init)
+        fit_mixes, fit_lls = fold_in_all(corpus, topics, config, init_mixes=warm_start(mixes, k)[1])
         deltas = self_lls - fit_lls
         d_star = int(np.argmax(deltas))
 
         topics = np.vstack([topics, doc_language_model(corpus, d_star)])
         k += 1
-        init = np.hstack([fit_mixes, np.zeros((d_count, 1))])
-        init = _WARM_KEEP * init + (1.0 - _WARM_KEEP) / k
-        new_mixes, _ = fold_in_all(corpus, topics, config, init_mixes=init)
+        new_mixes, _ = fold_in_all(corpus, topics, config, init_mixes=warm_start(fit_mixes, k)[1])
         new_mixes[d_star] = 0.0
         new_mixes[d_star, k - 1] = 1.0
         ratio, doc_counts, _ = _e_step(corpus, topics, new_mixes)
@@ -267,17 +253,17 @@ def _diversity_fields(topics):
     return value, {"diversity": value}
 
 
-def train_parameter_free(corpus, config, detector=None, max_topics=1000, max_spawns=None):
+def train_parameter_free(corpus, config, detector=None, max_topics=MAX_TOPICS, max_spawns=None):
     """Grow topics until inter-topic diversity stops improving.
 
-    ``detector`` defaults to maximize-mode with patience 3; pass a configured
-    StopDetector to change patience or to inspect the score history and the
-    best snapshot afterwards. ``max_spawns`` optionally caps the number of
-    growth iterations (useful for recording full score curves). Returns
-    (topics, mixes, trace).
+    ``detector`` defaults to a maximize-mode StopDetector with its default
+    patience; pass a configured one to change patience or to inspect the score
+    history and the best snapshot afterwards. ``max_spawns`` optionally caps
+    the number of growth iterations (useful for recording full score curves).
+    Returns (topics, mixes, trace).
     """
     if detector is None:
-        detector = StopDetector(mode="maximize", patience=3)
+        detector = StopDetector(mode="maximize")
     return _grow(corpus, config, detector, _diversity_fields, max_topics, max_spawns)
 
 
@@ -285,10 +271,9 @@ def train_weakly_supervised(
     corpus,
     query_terms,
     config,
-    lam=0.5,
-    feedback_iters=50,
+    lam=DEFAULT_LAM,
     detector=None,
-    max_topics=1000,
+    max_topics=MAX_TOPICS,
     max_spawns=None,
 ):
     """Grow topics until the closest topic to the query model stops improving.
@@ -296,11 +281,12 @@ def train_weakly_supervised(
     The query model is estimated once by pseudo feedback; growth then follows
     the same farthest-first loop as train_parameter_free but stops when the
     minimum L2 distance between the query model and the topics reaches its
-    minimum. Returns (topics, mixes, trace).
+    minimum. ``detector`` defaults to a minimize-mode StopDetector with its
+    default patience. Returns (topics, mixes, trace).
     """
-    query = estimate_query_model(corpus, query_terms, lam=lam, max_iters=feedback_iters)
+    query = estimate_query_model(corpus, query_terms, lam=lam)
     if detector is None:
-        detector = StopDetector(mode="minimize", patience=3)
+        detector = StopDetector(mode="minimize")
 
     def score_fn(topics):
         dist, idx = query_distance(query.theta_q, topics)

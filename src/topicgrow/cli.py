@@ -12,12 +12,14 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .autostop import (
+    DEFAULT_LAM,
     StopDetector,
     diversity,
     train_parameter_free,
@@ -26,6 +28,7 @@ from .autostop import (
 from .corpus import load_corpus, read_stopwords, reindex_corpus, write_sparse_corpus
 from .errors import AlgorithmError, DataError
 from .metrics import (
+    DEFAULT_SPLIT_FRACTION,
     CooccurrenceStats,
     PmiConfig,
     perplexity,
@@ -34,7 +37,7 @@ from .metrics import (
     topic_quality_error,
 )
 from .modelio import read_model, write_json, write_model, write_trace
-from .nplsa import train_nplsa
+from .nplsa import MAX_TOPICS, train_nplsa
 from .plsa import EmConfig, train_plsa
 from .synthgen import PROFILES, RNG_ALGORITHM, SynthConfig, generate_corpus
 
@@ -63,6 +66,8 @@ def _add_common(parser):
 
 
 def build_parser():
+    em = EmConfig(seed=0)
+    synth_defaults = SynthConfig(seed=0)
     parser = _Parser(prog="topicgrow", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -74,9 +79,9 @@ def build_parser():
     synth.add_argument("--doc-len", type=int, help="override: tokens per document")
     synth.add_argument("--topics", type=int, help="override: number of topics")
     synth.add_argument("--vocab", type=int, help="override: vocabulary size")
-    synth.add_argument("--alpha", type=float, default=0.1)
-    synth.add_argument("--beta", type=float, default=0.01)
-    synth.add_argument("--min-topic-dist", type=float, default=0.5)
+    synth.add_argument("--alpha", type=float, default=synth_defaults.alpha)
+    synth.add_argument("--beta", type=float, default=synth_defaults.beta)
+    synth.add_argument("--min-topic-dist", type=float, default=synth_defaults.min_topic_dist)
 
     train = sub.add_parser("train", help="train a topic model on a corpus file")
     _add_common(train)
@@ -86,20 +91,20 @@ def build_parser():
     train.add_argument("--k", type=int, help="topic count (plsa only)")
     train.add_argument("--epsilon", type=float, help="spawn threshold in nats (nplsa only)")
     train.add_argument("--query", help="whitespace-separated query terms (query only)")
-    train.add_argument("--lambda", dest="lam", type=float, default=0.5,
+    train.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAM,
                        help="query/background mixture weight for pseudo feedback")
-    train.add_argument("--patience", type=int, default=3,
+    train.add_argument("--patience", type=int, default=StopDetector().patience,
                        help="stalled iterations before the stop detector fires")
     train.add_argument("--max-spawns", type=int,
                        help="cap growth iterations (auto/query; full-curve runs)")
-    train.add_argument("--max-topics", type=int, default=1000)
+    train.add_argument("--max-topics", type=int, default=MAX_TOPICS)
     train.add_argument("--order-seed", type=int,
                        help="shuffle the document sweep order (nplsa only)")
-    train.add_argument("--max-iters", type=int, default=200)
-    train.add_argument("--rel-tol", type=float, default=1e-5)
-    train.add_argument("--floor", type=float, default=1e-9)
-    train.add_argument("--fold-in-iters", type=int, default=50)
-    train.add_argument("--fold-in-tol", type=float, default=1e-6)
+    train.add_argument("--max-iters", type=int, default=em.max_iters)
+    train.add_argument("--rel-tol", type=float, default=em.rel_tol)
+    train.add_argument("--floor", type=float, default=em.smoothing_floor)
+    train.add_argument("--fold-in-iters", type=int, default=em.fold_in_max_iters)
+    train.add_argument("--fold-in-tol", type=float, default=em.fold_in_rel_tol)
     train.add_argument("--min-df", type=int, default=1, help="text ingestion: df filter")
     train.add_argument("--stopwords", help="text ingestion: stopword file")
 
@@ -110,8 +115,8 @@ def build_parser():
     ev.add_argument("--corpus", help="held-out corpus for perplexity")
     ev.add_argument("--truth", help="truth.json for quality/coverage error")
     ev.add_argument("--reference", help="reference corpus for PMI coherence")
-    ev.add_argument("--split-fraction", type=float, default=0.8)
-    ev.add_argument("--top-n", type=int, default=20, help="words per topic for PMI")
+    ev.add_argument("--split-fraction", type=float, default=DEFAULT_SPLIT_FRACTION)
+    ev.add_argument("--top-n", type=int, default=PmiConfig().top_n, help="words per topic for PMI")
     ev.add_argument("--min-df", type=int, default=1)
     ev.add_argument("--stopwords", help="stopword file for text corpora")
     return parser
@@ -183,18 +188,7 @@ def _cmd_synth(args, out_dir):
         {
             "topics": truth.topics.tolist(),
             "mixes": truth.doc_mixes.tolist(),
-            "config": {
-                "seed": config.seed,
-                "n_docs": config.n_docs,
-                "doc_len": config.doc_len,
-                "n_topics": config.n_topics,
-                "vocab_size": config.vocab_size,
-                "alpha": config.alpha,
-                "beta": config.beta,
-                "min_topic_dist": config.min_topic_dist,
-                "rng": RNG_ALGORITHM,
-                "vocab": corpus.vocab.terms,
-            },
+            "config": {**asdict(config), "rng": RNG_ALGORITHM, "vocab": corpus.vocab.terms},
         },
     )
     z = np.stack([z for z, _ in truth.assignments])
@@ -237,7 +231,6 @@ def _cmd_train(args, out_dir):
         "seed": args.seed,
         "smoothing_floor": config.smoothing_floor,
     }
-    query_cols = False
 
     if args.algo == "plsa":
         topics, mixes, trace = train_plsa(corpus, args.k, config)
@@ -268,14 +261,13 @@ def _cmd_train(args, out_dir):
         meta["query"] = args.query
         meta["best_k"] = detector.best_k
         meta["best_query_distance"] = detector.best_score
-        query_cols = True
 
     meta["K"] = int(topics.shape[0])
     meta["iters"] = len(trace)
     if args.algo == "plsa":
         meta["k"] = args.k
     write_model(out_dir / "model.json", corpus.vocab, topics, mixes=mixes, meta=meta)
-    write_trace(out_dir / "trace.csv", trace, query_cols=query_cols)
+    write_trace(out_dir / "trace.csv", trace)
     write_json(out_dir / "config.json", _echo(args))
     final_ll = next((r.loglik for r in reversed(trace) if r.loglik is not None), None)
     print(f"trained {args.algo}: K={meta['K']} loglik={final_ll} ({len(trace)} trace rows)")

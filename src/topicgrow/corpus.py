@@ -344,12 +344,19 @@ def doc_language_model(corpus, d):
     return probs
 
 
+def pooled_counts(corpus, in_pool=None):
+    """Each term's count summed over the documents d with ``in_pool[d]`` true, all by default.
+
+    The counts are integers, so their float sums are exact below 2**53.
+    """
+    doc_idx, word_idx, counts = corpus.flat()
+    keep = slice(None) if in_pool is None else in_pool[doc_idx]
+    return np.bincount(word_idx[keep], weights=counts[keep], minlength=corpus.n_terms)
+
+
 def background_model(corpus):
     """Pooled unigram model of the whole collection: p(w) = sum_d n(d,w) / total tokens."""
-    totals = np.zeros(corpus.n_terms)
-    for ids, counts in corpus.docs:
-        totals[ids] += counts
-    return totals / totals.sum()
+    return pooled_counts(corpus) / corpus.total_tokens
 
 
 def reindex_corpus(corpus, vocab):

@@ -21,6 +21,7 @@ from .plsa import _e_step, fold_in_docs
 logger = logging.getLogger(__name__)
 
 _PAIR_BLOCK_CELLS = 1 << 16  # (document, top word) cells per block of ``count_pairs``
+DEFAULT_SPLIT_FRACTION = 0.8  # default share of a held-out document that perplexity folds in
 
 
 @dataclass(frozen=True)
@@ -167,7 +168,7 @@ def pmi_coherence(topics, vocab, stats, cfg=PmiConfig()):
     return float(np.mean(per_topic))
 
 
-def perplexity(held_out, topics, config, split_fraction=0.8):
+def perplexity(held_out, topics, config, split_fraction=DEFAULT_SPLIT_FRACTION):
     """Held-out perplexity of the unseen portion of each document.
 
     Each document's tokens are shuffled with the run seed and split at

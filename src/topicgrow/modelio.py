@@ -75,7 +75,9 @@ def _fmt(value):
     return str(value)
 
 
-def write_trace(path, rows, query_cols=False):
+def write_trace(path, rows):
+    """Write trace rows as CSV; the query columns are written when a row has a query distance."""
+    query_cols = any(row.query_distance is not None for row in rows)
     columns = BASE_COLUMNS + (QUERY_COLUMNS if query_cols else []) + ["wall_ms"]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

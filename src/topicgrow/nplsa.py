@@ -25,7 +25,9 @@ from .plsa import (
     _e_step,
     _floor_rows,
     _m_step,
+    _plateaued,
     fold_in_docs,
+    init_topics,
 )
 
 logger = logging.getLogger(__name__)
@@ -34,6 +36,7 @@ logger = logging.getLogger(__name__)
 # uniform mass that newly appended topics are reachable (multiplicative EM
 # updates never revive an exactly-zero weight).
 _WARM_KEEP = 0.9
+MAX_TOPICS = 1000  # default cap on the number of topics of a growth run
 
 
 @dataclass
@@ -70,6 +73,27 @@ def doc_self_loglik(doc):
     return float(np.dot(counts, np.log(counts / counts.sum())))
 
 
+def growth_start(corpus, config, max_topics):
+    """Start of a growth run: one floored Dirichlet(1) topic drawn with ``config.seed``,
+    every mix on it, and each ``doc_self_loglik``, as (topics, mixes, self_lls)."""
+    if max_topics < 1:
+        raise DataError("max_topics must be >= 1")
+    rng = np.random.default_rng(config.seed)
+    topics = _floor_rows(init_topics(1, corpus.n_terms, rng), config.smoothing_floor)
+    self_lls = np.array([doc_self_loglik(doc) for doc in corpus.docs])
+    return topics, np.ones((corpus.n_docs, 1)), self_lls
+
+
+def warm_start(mixes, k):
+    """Fold-in starts against k topics: (``mixes`` zero-padded to k columns, their blend).
+
+    The blend is ``_WARM_KEEP * padded + (1 - _WARM_KEEP) / k``.
+    """
+    old = np.zeros((mixes.shape[0], k))
+    old[:, : mixes.shape[1]] = mixes
+    return old, _WARM_KEEP * old + (1.0 - _WARM_KEEP) / k
+
+
 def _best_fits(corpus, docs, topics, mixes, old_lls, config):
     """Fold documents in, but never fall below their previous fit.
 
@@ -80,16 +104,13 @@ def _best_fits(corpus, docs, topics, mixes, old_lls, config):
     two fits is better restores the guarantee while still letting new topics be
     adopted. Returns (mixes (len(docs), K), lls (len(docs),)).
     """
-    k = topics.shape[0]
-    old = np.zeros((docs.size, k))
-    old[:, : mixes.shape[1]] = mixes[docs]
-    warm = _WARM_KEEP * old + (1.0 - _WARM_KEEP) / k
+    old, warm = warm_start(mixes[docs], topics.shape[0])
     fit_mixes, fit_lls = fold_in_docs(corpus, docs, topics, config, warm)
     use_old = old_lls[docs] > fit_lls
     return np.where(use_old[:, None], old, fit_mixes), np.where(use_old, old_lls[docs], fit_lls)
 
 
-def train_nplsa(corpus, epsilon, config, max_topics=1000, order_seed=None):
+def train_nplsa(corpus, epsilon, config, max_topics=MAX_TOPICS, order_seed=None):
     """Grow topics during EM with spawn threshold ``epsilon``.
 
     Starts from one random topic. Each sweep visits the documents in corpus
@@ -113,11 +134,8 @@ def train_nplsa(corpus, epsilon, config, max_topics=1000, order_seed=None):
     if not 0 < epsilon < np.inf:  # also rejects NaN
         raise DataError("epsilon must be finite and > 0")
     d_count = corpus.n_docs
-    rng = np.random.default_rng(config.seed)
-    topics = _floor_rows(rng.dirichlet(np.ones(corpus.n_terms), size=1), config.smoothing_floor)
-    mixes = np.ones((d_count, 1))
+    topics, mixes, self_lls = growth_start(corpus, config, max_topics)
     fitted = np.ones(d_count, dtype=np.int64)
-    self_lls = np.array([doc_self_loglik(corpus.docs[d]) for d in range(d_count)])
     ratio, doc_counts, doc_lls = _e_step(corpus, topics, mixes)
 
     order = np.arange(d_count)
@@ -195,11 +213,7 @@ def train_nplsa(corpus, epsilon, config, max_topics=1000, order_seed=None):
                 spawned=tuple(spawned),
             )
         )
-        if (
-            not spawned
-            and prev_ll is not None
-            and abs(ll - prev_ll) <= config.rel_tol * (abs(prev_ll) + 1e-12)
-        ):
+        if not spawned and prev_ll is not None and _plateaued(ll, prev_ll, config.rel_tol):
             break
         prev_ll = ll
 

@@ -43,7 +43,9 @@ class EmConfig:
     ``rel_tol`` stops the outer loop when |dL/L| falls below it;
     ``smoothing_floor`` is the minimum probability kept in every topic row so
     a freshly spawned topic (a document MLE full of zeros) can still explain
-    unseen words. The fold-in fields budget the inner per-document loop.
+    unseen words. The fold-in fields budget each document's fit against
+    frozen topics; the batched kernel (``fold_in_docs``) applies them to every
+    document of a block on its own.
     """
 
     seed: int
@@ -85,6 +87,11 @@ class TraceRow:
     mean_delta: float | None = field(default=None, repr=False)
     phase: str = field(default="", repr=False)
     spawned: tuple = field(default=(), repr=False)
+
+
+def _plateaued(ll, prev, tol):
+    """Whether a log-likelihood has plateaued: |ll - prev| <= tol * |prev|, elementwise."""
+    return np.abs(ll - prev) <= tol * (np.abs(prev) + 1e-12)
 
 
 def init_topics(k, n_terms, rng):
@@ -233,7 +240,7 @@ def em_refine(corpus, topics, mixes, config, trace=None, start_iter=1, phase="")
                     phase=phase,
                 )
             )
-        if prev_ll is not None and abs(ll - prev_ll) <= config.rel_tol * (abs(prev_ll) + 1e-12):
+        if prev_ll is not None and _plateaued(ll, prev_ll, config.rel_tol):
             break
         prev_ll = ll
     return topics, mixes, ll
@@ -277,9 +284,7 @@ def fold_in(doc, topics, config, init_mix=None, ll_history=None):
         ll = float(np.dot(counts, np.log(probs)))
         if ll_history is not None:
             ll_history.append(ll)
-        if prev_ll is not None and abs(ll - prev_ll) <= config.fold_in_rel_tol * (
-            abs(prev_ll) + 1e-12
-        ):
+        if prev_ll is not None and _plateaued(ll, prev_ll, config.fold_in_rel_tol):
             return mix, ll
         prev_ll = ll
         post = rows * (mix[None, :] / probs[:, None])
@@ -342,7 +347,7 @@ def _fold_in_block(words, cnt, table, lens, init_mixes, config):
         lls = np.einsum("nl,nl->n", cnt, np.log(probs))
         new = np.full(done.size, it == config.fold_in_max_iters)
         if prev_lls is not None:
-            new |= np.abs(lls - prev_lls) <= config.fold_in_rel_tol * (np.abs(prev_lls) + 1e-12)
+            new |= _plateaued(lls, prev_lls, config.fold_in_rel_tol)
         new &= ~done
         out_mixes[active[new]] = mix[new]
         out_lls[active[new]] = lls[new]

@@ -38,7 +38,7 @@ _MAX_REJECTIONS_PER_TOPIC = 10_000
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Generator parameters. Defaults follow the paper-scale profile."""
+    """Generator parameters. The sizes default to the paper scale, ``PROFILES["paper"]``."""
 
     seed: int
     n_docs: int = 1000
@@ -60,9 +60,10 @@ class SynthConfig:
             raise DataError("seed must be non-negative")
 
 
-#: Fast profile for tests and experimentation; paper-scale is the default.
+#: Corpus sizes by name: "paper" is ``SynthConfig``'s default; "desk" is a fast
+#: profile for tests and experimentation.
 PROFILES = {
-    "paper": dict(n_docs=1000, doc_len=200, n_topics=20, vocab_size=1000),
+    "paper": {f: getattr(SynthConfig, f) for f in ("n_docs", "doc_len", "n_topics", "vocab_size")},
     "desk": dict(n_docs=200, doc_len=100, n_topics=10, vocab_size=500),
 }
 

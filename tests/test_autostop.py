@@ -122,6 +122,21 @@ class TestQueryModelEstimation:
         with pytest.raises(DataError, match="query not in corpus"):
             estimate_query_model(corpus, ["zzz"])
 
+    def test_document_matching_several_terms_is_pooled_once(self):
+        model = estimate_query_model(feedback_corpus(), [" A", "b", "zzz"], lam=1.0)
+        assert model.feedback_size == 2
+        assert model.terms == ["a", "b", "zzz"]
+        np.testing.assert_allclose(model.theta_q, [0.3, 0.3, 0.2, 0.2], atol=1e-12)
+
+    @pytest.mark.parametrize("lam", [math.nan, -0.5, 1.5, -math.inf])
+    def test_lambda_outside_the_unit_interval_raises(self, lam):
+        with pytest.raises(DataError, match="lam must lie in"):
+            estimate_query_model(feedback_corpus(), ["a"], lam=lam)
+
+    def test_lambda_zero_keeps_initialization(self):
+        model = estimate_query_model(feedback_corpus(), ["a"], lam=0.0)
+        np.testing.assert_allclose(model.theta_q, [0.3, 0.3, 0.2, 0.2], atol=1e-12)
+
 
 class TestStopDetector:
     def test_fires_after_patience_stalls(self):
@@ -289,6 +304,33 @@ def check_fold_ins(corpus, config, calls, trace):
     for row, (_, _, _, lls) in zip(grow, calls[::2]):
         d_star = int(np.argmax(self_lls - lls))
         assert row.epsilon == doc_self_loglik(corpus.docs[d_star]) - lls[d_star]
+
+
+class TestGrowthBudgets:
+    def train(self, which, **budgets):
+        corpus = clustered_corpus(np.random.default_rng(73), n_docs=12)
+        config = EmConfig(seed=1, max_iters=20)
+        if which == "auto":
+            return train_parameter_free(corpus, config, **budgets)
+        return train_weakly_supervised(corpus, ["t01"], config, **budgets)
+
+    @pytest.mark.parametrize("which", ["auto", "query"])
+    @pytest.mark.parametrize("max_spawns", [-1, -3])
+    def test_negative_spawn_budget_raises(self, which, max_spawns):
+        with pytest.raises(DataError, match="max_spawns must be >= 0"):
+            self.train(which, max_spawns=max_spawns)
+
+    @pytest.mark.parametrize("which", ["auto", "query"])
+    @pytest.mark.parametrize("max_topics", [0, -2])
+    def test_topic_cap_below_one_raises(self, which, max_topics):
+        with pytest.raises(DataError, match="max_topics must be >= 1"):
+            self.train(which, max_topics=max_topics)
+
+    @pytest.mark.parametrize("which", ["auto", "query"])
+    def test_zero_spawn_budget_refines_one_topic(self, which):
+        topics, _, trace = self.train(which, max_spawns=0)
+        assert topics.shape[0] == 1
+        assert not [row for row in trace if row.phase == "grow"]
 
 
 class TestGrowFoldIns:

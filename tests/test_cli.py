@@ -1,13 +1,19 @@
 """End-to-end runs of the command-line pipeline: synth, then train, then eval."""
 
 import csv
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from topicgrow.cli import EXIT_DATA, main
+from topicgrow import autostop, metrics, nplsa
+from topicgrow.autostop import StopDetector
+from topicgrow.cli import EXIT_DATA, build_parser, main
 from topicgrow.corpus import background_model, load_corpus
+from topicgrow.metrics import PmiConfig
+from topicgrow.plsa import EmConfig
+from topicgrow.synthgen import SynthConfig
 
 SYNTH = ["--profile", "desk", "--docs", "30", "--doc-len", "40", "--topics", "3", "--vocab", "60"]
 METRIC_KEYS = {"K", "tqe", "tce", "pmi", "perplexity", "diversity", "config"}
@@ -148,3 +154,65 @@ def test_pmi_of_a_single_term_model_is_a_data_error(tmp_path, capsys):
                  "--reference", str(corpus), "--seed", "1"])
     assert code == EXIT_DATA == 2
     assert "at least 2 ranked words per topic" in capsys.readouterr().err
+
+
+def test_parsed_defaults_are_the_library_defaults():
+    parser = build_parser()
+    common = ["--out", "o", "--seed", "0"]
+    synth = parser.parse_args(["synth", *common])
+    library = SynthConfig(seed=0)
+    assert (synth.alpha, synth.beta, synth.min_topic_dist) == (
+        library.alpha, library.beta, library.min_topic_dist)
+
+    train = parser.parse_args(["train", "--algo", "auto", "--corpus", "c", *common])
+    em = EmConfig(seed=0)
+    assert (train.max_iters, train.rel_tol, train.floor, train.fold_in_iters,
+            train.fold_in_tol) == (em.max_iters, em.rel_tol, em.smoothing_floor,
+                                   em.fold_in_max_iters, em.fold_in_rel_tol)
+    assert train.patience == StopDetector().patience
+    assert train.max_topics == nplsa.MAX_TOPICS
+    assert train.lam == autostop.DEFAULT_LAM
+    for fn in (nplsa.train_nplsa, autostop.train_parameter_free,
+               autostop.train_weakly_supervised):
+        assert inspect.signature(fn).parameters["max_topics"].default == train.max_topics
+    for fn in (autostop.estimate_query_model, autostop.train_weakly_supervised):
+        assert inspect.signature(fn).parameters["lam"].default == train.lam
+
+    ev = parser.parse_args(["eval", "--model", "m", *common])
+    assert ev.top_n == PmiConfig().top_n
+    assert ev.split_fraction == metrics.DEFAULT_SPLIT_FRACTION
+    assert inspect.signature(metrics.perplexity).parameters["split_fraction"].default == (
+        ev.split_fraction)
+
+
+def train_argv(synth_dir, tmp_path, *flags):
+    return ["train", *flags, "--corpus", str(synth_dir / "corpus.sparse"),
+            "--out", str(tmp_path), "--seed", "1"]
+
+
+@pytest.mark.parametrize("lam", ["nan", "1.5", "-0.5"])
+def test_query_weight_outside_the_unit_interval_is_a_data_error(synth_dir, tmp_path, lam):
+    query = algo_flags("query", synth_dir / "corpus.sparse")
+    code = main(train_argv(synth_dir, tmp_path, "--algo", "query", *query, "--lambda", lam))
+    assert code == EXIT_DATA == 2
+    assert not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize("algo", ["auto", "query"])
+def test_negative_spawn_budget_is_a_data_error(synth_dir, tmp_path, algo):
+    flags = algo_flags(algo, synth_dir / "corpus.sparse")
+    code = main(train_argv(synth_dir, tmp_path, "--algo", algo, *flags, "--max-spawns", "-3"))
+    assert code == EXIT_DATA == 2
+
+
+@pytest.mark.parametrize("algo", ["nplsa", "auto", "query"])
+def test_topic_cap_below_one_is_a_data_error(synth_dir, tmp_path, algo):
+    flags = algo_flags(algo, synth_dir / "corpus.sparse")
+    code = main(train_argv(synth_dir, tmp_path, "--algo", algo, *flags, "--max-topics", "0"))
+    assert code == EXIT_DATA == 2
+
+
+def test_zero_spawn_budget_trains_one_topic(synth_dir, tmp_path):
+    assert main(train_argv(synth_dir, tmp_path, "--algo", "auto", "--max-spawns", "0")) == 0
+    with open(tmp_path / "model.json", encoding="utf-8") as fh:
+        assert json.load(fh)["meta"]["K"] == 1

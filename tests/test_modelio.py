@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from topicgrow.corpus import Vocabulary
 from topicgrow.errors import DataError
-from topicgrow.modelio import read_model, write_model
+from topicgrow.modelio import BASE_COLUMNS, QUERY_COLUMNS, read_model, write_model, write_trace
+from topicgrow.plsa import TraceRow
 
 TOPICS = [[0.25, 0.75], [0.5, 0.5]]
 MIXES = [[1.0, 0.0], [0.3, 0.7], [0.5, 0.5]]
@@ -54,3 +56,20 @@ def test_rejects_ragged_rows(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(DataError, match="bad model file"):
         read_model(path)
+
+
+@pytest.mark.parametrize("query_rows", [(), (1,), (0, 2)])
+def test_trace_has_query_columns_exactly_when_a_row_has_a_query_distance(tmp_path, query_rows):
+    rows = [TraceRow(iteration=i, k=i + 1, loglik=-1.0 - i, wall_ms=0.5) for i in range(3)]
+    for i in query_rows:
+        rows[i].query_distance, rows[i].closest_topic = 0.25, 0
+    path = tmp_path / "trace.csv"
+    write_trace(path, rows)
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *records = list(csv.reader(fh))
+    assert header == BASE_COLUMNS + (QUERY_COLUMNS if query_rows else []) + ["wall_ms"]
+    assert [len(r) for r in records] == [len(header)] * 3
+    if query_rows:
+        column = header.index("query_distance")
+        assert [r[column] for r in records] == [
+            "0.25" if i in query_rows else "" for i in range(3)]

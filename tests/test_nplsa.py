@@ -173,6 +173,12 @@ class TestTrainNplsa:
         with pytest.raises(AlgorithmError, match="topic explosion"):
             train_nplsa(corpus, 0.01, EmConfig(seed=0), max_topics=2)
 
+    def test_topic_cap_below_one_raises(self):
+        corpus = ingest_sparse([(0, "a", 5), (1, "b", 5)])
+        for max_topics in (0, -1):
+            with pytest.raises(DataError, match="max_topics must be >= 1"):
+                train_nplsa(corpus, 1.0, EmConfig(seed=0), max_topics=max_topics)
+
     def test_invalid_epsilon(self):
         corpus = ingest_sparse([(0, "a", 1)])
         for epsilon in (0.0, -1.0, math.nan, math.inf):
