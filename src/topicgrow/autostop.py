@@ -32,6 +32,7 @@ from .plsa import (
 logger = logging.getLogger(__name__)
 
 DEFAULT_LAM = 0.5  # default weight of the query model against the background in pseudo feedback
+_FEEDBACK_ITERS = 50  # EM steps at most when estimating a query model by pseudo feedback
 
 
 @dataclass
@@ -65,7 +66,7 @@ def query_distance(theta_q, topics):
     return float(dists[idx]), idx
 
 
-def estimate_query_model(corpus, query_terms, lam=DEFAULT_LAM, max_iters=50):
+def estimate_query_model(corpus, query_terms, lam=DEFAULT_LAM):
     """Estimate a query language model by model-based pseudo feedback.
 
     The feedback set is every document containing at least one query term.
@@ -94,7 +95,7 @@ def estimate_query_model(corpus, query_terms, lam=DEFAULT_LAM, max_iters=50):
     theta_q = pooled / pooled.sum()
     cur = theta_q[support]
     obj = float(np.dot(counts, np.log(lam * cur + (1.0 - lam) * theta_c)))
-    for _ in range(max_iters):
+    for _ in range(_FEEDBACK_ITERS):
         mix = lam * cur + (1.0 - lam) * theta_c
         responsibility = lam * cur / mix
         mass = counts * responsibility

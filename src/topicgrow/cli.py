@@ -25,7 +25,7 @@ from .autostop import (
     train_parameter_free,
     train_weakly_supervised,
 )
-from .corpus import load_corpus, read_stopwords, reindex_corpus, write_sparse_corpus
+from .corpus import MIN_DF, load_corpus, read_stopwords, reindex_corpus, write_sparse_corpus
 from .errors import AlgorithmError, DataError
 from .metrics import (
     DEFAULT_SPLIT_FRACTION,
@@ -105,7 +105,7 @@ def build_parser():
     train.add_argument("--floor", type=float, default=em.smoothing_floor)
     train.add_argument("--fold-in-iters", type=int, default=em.fold_in_max_iters)
     train.add_argument("--fold-in-tol", type=float, default=em.fold_in_rel_tol)
-    train.add_argument("--min-df", type=int, default=1, help="text ingestion: df filter")
+    train.add_argument("--min-df", type=int, default=MIN_DF, help="text ingestion: df filter")
     train.add_argument("--stopwords", help="text ingestion: stopword file")
 
     ev = sub.add_parser("eval", help="evaluate a trained model")
@@ -117,7 +117,7 @@ def build_parser():
     ev.add_argument("--reference", help="reference corpus for PMI coherence")
     ev.add_argument("--split-fraction", type=float, default=DEFAULT_SPLIT_FRACTION)
     ev.add_argument("--top-n", type=int, default=PmiConfig().top_n, help="words per topic for PMI")
-    ev.add_argument("--min-df", type=int, default=1)
+    ev.add_argument("--min-df", type=int, default=MIN_DF)
     ev.add_argument("--stopwords", help="stopword file for text corpora")
     return parser
 
@@ -235,14 +235,10 @@ def _cmd_train(args, out_dir):
     if args.algo == "plsa":
         topics, mixes, trace = train_plsa(corpus, args.k, config)
     elif args.algo == "nplsa":
-        state, trace = train_nplsa(
-            corpus,
-            args.epsilon,
-            config,
-            max_topics=args.max_topics,
-            order_seed=args.order_seed,
+        topics, mixes, trace = train_nplsa(
+            corpus, args.epsilon, config,
+            max_topics=args.max_topics, order_seed=args.order_seed,
         )
-        topics, mixes = state.topics, state.mixes
         meta["epsilon"] = args.epsilon
     elif args.algo == "auto":
         detector = StopDetector(mode="maximize", patience=args.patience)

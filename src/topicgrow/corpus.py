@@ -18,6 +18,8 @@ SPARSE_HEADER_RE = re.compile(r"^docs=(\d+)\s+terms=(\d+)\s+nnz=(\d+)\s*$")
 
 _BLOCK_CELLS = 1 << 12  # padded (document, word) cells per block of the EM layout
 
+MIN_DF = 1  # default document-frequency filter of text ingestion: keep every term
+
 
 def tokenize(text):
     """Lowercase and split on runs of non-alphanumeric characters."""
@@ -97,7 +99,6 @@ class Corpus:
         self._word_idx, self._counts = word_idx, counts
         self._segments = (starts, lengths)
         self.docs = split_rows(word_idx, counts, lengths)
-        self._doc_tokens = np.add.reduceat(counts, starts)
         self._flat = None
         self._layout = None
 
@@ -111,11 +112,7 @@ class Corpus:
 
     @property
     def total_tokens(self):
-        return int(self._doc_tokens.sum())
-
-    def doc_tokens(self, d):
-        """Total token count of document d."""
-        return int(self._doc_tokens[d])
+        return int(self._counts.sum())
 
     def flat(self):
         """The nonzero entries as (doc_idx, word_idx, counts) arrays, counts as float64.
@@ -231,7 +228,7 @@ class BlockLayout:
         self.max_cells = max(c1 - c0 for _, _, c0, c1 in self.doc_blocks + self.word_blocks)
 
 
-def ingest_text(lines, min_df=1, stopwords=None):
+def ingest_text(lines, min_df=MIN_DF, stopwords=None):
     """Build a Corpus from raw document strings, one document per entry.
 
     Tokens are lowercased and split on non-alphanumeric runs. Terms that
@@ -275,10 +272,13 @@ def ingest_text(lines, min_df=1, stopwords=None):
 
 
 def ingest_sparse(triples, vocab=None):
-    """Build a Corpus from (doc_id, term, count) triples.
+    """Build a Corpus from (doc_id, term, count) triples held in memory.
 
-    Duplicate (doc, term) pairs are summed. Documents, and terms unless a
-    ``vocab`` fixes them, follow first-appearance order. Counts must be positive integers.
+    This is the library's constructor for counts that are not in a file;
+    ``read_sparse_corpus`` reads the same triples from one through the same
+    builder, and ``ingest_text`` tokenizes raw strings instead. Duplicate
+    (doc, term) pairs are summed. Documents, and terms unless a ``vocab``
+    fixes them, follow first-appearance order. Counts must be positive integers.
     """
     entries = _SparseEntries(() if vocab is None else vocab.terms)
     for entry, (doc_id, term, count) in enumerate(triples, start=1):
@@ -383,7 +383,7 @@ def read_stopwords(path):
         return {line.strip() for line in fh if line.strip()}
 
 
-def read_text_corpus(path, min_df=1, stopwords=None):
+def read_text_corpus(path, min_df=MIN_DF, stopwords=None):
     """Read a UTF-8 text corpus, one document per line."""
     with open(path, encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh]
@@ -449,10 +449,16 @@ def write_sparse_corpus(corpus, path):
                 fh.write(f"{doc_id} {corpus.vocab.term_of(int(tid))} {int(c)}\n")
 
 
-def load_corpus(path, min_df=1, stopwords=None):
-    """Load a corpus file, sniffing the sparse header to pick the format."""
+def load_corpus(path, min_df=MIN_DF, stopwords=None):
+    """Load a corpus file, sniffing the sparse header to pick the format.
+
+    ``min_df`` and ``stopwords`` filter text corpora only: a sparse file given
+    stopwords or a non-default ``min_df`` is rejected rather than read unfiltered.
+    """
     with open(path, encoding="utf-8") as fh:
         first = fh.readline()
     if SPARSE_HEADER_RE.match(first):
+        if stopwords or min_df != MIN_DF:
+            raise DataError(f"{path}: min_df and stopwords apply to text corpora only")
         return read_sparse_corpus(path)
     return read_text_corpus(path, min_df=min_df, stopwords=stopwords)

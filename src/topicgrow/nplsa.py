@@ -6,21 +6,20 @@ model can do) and the best mixture fit achievable with the current topics.
 When the deficit exceeds a threshold ``epsilon``, the document's language model
 is promoted to a new topic. A run therefore explores increasing numbers of
 topics within a single EM execution while monotonically improving the
-penalized objective ``log-likelihood - epsilon * K``.
+penalized objective ``log-likelihood - epsilon * K``, which every trace row
+records as ``objective``.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import doc_language_model
 from .errors import AlgorithmError, DataError
 from .plsa import (
-    EmConfig,
     TraceRow,
     _e_step,
     _floor_rows,
@@ -37,33 +36,6 @@ logger = logging.getLogger(__name__)
 # updates never revive an exactly-zero weight).
 _WARM_KEEP = 0.9
 MAX_TOPICS = 1000  # default cap on the number of topics of a growth run
-
-
-@dataclass
-class NplsaState:
-    """Model state of a growth run.
-
-    ``mixes`` is dense ``(D, K)``: document d's mix is zero past its first
-    ``fitted_counts[d]`` topics, the number of topics that existed when it was
-    last visited. ``epsilon`` is the spawn threshold in nats.
-    """
-
-    topics: np.ndarray
-    mixes: np.ndarray
-    fitted_counts: np.ndarray
-    epsilon: float
-
-    @property
-    def k(self):
-        return self.topics.shape[0]
-
-
-@dataclass(frozen=True)
-class PenalizedObjective:
-    loglik: float
-    k: int
-    epsilon: float
-    value: float
 
 
 def doc_self_loglik(doc):
@@ -129,10 +101,13 @@ def train_nplsa(corpus, epsilon, config, max_topics=MAX_TOPICS, order_seed=None)
     or refitted a document, its expected counts also feed the M-step. A topic
     whose expected counts are zero in every document is pruned before the
     M-step. The run stops once a full sweep spawns nothing and the
-    log-likelihood has plateaued. Returns (NplsaState, trace).
+    log-likelihood has plateaued. Returns (topics, mixes, trace); each trace
+    row's ``objective`` is the penalized objective ``loglik - epsilon * K``.
     """
     if not 0 < epsilon < np.inf:  # also rejects NaN
         raise DataError("epsilon must be finite and > 0")
+    if order_seed is not None and order_seed < 0:
+        raise DataError("order_seed must be non-negative")
     d_count = corpus.n_docs
     topics, mixes, self_lls = growth_start(corpus, config, max_topics)
     fitted = np.ones(d_count, dtype=np.int64)
@@ -217,24 +192,4 @@ def train_nplsa(corpus, epsilon, config, max_topics=MAX_TOPICS, order_seed=None)
             break
         prev_ll = ll
 
-    state = NplsaState(topics=topics, mixes=mixes, fitted_counts=fitted, epsilon=epsilon)
-    return state, trace
-
-
-def penalized_objective(state, corpus, config=None):
-    """Evaluate log-likelihood minus epsilon times the topic count.
-
-    Documents last fitted against fewer topics than currently exist are
-    refreshed by fold-in (without mutating the state) so the likelihood
-    reflects the full topic set.
-    """
-    if config is None:
-        config = EmConfig(seed=0)
-    lls = _e_step(corpus, state.topics, state.mixes)[2]
-    stale = np.flatnonzero(state.fitted_counts < state.k)
-    if stale.size:
-        lls[stale] = _best_fits(corpus, stale, state.topics, state.mixes, lls, config)[1]
-    ll = float(lls.sum())
-    return PenalizedObjective(
-        loglik=ll, k=state.k, epsilon=state.epsilon, value=ll - state.epsilon * state.k
-    )
+    return topics, mixes, trace

@@ -12,11 +12,11 @@ first, gathering p(w|z) into ``(n, L, K)`` blocks, and the M-step
 (``_m_step``) on words sorted by document frequency, gathering the mixes of
 the documents that hold them. The E-step is the one pass that evaluates the
 mixture probability of every corpus entry, so it also returns the
-per-document log-likelihoods that training traces, nPLSA's spawn test,
-perplexity and the penalized objective read. The batched fold-in works on
-padded ``(n, L, K)`` blocks of documents sorted longest first
-(``fold_in_docs``), cut by the same ``pad_runs``. A log-likelihood returned or
-traced with parameters is always theirs.
+per-document log-likelihoods that nPLSA's spawn test, perplexity and the
+training traces read, nPLSA's penalized ``objective`` column included. The
+batched fold-in works on padded ``(n, L, K)`` blocks of documents sorted
+longest first (``fold_in_docs``), cut by the same ``pad_runs``. A
+log-likelihood returned or traced with parameters is always theirs.
 """
 
 from __future__ import annotations
@@ -56,6 +56,8 @@ class EmConfig:
     fold_in_rel_tol: float = 1e-6
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise DataError("seed must be non-negative")
         if self.max_iters < 1:
             raise DataError("max_iters must be >= 1")
         if self.fold_in_max_iters < 1:

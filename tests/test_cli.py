@@ -9,8 +9,14 @@ import pytest
 
 from topicgrow import autostop, metrics, nplsa
 from topicgrow.autostop import StopDetector
-from topicgrow.cli import EXIT_DATA, build_parser, main
-from topicgrow.corpus import background_model, load_corpus
+from topicgrow.cli import EXIT_DATA, EXIT_USAGE, build_parser, main
+from topicgrow.corpus import (
+    MIN_DF,
+    background_model,
+    ingest_text,
+    load_corpus,
+    read_text_corpus,
+)
 from topicgrow.metrics import PmiConfig
 from topicgrow.plsa import EmConfig
 from topicgrow.synthgen import SynthConfig
@@ -184,6 +190,10 @@ def test_parsed_defaults_are_the_library_defaults():
     assert inspect.signature(metrics.perplexity).parameters["split_fraction"].default == (
         ev.split_fraction)
 
+    assert train.min_df == ev.min_df == MIN_DF
+    for fn in (ingest_text, read_text_corpus, load_corpus):
+        assert inspect.signature(fn).parameters["min_df"].default == MIN_DF
+
 
 def train_argv(synth_dir, tmp_path, *flags):
     return ["train", *flags, "--corpus", str(synth_dir / "corpus.sparse"),
@@ -216,3 +226,59 @@ def test_zero_spawn_budget_trains_one_topic(synth_dir, tmp_path):
     assert main(train_argv(synth_dir, tmp_path, "--algo", "auto", "--max-spawns", "0")) == 0
     with open(tmp_path / "model.json", encoding="utf-8") as fh:
         assert json.load(fh)["meta"]["K"] == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ["--algo", "plsa", "--k", "3", "--seed", "-1"],
+    ["--algo", "nplsa", "--epsilon", "30", "--order-seed", "-1", "--seed", "1"],
+])
+def test_negative_train_seed_is_a_data_error(synth_dir, tmp_path, flags, capsys):
+    code = main(["train", *flags, "--corpus", str(synth_dir / "corpus.sparse"),
+                 "--out", str(tmp_path)])
+    assert code == EXIT_DATA == 2
+    assert "must be non-negative" in capsys.readouterr().err
+
+
+def test_negative_eval_seed_is_a_data_error(synth_dir, tmp_path):
+    corpus = str(synth_dir / "corpus.sparse")
+    assert main(train_argv(synth_dir, tmp_path, "--algo", "plsa", "--k", "3")) == 0
+    code = main(["eval", "--model", str(tmp_path / "model.json"), "--out", str(tmp_path),
+                 "--corpus", corpus, "--seed", "-1"])
+    assert code == EXIT_DATA == 2
+
+
+@pytest.mark.parametrize("flag", ["--stopwords", "--min-df"])
+def test_text_filters_on_a_sparse_corpus_are_a_data_error(synth_dir, tmp_path, flag):
+    stopwords = tmp_path / "sw.txt"
+    stopwords.write_text("w000\n")
+    value = str(stopwords) if flag == "--stopwords" else "50"
+    code = main(train_argv(synth_dir, tmp_path, "--algo", "plsa", "--k", "3", flag, value))
+    assert code == EXIT_DATA == 2
+    assert not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize("place, extra, k", [
+    ("after", [], 3),  # a k=3 line supplies --k
+    ("after", ["--k", "2"], 2),  # an explicit flag overrides the file
+    ("before", [], 3),  # --config may come before the subcommand
+])
+def test_config_file_supplies_flag_defaults(synth_dir, tmp_path, place, extra, k):
+    config = tmp_path / "defaults.cfg"
+    config.write_text("# flag defaults\nk=3\n")
+    train = train_argv(synth_dir, tmp_path, "--algo", "plsa", *extra)
+    flag = ["--config", str(config)]
+    assert main(flag + train if place == "before" else train + flag) == 0
+    with open(tmp_path / "model.json", encoding="utf-8") as fh:
+        assert json.load(fh)["meta"]["K"] == k
+
+
+def test_malformed_config_line_is_a_data_error(synth_dir, tmp_path):
+    config = tmp_path / "defaults.cfg"
+    config.write_text("k 3\n")
+    argv = train_argv(synth_dir, tmp_path, "--algo", "plsa", "--config", str(config))
+    assert main(argv) == EXIT_DATA == 2
+
+
+def test_config_without_a_path_is_a_usage_error(synth_dir, tmp_path):
+    argv = train_argv(synth_dir, tmp_path, "--algo", "plsa", "--k", "3")
+    assert main([*argv, "--config"]) == EXIT_USAGE == 1

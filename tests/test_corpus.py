@@ -406,7 +406,7 @@ class TestLanguageModels:
                 for t in rng.choice(6, size=rng.integers(1, 4), replace=False):
                     triples.append((d, f"t{t}", int(rng.integers(1, 7))))
             corpus = ingest_sparse(triples)
-            weights = np.array([corpus.doc_tokens(d) for d in range(corpus.n_docs)], dtype=float)
+            weights = np.array([corpus.docs[d][1].sum() for d in range(corpus.n_docs)], dtype=float)
             weights /= weights.sum()
             avg = sum(w * doc_language_model(corpus, d) for d, w in enumerate(weights))
             np.testing.assert_allclose(background_model(corpus), avg, atol=1e-12)
@@ -463,7 +463,7 @@ class TestCorpusInvariants:
             run = slice(starts[d], starts[d] + lengths[d])
             np.testing.assert_array_equal(word_idx[run], ids)
             np.testing.assert_array_equal(counts[run], row_counts)
-            assert corpus.doc_tokens(d) == ref_counts.sum()
+            assert corpus.docs[d][1].sum() == ref_counts.sum()
             assert not ids.flags.writeable and not row_counts.flags.writeable
         assert corpus.total_tokens == sum(c.sum() for _, c in rows)
 
@@ -528,6 +528,13 @@ class TestFiles:
         path.write_text("docs=5 terms=1 nnz=1\nd0 a 1\n")
         with pytest.raises(DataError, match="mismatch"):
             read_sparse_corpus(path)
+
+    @pytest.mark.parametrize("filters", [{"stopwords": {"a"}}, {"min_df": 2}])
+    def test_text_filters_on_a_sparse_file_rejected(self, tmp_path, filters):
+        path = tmp_path / "corpus.sparse"
+        path.write_text("docs=2 terms=2 nnz=3\na\nb\nd0 a 1\nd0 b 2\nd1 b 3\n")
+        with pytest.raises(DataError, match="text corpora only"):
+            load_corpus(path, **filters)
 
 
 class TestReindex:

@@ -6,13 +6,8 @@ import pytest
 from topicgrow import nplsa
 from topicgrow.corpus import background_model, doc_language_model, ingest_sparse
 from topicgrow.errors import AlgorithmError, DataError
-from topicgrow.nplsa import (
-    NplsaState,
-    doc_self_loglik,
-    penalized_objective,
-    train_nplsa,
-)
-from topicgrow.plsa import EmConfig, _floor_rows, fold_in
+from topicgrow.nplsa import doc_self_loglik, train_nplsa
+from topicgrow.plsa import EmConfig, _e_step, _floor_rows, fold_in
 from topicgrow.synthgen import PROFILES, SynthConfig, generate_corpus
 
 
@@ -32,8 +27,7 @@ def random_corpus(rng, n_docs=8, n_terms=10, max_count=6):
 def serial_nplsa(corpus, epsilon, config, order_seed=None):
     """Reference nPLSA: one fold-in and one E-step per visited document, ragged mixes.
 
-    Returns (topics, dense mixes, fitted_counts, per-sweep (K, loglik, objective,
-    spawned doc ids)).
+    Returns (topics, dense mixes, per-sweep (K, loglik, objective, spawned doc ids)).
     """
     n_docs = corpus.n_docs
     rng = np.random.default_rng(config.seed)
@@ -95,12 +89,21 @@ def serial_nplsa(corpus, epsilon, config, order_seed=None):
     dense = np.zeros((n_docs, topics.shape[0]))
     for d, mix in enumerate(mixes):
         dense[d, : mix.size] = mix
-    return topics, dense, fitted, sweeps
+    return topics, dense, sweeps
 
 
 def desk_corpus(seed, n_docs=60):
     profile = dict(PROFILES["desk"], n_docs=n_docs)
     return generate_corpus(SynthConfig(seed=seed, **profile))[0]
+
+
+def penalized_objective(corpus, topics, mixes, fitted, epsilon, config):
+    """loglik - epsilon * K, a document fitted against fewer than K topics refreshed by fold-in."""
+    lls = _e_step(corpus, topics, mixes)[2]
+    stale = np.flatnonzero(fitted < topics.shape[0])
+    if stale.size:
+        lls[stale] = nplsa._best_fits(corpus, stale, topics, mixes, lls, config)[1]
+    return float(lls.sum()) - epsilon * topics.shape[0]
 
 
 class TestDelta:
@@ -140,23 +143,23 @@ class TestTrainNplsa:
         corpus = ingest_sparse(
             [(0, "a", 3), (0, "b", 1), (1, "b", 2), (1, "c", 4), (2, "a", 1), (2, "c", 1)]
         )
-        state, trace = train_nplsa(corpus, 1e9, EmConfig(seed=4, max_iters=60))
-        assert state.k == 1
-        np.testing.assert_allclose(state.topics[0], background_model(corpus), atol=1e-6)
+        topics, _, _ = train_nplsa(corpus, 1e9, EmConfig(seed=4, max_iters=60))
+        assert topics.shape[0] == 1
+        np.testing.assert_allclose(topics[0], background_model(corpus), atol=1e-6)
 
     def test_disjoint_docs_saturate_at_k2(self):
         corpus = ingest_sparse([(0, "a", 4), (0, "b", 2), (1, "c", 3), (1, "d", 3)])
-        state, _ = train_nplsa(corpus, 0.1, EmConfig(seed=7, max_iters=80))
-        assert state.k == 2
+        topics, _, _ = train_nplsa(corpus, 0.1, EmConfig(seed=7, max_iters=80))
+        assert topics.shape[0] == 2
         mles = [doc_language_model(corpus, d) for d in range(2)]
-        for topic in state.topics:
+        for topic in topics:
             assert min(np.linalg.norm(topic - mle) for mle in mles) < 0.05
 
     def test_objective_trace_non_decreasing(self):
         rng = np.random.default_rng(11)
         corpus = random_corpus(rng, n_docs=10, n_terms=12)
         for eps in (2.0, 8.0, 25.0):
-            _, trace = train_nplsa(corpus, eps, EmConfig(seed=1, max_iters=60))
+            _, _, trace = train_nplsa(corpus, eps, EmConfig(seed=1, max_iters=60))
             values = [row.objective for row in trace]
             for prev, cur in zip(values, values[1:]):
                 assert cur >= prev - 1e-6 * abs(prev)
@@ -165,7 +168,7 @@ class TestTrainNplsa:
         rng = np.random.default_rng(13)
         corpus = random_corpus(rng, n_docs=12, n_terms=14)
         config = EmConfig(seed=3, max_iters=60)
-        ks = [train_nplsa(corpus, eps, config)[0].k for eps in (0.5, 2.0, 8.0, 32.0)]
+        ks = [train_nplsa(corpus, eps, config)[0].shape[0] for eps in (0.5, 2.0, 8.0, 32.0)]
         assert ks == sorted(ks, reverse=True)
 
     def test_topic_cap_raises(self):
@@ -178,6 +181,11 @@ class TestTrainNplsa:
         for max_topics in (0, -1):
             with pytest.raises(DataError, match="max_topics must be >= 1"):
                 train_nplsa(corpus, 1.0, EmConfig(seed=0), max_topics=max_topics)
+
+    def test_negative_order_seed_raises(self):
+        corpus = ingest_sparse([(0, "a", 5), (1, "b", 5)])
+        with pytest.raises(DataError, match="order_seed must be non-negative"):
+            train_nplsa(corpus, 1.0, EmConfig(seed=0), order_seed=-1)
 
     def test_invalid_epsilon(self):
         corpus = ingest_sparse([(0, "a", 1)])
@@ -192,7 +200,7 @@ class TestTrainNplsa:
         e_step, m_step = nplsa._e_step, nplsa._m_step
         monkeypatch.setattr(nplsa, "_e_step", lambda *a: calls.append("E") or e_step(*a))
         monkeypatch.setattr(nplsa, "_m_step", lambda *a: calls.append("M") or m_step(*a))
-        _, trace = train_nplsa(desk_corpus(1), 150.0, EmConfig(seed=1, max_iters=15))
+        _, _, trace = train_nplsa(desk_corpus(1), 150.0, EmConfig(seed=1, max_iters=15))
         spawned = [bool(row.spawned) for row in trace]
         rerun = [cur or prev for prev, cur in zip([False] + spawned, spawned)]
         assert 0 < sum(rerun) < len(rerun)
@@ -204,14 +212,11 @@ class TestTrainNplsa:
     def test_state_invariants(self):
         rng = np.random.default_rng(17)
         corpus = random_corpus(rng)
-        state, trace = train_nplsa(corpus, 5.0, EmConfig(seed=2, max_iters=50))
-        assert state.mixes.shape == (corpus.n_docs, state.k)
-        assert np.all(state.fitted_counts <= state.k)
-        assert np.all(state.mixes >= 0.0)
-        np.testing.assert_allclose(state.mixes.sum(axis=1), 1.0, atol=1e-9)
-        for d, mix in enumerate(state.mixes):
-            assert np.all(mix[state.fitted_counts[d] :] == 0.0)
-        np.testing.assert_allclose(state.topics.sum(axis=1), 1.0, atol=1e-9)
+        topics, mixes, trace = train_nplsa(corpus, 5.0, EmConfig(seed=2, max_iters=50))
+        assert mixes.shape == (corpus.n_docs, topics.shape[0])
+        assert np.all(mixes >= 0.0)
+        np.testing.assert_allclose(mixes.sum(axis=1), 1.0, atol=1e-9)
+        np.testing.assert_allclose(topics.sum(axis=1), 1.0, atol=1e-9)
         ks = [row.k for row in trace]
         assert ks == sorted(ks)  # growth never loses live topics on this corpus
 
@@ -219,10 +224,9 @@ class TestTrainNplsa:
         rng = np.random.default_rng(19)
         corpus = random_corpus(rng)
         config = EmConfig(seed=5, max_iters=40)
-        s1, t1 = train_nplsa(corpus, 4.0, config, order_seed=99)
-        s2, t2 = train_nplsa(corpus, 4.0, config, order_seed=99)
-        assert s1.k == s2.k
-        assert np.array_equal(s1.topics, s2.topics)
+        topics1, _, t1 = train_nplsa(corpus, 4.0, config, order_seed=99)
+        topics2, _, t2 = train_nplsa(corpus, 4.0, config, order_seed=99)
+        assert np.array_equal(topics1, topics2)
         assert [r.loglik for r in t1] == [r.loglik for r in t2]
 
 
@@ -231,16 +235,16 @@ class TestSerialEquivalence:
 
     @staticmethod
     def assert_same_run(corpus, epsilon, config, order_seed):
-        state, trace = train_nplsa(corpus, epsilon, config, order_seed=order_seed)
-        topics, mixes, fitted, sweeps = serial_nplsa(corpus, epsilon, config, order_seed)
+        got_topics, got_mixes, trace = train_nplsa(corpus, epsilon, config, order_seed=order_seed)
+        topics, mixes, sweeps = serial_nplsa(corpus, epsilon, config, order_seed)
         ks, lls, objectives, spawned = (list(column) for column in zip(*sweeps))
         assert [row.spawned for row in trace] == spawned
         assert [row.k for row in trace] == ks
-        np.testing.assert_array_equal(state.fitted_counts, fitted)
+        np.testing.assert_array_equal(got_mixes == 0, mixes == 0)
         np.testing.assert_allclose([row.loglik for row in trace], lls, rtol=1e-12)
         np.testing.assert_allclose([row.objective for row in trace], objectives, rtol=1e-12)
-        np.testing.assert_allclose(state.topics, topics, rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(state.mixes, mixes, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(got_topics, topics, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(got_mixes, mixes, rtol=1e-12, atol=1e-12)
         return trace
 
     @pytest.mark.parametrize("order_seed", [None, 7])
@@ -258,19 +262,6 @@ class TestSerialEquivalence:
 
 
 class TestPenalizedObjective:
-    def test_arithmetic(self):
-        corpus = ingest_sparse([(0, "a", 1)])
-        state = NplsaState(
-            topics=np.array([[1.0]]),
-            mixes=np.array([[1.0]]),
-            fitted_counts=np.array([1]),
-            epsilon=10.0,
-        )
-        obj = penalized_objective(state, corpus)
-        assert obj.loglik == 0.0
-        assert obj.value == -10.0
-        assert obj.value == obj.loglik - obj.epsilon * obj.k
-
     def test_spawn_improves_objective(self):
         # three docs, two clearly shared and one outlier; spawning the outlier's
         # model must beat paying the per-topic penalty when its deficit > epsilon
@@ -278,20 +269,19 @@ class TestPenalizedObjective:
             [(0, "a", 6), (0, "b", 2), (1, "a", 4), (1, "b", 4), (2, "x", 5), (2, "y", 5)]
         )
         config = EmConfig(seed=1, max_iters=60)
-        base, _ = train_nplsa(corpus, 1e9, config)  # K=1 background fit
+        topics, mixes, _ = train_nplsa(corpus, 1e9, config)  # K=1 background fit
         eps = 3.0
         d_out = 2
-        gap = deficit(corpus.docs[d_out], base.topics, config)
+        gap = deficit(corpus.docs[d_out], topics, config)
         assert gap > eps
 
-        before = penalized_objective(
-            NplsaState(base.topics, base.mixes, base.fitted_counts, eps), corpus, config
+        before = penalized_objective(corpus, topics, mixes, np.array([1, 1, 1]), eps, config)
+        after = penalized_objective(
+            corpus,
+            np.vstack([topics, doc_language_model(corpus, d_out)]),
+            np.vstack([np.pad(mixes[:d_out], ((0, 0), (0, 1))), [0.0, 1.0]]),
+            np.array([1, 1, 2]),
+            eps,
+            config,
         )
-        spawned = NplsaState(
-            topics=np.vstack([base.topics, doc_language_model(corpus, d_out)]),
-            mixes=np.vstack([np.pad(base.mixes[:d_out], ((0, 0), (0, 1))), [0.0, 1.0]]),
-            fitted_counts=np.array([1, 1, 2]),
-            epsilon=eps,
-        )
-        after = penalized_objective(spawned, corpus, config)
-        assert after.value > before.value
+        assert after > before

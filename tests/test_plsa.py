@@ -127,7 +127,7 @@ class TestEStep:
         rng = np.random.default_rng(3)
         corpus, topics, mixes = random_instance(rng)
         counts = doc_counts_of(corpus, topics, mixes)
-        lengths = [corpus.doc_tokens(d) for d in range(corpus.n_docs)]
+        lengths = [corpus.docs[d][1].sum() for d in range(corpus.n_docs)]
         np.testing.assert_allclose(counts.sum(axis=1), lengths, atol=1e-9)
 
 
@@ -697,6 +697,10 @@ class TestFoldInDocs:
         init = np.full((3, 2), 0.5)
         with pytest.raises(DataError, match="unmodelable"):
             fold_in_docs(corpus, np.array([2, 0, 1]), topics, EmConfig(seed=0), init)
+
+    def test_seed_must_be_non_negative(self):
+        with pytest.raises(DataError, match="seed must be non-negative"):
+            EmConfig(seed=-1)
 
     def test_fold_in_budget_must_be_positive(self):
         with pytest.raises(DataError, match="fold_in_max_iters"):

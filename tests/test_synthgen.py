@@ -211,7 +211,7 @@ class TestGenerateCorpus:
         config = desk_config()
         corpus, _ = generate_corpus(config)
         for d in range(corpus.n_docs):
-            assert corpus.doc_tokens(d) == config.doc_len
+            assert corpus.docs[d][1].sum() == config.doc_len
 
     def test_seeded_determinism(self):
         config = desk_config()
