@@ -117,12 +117,26 @@ def build_parser():
     ev.add_argument("--reference", help="reference corpus for PMI coherence")
     ev.add_argument("--split-fraction", type=float, default=DEFAULT_SPLIT_FRACTION)
     ev.add_argument("--top-n", type=int, default=PmiConfig().top_n, help="words per topic for PMI")
-    ev.add_argument("--min-df", type=int, default=MIN_DF)
-    ev.add_argument("--stopwords", help="stopword file for text corpora")
+    ev.add_argument("--min-df", type=int, default=MIN_DF,
+                    help="text ingestion of --reference: df filter")
+    ev.add_argument("--stopwords", help="text ingestion of --reference: stopword file")
     return parser
 
 
-def _read_config_file(path):
+def _store_true_flags(parser):
+    """The option strings of every store-true flag of ``parser`` and its subcommands."""
+    flags = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._StoreTrueAction):
+            flags.update(action.option_strings)
+        elif isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= _store_true_flags(sub)
+    return flags
+
+
+def _read_config_file(path, switches):
+    """Flags from a key=value file; a key in ``switches`` takes true (the flag) or false."""
     pairs = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -132,19 +146,24 @@ def _read_config_file(path):
             if "=" not in line:
                 raise DataError(f"bad config line {lineno}: {line!r}")
             key, value = line.split("=", 1)
-            flag = "--" + key.strip().replace("_", "-")
-            pairs.extend([flag, value.strip()])
+            flag, value = "--" + key.strip().replace("_", "-"), value.strip()
+            if flag not in switches:
+                pairs.extend([flag, value])
+            elif value.lower() == "true":
+                pairs.append(flag)
+            elif value.lower() != "false":
+                raise DataError(f"bad config line {lineno}: {line!r}: {flag} takes true or false")
     return pairs
 
 
-def _inject_config(argv):
+def _inject_config(argv, parser):
     """Insert config-file pairs after the subcommand so real flags override them."""
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
     if idx + 1 >= len(argv):
         raise UsageError("--config requires a path")
-    pairs = _read_config_file(argv[idx + 1])
+    pairs = _read_config_file(argv[idx + 1], _store_true_flags(parser))
     rest = argv[:idx] + argv[idx + 2 :]
     if not rest:
         raise UsageError("missing subcommand")
@@ -301,10 +320,8 @@ def _cmd_eval(args, out_dir):
     }
     if args.truth:
         report["tqe"], report["tce"] = _truth_errors(topics, vocab, args.truth)
-    stopwords = read_stopwords(args.stopwords) if args.stopwords else None
-    if args.corpus:
-        held_out = load_corpus(args.corpus, min_df=args.min_df, stopwords=stopwords)
-        held_out = reindex_corpus(held_out, vocab)
+    if args.corpus:  # read unfiltered: reindexing drops every term the model lacks
+        held_out = reindex_corpus(load_corpus(args.corpus), vocab)
         report["perplexity"] = perplexity(
             held_out,
             topics,
@@ -312,6 +329,7 @@ def _cmd_eval(args, out_dir):
             split_fraction=args.split_fraction,
         )
     if args.reference:
+        stopwords = read_stopwords(args.stopwords) if args.stopwords else None
         reference = load_corpus(args.reference, min_df=args.min_df, stopwords=stopwords)
         stats = CooccurrenceStats.from_corpus(reference)
         report["pmi"] = pmi_coherence(topics, vocab, stats, PmiConfig(top_n=args.top_n))
@@ -326,8 +344,8 @@ def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
     try:
-        argv = _inject_config(list(argv))
         parser = build_parser()
+        argv = _inject_config(list(argv), parser)
         args = parser.parse_args(argv)
         logging.basicConfig(
             level=logging.INFO if args.verbose else logging.WARNING,

@@ -22,6 +22,7 @@ log-likelihood returned or traced with parameters is always theirs.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -306,14 +307,15 @@ def fold_in_docs(corpus, docs, topics, config, init_mixes):
     ``_BLOCK_ENTRIES`` padded (document, word, topic) entries. A block's p(w|z)
     is gathered once into ``(n, L, K)``, L being its longest document; padding
     rows are 1 with count 0, so they add log 1 = 0 and nothing to the mixes.
-    Each pass is two batched matmuls, ``probs = rows @ mix`` and
-    ``mix *= (cnt / probs) @ rows``. A document stops iterating on its own
-    plateau or at the ``fold_in_max_iters`` cap, where its result is written;
-    converged documents keep iterating unread until they are at least
-    ``_DROP_SHARE`` of the block's working rows, then leave it together. Each
-    document gets ``fold_in``'s iterates up to round-off. ``init_mixes`` is
-    ``(len(docs), K)``. Returns (mixes (len(docs), K), fitted lls (len(docs),))
-    in the order of ``docs``.
+    Each pass runs two batched matmuls, ``probs = rows @ mix`` and
+    ``mix *= (cnt / probs) @ rows``, and one log for the documents' lls; the
+    per-document plateau test and write-back touch only the working rows. A
+    document stops iterating on its own plateau or at the ``fold_in_max_iters``
+    cap, where its result is written; converged documents keep iterating
+    unread until they are at least ``_DROP_SHARE`` of the block's rows, then
+    leave it together. Each document gets ``fold_in``'s iterates up to
+    round-off. ``init_mixes`` is ``(len(docs), K)``. Returns (mixes
+    (len(docs), K), fitted lls (len(docs),)) in the order of ``docs``.
     """
     _, word_idx, counts = corpus.flat()
     starts, lengths = corpus.segments()
@@ -334,36 +336,45 @@ def fold_in_docs(corpus, docs, topics, config, init_mixes):
 
 
 def _fold_in_block(words, cnt, table, lens, init_mixes, config):
-    """``fold_in_docs`` on one block: padded (n, L) words and counts, ``lens`` longest first."""
+    """``fold_in_docs`` on one block: padded (n, L) words and counts, ``lens`` longest first.
+
+    A pass runs two matmuls and one log; a zero probability shows as a non-finite
+    ll, and the plateau test and write-back read only the working rows.
+    """
     rows = np.take(table, words, axis=0)
     mix = init_mixes.copy()
     out_mixes = np.empty_like(mix)
     out_lls = np.empty(lens.size)
-    active = np.arange(lens.size)  # block positions of the working rows
-    done = np.zeros(lens.size, dtype=bool)  # plateaued, result written, not yet dropped
-    prev_lls = None
-    for it in range(config.fold_in_max_iters + 1):
-        probs = (rows @ mix[:, :, None])[:, :, 0]
-        if np.any(probs <= 0.0):
-            raise DataError("unmodelable word: zero mixture probability in fold-in")
-        lls = np.einsum("nl,nl->n", cnt, np.log(probs))
-        new = np.full(done.size, it == config.fold_in_max_iters)
-        if prev_lls is not None:
-            new |= _plateaued(lls, prev_lls, config.fold_in_rel_tol)
-        new &= ~done
-        out_mixes[active[new]] = mix[new]
-        out_lls[active[new]] = lls[new]
-        done |= new
-        if done.all():
-            return out_mixes, out_lls
-        mix *= ((cnt / probs)[:, None, :] @ rows)[:, 0, :]
-        mix /= mix.sum(axis=1, keepdims=True)
-        prev_lls = lls
-        if done.sum() >= _DROP_SHARE * done.size:  # converged documents leave the block
-            keep = np.flatnonzero(~done)
-            width = lens[active[keep]].max()
-            rows, cnt = rows[keep, :width], cnt[keep, :width]
-            active, mix, prev_lls, done = active[keep], mix[keep], prev_lls[keep], done[keep]
+    active = np.arange(lens.size)  # block positions of the rows
+    working = np.ones(lens.size, dtype=bool)  # not yet plateaued
+    n_done = 0  # rows plateaued and written, not yet dropped
+    prev_lls = np.full(lens.size, np.nan)  # no row plateaus on the first pass
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero probabilities are tested below
+        for it in range(config.fold_in_max_iters + 1):
+            probs = (rows @ mix[:, :, None])[:, :, 0]
+            lls = np.einsum("nl,nl->n", cnt, np.log(probs))
+            if not math.isfinite(lls.sum()) and np.any(probs[~np.isfinite(lls)] <= 0.0):
+                raise DataError("unmodelable word: zero mixture probability in fold-in")
+            if it == config.fold_in_max_iters:  # the cap: every working row is written
+                new = np.flatnonzero(working)
+            else:
+                hit = _plateaued(lls, prev_lls, config.fold_in_rel_tol)
+                new = np.flatnonzero(hit & working if n_done else hit)
+            if new.size:
+                pos = active[new]
+                out_mixes[pos], out_lls[pos] = mix[new], lls[new]
+                n_done += new.size
+                if n_done == working.size:
+                    return out_mixes, out_lls
+                working[new] = False
+            mix *= ((cnt / probs)[:, None, :] @ rows)[:, 0, :]
+            mix /= mix.sum(axis=1, keepdims=True)
+            prev_lls = lls
+            if new.size and n_done >= _DROP_SHARE * working.size:  # converged rows leave
+                keep = np.flatnonzero(working)
+                width = lens[active[keep[0]]]  # the rows stay longest first
+                rows, cnt, mix = rows[keep, :width], cnt[keep, :width], mix[keep]
+                active, prev_lls, working, n_done = active[keep], prev_lls[keep], working[keep], 0
 
 
 def fold_in_all(corpus, topics, config, init_mixes=None):

@@ -3,11 +3,12 @@
 import csv
 import inspect
 import json
+import logging
 
 import numpy as np
 import pytest
 
-from topicgrow import autostop, metrics, nplsa
+from topicgrow import autostop, cli, metrics, nplsa
 from topicgrow.autostop import StopDetector
 from topicgrow.cli import EXIT_DATA, EXIT_USAGE, build_parser, main
 from topicgrow.corpus import (
@@ -282,3 +283,52 @@ def test_malformed_config_line_is_a_data_error(synth_dir, tmp_path):
 def test_config_without_a_path_is_a_usage_error(synth_dir, tmp_path):
     argv = train_argv(synth_dir, tmp_path, "--algo", "plsa", "--k", "3")
     assert main([*argv, "--config"]) == EXIT_USAGE == 1
+
+
+@pytest.mark.parametrize("value, code, verbose", [
+    ("true", 0, True), ("FALSE", 0, False), ("yes", EXIT_DATA, None),
+])
+def test_config_file_sets_a_store_true_flag(synth_dir, tmp_path, monkeypatch, capsys, value,
+                                            code, verbose):
+    levels = []
+    monkeypatch.setattr(cli.logging, "basicConfig", lambda **kw: levels.append(kw["level"]))
+    config = tmp_path / "defaults.cfg"
+    config.write_text(f"verbose={value}\n")
+    argv = train_argv(synth_dir, tmp_path, "--algo", "plsa", "--k", "3", "--config", str(config))
+    assert main(argv) == code
+    if verbose is None:
+        assert levels == [] and not (tmp_path / "model.json").exists()
+        assert "bad config line 1: 'verbose=yes'" in capsys.readouterr().err
+    else:
+        assert levels == [logging.INFO if verbose else logging.WARNING]
+
+
+def test_eval_text_filters_apply_to_the_reference_only(synth_dir, tmp_path):
+    held_out = synth_dir / "corpus.sparse"
+    corpus = load_corpus(held_out)
+    stop = {corpus.vocab.term_of(int(t)) for t in np.argsort(-background_model(corpus))[:5]}
+    (tmp_path / "sw.txt").write_text("\n".join(sorted(stop)) + "\n")
+
+    terms = np.array(corpus.vocab.terms)
+
+    def write_text(path, skip):
+        docs = (np.repeat(terms[ids], counts.astype(int)) for ids, counts in corpus.docs)
+        path.write_text("".join(" ".join(t for t in doc if t not in skip) + "\n" for doc in docs))
+
+    write_text(tmp_path / "train.txt", set())
+    write_text(tmp_path / "filtered.txt", stop)
+    assert main(train_argv(synth_dir, tmp_path, "--algo", "plsa", "--k", "3")) == 0
+    model = ["eval", "--model", str(tmp_path / "model.json"), "--seed", "1"]
+
+    def evaluate(name, *flags):
+        assert main([*model, "--out", str(tmp_path / name), *flags]) == 0
+        with open(tmp_path / name / "metrics.json", encoding="utf-8") as fh:
+            return json.load(fh)
+
+    scoped = evaluate("scoped", "--corpus", str(held_out), "--reference",
+                      str(tmp_path / "train.txt"), "--stopwords", str(tmp_path / "sw.txt"))
+    by_hand = evaluate("by_hand", "--reference", str(tmp_path / "filtered.txt"))
+    unfiltered = evaluate("unfiltered", "--corpus", str(held_out), "--reference",
+                          str(tmp_path / "train.txt"))
+    assert scoped["pmi"] == by_hand["pmi"] != unfiltered["pmi"]
+    assert scoped["perplexity"] == unfiltered["perplexity"]  # the held-out file is not filtered

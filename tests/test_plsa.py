@@ -620,6 +620,39 @@ def mixed_length_instance(k):
     return corpus, 0.999 * topics + 0.001 / corpus.n_terms
 
 
+def reference_fold_in_block(words, cnt, table, lens, init_mixes, config):
+    """``plsa._fold_in_block`` with its straightforward bookkeeping: whole-block masks every pass."""
+    rows = np.take(table, words, axis=0)
+    mix = init_mixes.copy()
+    out_mixes = np.empty_like(mix)
+    out_lls = np.empty(lens.size)
+    active = np.arange(lens.size)  # block positions of the working rows
+    done = np.zeros(lens.size, dtype=bool)  # plateaued, result written, not yet dropped
+    prev_lls = None
+    for it in range(config.fold_in_max_iters + 1):
+        probs = (rows @ mix[:, :, None])[:, :, 0]
+        if np.any(probs <= 0.0):
+            raise DataError("unmodelable word: zero mixture probability in fold-in")
+        lls = np.einsum("nl,nl->n", cnt, np.log(probs))
+        new = np.full(done.size, it == config.fold_in_max_iters)
+        if prev_lls is not None:
+            new |= plsa._plateaued(lls, prev_lls, config.fold_in_rel_tol)
+        new &= ~done
+        out_mixes[active[new]] = mix[new]
+        out_lls[active[new]] = lls[new]
+        done |= new
+        if done.all():
+            return out_mixes, out_lls
+        mix *= ((cnt / probs)[:, None, :] @ rows)[:, 0, :]
+        mix /= mix.sum(axis=1, keepdims=True)
+        prev_lls = lls
+        if done.sum() >= plsa._DROP_SHARE * done.size:  # converged documents leave the block
+            keep = np.flatnonzero(~done)
+            width = lens[active[keep]].max()
+            rows, cnt = rows[keep, :width], cnt[keep, :width]
+            active, mix, prev_lls, done = active[keep], mix[keep], prev_lls[keep], done[keep]
+
+
 class TestFoldInDocs:
     """The padded-block batch kernel against single-document ``fold_in``."""
 
@@ -686,6 +719,23 @@ class TestFoldInDocs:
         for i, d in enumerate(docs):
             assert lls[i] == pytest.approx(fold_in(corpus.docs[d], topics, EmConfig(seed=0))[1],
                                            rel=1e-12)
+
+    @pytest.mark.parametrize("instance", [lambda: mixed_length_instance(k=4), sparse_topic_instance],
+                             ids=["mixed_length", "sparse_topic"])
+    @pytest.mark.parametrize("budget", [2**6, 2**10, 2**17])
+    def test_bit_identical_to_the_reference_kernel(self, monkeypatch, instance, budget):
+        # 2^6: many blocks; 2^17: one block. The instances cover the batch drop
+        # (test_blocks_match_fold_in) and the cap (test_batch_matches_per_doc).
+        corpus, topics = instance()
+        config = EmConfig(seed=0, fold_in_max_iters=30)
+        docs = np.concatenate([np.arange(corpus.n_docs)[::-1], [3, 0]])
+        init = np.random.default_rng(6).dirichlet(np.ones(topics.shape[0]), size=docs.size)
+        monkeypatch.setattr(plsa, "_BLOCK_ENTRIES", budget)
+        mixes, lls = fold_in_docs(corpus, docs, topics, config, init)
+        monkeypatch.setattr(plsa, "_fold_in_block", reference_fold_in_block)
+        ref_mixes, ref_lls = fold_in_docs(corpus, docs, topics, config, init)
+        assert np.array_equal(mixes, ref_mixes)
+        assert np.array_equal(lls, ref_lls)
 
     def test_zero_probability_word_raises(self):
         # The bad word "z" is the whole of the shortest document, padded in one
