@@ -5,29 +5,23 @@ worst-fitted document (largest likelihood-ratio deficit) to a new topic, so
 the implicit threshold decays on its own. Growth stops when a chosen score
 stops improving: either the mean pairwise distance between topics (which peaks
 near the right topic count) or the distance between the topics and a
-user-supplied exemplar query model. The run then rolls back to the best-scoring
-snapshot and finishes with plain EM at that topic count.
+user-supplied exemplar query model, each iteration being one of
+``nplsa.grow``'s. The run then rolls back to the best-scoring snapshot and
+finishes with plain EM at that topic count.
 """
 
 from __future__ import annotations
 
 import logging
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
-from .corpus import background_model, doc_language_model, pooled_counts
-from .errors import AlgorithmError, DataError
-from .nplsa import MAX_TOPICS, growth_start, warm_start
-from .plsa import (
-    TraceRow,
-    _e_step,
-    _m_step,
-    em_refine,
-    fold_in_all,
-    log_likelihood,
-)
+from .corpus import background_model, pooled_counts
+from .errors import DataError
+from .nplsa import MAX_TOPICS, grow, spawn, warm_start
+from .plsa import TraceRow, em_refine, fold_in_all, log_likelihood
 
 logger = logging.getLogger(__name__)
 
@@ -157,75 +151,42 @@ class StopDetector:
 
 
 def _grow(corpus, config, detector, score_fn, max_topics, max_spawns):
-    """Shared engine: spawn one topic per iteration until the detector fires.
+    """Shared engine: ``nplsa.grow`` spawning one topic per iteration until the detector fires.
 
-    Each iteration folds every document against the current topics, promotes
-    the document with the largest likelihood-ratio deficit, folds the rest in
-    against the enlarged topic set, and runs one M-step. Both fold-ins are
-    ``fold_in_all`` from a warm start: padded blocks of documents sorted
-    longest first, each document stopping on its own plateau and converged
-    ones leaving their block in batches, so a deficit is the one ``fold_in``
-    would give up to round-off. After the detector
-    fires (or the spawn budget runs out) the best snapshot is restored and
-    refined with plain EM. Returns (topics, mixes, trace).
+    The spawn phase folds every document against the current topics, promotes
+    the document with the largest likelihood-ratio deficit, and folds the rest
+    in against the enlarged topic set. Both fold-ins are ``fold_in_all`` from a
+    warm start, so a deficit is the one ``fold_in`` would give up to
+    round-off. After the detector fires (or the spawn budget runs out) the
+    best snapshot is restored and refined with plain EM. Returns (topics,
+    mixes, trace).
     """
     if max_spawns is not None and max_spawns < 0:
         raise DataError("max_spawns must be >= 0")
-    topics, mixes, self_lls = growth_start(corpus, config, max_topics)
 
-    trace = []
-    score, fields = score_fn(topics)
-    trace.append(
-        TraceRow(
-            iteration=0,
-            k=1,
-            loglik=log_likelihood(corpus, topics, mixes),
-            **fields,
-        )
-    )
-    detector.update(1, score, snapshot=(topics.copy(), mixes.copy()))
-
-    spawns = 0
-    while not detector.fired:
-        if max_spawns is not None and spawns >= max_spawns:
-            logger.info("spawn budget exhausted at K=%d", topics.shape[0])
-            break
+    def farthest_first(topics, mixes, doc_lls, self_lls, fitted):
         k = topics.shape[0]
-        if k + 1 > max_topics:
-            raise AlgorithmError(
-                f"topic explosion: more than {max_topics} topics without a diversity peak"
-            )
-        t0 = time.perf_counter()
-
         fit_mixes, fit_lls = fold_in_all(corpus, topics, config, init_mixes=warm_start(mixes, k)[1])
         deltas = self_lls - fit_lls
         d_star = int(np.argmax(deltas))
-
-        topics = np.vstack([topics, doc_language_model(corpus, d_star)])
-        k += 1
-        new_mixes, _ = fold_in_all(corpus, topics, config, init_mixes=warm_start(fit_mixes, k)[1])
+        topics = spawn(corpus, topics, d_star, max_topics, " without a diversity peak")
+        new_mixes, _ = fold_in_all(
+            corpus, topics, config, init_mixes=warm_start(fit_mixes, k + 1)[1]
+        )
         new_mixes[d_star] = 0.0
-        new_mixes[d_star, k - 1] = 1.0
-        ratio, doc_counts, _ = _e_step(corpus, topics, new_mixes)
-        topics, mixes = _m_step(
-            corpus, topics, new_mixes, ratio, doc_counts, config.smoothing_floor
-        )
+        new_mixes[d_star, k] = 1.0
+        return topics, new_mixes, (d_star,), {"epsilon": float(deltas[d_star]), "phase": "grow"}
 
-        spawns += 1
+    trace = []
+    rows = grow(corpus, config, max_topics, farthest_first)
+    for topics, mixes, row in islice(rows, None if max_spawns is None else max_spawns + 1):
         score, fields = score_fn(topics)
-        trace.append(
-            TraceRow(
-                iteration=spawns,
-                k=k,
-                loglik=float(_e_step(corpus, topics, mixes)[2].sum()),
-                epsilon=float(deltas[d_star]),
-                wall_ms=(time.perf_counter() - t0) * 1000.0,
-                mean_delta=float(deltas.mean()),
-                phase="grow",
-                **fields,
-            )
-        )
-        detector.update(k, score, snapshot=(topics.copy(), mixes.copy()))
+        trace.append(replace(row, **fields))
+        if detector.update(row.k, score, snapshot=(topics.copy(), mixes.copy())):
+            break
+    else:
+        logger.info("spawn budget exhausted at K=%d", topics.shape[0])
+    spawns = trace[-1].iteration
 
     if detector.best_snapshot is not None:
         topics, mixes = detector.best_snapshot

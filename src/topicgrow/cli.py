@@ -231,13 +231,15 @@ def _em_config(args):
 
 
 def _mutually_exclusive(args):
-    needed = {"plsa": "k", "nplsa": "epsilon", "query": "query"}
-    for algo, flag in needed.items():
-        value = getattr(args, flag)
-        if args.algo == algo and value is None:
-            raise UsageError(f"--algo {algo} requires --{flag}")
-        if args.algo != algo and value is not None:
-            raise UsageError(f"--{flag} only applies to --algo {algo}")
+    """Reject a train flag the chosen --algo ignores, or a missing one it requires."""
+    applies = {"k": ("plsa",), "epsilon": ("nplsa",), "query": ("query",),
+               "order_seed": ("nplsa",), "max_spawns": ("auto", "query")}
+    for dest, algos in applies.items():
+        flag, value = "--" + dest.replace("_", "-"), getattr(args, dest)
+        if dest in ("k", "epsilon", "query") and args.algo in algos and value is None:
+            raise UsageError(f"--algo {args.algo} requires {flag}")
+        if args.algo not in algos and value is not None:
+            raise UsageError(f"{flag} only applies to --algo {'/'.join(algos)}")
 
 
 def _cmd_train(args, out_dir):

@@ -74,8 +74,9 @@ class EmConfig:
 class TraceRow:
     """One line of a training trace; unset fields stay None.
 
-    ``mean_delta``, ``phase`` and ``spawned`` (ids of the documents that spawned
-    a topic) are in-memory diagnostics and are not part of the CSV serialization.
+    ``phase`` and ``spawned`` (ids of the documents that spawned a topic in an
+    iteration of ``nplsa.grow``, the loop of nPLSA and farthest-first growth)
+    are in-memory diagnostics and are not part of the CSV serialization.
     """
 
     iteration: int
@@ -87,7 +88,6 @@ class TraceRow:
     query_distance: float | None = None
     closest_topic: int | None = None
     wall_ms: float | None = None
-    mean_delta: float | None = field(default=None, repr=False)
     phase: str = field(default="", repr=False)
     spawned: tuple = field(default=(), repr=False)
 

@@ -14,7 +14,7 @@ from topicgrow.autostop import (
     train_weakly_supervised,
 )
 from topicgrow.corpus import background_model, ingest_sparse
-from topicgrow.errors import DataError
+from topicgrow.errors import AlgorithmError, DataError
 from topicgrow.metrics import topic_coverage_error
 from topicgrow.nplsa import doc_self_loglik
 from topicgrow.plsa import EmConfig, fold_in
@@ -292,7 +292,7 @@ def spy_fold_ins(monkeypatch):
 
 
 def check_fold_ins(corpus, config, calls, trace):
-    """Each fold-in equals per-document ``fold_in``; each deficit is the argmax document's."""
+    """Each fold-in equals per-document ``fold_in``; each deficit and spawn is the argmax's."""
     for topics, init, mixes, lls in calls:
         for d in range(corpus.n_docs):
             mix, ll = fold_in(corpus.docs[d], topics, config, init_mix=init[d])
@@ -304,6 +304,7 @@ def check_fold_ins(corpus, config, calls, trace):
     for row, (_, _, _, lls) in zip(grow, calls[::2]):
         d_star = int(np.argmax(self_lls - lls))
         assert row.epsilon == doc_self_loglik(corpus.docs[d_star]) - lls[d_star]
+        assert row.spawned == (d_star,)
 
 
 class TestGrowthBudgets:
@@ -325,6 +326,11 @@ class TestGrowthBudgets:
     def test_topic_cap_below_one_raises(self, which, max_topics):
         with pytest.raises(DataError, match="max_topics must be >= 1"):
             self.train(which, max_topics=max_topics)
+
+    def test_topic_cap_raises(self):
+        detector = StopDetector(mode="maximize", patience=50)
+        with pytest.raises(AlgorithmError, match="topic explosion: more than 2 topics"):
+            self.train("auto", detector=detector, max_topics=2)
 
     @pytest.mark.parametrize("which", ["auto", "query"])
     def test_zero_spawn_budget_refines_one_topic(self, which):

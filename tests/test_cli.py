@@ -229,6 +229,29 @@ def test_zero_spawn_budget_trains_one_topic(synth_dir, tmp_path):
         assert json.load(fh)["meta"]["K"] == 1
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--algo", "plsa"], "--algo plsa requires --k"),
+    (["--algo", "nplsa"], "--algo nplsa requires --epsilon"),
+    (["--algo", "query"], "--algo query requires --query"),
+    (["--algo", "auto", "--k", "3"], "--k only applies to --algo plsa"),
+    (["--algo", "plsa", "--k", "3", "--epsilon", "30"], "--epsilon only applies to --algo nplsa"),
+    (["--algo", "auto", "--query", "w001"], "--query only applies to --algo query"),
+    (["--algo", "auto", "--order-seed", "7"], "--order-seed only applies to --algo nplsa"),
+    (["--algo", "query", "--query", "w001", "--order-seed", "7"],
+     "--order-seed only applies to --algo nplsa"),
+    (["--algo", "plsa", "--k", "3", "--max-spawns", "2"],
+     "--max-spawns only applies to --algo auto/query"),
+    (["--algo", "nplsa", "--epsilon", "30", "--max-spawns", "2"],
+     "--max-spawns only applies to --algo auto/query"),
+])
+def test_flag_missing_or_ignored_by_the_algo_is_a_usage_error(synth_dir, tmp_path, flags,
+                                                              message, capsys):
+    code = main(train_argv(synth_dir, tmp_path, *flags))
+    assert code == EXIT_USAGE == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
+
+
 @pytest.mark.parametrize("flags", [
     ["--algo", "plsa", "--k", "3", "--seed", "-1"],
     ["--algo", "nplsa", "--epsilon", "30", "--order-seed", "-1", "--seed", "1"],

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from topicgrow import autostop, plsa
+from topicgrow import autostop, nplsa, plsa
 from topicgrow import corpus as corpus_module
 from topicgrow.corpus import (
     Corpus,
@@ -410,7 +410,7 @@ class TestTopicMajorEquivalence:
     @staticmethod
     def both(monkeypatch, train):
         fast = train()
-        for module in (plsa, autostop):
+        for module in (plsa, nplsa):
             monkeypatch.setattr(module, "_e_step", topic_major_e_step)
             monkeypatch.setattr(module, "_m_step", topic_major_m_step)
         return fast, train()
