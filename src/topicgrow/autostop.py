@@ -2,7 +2,9 @@
 
 Instead of a fixed spawn threshold, each outer iteration promotes the single
 worst-fitted document (largest likelihood-ratio deficit) to a new topic, so
-the implicit threshold decays on its own. Growth stops when a chosen score
+the implicit threshold decays on its own. The E-step bounds every deficit, so
+finding that document fits only the few whose bound can still win; one fold-in
+per spawn then refits the corpus. Growth stops when a chosen score
 stops improving: either the mean pairwise distance between topics (which peaks
 near the right topic count) or the distance between the topics and a
 user-supplied exemplar query model, each iteration being one of
@@ -20,7 +22,7 @@ import numpy as np
 
 from .corpus import background_model, pooled_counts
 from .errors import DataError
-from .nplsa import MAX_TOPICS, grow, spawn, warm_start
+from .nplsa import MAX_TOPICS, best_fits, grow, spawn, warm_start
 from .plsa import TraceRow, em_refine, fold_in_all, log_likelihood
 
 logger = logging.getLogger(__name__)
@@ -150,32 +152,40 @@ class StopDetector:
         return self.fired
 
 
-def _grow(corpus, config, detector, score_fn, max_topics, max_spawns):
+def _grow(corpus, config, detector, score_fn, max_topics, max_spawns, advice):
     """Shared engine: ``nplsa.grow`` spawning one topic per iteration until the detector fires.
 
-    The spawn phase folds every document against the current topics, promotes
-    the document with the largest likelihood-ratio deficit, and folds the rest
-    in against the enlarged topic set. Both fold-ins are ``fold_in_all`` from a
-    warm start, so a deficit is the one ``fold_in`` would give up to
-    round-off. After the detector fires (or the spawn budget runs out) the
-    best snapshot is restored and refined with plain EM. Returns (topics,
-    mixes, trace).
+    The spawn phase promotes the document with the largest deficit, its self
+    log-likelihood minus the better of its ``best_fits`` fold-in and its EM
+    log-likelihood. The E-step deficit ``self_lls - doc_lls`` bounds it, so
+    documents are fitted in decreasing bound order, in doubling batches, until
+    no bound left can beat the best deficit: the spawn is the argmax over every
+    document, ties to the lowest id. One ``fold_in_all`` from the EM mixes then
+    fits every document to the enlarged topic set. A topic cap hit raises
+    "topic explosion" ending in ``advice``. After the detector fires (or the
+    spawn budget runs out) the best snapshot is restored and refined with
+    plain EM. Returns (topics, mixes, trace).
     """
     if max_spawns is not None and max_spawns < 0:
         raise DataError("max_spawns must be >= 0")
 
     def farthest_first(topics, mixes, doc_lls, self_lls, fitted):
         k = topics.shape[0]
-        fit_mixes, fit_lls = fold_in_all(corpus, topics, config, init_mixes=warm_start(mixes, k)[1])
-        deltas = self_lls - fit_lls
-        d_star = int(np.argmax(deltas))
-        topics = spawn(corpus, topics, d_star, max_topics, " without a diversity peak")
-        new_mixes, _ = fold_in_all(
-            corpus, topics, config, init_mixes=warm_start(fit_mixes, k + 1)[1]
-        )
+        bounds = self_lls - doc_lls
+        order = np.argsort(-bounds, kind="stable")
+        deficits = np.full(corpus.n_docs, -np.inf)  # -inf: not fitted, cannot win
+        n, step = 0, 1
+        while n < order.size and bounds[order[n]] >= deficits.max():
+            docs = order[n : n + step]
+            deficits[docs] = self_lls[docs] - best_fits(corpus, docs, topics, mixes, doc_lls,
+                                                        config)[1]
+            n, step = n + step, 2 * step
+        d_star = int(np.argmax(deficits))
+        topics = spawn(corpus, topics, d_star, max_topics, advice)
+        new_mixes, _ = fold_in_all(corpus, topics, config, init_mixes=warm_start(mixes, k + 1)[1])
         new_mixes[d_star] = 0.0
         new_mixes[d_star, k] = 1.0
-        return topics, new_mixes, (d_star,), {"epsilon": float(deltas[d_star]), "phase": "grow"}
+        return topics, new_mixes, (d_star,), {"epsilon": float(deficits[d_star]), "phase": "grow"}
 
     trace = []
     rows = grow(corpus, config, max_topics, farthest_first)
@@ -226,7 +236,8 @@ def train_parameter_free(corpus, config, detector=None, max_topics=MAX_TOPICS, m
     """
     if detector is None:
         detector = StopDetector(mode="maximize")
-    return _grow(corpus, config, detector, _diversity_fields, max_topics, max_spawns)
+    return _grow(corpus, config, detector, _diversity_fields, max_topics, max_spawns,
+                 " without a diversity peak")
 
 
 def train_weakly_supervised(
@@ -254,4 +265,5 @@ def train_weakly_supervised(
         dist, idx = query_distance(query.theta_q, topics)
         return dist, {"query_distance": dist, "closest_topic": idx}
 
-    return _grow(corpus, config, detector, score_fn, max_topics, max_spawns)
+    return _grow(corpus, config, detector, score_fn, max_topics, max_spawns,
+                 " without a query-distance minimum")

@@ -91,13 +91,13 @@ def build_parser():
     train.add_argument("--k", type=int, help="topic count (plsa only)")
     train.add_argument("--epsilon", type=float, help="spawn threshold in nats (nplsa only)")
     train.add_argument("--query", help="whitespace-separated query terms (query only)")
-    train.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAM,
-                       help="query/background mixture weight for pseudo feedback")
-    train.add_argument("--patience", type=int, default=StopDetector().patience,
-                       help="stalled iterations before the stop detector fires")
+    train.add_argument("--lambda", dest="lam", type=float,
+                       help="query/background mixture weight for pseudo feedback (query only)")
+    train.add_argument("--patience", type=int,
+                       help="stalled iterations before the stop detector fires (auto/query)")
     train.add_argument("--max-spawns", type=int,
                        help="cap growth iterations (auto/query; full-curve runs)")
-    train.add_argument("--max-topics", type=int, default=MAX_TOPICS)
+    train.add_argument("--max-topics", type=int, help="topic cap (nplsa/auto/query)")
     train.add_argument("--order-seed", type=int,
                        help="shuffle the document sweep order (nplsa only)")
     train.add_argument("--max-iters", type=int, default=em.max_iters)
@@ -233,17 +233,29 @@ def _em_config(args):
 def _mutually_exclusive(args):
     """Reject a train flag the chosen --algo ignores, or a missing one it requires."""
     applies = {"k": ("plsa",), "epsilon": ("nplsa",), "query": ("query",),
-               "order_seed": ("nplsa",), "max_spawns": ("auto", "query")}
+               "order_seed": ("nplsa",), "max_spawns": ("auto", "query"),
+               "patience": ("auto", "query"), "lam": ("query",),
+               "max_topics": ("nplsa", "auto", "query")}
     for dest, algos in applies.items():
-        flag, value = "--" + dest.replace("_", "-"), getattr(args, dest)
+        flag = "--lambda" if dest == "lam" else "--" + dest.replace("_", "-")
+        value = getattr(args, dest)
         if dest in ("k", "epsilon", "query") and args.algo in algos and value is None:
             raise UsageError(f"--algo {args.algo} requires {flag}")
         if args.algo not in algos and value is not None:
             raise UsageError(f"{flag} only applies to --algo {'/'.join(algos)}")
 
 
+def _resolve_defaults(args):
+    """Fill the library default of each train flag left unset; config.json echoes them."""
+    defaults = {"patience": StopDetector().patience, "lam": DEFAULT_LAM, "max_topics": MAX_TOPICS}
+    for dest, default in defaults.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+
+
 def _cmd_train(args, out_dir):
     _mutually_exclusive(args)
+    _resolve_defaults(args)
     stopwords = read_stopwords(args.stopwords) if args.stopwords else None
     corpus = load_corpus(args.corpus, min_df=args.min_df, stopwords=stopwords)
     config = _em_config(args)

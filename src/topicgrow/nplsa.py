@@ -59,7 +59,7 @@ def warm_start(mixes, k):
     return old, _WARM_KEEP * old + (1.0 - _WARM_KEEP) / k
 
 
-def _best_fits(corpus, docs, topics, mixes, old_lls, config):
+def best_fits(corpus, docs, topics, mixes, old_lls, config):
     """Fold documents in, but never fall below their previous fit.
 
     ``old_lls`` are the documents' log-likelihoods under ``mixes``. The fold-in
@@ -67,7 +67,9 @@ def _best_fits(corpus, docs, topics, mixes, old_lls, config):
     short of the optimum it can land below the old (zero-padded) mix, which would
     break the monotonicity of the penalized objective. Taking whichever of the
     two fits is better restores the guarantee while still letting new topics be
-    adopted. Returns (mixes (len(docs), K), lls (len(docs),)).
+    adopted. Both growth algorithms score deficits with it: nPLSA's sweep and
+    farthest-first growth's bounded search, which relies on a returned ll never
+    falling below ``old_lls``. Returns (mixes (len(docs), K), lls (len(docs),)).
     """
     old, warm = warm_start(mixes[docs], topics.shape[0])
     fit_mixes, fit_lls = fold_in_docs(corpus, docs, topics, config, warm)
@@ -180,7 +182,7 @@ def train_nplsa(corpus, epsilon, config, max_topics=MAX_TOPICS, order_seed=None)
             deficits = np.zeros(head.size)
             if fold.any():
                 docs = head[fold]
-                fits, best = _best_fits(corpus, docs, topics, mixes, doc_lls, config)
+                fits, best = best_fits(corpus, docs, topics, mixes, doc_lls, config)
                 deficits[fold] = self_lls[docs] - best
                 post_mixes[docs[stale[fold]]] = fits[stale[fold]]
             over = np.flatnonzero(deficits > epsilon)

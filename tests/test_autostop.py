@@ -16,8 +16,8 @@ from topicgrow.autostop import (
 from topicgrow.corpus import background_model, ingest_sparse
 from topicgrow.errors import AlgorithmError, DataError
 from topicgrow.metrics import topic_coverage_error
-from topicgrow.nplsa import doc_self_loglik
-from topicgrow.plsa import EmConfig, fold_in
+from topicgrow.nplsa import doc_self_loglik, grow, spawn, warm_start
+from topicgrow.plsa import EmConfig, _e_step, fold_in, fold_in_all
 from topicgrow.synthgen import PROFILES, SynthConfig, generate_corpus
 
 
@@ -291,20 +291,51 @@ def spy_fold_ins(monkeypatch):
     return calls
 
 
-def check_fold_ins(corpus, config, calls, trace):
-    """Each fold-in equals per-document ``fold_in``; each deficit and spawn is the argmax's."""
-    for topics, init, mixes, lls in calls:
+def spy_grow_states(monkeypatch):
+    """Record (topics, mixes) of every iteration of ``nplsa.grow`` the growth run reads."""
+    states = []
+    real = autostop.grow
+
+    def spy(*args):
+        for topics, mixes, row in real(*args):
+            states.append((topics.copy(), mixes.copy()))
+            yield topics, mixes, row
+
+    monkeypatch.setattr(autostop, "grow", spy)
+    return states
+
+
+def oracle_deficits(corpus, topics, mixes, config):
+    """(deficits, E-step bounds): every document fitted by its own ``fold_in``.
+
+    A deficit is the self log-likelihood minus the better of the fold-in fit,
+    warm-started as growth starts it, and the log-likelihood under the EM mix.
+    """
+    self_lls = np.array([doc_self_loglik(doc) for doc in corpus.docs])
+    em_lls = _e_step(corpus, topics, mixes)[2]
+    warm = warm_start(mixes, topics.shape[0])[1]
+    fit_lls = np.array([fold_in(corpus.docs[d], topics, config, init_mix=warm[d])[1]
+                        for d in range(corpus.n_docs)])
+    return self_lls - np.maximum(fit_lls, em_lls), self_lls - em_lls
+
+
+def check_fold_ins(corpus, config, calls, states, trace):
+    """One fold-in per spawn, equal to per-document ``fold_in``; each spawn the oracle's argmax."""
+    grow = [row for row in trace if row.phase == "grow"]
+    assert len(calls) == len(grow)  # one fold_in_all per spawn: the post-spawn one
+    for row, (topics, init, mixes, lls) in zip(grow, calls):
+        old_topics, old_mixes = states[row.iteration - 1]
+        np.testing.assert_array_equal(topics[:-1], old_topics)
+        np.testing.assert_array_equal(init, warm_start(old_mixes, topics.shape[0])[1])
         for d in range(corpus.n_docs):
             mix, ll = fold_in(corpus.docs[d], topics, config, init_mix=init[d])
             np.testing.assert_allclose(mixes[d], mix, rtol=1e-12, atol=1e-12)
             assert lls[d] == pytest.approx(ll, rel=1e-12)
-    grow = [row for row in trace if row.phase == "grow"]
-    assert len(calls) == 2 * len(grow)  # two fold-ins per spawn
-    self_lls = np.array([doc_self_loglik(doc) for doc in corpus.docs])
-    for row, (_, _, _, lls) in zip(grow, calls[::2]):
-        d_star = int(np.argmax(self_lls - lls))
-        assert row.epsilon == doc_self_loglik(corpus.docs[d_star]) - lls[d_star]
+        deficits, bounds = oracle_deficits(corpus, old_topics, old_mixes, config)
+        assert np.all(deficits <= bounds)
+        d_star = int(np.argmax(deficits))
         assert row.spawned == (d_star,)
+        assert row.epsilon == pytest.approx(deficits[d_star], rel=1e-12)
 
 
 class TestGrowthBudgets:
@@ -332,6 +363,15 @@ class TestGrowthBudgets:
         with pytest.raises(AlgorithmError, match="topic explosion: more than 2 topics"):
             self.train("auto", detector=detector, max_topics=2)
 
+    @pytest.mark.parametrize("which, mode, advice", [
+        ("auto", "maximize", "without a diversity peak"),
+        ("query", "minimize", "without a query-distance minimum"),
+    ])
+    def test_topic_cap_names_the_stop_rule(self, which, mode, advice):
+        detector = StopDetector(mode=mode, patience=50)
+        with pytest.raises(AlgorithmError, match=f"more than 2 topics {advice}$"):
+            self.train(which, detector=detector, max_topics=2)
+
     @pytest.mark.parametrize("which", ["auto", "query"])
     def test_zero_spawn_budget_refines_one_topic(self, which):
         topics, _, trace = self.train(which, max_spawns=0)
@@ -341,18 +381,26 @@ class TestGrowthBudgets:
 
 class TestGrowFoldIns:
     def test_parameter_free_fold_ins_match_fold_in(self, monkeypatch):
-        calls = spy_fold_ins(monkeypatch)
+        calls, states = spy_fold_ins(monkeypatch), spy_grow_states(monkeypatch)
         corpus = clustered_corpus(np.random.default_rng(67), n_docs=18)
         config = EmConfig(seed=7, max_iters=40)
         _, _, trace = train_parameter_free(corpus, config, max_spawns=5)
-        check_fold_ins(corpus, config, calls, trace)
+        check_fold_ins(corpus, config, calls, states, trace)
 
     def test_weakly_supervised_fold_ins_match_fold_in(self, monkeypatch):
-        calls = spy_fold_ins(monkeypatch)
+        calls, states = spy_fold_ins(monkeypatch), spy_grow_states(monkeypatch)
         corpus = clustered_corpus(np.random.default_rng(71), n_docs=18)
         config = EmConfig(seed=8, max_iters=40)
         _, _, trace = train_weakly_supervised(corpus, ["t07"], config, max_spawns=4)
-        check_fold_ins(corpus, config, calls, trace)
+        check_fold_ins(corpus, config, calls, states, trace)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_desk_spawns_are_the_oracle_argmax(self, monkeypatch, seed):
+        calls, states = spy_fold_ins(monkeypatch), spy_grow_states(monkeypatch)
+        corpus, _ = generate_corpus(SynthConfig(seed=seed, **dict(PROFILES["desk"], n_docs=60)))
+        config = EmConfig(seed=seed)
+        _, _, trace = train_parameter_free(corpus, config, max_spawns=8)
+        check_fold_ins(corpus, config, calls, states, trace)
 
 
 def fold_in_until_slowest(corpus, topics, config, init_mixes):
@@ -385,6 +433,45 @@ def test_desk_grid_picks_the_reference_k(monkeypatch, seed):
     results = []
     for fold_in_all in (fold_in_until_slowest, autostop.fold_in_all):
         monkeypatch.setattr(autostop, "fold_in_all", fold_in_all)
+        detector = StopDetector(mode="maximize", patience=15)
+        topics, _, _ = train_parameter_free(corpus, config, detector=detector, max_spawns=14)
+        results.append((detector.best_k, topic_coverage_error(topics, truth.topics)))
+    (ref_k, ref_tce), (k, tce) = results
+    assert k == ref_k
+    assert tce == pytest.approx(ref_tce, rel=0.10)
+
+
+def two_fold_in_phase(corpus, config, max_topics):
+    """Farthest-first spawning by two full fold-ins per spawn, the reference for the search."""
+
+    def phase(topics, mixes, doc_lls, self_lls, fitted):
+        k = topics.shape[0]
+        fit_mixes, fit_lls = fold_in_all(corpus, topics, config, init_mixes=warm_start(mixes, k)[1])
+        deltas = self_lls - fit_lls
+        d_star = int(np.argmax(deltas))
+        topics = spawn(corpus, topics, d_star, max_topics, "")
+        new_mixes, _ = fold_in_all(
+            corpus, topics, config, init_mixes=warm_start(fit_mixes, k + 1)[1]
+        )
+        new_mixes[d_star] = 0.0
+        new_mixes[d_star, k] = 1.0
+        return topics, new_mixes, (d_star,), {"epsilon": float(deltas[d_star]), "phase": "grow"}
+
+    return phase
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_desk_grid_search_picks_the_two_fold_in_k(monkeypatch, seed):
+    """The bounded search moves deficits slightly but not the chosen K or the fit."""
+    corpus, truth = generate_corpus(SynthConfig(seed=seed, **PROFILES["desk"]))
+    config = EmConfig(seed=seed)
+
+    def two_fold_in_grow(corpus, config, max_topics, spawn_phase):
+        return grow(corpus, config, max_topics, two_fold_in_phase(corpus, config, max_topics))
+
+    results = []
+    for grow_fn in (two_fold_in_grow, grow):
+        monkeypatch.setattr(autostop, "grow", grow_fn)
         detector = StopDetector(mode="maximize", patience=15)
         topics, _, _ = train_parameter_free(corpus, config, detector=detector, max_spawns=14)
         results.append((detector.best_k, topic_coverage_error(topics, truth.topics)))

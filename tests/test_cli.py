@@ -172,6 +172,8 @@ def test_parsed_defaults_are_the_library_defaults():
         library.alpha, library.beta, library.min_topic_dist)
 
     train = parser.parse_args(["train", "--algo", "auto", "--corpus", "c", *common])
+    assert (train.patience, train.lam, train.max_topics) == (None, None, None)  # unset
+    cli._resolve_defaults(train)
     em = EmConfig(seed=0)
     assert (train.max_iters, train.rel_tol, train.floor, train.fold_in_iters,
             train.fold_in_tol) == (em.max_iters, em.rel_tol, em.smoothing_floor,
@@ -243,6 +245,14 @@ def test_zero_spawn_budget_trains_one_topic(synth_dir, tmp_path):
      "--max-spawns only applies to --algo auto/query"),
     (["--algo", "nplsa", "--epsilon", "30", "--max-spawns", "2"],
      "--max-spawns only applies to --algo auto/query"),
+    (["--algo", "plsa", "--k", "3", "--patience", "5"],
+     "--patience only applies to --algo auto/query"),
+    (["--algo", "nplsa", "--epsilon", "30", "--patience", "5"],
+     "--patience only applies to --algo auto/query"),
+    (["--algo", "plsa", "--k", "3", "--lambda", "0.9"], "--lambda only applies to --algo query"),
+    (["--algo", "auto", "--lambda", "0.9"], "--lambda only applies to --algo query"),
+    (["--algo", "plsa", "--k", "3", "--max-topics", "2"],
+     "--max-topics only applies to --algo nplsa/auto/query"),
 ])
 def test_flag_missing_or_ignored_by_the_algo_is_a_usage_error(synth_dir, tmp_path, flags,
                                                               message, capsys):
@@ -250,6 +260,26 @@ def test_flag_missing_or_ignored_by_the_algo_is_a_usage_error(synth_dir, tmp_pat
     assert code == EXIT_USAGE == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "model.json").exists()
+
+
+def test_config_echo_holds_the_resolved_defaults(synth_dir, tmp_path):
+    assert main(train_argv(synth_dir, tmp_path, "--algo", "plsa", "--k", "3")) == 0
+    with open(tmp_path / "config.json", encoding="utf-8") as fh:
+        echo = json.load(fh)
+    assert (echo["patience"], echo["lam"], echo["max_topics"]) == (
+        StopDetector().patience, autostop.DEFAULT_LAM, nplsa.MAX_TOPICS)
+
+
+@pytest.mark.parametrize("algo, advice", [
+    ("auto", "without a diversity peak"),
+    ("query", "without a query-distance minimum"),
+])
+def test_topic_cap_names_the_stop_rule(synth_dir, tmp_path, algo, advice, capsys):
+    flags = algo_flags(algo, synth_dir / "corpus.sparse")
+    code = main(train_argv(synth_dir, tmp_path, "--algo", algo, *flags,
+                           "--max-topics", "2", "--patience", "30"))
+    assert code == cli.EXIT_ALGORITHM == 3
+    assert f"topic explosion: more than 2 topics {advice}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [

@@ -102,7 +102,7 @@ def penalized_objective(corpus, topics, mixes, fitted, epsilon, config):
     lls = _e_step(corpus, topics, mixes)[2]
     stale = np.flatnonzero(fitted < topics.shape[0])
     if stale.size:
-        lls[stale] = nplsa._best_fits(corpus, stale, topics, mixes, lls, config)[1]
+        lls[stale] = nplsa.best_fits(corpus, stale, topics, mixes, lls, config)[1]
     return float(lls.sum()) - epsilon * topics.shape[0]
 
 
