@@ -7,8 +7,8 @@ finding that document fits only the few whose bound can still win; one fold-in
 per spawn then refits the corpus. Growth stops when a chosen score
 stops improving: either the mean pairwise distance between topics (which peaks
 near the right topic count) or the distance between the topics and a
-user-supplied exemplar query model, each iteration being one of
-``nplsa.grow``'s. The run then rolls back to the best-scoring snapshot and
+user-supplied exemplar query model, each iteration being one of the EM loop
+``plsa.em_steps``. The run then rolls back to the best-scoring snapshot and
 finishes with plain EM at that topic count.
 """
 
@@ -23,7 +23,7 @@ import numpy as np
 from .corpus import background_model, pooled_counts
 from .errors import DataError
 from .nplsa import MAX_TOPICS, best_fits, grow, spawn, warm_start
-from .plsa import TraceRow, em_refine, fold_in_all, log_likelihood
+from .plsa import TraceRow, em_refine, fold_in_all
 
 logger = logging.getLogger(__name__)
 
@@ -168,6 +168,8 @@ def _grow(corpus, config, detector, score_fn, max_topics, max_spawns, advice):
     """
     if max_spawns is not None and max_spawns < 0:
         raise DataError("max_spawns must be >= 0")
+    if detector.history:  # its best snapshot would belong to another run
+        raise DataError("the stop detector has already scored a run; pass a fresh one")
 
     def farthest_first(topics, mixes, doc_lls, self_lls, fitted):
         k = topics.shape[0]
@@ -192,27 +194,22 @@ def _grow(corpus, config, detector, score_fn, max_topics, max_spawns, advice):
     for topics, mixes, row in islice(rows, None if max_spawns is None else max_spawns + 1):
         score, fields = score_fn(topics)
         trace.append(replace(row, **fields))
-        if detector.update(row.k, score, snapshot=(topics.copy(), mixes.copy())):
+        snapshot = (topics.copy(), mixes.copy())
+        stop = detector.update(row.k, score, snapshot=snapshot)
+        if detector.best_snapshot is snapshot:
+            best_ll = row.loglik  # the E-step of exactly the snapshot's arrays
+        if stop:
             break
     else:
         logger.info("spawn budget exhausted at K=%d", topics.shape[0])
     spawns = trace[-1].iteration
 
-    if detector.best_snapshot is not None:
-        topics, mixes = detector.best_snapshot
-        topics, mixes = topics.copy(), mixes.copy()
-        logger.info(
-            "rolled back to best K=%d (score %.6f)", detector.best_k, detector.best_score
-        )
+    topics, mixes = (a.copy() for a in detector.best_snapshot)
+    logger.info("rolled back to best K=%d (score %.6f)", detector.best_k, detector.best_score)
     score, fields = score_fn(topics)
     trace.append(
-        TraceRow(
-            iteration=spawns + 1,
-            k=topics.shape[0],
-            loglik=log_likelihood(corpus, topics, mixes),
-            phase="rollback",
-            **fields,
-        )
+        TraceRow(iteration=spawns + 1, k=topics.shape[0], loglik=best_ll, phase="rollback",
+                 **fields)
     )
     topics, mixes, _ = em_refine(
         corpus, topics, mixes, config, trace=trace, start_iter=spawns + 2, phase="refine"
@@ -229,7 +226,7 @@ def train_parameter_free(corpus, config, detector=None, max_topics=MAX_TOPICS, m
     """Grow topics until inter-topic diversity stops improving.
 
     ``detector`` defaults to a maximize-mode StopDetector with its default
-    patience; pass a configured one to change patience or to inspect the score
+    patience; pass a new configured one to change patience or to inspect the score
     history and the best snapshot afterwards. ``max_spawns`` optionally caps
     the number of growth iterations (useful for recording full score curves).
     Returns (topics, mixes, trace).

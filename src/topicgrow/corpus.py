@@ -437,7 +437,16 @@ def read_sparse_corpus(path):
 
 
 def write_sparse_corpus(corpus, path):
-    """Write a corpus in the sparse format read by read_sparse_corpus, vocabulary included."""
+    """Write a corpus in the sparse format read by read_sparse_corpus, vocabulary included.
+
+    That format splits lines on whitespace: an empty term or doc id, or one holding
+    whitespace, is a DataError raised before the file is opened.
+    """
+    for kind, names in (("term", corpus.vocab.terms), ("doc id", corpus.doc_ids)):
+        bad = next((name for name in map(str, names) if name.split() != [name]), None)
+        if bad is not None:
+            raise DataError(f"{kind} {bad!r} is empty or holds whitespace: "
+                            "the sparse format cannot write it")
     nnz = sum(ids.size for ids, _ in corpus.docs)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"docs={corpus.n_docs} terms={corpus.n_terms} nnz={nnz}\n")

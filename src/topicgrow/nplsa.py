@@ -9,31 +9,20 @@ topics within a single EM execution while monotonically improving the
 penalized objective ``log-likelihood - epsilon * K``, which every trace row
 records as ``objective``.
 
-Every growth run, nPLSA's and ``autostop``'s farthest-first one, is the EM
-loop ``grow`` with its own spawn phase; both spawn through ``spawn``.
+Every growth run, nPLSA's and ``autostop``'s farthest-first one, is
+``plsa.em_steps``, the package's one EM loop, started by ``grow`` and given
+its own spawn phase; both spawn through ``spawn``.
 """
 
 from __future__ import annotations
 
-import logging
-import time
-from itertools import count, islice
+from itertools import islice
 
 import numpy as np
 
 from .corpus import doc_language_model
 from .errors import AlgorithmError, DataError
-from .plsa import (
-    TraceRow,
-    _e_step,
-    _floor_rows,
-    _m_step,
-    _plateaued,
-    fold_in_docs,
-    init_topics,
-)
-
-logger = logging.getLogger(__name__)
+from .plsa import _floor_rows, _plateaued, em_steps, fold_in_docs, init_topics
 
 # Warm-start blend for fold-in restarts: mostly the previous mix, plus enough
 # uniform mass that newly appended topics are reachable (multiplicative EM
@@ -89,48 +78,23 @@ def spawn(corpus, topics, d, max_topics, advice):
 
 
 def grow(corpus, config, max_topics, spawn_phase):
-    """The EM loop of a growth run, yielding (topics, mixes, TraceRow) until the caller stops.
+    """A growth run: the EM loop ``plsa.em_steps`` from the growth start state.
 
-    Iteration 0 is the start: one floored Dirichlet(1) topic drawn with
-    ``config.seed``, every mix on it. Each later iteration calls
-    ``spawn_phase(topics, mixes, doc_lls, self_lls, fitted)`` (the current
-    per-document log-likelihoods, each ``doc_self_loglik``, and the topic
-    count each document was last fitted against, updated in place), which
-    returns (topics, post_mixes, spawned ids, trace fields); ``post_mixes`` is
-    None when the E-step in hand still holds. Topics without expected counts
-    are pruned, then an M-step and its E-step follow.
+    The start is one floored Dirichlet(1) topic drawn with ``config.seed``,
+    every mix on it. ``em_steps`` calls the spawn phase with each document's
+    ``doc_self_loglik`` added: ``spawn_phase(topics, mixes, doc_lls, self_lls,
+    fitted)``.
     """
     if max_topics < 1:
         raise DataError("max_topics must be >= 1")
     rng = np.random.default_rng(config.seed)
     topics = _floor_rows(init_topics(1, corpus.n_terms, rng), config.smoothing_floor)
-    mixes = np.ones((corpus.n_docs, 1))
     self_lls = np.array([doc_self_loglik(doc) for doc in corpus.docs])
-    fitted = np.ones(corpus.n_docs, dtype=np.int64)
-    ratio, doc_counts, doc_lls = _e_step(corpus, topics, mixes)
-    yield topics, mixes, TraceRow(iteration=0, k=1, loglik=float(doc_lls.sum()))
-    for it in count(1):
-        t0 = time.perf_counter()
-        topics, post_mixes, spawned, fields = spawn_phase(topics, mixes, doc_lls, self_lls, fitted)
-        if post_mixes is None:
-            post_mixes = mixes
-        else:
-            ratio, doc_counts, _ = _e_step(corpus, topics, post_mixes)
-        alive = doc_counts.any(axis=0)
-        if not alive.all():
-            # A topic without expected counts has zero posterior weight in every
-            # document: dropping it leaves every likelihood unchanged.
-            logger.info("pruning %d dead topic(s)", int((~alive).sum()))
-            topics, post_mixes = topics[alive], post_mixes[:, alive]
-            doc_counts = doc_counts[:, alive]
-            fitted[:] = np.cumsum(alive)[fitted - 1]
-        topics, mixes = _m_step(
-            corpus, topics, post_mixes, ratio, doc_counts, config.smoothing_floor
-        )
-        ratio, doc_counts, doc_lls = _e_step(corpus, topics, mixes)
-        wall_ms = (time.perf_counter() - t0) * 1000.0
-        yield topics, mixes, TraceRow(iteration=it, k=topics.shape[0], loglik=float(doc_lls.sum()),
-                                      wall_ms=wall_ms, spawned=tuple(spawned), **fields)
+
+    def phase(topics, mixes, doc_lls, fitted):
+        return spawn_phase(topics, mixes, doc_lls, self_lls, fitted)
+
+    return em_steps(corpus, topics, np.ones((corpus.n_docs, 1)), config, phase)
 
 
 def train_nplsa(corpus, epsilon, config, max_topics=MAX_TOPICS, order_seed=None):

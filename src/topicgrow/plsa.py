@@ -15,8 +15,9 @@ mixture probability of every corpus entry, so it also returns the
 per-document log-likelihoods that nPLSA's spawn test, perplexity and the
 training traces read, nPLSA's penalized ``objective`` column included. The
 batched fold-in works on padded ``(n, L, K)`` blocks of documents sorted
-longest first (``fold_in_docs``), cut by the same ``pad_runs``. A
-log-likelihood returned or traced with parameters is always theirs.
+longest first (``fold_in_docs``), cut by the same ``pad_runs``. ``em_steps``
+is the one EM loop: ``em_refine`` and both growth runs (``nplsa.grow``)
+iterate it. A log-likelihood returned or traced with parameters is always theirs.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import count, islice
 
 import numpy as np
 
@@ -39,7 +41,7 @@ _DROP_SHARE = 0.3  # converged share of a block's working documents at which the
 
 @dataclass(frozen=True)
 class EmConfig:
-    """Knobs shared by every EM loop in the package.
+    """Knobs shared by the EM loop and the fold-ins of the package.
 
     ``rel_tol`` stops the outer loop when |dL/L| falls below it;
     ``smoothing_floor`` is the minimum probability kept in every topic row so
@@ -75,8 +77,8 @@ class TraceRow:
     """One line of a training trace; unset fields stay None.
 
     ``phase`` and ``spawned`` (ids of the documents that spawned a topic in an
-    iteration of ``nplsa.grow``, the loop of nPLSA and farthest-first growth)
-    are in-memory diagnostics and are not part of the CSV serialization.
+    iteration of a growth run) are in-memory diagnostics and are not part of
+    the CSV serialization.
     """
 
     iteration: int
@@ -139,7 +141,10 @@ def e_step_doc(corpus, d, topics, mix):
 
 
 def log_likelihood(corpus, topics, mixes):
-    """Total log-likelihood sum_d sum_w n(d,w) log sum_z p(z|d) p(w|z), in nats."""
+    """Total log-likelihood sum_d sum_w n(d,w) log sum_z p(z|d) p(w|z), in nats.
+
+    No trainer calls it (they use ``_e_step``); ``perfbench/tracing.py`` and tests still do.
+    """
     return float(_e_step(corpus, topics, mixes)[2].sum())
 
 
@@ -216,37 +221,59 @@ def _m_step(corpus, topics, mixes, ratio, doc_counts, smoothing_floor):
     return topics, doc_counts / doc_counts.sum(axis=1, keepdims=True)
 
 
-def em_refine(corpus, topics, mixes, config, trace=None, start_iter=1, phase=""):
-    """Run full EM at fixed K from the given parameters until convergence.
+def em_steps(corpus, topics, mixes, config, spawn_phase=None):
+    """The package's one EM loop, yielding (topics, mixes, TraceRow) until the caller stops.
 
-    Each iteration is an M-step, from the expected counts of the previous
-    E-step, followed by the E-step of its result, whose log-likelihood is that
-    of the parameters the function would return at that point. Appends one
-    TraceRow per iteration when ``trace`` is given and returns (topics, mixes,
-    last_loglik).
+    Row 0 is the E-step of the given parameters; each later iteration is an
+    M-step from the expected counts in hand and the E-step of its result. With
+    a ``spawn_phase``, an iteration first calls ``spawn_phase(topics, mixes,
+    doc_lls, fitted)`` (``fitted`` the topic count each document was last
+    fitted against, updated in place), which returns (topics, post_mixes,
+    spawned ids, trace fields), ``post_mixes`` None if the E-step in hand still
+    holds; then topics without expected counts are pruned. Fixed-K EM never prunes.
     """
-    ratio, doc_counts, _ = _e_step(corpus, topics, mixes)
-    prev_ll = None
-    for it in range(config.max_iters):
+    fitted = np.full(corpus.n_docs, topics.shape[0], dtype=np.int64)
+    ratio, doc_counts, doc_lls = _e_step(corpus, topics, mixes)
+    yield topics, mixes, TraceRow(iteration=0, k=topics.shape[0], loglik=float(doc_lls.sum()))
+    for it in count(1):
         t0 = time.perf_counter()
+        spawned, fields = (), {}
+        if spawn_phase is not None:
+            topics, post_mixes, spawned, fields = spawn_phase(topics, mixes, doc_lls, fitted)
+            if post_mixes is not None:
+                mixes = post_mixes
+                ratio, doc_counts, _ = _e_step(corpus, topics, mixes)
+            alive = doc_counts.any(axis=0)
+            if not alive.all():
+                # A topic without expected counts has zero posterior weight in every
+                # document: dropping it leaves every likelihood unchanged.
+                logger.info("pruning %d dead topic(s)", int((~alive).sum()))
+                topics, mixes, doc_counts = topics[alive], mixes[:, alive], doc_counts[:, alive]
+                fitted[:] = np.cumsum(alive)[fitted - 1]
         topics, mixes = _m_step(corpus, topics, mixes, ratio, doc_counts, config.smoothing_floor)
         ratio, doc_counts, doc_lls = _e_step(corpus, topics, mixes)
-        ll = float(doc_lls.sum())
-        wall = (time.perf_counter() - t0) * 1000.0
+        wall_ms = (time.perf_counter() - t0) * 1000.0
+        yield topics, mixes, TraceRow(iteration=it, k=topics.shape[0], loglik=float(doc_lls.sum()),
+                                      wall_ms=wall_ms, spawned=tuple(spawned), **fields)
+
+
+def em_refine(corpus, topics, mixes, config, trace=None, start_iter=1, phase=""):
+    """Run full EM at fixed K until the log-likelihood plateaus: ``em_steps`` from iteration 1.
+
+    Runs at most ``config.max_iters`` iterations. Appends their TraceRows, numbered
+    from ``start_iter`` and tagged ``phase``, when ``trace`` is given and returns
+    (topics, mixes, last_loglik).
+    """
+    prev_ll = None
+    for topics, mixes, row in islice(em_steps(corpus, topics, mixes, config), 1,
+                                     config.max_iters + 1):
         if trace is not None:
-            trace.append(
-                TraceRow(
-                    iteration=start_iter + it,
-                    k=topics.shape[0],
-                    loglik=ll,
-                    wall_ms=wall,
-                    phase=phase,
-                )
-            )
-        if prev_ll is not None and _plateaued(ll, prev_ll, config.rel_tol):
+            row.iteration, row.phase = start_iter + row.iteration - 1, phase
+            trace.append(row)
+        if prev_ll is not None and _plateaued(row.loglik, prev_ll, config.rel_tol):
             break
-        prev_ll = ll
-    return topics, mixes, ll
+        prev_ll = row.loglik
+    return topics, mixes, row.loglik
 
 
 def train_plsa(corpus, k, config):

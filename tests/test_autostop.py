@@ -358,6 +358,13 @@ class TestGrowthBudgets:
         with pytest.raises(DataError, match="max_topics must be >= 1"):
             self.train(which, max_topics=max_topics)
 
+    @pytest.mark.parametrize("which", ["auto", "query"])
+    def test_a_used_detector_raises(self, which):
+        detector = StopDetector(mode="maximize" if which == "auto" else "minimize")
+        self.train(which, detector=detector, max_spawns=2)
+        with pytest.raises(DataError, match="already scored a run; pass a fresh one"):
+            self.train(which, detector=detector, max_spawns=2)
+
     def test_topic_cap_raises(self):
         detector = StopDetector(mode="maximize", patience=50)
         with pytest.raises(AlgorithmError, match="topic explosion: more than 2 topics"):

@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -503,6 +504,29 @@ class TestFiles:
         loaded = read_sparse_corpus(path)
         assert loaded.vocab == vocab
         assert row_as_dict(loaded, 0) == {"a": 2, "b": 1}
+
+    @pytest.mark.parametrize("triples, message", [
+        ([("d 0", "a b", 2), ("d1", "c", 1)], "term 'a b' is empty or holds whitespace"),
+        ([("d0", "", 2), ("d1", "c", 1)], "term '' is empty or holds whitespace"),
+        ([("d0", "a", 2), ("d\t1", "c", 1)], "doc id 'd\\t1' is empty or holds whitespace"),
+        ([("", "a", 2)], "doc id '' is empty or holds whitespace"),
+    ])
+    def test_sparse_writer_rejects_what_its_reader_cannot_split(self, tmp_path, triples,
+                                                                message):
+        path = tmp_path / "corpus.sparse"
+        with pytest.raises(DataError, match=re.escape(message)):
+            write_sparse_corpus(ingest_sparse(triples), path)
+        assert not path.exists()
+
+    def test_sparse_roundtrip_of_names_without_whitespace(self, tmp_path):
+        corpus = ingest_sparse([("d-0", "a_b", 2), ("d1", "ç,é", 1), (7, "c", 3)])
+        path = tmp_path / "corpus.sparse"
+        write_sparse_corpus(corpus, path)
+        loaded = read_sparse_corpus(path)
+        assert loaded.vocab == corpus.vocab
+        assert loaded.doc_ids == ["d-0", "d1", "7"]
+        for d in range(corpus.n_docs):
+            assert row_as_dict(loaded, d) == row_as_dict(corpus, d)
 
     def test_sparse_without_vocabulary_lines(self, tmp_path):
         path = tmp_path / "corpus.sparse"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from topicgrow import nplsa
+from topicgrow import nplsa, plsa
 from topicgrow.corpus import background_model, doc_language_model, ingest_sparse
 from topicgrow.errors import AlgorithmError, DataError
 from topicgrow.nplsa import doc_self_loglik, train_nplsa
@@ -197,9 +197,9 @@ class TestTrainNplsa:
         # A spawn leaves the documents visited before it fitted against fewer
         # topics, so the sweep after a spawning sweep refits them.
         calls = []
-        e_step, m_step = nplsa._e_step, nplsa._m_step
-        monkeypatch.setattr(nplsa, "_e_step", lambda *a: calls.append("E") or e_step(*a))
-        monkeypatch.setattr(nplsa, "_m_step", lambda *a: calls.append("M") or m_step(*a))
+        e_step, m_step = plsa._e_step, plsa._m_step
+        monkeypatch.setattr(plsa, "_e_step", lambda *a: calls.append("E") or e_step(*a))
+        monkeypatch.setattr(plsa, "_m_step", lambda *a: calls.append("M") or m_step(*a))
         _, _, trace = train_nplsa(desk_corpus(1), 150.0, EmConfig(seed=1, max_iters=15))
         spawned = [bool(row.spawned) for row in trace]
         rerun = [cur or prev for prev, cur in zip([False] + spawned, spawned)]

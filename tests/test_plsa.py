@@ -1,4 +1,7 @@
+import logging
 import math
+from dataclasses import replace
+from itertools import count, islice
 
 import numpy as np
 import pytest
@@ -11,17 +14,22 @@ from topicgrow.corpus import (
     background_model,
     doc_language_model,
     ingest_sparse,
+    pooled_counts,
 )
 from topicgrow.errors import DataError
 from topicgrow.plsa import (
     EmConfig,
+    TraceRow,
     _e_step,
     _floor_rows,
     _m_step,
+    _plateaued,
     em_refine,
+    em_steps,
     fold_in,
     fold_in_all,
     fold_in_docs,
+    init_topics,
     log_likelihood,
     train_plsa,
 )
@@ -410,7 +418,7 @@ class TestTopicMajorEquivalence:
     @staticmethod
     def both(monkeypatch, train):
         fast = train()
-        for module in (plsa, nplsa):
+        for module in (plsa,):
             monkeypatch.setattr(module, "_e_step", topic_major_e_step)
             monkeypatch.setattr(module, "_m_step", topic_major_m_step)
         return fast, train()
@@ -444,6 +452,194 @@ class TestTopicMajorEquivalence:
         np.testing.assert_allclose([r.epsilon or 0.0 for r in trace],
                                    [r.epsilon or 0.0 for r in ref_trace], rtol=1e-12)
         np.testing.assert_allclose(topics, ref_topics, rtol=1e-9, atol=1e-12)
+
+
+class TestEmSteps:
+    """The one EM loop: its start row, fixed-K dead topics, and pruning under a spawn phase."""
+
+    @staticmethod
+    def instance(k=3):
+        corpus, topics, mixes = random_instance(np.random.default_rng(5), n_docs=6, n_terms=8,
+                                                k=k)
+        return corpus, topics, mixes, EmConfig(seed=0)
+
+    def test_row_zero_is_the_e_step_of_the_inputs(self):
+        corpus, topics, mixes, config = self.instance()
+        out_topics, out_mixes, row = next(em_steps(corpus, topics, mixes, config))
+        assert out_topics is topics and out_mixes is mixes
+        loglik = float(_e_step(corpus, topics, mixes)[2].sum())
+        assert row == TraceRow(iteration=0, k=3, loglik=loglik)
+
+    def test_fixed_k_keeps_a_dead_topic_and_resets_it_to_uniform(self, caplog):
+        corpus, topics, _, config = self.instance(k=2)
+        mixes = np.zeros((corpus.n_docs, 2))
+        mixes[:, 0] = 1.0
+        with caplog.at_level(logging.WARNING, logger="topicgrow.plsa"):
+            new_topics, new_mixes, row = next(islice(em_steps(corpus, topics, mixes, config), 1,
+                                                     None))
+        assert row.k == new_topics.shape[0] == new_mixes.shape[1] == 2
+        np.testing.assert_allclose(new_topics[1], 1.0 / corpus.n_terms)
+        assert [r.getMessage() for r in caplog.records] == [
+            "m_step: 1 topic(s) received zero mass, reset to uniform"
+        ]
+
+    def test_a_phase_that_starves_a_topic_prunes_it(self, caplog):
+        corpus, topics, mixes, config = self.instance(k=3)
+        seen = []
+
+        def starve_topic_1(topics, mixes, doc_lls, fitted):
+            fitted[:] = np.arange(corpus.n_docs) % 3 + 1
+            post = mixes.copy()
+            post[:, 1] = 0.0
+            post /= post.sum(axis=1, keepdims=True)
+            seen.append((fitted, post))
+            return topics, post, (), {}
+
+        with caplog.at_level(logging.INFO, logger="topicgrow.plsa"):
+            new_topics, new_mixes, row = next(islice(
+                em_steps(corpus, topics, mixes, config, starve_topic_1), 1, None))
+        (fitted, post), = seen
+        assert row.k == new_topics.shape[0] == new_mixes.shape[1] == 2
+        alive = [0, 2]
+        # Dropping a topic no document weighs leaves every likelihood as it was.
+        assert _e_step(corpus, topics[alive], post[:, alive])[2].sum() == pytest.approx(
+            _e_step(corpus, topics, post)[2].sum(), rel=1e-14)
+        ref_topics, ref_mixes, ref_row = next(islice(
+            em_steps(corpus, topics[alive], post[:, alive], config), 1, None))
+        # The same step as fixed-K EM from the pruned state, up to the E-step's round-off.
+        np.testing.assert_allclose(new_topics, ref_topics, rtol=1e-12)
+        np.testing.assert_allclose(new_mixes, ref_mixes, rtol=1e-12)
+        assert row.loglik == pytest.approx(ref_row.loglik, rel=1e-14)
+        np.testing.assert_array_equal(fitted, np.array([1, 1, 2] * 2))  # fitted k=2 -> 1, 3 -> 2
+        assert "pruning 1 dead topic(s)" in [r.getMessage() for r in caplog.records]
+
+
+def parent_em_refine(corpus, topics, mixes, config, trace=None, start_iter=1, phase=""):
+    """Fixed-K EM as its own loop, as it was before ``em_steps``: the oracle of ``em_refine``."""
+    ratio, doc_counts, _ = _e_step(corpus, topics, mixes)
+    prev_ll = None
+    for it in range(config.max_iters):
+        topics, mixes = _m_step(corpus, topics, mixes, ratio, doc_counts, config.smoothing_floor)
+        ratio, doc_counts, doc_lls = _e_step(corpus, topics, mixes)
+        ll = float(doc_lls.sum())
+        if trace is not None:
+            trace.append(TraceRow(iteration=start_iter + it, k=topics.shape[0], loglik=ll,
+                                  phase=phase))
+        if prev_ll is not None and _plateaued(ll, prev_ll, config.rel_tol):
+            break
+        prev_ll = ll
+    return topics, mixes, ll
+
+
+def parent_grow(corpus, config, max_topics, spawn_phase):
+    """The growth loop as it was before ``em_steps``: the oracle of ``nplsa.grow``."""
+    rng = np.random.default_rng(config.seed)
+    topics = _floor_rows(init_topics(1, corpus.n_terms, rng), config.smoothing_floor)
+    mixes = np.ones((corpus.n_docs, 1))
+    self_lls = np.array([nplsa.doc_self_loglik(doc) for doc in corpus.docs])
+    fitted = np.ones(corpus.n_docs, dtype=np.int64)
+    ratio, doc_counts, doc_lls = _e_step(corpus, topics, mixes)
+    yield topics, mixes, TraceRow(iteration=0, k=1, loglik=float(doc_lls.sum()))
+    for it in count(1):
+        topics, post_mixes, spawned, fields = spawn_phase(topics, mixes, doc_lls, self_lls, fitted)
+        if post_mixes is None:
+            post_mixes = mixes
+        else:
+            ratio, doc_counts, _ = _e_step(corpus, topics, post_mixes)
+        alive = doc_counts.any(axis=0)
+        if not alive.all():
+            topics, post_mixes = topics[alive], post_mixes[:, alive]
+            doc_counts = doc_counts[:, alive]
+            fitted[:] = np.cumsum(alive)[fitted - 1]
+        topics, mixes = _m_step(corpus, topics, post_mixes, ratio, doc_counts,
+                                config.smoothing_floor)
+        ratio, doc_counts, doc_lls = _e_step(corpus, topics, mixes)
+        yield topics, mixes, TraceRow(iteration=it, k=topics.shape[0],
+                                      loglik=float(doc_lls.sum()), spawned=tuple(spawned),
+                                      **fields)
+
+
+def top_term(corpus):
+    return corpus.vocab.terms[int(np.argmax(pooled_counts(corpus)))]
+
+
+class TestOneLoopEquivalence:
+    """Every trainer on ``em_steps`` against the same trainer on the two loops it replaced."""
+
+    TRAINERS = {
+        **{f"plsa-k{k}": (lambda c, cfg, k=k: train_plsa(c, k, cfg)) for k in (1, 4, 10)},
+        **{f"nplsa-e{eps:g}-o{order}": (lambda c, cfg, eps=eps, order=order:
+                                          nplsa.train_nplsa(c, eps, cfg, order_seed=order))
+           for eps in (150.0, 40.0) for order in (None, 7)},
+        "auto": lambda c, cfg: autostop.train_parameter_free(c, cfg),
+        "query": lambda c, cfg: autostop.train_weakly_supervised(c, [top_term(c)], cfg),
+    }
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("name", list(TRAINERS))
+    def test_bit_identical_to_the_two_loops(self, monkeypatch, name, seed):
+        corpus = desk_corpus(seed)
+        train = self.TRAINERS[name]
+        topics, mixes, trace = train(corpus, EmConfig(seed=seed))
+        for module in (plsa, autostop):
+            monkeypatch.setattr(module, "em_refine", parent_em_refine)
+        for module in (nplsa, autostop):
+            monkeypatch.setattr(module, "grow", parent_grow)
+        ref_topics, ref_mixes, ref_trace = train(corpus, EmConfig(seed=seed))
+        assert np.array_equal(topics, ref_topics)
+        assert np.array_equal(mixes, ref_mixes)
+        assert [replace(r, wall_ms=None) for r in trace] == [
+            replace(r, wall_ms=None) for r in ref_trace]
+
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_pruning_growth_run_matches_the_growth_loop(self, seed):
+        """A phase that spawns a topic each iteration and, from K=2 on, starves the oldest one."""
+        corpus = desk_corpus(seed)
+
+        def run(grow):
+            seen = []
+
+            def phase(topics, mixes, doc_lls, self_lls, fitted):
+                seen.append(fitted.copy())
+                d, k = int(np.argmax(self_lls - doc_lls)), topics.shape[0]
+                topics = nplsa.spawn(corpus, topics, d, 100, "")
+                post = nplsa.warm_start(mixes, k + 1)[1]
+                if k > 1:  # at K=1 the spawned topic, zero off document d's words, is all left
+                    post[:, 0] = 0.0
+                post /= post.sum(axis=1, keepdims=True)
+                fitted[d] = topics.shape[0]
+                return topics, post, (d,), {"phase": "grow"}
+
+            rows = list(islice(grow(corpus, EmConfig(seed=seed), 100, phase), 6))
+            return rows, seen
+
+        (rows, seen), (ref_rows, ref_seen) = run(nplsa.grow), run(parent_grow)
+        assert [r.k for _, _, r in rows] == [1, 2, 2, 2, 2, 2]  # from K=2, one pruned a step
+        for (topics, mixes, row), (ref_topics, ref_mixes, ref_row) in zip(rows, ref_rows):
+            assert np.array_equal(topics, ref_topics) and np.array_equal(mixes, ref_mixes)
+            assert replace(row, wall_ms=None) == ref_row
+        assert all(np.array_equal(a, b) for a, b in zip(seen, ref_seen, strict=True))
+
+
+class TestRollback:
+    def test_rollback_row_reuses_the_snapshot_row_loglik(self, monkeypatch):
+        corpus = desk_corpus(1)
+        calls = []
+        e_step = plsa._e_step
+        monkeypatch.setattr(plsa, "_e_step", lambda *a: calls.append(1) or e_step(*a))
+        detector = autostop.StopDetector(mode="maximize")
+        _, _, trace = autostop.train_parameter_free(corpus, EmConfig(seed=1), detector)
+        phases = [r.phase for r in trace]
+        n_grow, n_refine = phases.count("grow"), phases.count("refine")
+        assert phases.count("rollback") == 1 and n_grow > 0 and n_refine > 0
+        # The growth start, E-steps after the spawn and after the M-step per grow
+        # row, and em_refine's start plus one per refine row: none for the rollback.
+        assert len(calls) == 1 + 2 * n_grow + (n_refine + 1)
+        monkeypatch.undo()
+        rollback = trace[phases.index("rollback")]
+        assert rollback.k == detector.best_k
+        assert rollback.loglik == log_likelihood(corpus, *detector.best_snapshot)
 
 
 class TestLogLikelihood:
