@@ -1,7 +1,10 @@
 """Model, trace, and report files.
 
-Model files are JSON: {"vocab": [terms], "topics": [[probs]], "mixes":
-[[probs]] or null, "meta": {...}}. Trace files are CSV with the header
+Model files are JSON: {"meta": {...}, "mixes": [[probs]] or null, "topics":
+[[probs]], "vocab": [terms]}, keys in that order. Each key starts a line;
+"meta" and "vocab" take one line each, and every topic row and mix row is a
+line of its own. Floats are written as their ``repr``, so a file reads back
+bit for bit. Trace files are CSV with the header
 "iter,K,loglik,objective,diversity,epsilon[,query_distance,closest_topic],wall_ms";
 fields that do not apply to an algorithm are written empty.
 """
@@ -27,13 +30,28 @@ def write_json(path, payload):
 
 
 def write_model(path, vocab, topics, mixes=None, meta=None):
-    payload = {
-        "vocab": list(vocab.terms),
-        "topics": np.asarray(topics).tolist(),
-        "mixes": None if mixes is None else np.asarray(mixes).tolist(),
-        "meta": meta or {},
-    }
-    write_json(path, payload)
+    """Write a model file in the layout of the module docstring.
+
+    Rows go through ``json.dumps`` one at a time: it runs CPython's C encoder,
+    which ``json.dump`` never uses, and one row's text is all it holds at once.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{\n  "meta": ' + json.dumps(meta or {}, sort_keys=True) + ',\n  "mixes": ')
+        _write_rows(fh, mixes)
+        fh.write(',\n  "topics": ')
+        _write_rows(fh, topics)
+        fh.write(',\n  "vocab": ' + json.dumps(list(vocab.terms)) + "\n}\n")
+
+
+def _write_rows(fh, rows):
+    """Write a 2-d array as a JSON list with one row per line, or ``null`` for None."""
+    if rows is None:
+        fh.write("null")
+        return
+    fh.write("[")
+    for i, row in enumerate(np.asarray(rows, dtype=float)):
+        fh.write(("\n    " if i == 0 else ",\n    ") + json.dumps(row.tolist()))
+    fh.write("\n  ]")
 
 
 def read_model(path):
@@ -71,7 +89,7 @@ def _fmt(value):
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # a numpy float's own repr is "np.float64(...)"
     return str(value)
 
 

@@ -17,7 +17,11 @@ training traces read, nPLSA's penalized ``objective`` column included. The
 batched fold-in works on padded ``(n, L, K)`` blocks of documents sorted
 longest first (``fold_in_docs``), cut by the same ``pad_runs``. ``em_steps``
 is the one EM loop: ``em_refine`` and both growth runs (``nplsa.grow``)
-iterate it. A log-likelihood returned or traced with parameters is always theirs.
+iterate it. At fixed K (``em_refine``: ``train_plsa`` and the refine phase of
+``autostop``) its M-step is adaptively over-relaxed, the multiplicative factors
+raised to a power eta > 1, with a fall-back to the plain step that keeps the
+log-likelihood monotone; growth runs take plain EM steps. A log-likelihood
+returned or traced with parameters is always theirs.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ logger = logging.getLogger(__name__)
 
 _BLOCK_ENTRIES = 1 << 17  # padded (document, word, topic) entries per fold-in block
 _DROP_SHARE = 0.3  # converged share of a block's working documents at which they leave it
+_ETA_GROWTH = 1.1  # factor on the over-relaxation exponent after each accepted fixed-K step
+_ETA_CAP = 2.5  # largest over-relaxation exponent
 
 
 @dataclass(frozen=True)
@@ -76,9 +82,11 @@ class EmConfig:
 class TraceRow:
     """One line of a training trace; unset fields stay None.
 
-    ``phase`` and ``spawned`` (ids of the documents that spawned a topic in an
-    iteration of a growth run) are in-memory diagnostics and are not part of
-    the CSV serialization.
+    ``phase``, ``spawned`` (ids of the documents that spawned a topic in an
+    iteration of a growth run), ``eta`` (the over-relaxation exponent of the
+    iteration's first M-step try) and ``rejected`` (whether that try was
+    discarded for the plain EM step) are in-memory diagnostics and are not
+    part of the CSV serialization.
     """
 
     iteration: int
@@ -92,6 +100,8 @@ class TraceRow:
     wall_ms: float | None = None
     phase: str = field(default="", repr=False)
     spawned: tuple = field(default=(), repr=False)
+    eta: float = field(default=1.0, repr=False)
+    rejected: bool = field(default=False, repr=False)
 
 
 def _plateaued(ll, prev, tol):
@@ -191,14 +201,29 @@ def _e_step(corpus, topics, mixes):
     return ratio, doc_counts, doc_lls
 
 
-def _m_step(corpus, topics, mixes, ratio, doc_counts, smoothing_floor):
+def _relax(factor, eta, axis):
+    """``factor ** eta``, scaled to a maximum of 1 along ``axis`` first so that it cannot overflow.
+
+    The scale is one constant per topic row (axis 0) or mix row (axis 1), which
+    the M-step's normalization removes.
+    """
+    top = factor.max(axis=axis, keepdims=True)
+    with np.errstate(divide="ignore"):  # a zero factor stays zero: exp(-inf) = 0
+        return np.exp(eta * np.log(factor / np.where(top > 0.0, top, 1.0)))
+
+
+def _m_step(corpus, topics, mixes, ratio, doc_counts, smoothing_floor, eta=1.0):
     """M-step from the E-step of ``topics`` and ``mixes``. Returns (topics, mixes (D, K)).
 
-    The topic counts n(z,w) = p(w|z) sum_d p(z|d) ratio(d,w) run on the word
-    side of ``corpus.layout()``: per block, the mixes of the documents holding
-    each word are gathered once into ``(n, L, K)`` and one batched matmul with
-    the ratio gives the sums. Topic rows are floored then renormalized; a topic
-    without mass is reset to uniform. The mixes are the normalized ``doc_counts``.
+    The topic counts n(z,w) = p(w|z) S(z,w), S(z,w) = sum_d p(z|d) ratio(d,w),
+    run on the word side of ``corpus.layout()``: per block, the mixes of the
+    documents holding each word are gathered once into ``(n, L, K)`` and one
+    batched matmul with the ratio gives the sums. Topic rows are floored then
+    renormalized; a topic without mass is reset to uniform. The mixes are the
+    normalized ``doc_counts``. An ``eta`` other than 1 over-relaxes the
+    multiplicative update: topics are proportional to p(w|z) S^eta and mixes
+    to p(z|d) F^eta, F = n(d,z) / p(z|d) (0 where p(z|d) = 0); at eta = 1
+    both are the plain EM update.
     """
     lay = corpus.layout()
     k = topics.shape[0]
@@ -210,6 +235,10 @@ def _m_step(corpus, topics, mixes, ratio, doc_counts, smoothing_floor):
         rows = np.take(mixes, lay.word_docs[c0:c1], axis=0, mode="clip",
                        out=work[: (c1 - c0) * k].reshape(c1 - c0, k)).reshape(*shape, k)
         np.matmul(cells[c0:c1].reshape(shape[0], 1, shape[1]), rows, out=sums[r0:r1, None, :])
+    if eta != 1.0:
+        sums = _relax(sums, eta, axis=0)
+        factor = np.divide(doc_counts, mixes, out=np.zeros_like(mixes), where=mixes > 0.0)
+        doc_counts = mixes * _relax(factor, eta, axis=1)
     topic_mass = np.zeros((k, corpus.n_terms))
     topic_mass[:, lay.word_order] = sums.T
     topic_mass *= topics
@@ -231,10 +260,20 @@ def em_steps(corpus, topics, mixes, config, spawn_phase=None):
     fitted against, updated in place), which returns (topics, post_mixes,
     spawned ids, trace fields), ``post_mixes`` None if the E-step in hand still
     holds; then topics without expected counts are pruned. Fixed-K EM never prunes.
+
+    Without a spawn phase the M-step is over-relaxed (Salakhutdinov & Roweis,
+    ICML 2003): its exponent eta starts at 1 and grows by ``_ETA_GROWTH`` per
+    accepted step up to ``_ETA_CAP``. A step whose log-likelihood falls below
+    that of the state it started from, or whose E-step fails, is rejected: the
+    plain EM step from that state is taken instead and eta is reset to 1. Row
+    log-likelihoods therefore never decrease, as under plain EM. Each row
+    records the eta of its first try and whether that try was rejected.
     """
     fitted = np.full(corpus.n_docs, topics.shape[0], dtype=np.int64)
     ratio, doc_counts, doc_lls = _e_step(corpus, topics, mixes)
-    yield topics, mixes, TraceRow(iteration=0, k=topics.shape[0], loglik=float(doc_lls.sum()))
+    loglik = float(doc_lls.sum())
+    yield topics, mixes, TraceRow(iteration=0, k=topics.shape[0], loglik=loglik)
+    eta = 1.0
     for it in count(1):
         t0 = time.perf_counter()
         spawned, fields = (), {}
@@ -250,19 +289,35 @@ def em_steps(corpus, topics, mixes, config, spawn_phase=None):
                 logger.info("pruning %d dead topic(s)", int((~alive).sum()))
                 topics, mixes, doc_counts = topics[alive], mixes[:, alive], doc_counts[:, alive]
                 fitted[:] = np.cumsum(alive)[fitted - 1]
-        topics, mixes = _m_step(corpus, topics, mixes, ratio, doc_counts, config.smoothing_floor)
-        ratio, doc_counts, doc_lls = _e_step(corpus, topics, mixes)
-        wall_ms = (time.perf_counter() - t0) * 1000.0
-        yield topics, mixes, TraceRow(iteration=it, k=topics.shape[0], loglik=float(doc_lls.sum()),
-                                      wall_ms=wall_ms, spawned=tuple(spawned), **fields)
+        step = _m_step(corpus, topics, mixes, ratio, doc_counts, config.smoothing_floor, eta)
+        try:
+            state = _e_step(corpus, *step)
+        except DataError:
+            if eta == 1.0:
+                raise
+            state = None
+        rejected = eta != 1.0 and (state is None or float(state[2].sum()) < loglik)
+        if rejected:
+            step = _m_step(corpus, topics, mixes, ratio, doc_counts, config.smoothing_floor)
+            state = _e_step(corpus, *step)
+        (topics, mixes), (ratio, doc_counts, doc_lls) = step, state
+        loglik = float(doc_lls.sum())
+        row = TraceRow(iteration=it, k=topics.shape[0], loglik=loglik,
+                       wall_ms=(time.perf_counter() - t0) * 1000.0, spawned=tuple(spawned),
+                       eta=eta, rejected=rejected, **fields)
+        if spawn_phase is None:
+            eta = 1.0 if rejected else min(eta * _ETA_GROWTH, _ETA_CAP)
+        yield topics, mixes, row
 
 
 def em_refine(corpus, topics, mixes, config, trace=None, start_iter=1, phase=""):
     """Run full EM at fixed K until the log-likelihood plateaus: ``em_steps`` from iteration 1.
 
-    Runs at most ``config.max_iters`` iterations. Appends their TraceRows, numbered
-    from ``start_iter`` and tagged ``phase``, when ``trace`` is given and returns
-    (topics, mixes, last_loglik).
+    The steps are ``em_steps``' over-relaxed ones, none of which lowers the
+    log-likelihood; an iteration whose first try was rejected costs one more
+    M-step and E-step. Runs at most ``config.max_iters`` iterations. Appends their
+    TraceRows, numbered from ``start_iter`` and tagged ``phase``, when ``trace``
+    is given and returns (topics, mixes, last_loglik).
     """
     prev_ll = None
     for topics, mixes, row in islice(em_steps(corpus, topics, mixes, config), 1,

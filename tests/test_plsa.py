@@ -393,16 +393,24 @@ def topic_major_e_step(corpus, topics, mixes):
     return weighted, np.add.reduceat(weighted, starts, axis=1).T, doc_lls
 
 
-def topic_major_m_step(corpus, topics, mixes, weighted, doc_counts, smoothing_floor):
-    """Reference M-step of ``topic_major_e_step``'s ``weighted``. Returns (topics, mixes)."""
+def topic_major_m_step(corpus, topics, mixes, weighted, doc_counts, smoothing_floor, eta=1.0):
+    """Reference M-step of ``topic_major_e_step``'s ``weighted``. Returns (topics, mixes).
+
+    With ``eta``, topics are proportional to p(w|z) S^eta and mixes to p(z|d) F^eta,
+    S and F the plain update's multiplicative factors, powered without rescaling.
+    """
     _, word_idx, _ = corpus.flat()
     starts, _ = corpus.segments()
     k = weighted.shape[0]
     topic_mass = np.empty((k, corpus.n_terms))
     for z in range(k):
         topic_mass[z] = np.bincount(word_idx, weights=weighted[z], minlength=corpus.n_terms)
-    topic_mass[topic_mass.sum(axis=1) == 0.0] = 1.0
     mix_mass = np.add.reduceat(weighted, starts, axis=1)
+    if eta != 1.0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            topic_mass = topics * np.where(topics > 0.0, topic_mass / topics, 0.0) ** eta
+            mix_mass = mixes.T * np.where(mixes.T > 0.0, mix_mass / mixes.T, 0.0) ** eta
+    topic_mass[topic_mass.sum(axis=1) == 0.0] = 1.0
     mix_mass /= mix_mass.sum(axis=0)
     return _floor_rows(topic_mass, smoothing_floor), mix_mass.T
 
@@ -580,6 +588,8 @@ class TestOneLoopEquivalence:
     def test_bit_identical_to_the_two_loops(self, monkeypatch, name, seed):
         corpus = desk_corpus(seed)
         train = self.TRAINERS[name]
+        if not name.startswith("nplsa"):  # the old loops had no over-relaxed fixed-K step
+            monkeypatch.setattr(plsa, "_ETA_CAP", 1.0)
         topics, mixes, trace = train(corpus, EmConfig(seed=seed))
         for module in (plsa, autostop):
             monkeypatch.setattr(module, "em_refine", parent_em_refine)
@@ -622,6 +632,111 @@ class TestOneLoopEquivalence:
         assert all(np.array_equal(a, b) for a, b in zip(seen, ref_seen, strict=True))
 
 
+class TestOverRelaxation:
+    """Fixed-K EM's over-relaxed M-step and its fall-back to the plain step."""
+
+    @staticmethod
+    def aggressive(monkeypatch):
+        """Constants that overshoot often, so that steps get rejected."""
+        monkeypatch.setattr(plsa, "_ETA_GROWTH", 3.0)
+        monkeypatch.setattr(plsa, "_ETA_CAP", 30.0)
+
+    def test_eta_one_is_the_plain_m_step(self):
+        corpus, topics, mixes = random_instance(np.random.default_rng(3), n_docs=6, n_terms=8)
+        ratio, doc_counts, _ = _e_step(corpus, topics, mixes)
+        plain = _m_step(corpus, topics, mixes, ratio, doc_counts, 1e-9)
+        for got, want in zip(_m_step(corpus, topics, mixes, ratio, doc_counts, 1e-9, eta=1.0),
+                             plain):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("eta", [1.5, 3.0])
+    def test_relaxed_m_step_matches_the_topic_major_formula(self, eta):
+        corpus, topics, mixes = random_instance(np.random.default_rng(4), n_docs=6, n_terms=8)
+        mixes[0, 1] = 0.0  # a zero weight stays zero
+        mixes /= mixes.sum(axis=1, keepdims=True)
+        ratio, doc_counts, _ = _e_step(corpus, topics, mixes)
+        weighted, ref_counts, _ = topic_major_e_step(corpus, topics, mixes)
+        got = _m_step(corpus, topics, mixes, ratio, doc_counts, 1e-9, eta)
+        want = topic_major_m_step(corpus, topics, mixes, weighted, ref_counts, 1e-9, eta)
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+        assert got[1][0, 1] == 0.0
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_a_rejected_step_is_the_plain_step_from_the_kept_state(self, monkeypatch, seed):
+        self.aggressive(monkeypatch)
+        corpus = desk_corpus(seed)
+        rng = np.random.default_rng(seed)
+        topics, mixes = init_topics(6, corpus.n_terms, rng), np.full((corpus.n_docs, 6), 1 / 6)
+        config = EmConfig(seed=seed)
+        states = list(islice(em_steps(corpus, topics, mixes, config), 40))
+        rows = [row for _, _, row in states]
+        assert sum(r.rejected for r in rows) >= 2
+        for (prev_t, prev_m, prev_row), (t, m, row) in zip(states, states[1:]):
+            assert row.eta == (1.0 if prev_row.rejected or prev_row.iteration == 0
+                               else min(prev_row.eta * 3.0, 30.0))
+            if row.rejected:
+                ratio, doc_counts, _ = _e_step(corpus, prev_t, prev_m)
+                plain_t, plain_m = _m_step(corpus, prev_t, prev_m, ratio, doc_counts,
+                                           config.smoothing_floor)
+                assert np.array_equal(t, plain_t) and np.array_equal(m, plain_m)
+                assert row.loglik == float(_e_step(corpus, plain_t, plain_m)[2].sum())
+
+    def test_loglik_never_decreases(self, monkeypatch):
+        self.aggressive(monkeypatch)
+        rng = np.random.default_rng(23)
+        rejected = 0
+        for _ in range(12):
+            corpus, topics, mixes = random_instance(rng, n_docs=8, n_terms=12, k=4)
+            rows = [r for _, _, r in islice(em_steps(corpus, topics, mixes, EmConfig(seed=0)), 30)]
+            lls = [r.loglik for r in rows]
+            # Plain EM steps are monotone up to round-off; rejected tries never show.
+            assert all(cur >= prev - 1e-12 * abs(prev) for prev, cur in zip(lls, lls[1:]))
+            rejected += sum(r.rejected for r in rows)
+        assert rejected > 0
+
+    def test_a_failed_relaxed_e_step_falls_back(self, monkeypatch):
+        corpus, topics, mixes = random_instance(np.random.default_rng(8), n_docs=6, n_terms=8)
+        config = EmConfig(seed=0)
+        with monkeypatch.context() as plain_em:
+            plain_em.setattr(plsa, "_ETA_CAP", 1.0)
+            plain = list(islice(em_steps(corpus, topics, mixes, config), 4))
+        m_step = plsa._m_step
+
+        def unmodelable(*args):
+            new_topics, new_mixes = m_step(*args)
+            if len(args) > 6 and args[6] != 1.0:
+                new_topics = np.zeros_like(new_topics)  # every word has probability 0
+            return new_topics, new_mixes
+
+        monkeypatch.setattr(plsa, "_m_step", unmodelable)
+        rows = list(islice(em_steps(corpus, topics, mixes, config), 4))
+        assert [r.rejected for _, _, r in rows] == [False, False, True, False]
+        for (t, m, row), (ref_t, ref_m, ref_row) in zip(rows, plain):
+            assert row.loglik == ref_row.loglik
+            assert np.array_equal(t, ref_t) and np.array_equal(m, ref_m)
+
+    def test_growth_runs_keep_the_plain_step(self):
+        corpus = desk_corpus(1)
+        _, _, trace = nplsa.train_nplsa(corpus, 150.0, EmConfig(seed=1))
+        _, _, auto_trace = autostop.train_parameter_free(corpus, EmConfig(seed=1))
+        grow_rows = trace + [r for r in auto_trace if r.phase == "grow"]
+        assert grow_rows and all(r.eta == 1.0 and not r.rejected for r in grow_rows)
+        assert any(r.eta > 1.0 for r in auto_trace if r.phase == "refine")
+
+    def test_fewer_e_steps_than_plain_em(self, monkeypatch):
+        calls = []
+        e_step = plsa._e_step
+        monkeypatch.setattr(plsa, "_e_step", lambda *a: calls.append(1) or e_step(*a))
+        runs = [(desk_corpus(seed), k, EmConfig(seed=seed)) for seed in (1, 2, 3) for k in (4, 10)]
+        for corpus, k, config in runs:
+            train_plsa(corpus, k, config)
+        monkeypatch.setattr(plsa, "em_refine", parent_em_refine)
+        # parent_em_refine runs one E-step before its loop and one per trace row.
+        plain = sum(1 + len(train_plsa(corpus, k, config)[2]) for corpus, k, config in runs)
+        assert len(calls) < plain
+
+
 class TestRollback:
     def test_rollback_row_reuses_the_snapshot_row_loglik(self, monkeypatch):
         corpus = desk_corpus(1)
@@ -634,8 +749,10 @@ class TestRollback:
         n_grow, n_refine = phases.count("grow"), phases.count("refine")
         assert phases.count("rollback") == 1 and n_grow > 0 and n_refine > 0
         # The growth start, E-steps after the spawn and after the M-step per grow
-        # row, and em_refine's start plus one per refine row: none for the rollback.
-        assert len(calls) == 1 + 2 * n_grow + (n_refine + 1)
+        # row, em_refine's start plus one per refine row and one more per rejected
+        # over-relaxed try: none for the rollback.
+        n_rejected = sum(r.rejected for r in trace)
+        assert len(calls) == 1 + 2 * n_grow + (n_refine + 1) + n_rejected
         monkeypatch.undo()
         rollback = trace[phases.index("rollback")]
         assert rollback.k == detector.best_k
