@@ -202,14 +202,17 @@ def _e_step(corpus, topics, mixes):
 
 
 def _relax(factor, eta, axis):
-    """``factor ** eta``, scaled to a maximum of 1 along ``axis`` first so that it cannot overflow.
+    """``factor ** eta`` in place, ``factor`` scaled to a maximum of 1 along ``axis`` first.
 
-    The scale is one constant per topic row (axis 0) or mix row (axis 1), which
-    the M-step's normalization removes.
+    The scale, one constant per topic row (axis 0) or mix row (axis 1), keeps
+    the power from overflowing; the M-step's normalization removes it.
     """
     top = factor.max(axis=axis, keepdims=True)
+    factor /= np.where(top > 0.0, top, 1.0)
     with np.errstate(divide="ignore"):  # a zero factor stays zero: exp(-inf) = 0
-        return np.exp(eta * np.log(factor / np.where(top > 0.0, top, 1.0)))
+        np.log(factor, out=factor)
+    factor *= eta
+    return np.exp(factor, out=factor)
 
 
 def _m_step(corpus, topics, mixes, ratio, doc_counts, smoothing_floor, eta=1.0):
@@ -236,9 +239,10 @@ def _m_step(corpus, topics, mixes, ratio, doc_counts, smoothing_floor, eta=1.0):
                        out=work[: (c1 - c0) * k].reshape(c1 - c0, k)).reshape(*shape, k)
         np.matmul(cells[c0:c1].reshape(shape[0], 1, shape[1]), rows, out=sums[r0:r1, None, :])
     if eta != 1.0:
-        sums = _relax(sums, eta, axis=0)
+        _relax(sums, eta, axis=0)
         factor = np.divide(doc_counts, mixes, out=np.zeros_like(mixes), where=mixes > 0.0)
-        doc_counts = mixes * _relax(factor, eta, axis=1)
+        doc_counts = _relax(factor, eta, axis=1)
+        doc_counts *= mixes
     topic_mass = np.zeros((k, corpus.n_terms))
     topic_mass[:, lay.word_order] = sums.T
     topic_mass *= topics
