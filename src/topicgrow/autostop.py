@@ -4,12 +4,14 @@ Instead of a fixed spawn threshold, each outer iteration promotes the single
 worst-fitted document (largest likelihood-ratio deficit) to a new topic, so
 the implicit threshold decays on its own. The E-step bounds every deficit, so
 finding that document fits only the few whose bound can still win; one fold-in
-per spawn then refits the corpus. Growth stops when a chosen score
-stops improving: either the mean pairwise distance between topics (which peaks
-near the right topic count) or the distance between the topics and a
-user-supplied exemplar query model, each iteration being one of the EM loop
-``plsa.em_steps``. The run then rolls back to the best-scoring snapshot and
-finishes with plain EM at that topic count.
+per spawn, capped at a few passes, then refits the corpus. The refit only sets
+the start of one EM step, and a partial E-step serves there (Neal & Hinton,
+1998); the cap cuts off the slow tail of documents creeping to their plateau.
+Growth stops when a chosen score stops improving: either the mean pairwise
+distance between topics (which peaks near the right topic count) or the
+distance between the topics and a user-supplied exemplar query model, each
+iteration being one of the EM loop ``plsa.em_steps``. The run then rolls back
+to the best-scoring snapshot and finishes with plain EM at that topic count.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_LAM = 0.5  # default weight of the query model against the background in pseudo feedback
 _FEEDBACK_ITERS = 50  # EM steps at most when estimating a query model by pseudo feedback
+_SPAWN_REFIT_PASSES = 10  # fold-in passes at most in the post-spawn refit of farthest-first growth
 
 
 @dataclass
@@ -161,7 +164,9 @@ def _grow(corpus, config, detector, score_fn, max_topics, max_spawns, advice):
     documents are fitted in decreasing bound order, in doubling batches, until
     no bound left can beat the best deficit: the spawn is the argmax over every
     document, ties to the lowest id. One ``fold_in_all`` from the EM mixes then
-    fits every document to the enlarged topic set. A topic cap hit raises
+    refits every document to the enlarged topic set, each for at most the
+    smaller of ``config.fold_in_max_iters`` and ``_SPAWN_REFIT_PASSES`` passes;
+    the bounded search's fits keep the full budget. A topic cap hit raises
     "topic explosion" ending in ``advice``. After the detector fires (or the
     spawn budget runs out) the best snapshot is restored and refined with
     plain EM. Returns (topics, mixes, trace).
@@ -170,6 +175,8 @@ def _grow(corpus, config, detector, score_fn, max_topics, max_spawns, advice):
         raise DataError("max_spawns must be >= 0")
     if detector.history:  # its best snapshot would belong to another run
         raise DataError("the stop detector has already scored a run; pass a fresh one")
+    refit_config = replace(config, fold_in_max_iters=min(config.fold_in_max_iters,
+                                                         _SPAWN_REFIT_PASSES))
 
     def farthest_first(topics, mixes, doc_lls, self_lls, fitted):
         k = topics.shape[0]
@@ -184,7 +191,8 @@ def _grow(corpus, config, detector, score_fn, max_topics, max_spawns, advice):
             n, step = n + step, 2 * step
         d_star = int(np.argmax(deficits))
         topics = spawn(corpus, topics, d_star, max_topics, advice)
-        new_mixes, _ = fold_in_all(corpus, topics, config, init_mixes=warm_start(mixes, k + 1)[1])
+        new_mixes, _ = fold_in_all(corpus, topics, refit_config,
+                                   init_mixes=warm_start(mixes, k + 1)[1])
         new_mixes[d_star] = 0.0
         new_mixes[d_star, k] = 1.0
         return topics, new_mixes, (d_star,), {"epsilon": float(deficits[d_star]), "phase": "grow"}

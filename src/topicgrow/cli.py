@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .autostop import (
+    _SPAWN_REFIT_PASSES,
     DEFAULT_LAM,
     StopDetector,
     diversity,
@@ -103,7 +104,10 @@ def build_parser():
     train.add_argument("--max-iters", type=int, default=em.max_iters)
     train.add_argument("--rel-tol", type=float, default=em.rel_tol)
     train.add_argument("--floor", type=float, default=em.smoothing_floor)
-    train.add_argument("--fold-in-iters", type=int, default=em.fold_in_max_iters)
+    train.add_argument("--fold-in-iters", type=int, default=em.fold_in_max_iters,
+                       help="fold-in passes at most per document, in every fold-in; the "
+                            "post-spawn refit of auto/query takes the smaller of this and "
+                            f"{_SPAWN_REFIT_PASSES}")
     train.add_argument("--fold-in-tol", type=float, default=em.fold_in_rel_tol)
     train.add_argument("--min-df", type=int, default=MIN_DF, help="text ingestion: df filter")
     train.add_argument("--stopwords", help="text ingestion: stopword file")

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -278,13 +279,13 @@ class TestWeaklySupervised:
 
 
 def spy_fold_ins(monkeypatch):
-    """Record (topics, init_mixes, mixes, lls) of every ``fold_in_all`` call the grow makes."""
+    """Record (config, topics, init_mixes, mixes, lls) of every ``fold_in_all`` call of a grow."""
     calls = []
     real = autostop.fold_in_all
 
     def spy(corpus, topics, config, init_mixes=None):
         mixes, lls = real(corpus, topics, config, init_mixes=init_mixes)
-        calls.append((topics.copy(), np.array(init_mixes), mixes.copy(), lls.copy()))
+        calls.append((config, topics.copy(), np.array(init_mixes), mixes.copy(), lls.copy()))
         return mixes, lls
 
     monkeypatch.setattr(autostop, "fold_in_all", spy)
@@ -319,16 +320,25 @@ def oracle_deficits(corpus, topics, mixes, config):
     return self_lls - np.maximum(fit_lls, em_lls), self_lls - em_lls
 
 
+def refit_config(config):
+    """The post-spawn refit's budget: at most ``_SPAWN_REFIT_PASSES`` fold-in passes."""
+    return replace(config, fold_in_max_iters=min(config.fold_in_max_iters,
+                                                 autostop._SPAWN_REFIT_PASSES))
+
+
 def check_fold_ins(corpus, config, calls, states, trace):
-    """One fold-in per spawn, equal to per-document ``fold_in``; each spawn the oracle's argmax."""
+    """One capped fold-in per spawn, equal to per-document ``fold_in`` under the same cap;
+    each spawn the oracle's argmax, its deficits fitted with the full budget."""
     grow = [row for row in trace if row.phase == "grow"]
     assert len(calls) == len(grow)  # one fold_in_all per spawn: the post-spawn one
-    for row, (topics, init, mixes, lls) in zip(grow, calls):
+    refit = refit_config(config)
+    for row, (used, topics, init, mixes, lls) in zip(grow, calls):
+        assert used == refit
         old_topics, old_mixes = states[row.iteration - 1]
         np.testing.assert_array_equal(topics[:-1], old_topics)
         np.testing.assert_array_equal(init, warm_start(old_mixes, topics.shape[0])[1])
         for d in range(corpus.n_docs):
-            mix, ll = fold_in(corpus.docs[d], topics, config, init_mix=init[d])
+            mix, ll = fold_in(corpus.docs[d], topics, refit, init_mix=init[d])
             np.testing.assert_allclose(mixes[d], mix, rtol=1e-12, atol=1e-12)
             assert lls[d] == pytest.approx(ll, rel=1e-12)
         deficits, bounds = oracle_deficits(corpus, old_topics, old_mixes, config)
@@ -408,6 +418,33 @@ class TestGrowFoldIns:
         config = EmConfig(seed=seed)
         _, _, trace = train_parameter_free(corpus, config, max_spawns=8)
         check_fold_ins(corpus, config, calls, states, trace)
+
+    @pytest.mark.parametrize("fold_in_iters, budget", [(50, autostop._SPAWN_REFIT_PASSES), (3, 3)])
+    def test_the_refit_takes_the_smaller_budget(self, monkeypatch, fold_in_iters, budget):
+        calls = spy_fold_ins(monkeypatch)
+        corpus = clustered_corpus(np.random.default_rng(67), n_docs=18)
+        config = EmConfig(seed=7, max_iters=40, fold_in_max_iters=fold_in_iters)
+        train_parameter_free(corpus, config, max_spawns=3)
+        assert [used.fold_in_max_iters for used, *_ in calls] == [budget] * 3
+        assert all(used == replace(config, fold_in_max_iters=budget) for used, *_ in calls)
+
+    @pytest.mark.parametrize("which", ["auto", "query"])
+    def test_the_bounded_search_keeps_the_full_budget(self, monkeypatch, which):
+        configs = []
+        real = autostop.best_fits
+
+        def spy(corpus, docs, topics, mixes, old_lls, config):
+            configs.append(config)
+            return real(corpus, docs, topics, mixes, old_lls, config)
+
+        monkeypatch.setattr(autostop, "best_fits", spy)
+        corpus = clustered_corpus(np.random.default_rng(71), n_docs=18)
+        config = EmConfig(seed=8, max_iters=40)
+        if which == "auto":
+            train_parameter_free(corpus, config, max_spawns=4)
+        else:
+            train_weakly_supervised(corpus, ["t07"], config, max_spawns=4)
+        assert configs and all(used is config for used in configs)
 
 
 def fold_in_until_slowest(corpus, topics, config, init_mixes):

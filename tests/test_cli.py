@@ -111,6 +111,28 @@ def test_fold_in_iters_below_one_is_a_data_error(synth_dir, tmp_path):
     assert code == EXIT_DATA
 
 
+@pytest.mark.parametrize("flags, budget", [
+    ([], autostop._SPAWN_REFIT_PASSES),
+    (["--fold-in-iters", "3"], 3),
+])
+def test_post_spawn_refit_takes_the_smaller_fold_in_budget(synth_dir, tmp_path, monkeypatch,
+                                                           flags, budget):
+    budgets = []
+    real = autostop.fold_in_all
+
+    def spy(corpus, topics, config, init_mixes=None):
+        budgets.append(config.fold_in_max_iters)
+        return real(corpus, topics, config, init_mixes=init_mixes)
+
+    monkeypatch.setattr(autostop, "fold_in_all", spy)
+    assert main(train_argv(synth_dir, tmp_path, "--algo", "auto", "--max-spawns", "3",
+                           *flags)) == 0
+    assert budgets == [budget] * 3
+    echoed = int(flags[1]) if flags else EmConfig(seed=1).fold_in_max_iters
+    with open(tmp_path / "config.json", encoding="utf-8") as fh:  # the echo keeps the flag
+        assert json.load(fh)["fold_in_iters"] == echoed
+
+
 def test_nan_fold_in_tolerance_is_a_data_error(synth_dir, tmp_path):
     code = main(["train", "--algo", "auto", "--fold-in-tol", "nan", "--corpus",
                  str(synth_dir / "corpus.sparse"), "--out", str(tmp_path), "--seed", "1"])
