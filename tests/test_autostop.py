@@ -419,15 +419,6 @@ class TestGrowFoldIns:
         _, _, trace = train_parameter_free(corpus, config, max_spawns=8)
         check_fold_ins(corpus, config, calls, states, trace)
 
-    @pytest.mark.parametrize("fold_in_iters, budget", [(50, autostop._SPAWN_REFIT_PASSES), (3, 3)])
-    def test_the_refit_takes_the_smaller_budget(self, monkeypatch, fold_in_iters, budget):
-        calls = spy_fold_ins(monkeypatch)
-        corpus = clustered_corpus(np.random.default_rng(67), n_docs=18)
-        config = EmConfig(seed=7, max_iters=40, fold_in_max_iters=fold_in_iters)
-        train_parameter_free(corpus, config, max_spawns=3)
-        assert [used.fold_in_max_iters for used, *_ in calls] == [budget] * 3
-        assert all(used == replace(config, fold_in_max_iters=budget) for used, *_ in calls)
-
     @pytest.mark.parametrize("which", ["auto", "query"])
     def test_the_bounded_search_keeps_the_full_budget(self, monkeypatch, which):
         configs = []

@@ -28,12 +28,10 @@ import statistics
 import sys
 import time
 from collections import defaultdict
+from itertools import product
 from pathlib import Path
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
-from bench_record import append_row, git  # noqa: E402  (after the BLAS thread pins)
+from bench_record import append_row, git
 
 ROOT = Path(__file__).resolve().parent.parent
 QUERY_WORDS = 5  # top words of the truth's first topic that make the query
@@ -119,22 +117,17 @@ def main(argv=None):
     run = {"commit": git(args.checkout, "rev-parse", "HEAD"),
            "dirty": None if status is None else bool(status),
            "refit_passes": getattr(tg[0], "_SPAWN_REFIT_PASSES", None)}
-    for profile in args.profiles:
-        for k_true in args.k_true:
-            for algo in args.algos:
-                for patience in args.patience:
-                    for seed in args.seeds:
-                        cell = dict(profile=profile, k_true=k_true, algo=algo,
-                                    patience=patience, seed=seed)
-                        row = {**run, **cell, "n_docs": args.n_docs,
-                               **run_cell(tg, profile, k_true, algo, patience, seed,
-                                          args.n_docs)}
-                        append_row(args.out, row)
-                        print(f"{profile} K*={k_true} {algo} p{patience} seed {seed}: "
-                              f"K={row['k']} tce {row['tce']:.4f} {row['seconds']:.2f} s",
-                              flush=True)
+    for cell in product(args.profiles, args.k_true, args.algos, args.patience, args.seeds):
+        row = {**run, **dict(zip((*CELL, "seed"), cell)), "n_docs": args.n_docs,
+               **run_cell(tg, *cell, n_docs=args.n_docs)}
+        append_row(args.out, row)
+        print(f"{row['profile']} K*={row['k_true']} {row['algo']} p{row['patience']} "
+              f"seed {row['seed']}: K={row['k']} tce {row['tce']:.4f} {row['seconds']:.2f} s",
+              flush=True)
     return 0
 
 
 if __name__ == "__main__":
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")  # before main imports numpy: one BLAS thread, as perfbench
     sys.exit(main())
