@@ -4,10 +4,11 @@ Instead of a fixed spawn threshold, each outer iteration promotes the single
 worst-fitted document (largest likelihood-ratio deficit) to a new topic, so
 the implicit threshold decays on its own. The E-step bounds every deficit, so
 finding that document fits only the few whose bound can still win; one fold-in
-per spawn, capped at a few passes, then refits the corpus. The refit only sets
-the start of one EM step, and a partial E-step serves there (Neal & Hinton,
-1998); the cap cuts off the slow tail of documents creeping to their plateau.
-Growth stops when a chosen score stops improving: either the mean pairwise
+per spawn then refits the corpus. The refit only sets the start of one EM step,
+and a partial E-step serves there (Neal & Hinton, 1998), so it stops most
+documents after a few passes; only those taking up the new topic run on to
+their plateau, since a new topic they leave half-adopted keeps its spawn
+document's peaked profile and inflates the diversity score. Growth stops when a chosen score stops improving: either the mean pairwise
 distance between topics (which peaks near the right topic count) or the
 distance between the topics and a user-supplied exemplar query model, each
 iteration being one of the EM loop ``plsa.em_steps``. The run then rolls back
@@ -25,13 +26,14 @@ import numpy as np
 from .corpus import background_model, pooled_counts
 from .errors import DataError
 from .nplsa import MAX_TOPICS, best_fits, grow, spawn, warm_start
-from .plsa import TraceRow, em_refine, fold_in_all
+from .plsa import TraceRow, em_refine, fold_in_all, fold_in_docs
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_LAM = 0.5  # default weight of the query model against the background in pseudo feedback
 _FEEDBACK_ITERS = 50  # EM steps at most when estimating a query model by pseudo feedback
-_SPAWN_REFIT_PASSES = 10  # fold-in passes at most in the post-spawn refit of farthest-first growth
+_SPAWN_REFIT_PASSES = 10  # fold-in passes of the post-spawn refit, save for new-topic takers
+_SPAWN_UPTAKE = 0.01  # new-topic weight past which a document's refit keeps the full budget
 
 
 @dataclass
@@ -164,9 +166,12 @@ def _grow(corpus, config, detector, score_fn, max_topics, max_spawns, advice):
     documents are fitted in decreasing bound order, in doubling batches, until
     no bound left can beat the best deficit: the spawn is the argmax over every
     document, ties to the lowest id. One ``fold_in_all`` from the EM mixes then
-    refits every document to the enlarged topic set, each for at most the
-    smaller of ``config.fold_in_max_iters`` and ``_SPAWN_REFIT_PASSES`` passes;
-    the bounded search's fits keep the full budget. A topic cap hit raises
+    refits every document to the enlarged topic set for at most the smaller of
+    ``config.fold_in_max_iters`` and ``_SPAWN_REFIT_PASSES`` passes; a document
+    then holding more than ``_SPAWN_UPTAKE`` of the new topic runs on from there
+    with ``fold_in_docs`` for the rest of ``config.fold_in_max_iters``, as its
+    full-budget fold-in would. The bounded search's fits keep the full budget
+    too. A topic cap hit raises
     "topic explosion" ending in ``advice``. After the detector fires (or the
     spawn budget runs out) the best snapshot is restored and refined with
     plain EM. Returns (topics, mixes, trace).
@@ -175,8 +180,10 @@ def _grow(corpus, config, detector, score_fn, max_topics, max_spawns, advice):
         raise DataError("max_spawns must be >= 0")
     if detector.history:  # its best snapshot would belong to another run
         raise DataError("the stop detector has already scored a run; pass a fresh one")
-    refit_config = replace(config, fold_in_max_iters=min(config.fold_in_max_iters,
-                                                         _SPAWN_REFIT_PASSES))
+    refit = min(config.fold_in_max_iters, _SPAWN_REFIT_PASSES)
+    refit_config = replace(config, fold_in_max_iters=refit)
+    rest = config.fold_in_max_iters - refit
+    rest_config = replace(config, fold_in_max_iters=rest) if rest else None
 
     def farthest_first(topics, mixes, doc_lls, self_lls, fitted):
         k = topics.shape[0]
@@ -193,6 +200,11 @@ def _grow(corpus, config, detector, score_fn, max_topics, max_spawns, advice):
         topics = spawn(corpus, topics, d_star, max_topics, advice)
         new_mixes, _ = fold_in_all(corpus, topics, refit_config,
                                    init_mixes=warm_start(mixes, k + 1)[1])
+        takers = new_mixes[:, k] > _SPAWN_UPTAKE
+        takers[d_star] = False
+        if rest_config is not None and takers.any():
+            docs = np.flatnonzero(takers)
+            new_mixes[docs] = fold_in_docs(corpus, docs, topics, rest_config, new_mixes[docs])[0]
         new_mixes[d_star] = 0.0
         new_mixes[d_star, k] = 1.0
         return topics, new_mixes, (d_star,), {"epsilon": float(deficits[d_star]), "phase": "grow"}

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import __version__
 from .autostop import (
-    _SPAWN_REFIT_PASSES,
     DEFAULT_LAM,
     StopDetector,
     diversity,
@@ -106,8 +105,8 @@ def build_parser():
     train.add_argument("--floor", type=float, default=em.smoothing_floor)
     train.add_argument("--fold-in-iters", type=int, default=em.fold_in_max_iters,
                        help="fold-in passes at most per document, in every fold-in; the "
-                            "post-spawn refit of auto/query takes the smaller of this and "
-                            f"{_SPAWN_REFIT_PASSES}")
+                            "post-spawn refit of auto/query stops earlier, after a fixed few "
+                            "passes, in documents that do not take up the new topic")
     train.add_argument("--fold-in-tol", type=float, default=em.fold_in_rel_tol)
     train.add_argument("--min-df", type=int, default=MIN_DF, help="text ingestion: df filter")
     train.add_argument("--stopwords", help="text ingestion: stopword file")

@@ -18,7 +18,7 @@ from topicgrow.corpus import background_model, ingest_sparse
 from topicgrow.errors import AlgorithmError, DataError
 from topicgrow.metrics import topic_coverage_error
 from topicgrow.nplsa import doc_self_loglik, grow, spawn, warm_start
-from topicgrow.plsa import EmConfig, _e_step, fold_in, fold_in_all
+from topicgrow.plsa import EmConfig, _e_step, _m_step, fold_in, fold_in_all
 from topicgrow.synthgen import PROFILES, SynthConfig, generate_corpus
 
 
@@ -279,16 +279,28 @@ class TestWeaklySupervised:
 
 
 def spy_fold_ins(monkeypatch):
-    """Record (config, topics, init_mixes, mixes, lls) of every ``fold_in_all`` call of a grow."""
-    calls = []
-    real = autostop.fold_in_all
+    """Record the post-spawn refits of a grow, one dict per spawn.
 
-    def spy(corpus, topics, config, init_mixes=None):
-        mixes, lls = real(corpus, topics, config, init_mixes=init_mixes)
-        calls.append((config, topics.copy(), np.array(init_mixes), mixes.copy(), lls.copy()))
+    Each holds the ``fold_in_all`` call's (config, topics, init_mixes, mixes)
+    and, under "rest", the (docs, config, init_mixes, mixes) of the
+    ``autostop.fold_in_docs`` call that runs the new topic's takers on, if any.
+    """
+    calls = []
+    real_all, real_docs = autostop.fold_in_all, autostop.fold_in_docs
+
+    def spy_all(corpus, topics, config, init_mixes=None):
+        mixes, lls = real_all(corpus, topics, config, init_mixes=init_mixes)
+        calls.append({"all": (config, topics.copy(), np.array(init_mixes), mixes.copy()),
+                      "rest": None})
         return mixes, lls
 
-    monkeypatch.setattr(autostop, "fold_in_all", spy)
+    def spy_docs(corpus, docs, topics, config, init_mixes):
+        mixes, lls = real_docs(corpus, docs, topics, config, init_mixes)
+        calls[-1]["rest"] = (docs.copy(), config, np.array(init_mixes), mixes.copy())
+        return mixes, lls
+
+    monkeypatch.setattr(autostop, "fold_in_all", spy_all)
+    monkeypatch.setattr(autostop, "fold_in_docs", spy_docs)
     return calls
 
 
@@ -321,31 +333,57 @@ def oracle_deficits(corpus, topics, mixes, config):
 
 
 def refit_config(config):
-    """The post-spawn refit's budget: at most ``_SPAWN_REFIT_PASSES`` fold-in passes."""
+    """The post-spawn refit's first budget: at most ``_SPAWN_REFIT_PASSES`` fold-in passes."""
     return replace(config, fold_in_max_iters=min(config.fold_in_max_iters,
                                                  autostop._SPAWN_REFIT_PASSES))
 
 
 def check_fold_ins(corpus, config, calls, states, trace):
-    """One capped fold-in per spawn, equal to per-document ``fold_in`` under the same cap;
-    each spawn the oracle's argmax, its deficits fitted with the full budget."""
+    """Each spawn the oracle's argmax, its deficits fitted with the full budget, then a refit
+    equal to per-document ``fold_in``: capped, the new topic's takers running on to the full
+    budget. The next state is one EM step from the refit. Returns the takers run on."""
     grow = [row for row in trace if row.phase == "grow"]
     assert len(calls) == len(grow)  # one fold_in_all per spawn: the post-spawn one
     refit = refit_config(config)
-    for row, (used, topics, init, mixes, lls) in zip(grow, calls):
+    n_rest = 0
+    for row, call in zip(grow, calls):
+        used, topics, init, mixes = call["all"]
         assert used == refit
         old_topics, old_mixes = states[row.iteration - 1]
         np.testing.assert_array_equal(topics[:-1], old_topics)
         np.testing.assert_array_equal(init, warm_start(old_mixes, topics.shape[0])[1])
         for d in range(corpus.n_docs):
-            mix, ll = fold_in(corpus.docs[d], topics, refit, init_mix=init[d])
+            mix, _ = fold_in(corpus.docs[d], topics, refit, init_mix=init[d])
             np.testing.assert_allclose(mixes[d], mix, rtol=1e-12, atol=1e-12)
-            assert lls[d] == pytest.approx(ll, rel=1e-12)
         deficits, bounds = oracle_deficits(corpus, old_topics, old_mixes, config)
         assert np.all(deficits <= bounds)
         d_star = int(np.argmax(deficits))
         assert row.spawned == (d_star,)
         assert row.epsilon == pytest.approx(deficits[d_star], rel=1e-12)
+
+        takers = np.flatnonzero((mixes[:, -1] > autostop._SPAWN_UPTAKE)
+                                & (np.arange(corpus.n_docs) != d_star))
+        post = mixes.copy()
+        if refit == config or not takers.size:
+            assert call["rest"] is None
+        else:
+            docs, rest, rest_init, rest_mixes = call["rest"]
+            np.testing.assert_array_equal(docs, takers)
+            assert rest == replace(config, fold_in_max_iters=config.fold_in_max_iters
+                                   - refit.fold_in_max_iters)
+            np.testing.assert_array_equal(rest_init, mixes[docs])
+            for d, start, got in zip(docs, rest_init, rest_mixes):
+                mix, _ = fold_in(corpus.docs[d], topics, rest, init_mix=start)
+                np.testing.assert_allclose(got, mix, rtol=1e-12, atol=1e-12)
+            post[docs] = rest_mixes
+            n_rest += docs.size
+        post[d_star] = np.eye(1, topics.shape[0], topics.shape[0] - 1)
+        ratio, doc_counts, _ = _e_step(corpus, topics, post)
+        if doc_counts.any(axis=0).all():  # no topic pruned
+            expected = _m_step(corpus, topics, post, ratio, doc_counts, config.smoothing_floor)
+            for got, want in zip(states[row.iteration], expected):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+    return n_rest
 
 
 class TestGrowthBudgets:
@@ -397,10 +435,11 @@ class TestGrowthBudgets:
 
 
 class TestGrowFoldIns:
-    def test_parameter_free_fold_ins_match_fold_in(self, monkeypatch):
+    @pytest.mark.parametrize("budget", [EmConfig(seed=7).fold_in_max_iters, 3])
+    def test_parameter_free_fold_ins_match_fold_in(self, monkeypatch, budget):
         calls, states = spy_fold_ins(monkeypatch), spy_grow_states(monkeypatch)
         corpus = clustered_corpus(np.random.default_rng(67), n_docs=18)
-        config = EmConfig(seed=7, max_iters=40)
+        config = EmConfig(seed=7, max_iters=40, fold_in_max_iters=budget)
         _, _, trace = train_parameter_free(corpus, config, max_spawns=5)
         check_fold_ins(corpus, config, calls, states, trace)
 
@@ -417,7 +456,7 @@ class TestGrowFoldIns:
         corpus, _ = generate_corpus(SynthConfig(seed=seed, **dict(PROFILES["desk"], n_docs=60)))
         config = EmConfig(seed=seed)
         _, _, trace = train_parameter_free(corpus, config, max_spawns=8)
-        check_fold_ins(corpus, config, calls, states, trace)
+        assert check_fold_ins(corpus, config, calls, states, trace) > 0
 
     @pytest.mark.parametrize("which", ["auto", "query"])
     def test_the_bounded_search_keeps_the_full_budget(self, monkeypatch, which):

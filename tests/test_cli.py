@@ -111,12 +111,8 @@ def test_fold_in_iters_below_one_is_a_data_error(synth_dir, tmp_path):
     assert code == EXIT_DATA
 
 
-@pytest.mark.parametrize("flags, budget", [
-    ([], autostop._SPAWN_REFIT_PASSES),
-    (["--fold-in-iters", "3"], 3),
-])
-def test_post_spawn_refit_takes_the_smaller_fold_in_budget(synth_dir, tmp_path, monkeypatch,
-                                                           flags, budget):
+def test_fold_in_iters_below_the_refit_cap_bounds_the_post_spawn_refit(synth_dir, tmp_path,
+                                                                        monkeypatch):
     budgets = []
     real = autostop.fold_in_all
 
@@ -126,11 +122,10 @@ def test_post_spawn_refit_takes_the_smaller_fold_in_budget(synth_dir, tmp_path, 
 
     monkeypatch.setattr(autostop, "fold_in_all", spy)
     assert main(train_argv(synth_dir, tmp_path, "--algo", "auto", "--max-spawns", "3",
-                           *flags)) == 0
-    assert budgets == [budget] * 3
-    echoed = int(flags[1]) if flags else EmConfig(seed=1).fold_in_max_iters
+                           "--fold-in-iters", "3")) == 0
+    assert budgets == [3] * 3
     with open(tmp_path / "config.json", encoding="utf-8") as fh:  # the echo keeps the flag
-        assert json.load(fh)["fold_in_iters"] == echoed
+        assert json.load(fh)["fold_in_iters"] == 3
 
 
 def test_nan_fold_in_tolerance_is_a_data_error(synth_dir, tmp_path):

@@ -30,6 +30,7 @@ def test_a_tiny_grid_records_one_row_per_run(kgrid, tmp_path, capsys):
     for row in rows:
         assert (row["profile"], row["k_true"], row["seed"], row["n_docs"]) == ("desk", 3, 1, 30)
         assert row["refit_passes"] == autostop._SPAWN_REFIT_PASSES
+        assert row["refit_uptake"] == autostop._SPAWN_UPTAKE
         assert row["k"] >= 1 and 0.0 <= row["tce"] and row["nll_per_token"] > 0.0
         assert row["seconds"] > 0.0
 

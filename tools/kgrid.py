@@ -13,10 +13,12 @@ first topic. The grid imports ``topicgrow`` from the checkout's ``src/`` (this
 repository by default; another clone measures another commit) and appends one
 row per run to ``BENCH_kgrid.json`` at the root of this repository: the
 checkout's commit, whether its ``src/`` differs from that commit, the
-post-spawn refit's pass cap (None where the checkout has none), the cell, the
+post-spawn refit's pass cap and the new-topic weight past which a document
+runs on to the full budget (each None where the checkout has none), the cell, the
 chosen K, tce against the truth, the negative log-likelihood per token of the
-final fit and the training seconds. ``--summary`` prints, per commit, cap and
-cell, the exact-K count and the median tce over the chosen seeds instead.
+final fit and the training seconds. ``--summary`` prints, per commit, cap,
+uptake and cell, the exact-K count and the median tce over the chosen seeds
+instead.
 """
 
 from __future__ import annotations
@@ -74,19 +76,20 @@ CELL = ("profile", "k_true", "algo", "patience")
 
 
 def summarize(rows, seeds):
-    """Lines of exact-K count and median tce per (commit, cap, cell) over ``seeds``."""
+    """Lines of exact-K count and median tce per (commit, cap, uptake, cell) over ``seeds``."""
     groups = defaultdict(list)
     for row in rows:
         if row["seed"] in seeds:
-            groups[(str(row["commit"])[:9], row["refit_passes"])
+            groups[(str(row["commit"])[:9], row["refit_passes"], row.get("refit_uptake"))
                    + tuple(row[f] for f in CELL)].append(row)
-    lines = ["commit    cap  profile k*  algo  pat  exact  K            median tce"]
+    lines = ["commit    cap uptake profile k*  algo  pat  exact  K            median tce"]
     for key in sorted(groups, key=lambda g: tuple(str(f) for f in g)):
         runs = sorted(groups[key], key=lambda r: r["seed"])
-        commit, cap, profile, k_true, algo, patience = key
+        commit, cap, uptake, profile, k_true, algo, patience = key
         exact = sum(r["k"] == k_true for r in runs)
         ks = "/".join(str(r["k"]) for r in runs)
-        lines.append(f"{commit} {str(cap):>4} {profile:>7} {k_true:>3} {algo:>5} {patience:>4} "
+        lines.append(f"{commit} {str(cap):>4} {str(uptake):>6} {profile:>7} {k_true:>3} "
+                     f"{algo:>5} {patience:>4} "
                      f"{exact:>2}/{len(runs):<2}  {ks:<12} "
                      f"{statistics.median(r['tce'] for r in runs):.4f}")
     return lines
@@ -116,7 +119,8 @@ def main(argv=None):
     status = git(args.checkout, "status", "--porcelain", "--untracked-files=no", "--", "src")
     run = {"commit": git(args.checkout, "rev-parse", "HEAD"),
            "dirty": None if status is None else bool(status),
-           "refit_passes": getattr(tg[0], "_SPAWN_REFIT_PASSES", None)}
+           "refit_passes": getattr(tg[0], "_SPAWN_REFIT_PASSES", None),
+           "refit_uptake": getattr(tg[0], "_SPAWN_UPTAKE", None)}
     for cell in product(args.profiles, args.k_true, args.algos, args.patience, args.seeds):
         row = {**run, **dict(zip((*CELL, "seed"), cell)), "n_docs": args.n_docs,
                **run_cell(tg, *cell, n_docs=args.n_docs)}
