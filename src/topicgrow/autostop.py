@@ -8,11 +8,12 @@ per spawn then refits the corpus. The refit only sets the start of one EM step,
 and a partial E-step serves there (Neal & Hinton, 1998), so it stops most
 documents after a few passes; only those taking up the new topic run on to
 their plateau, since a new topic they leave half-adopted keeps its spawn
-document's peaked profile and inflates the diversity score. Growth stops when a chosen score stops improving: either the mean pairwise
-distance between topics (which peaks near the right topic count) or the
-distance between the topics and a user-supplied exemplar query model, each
-iteration being one of the EM loop ``plsa.em_steps``. The run then rolls back
-to the best-scoring snapshot and finishes with plain EM at that topic count.
+document's peaked profile and inflates the diversity score. Growth stops when
+a chosen score stops improving: either the mean pairwise distance between
+topics (which peaks near the right topic count) or the distance between the
+topics and a user-supplied exemplar query model, each iteration being one of
+the EM loop ``plsa.em_steps``. The run then rolls back to the best-scoring
+snapshot and finishes with plain EM at that topic count.
 """
 
 from __future__ import annotations
@@ -171,10 +172,9 @@ def _grow(corpus, config, detector, score_fn, max_topics, max_spawns, advice):
     then holding more than ``_SPAWN_UPTAKE`` of the new topic runs on from there
     with ``fold_in_docs`` for the rest of ``config.fold_in_max_iters``, as its
     full-budget fold-in would. The bounded search's fits keep the full budget
-    too. A topic cap hit raises
-    "topic explosion" ending in ``advice``. After the detector fires (or the
-    spawn budget runs out) the best snapshot is restored and refined with
-    plain EM. Returns (topics, mixes, trace).
+    too. A topic cap hit raises "topic explosion" ending in ``advice``. After
+    the detector fires (or the spawn budget runs out) the best snapshot is
+    restored and refined with plain EM. Returns (topics, mixes, trace).
     """
     if max_spawns is not None and max_spawns < 0:
         raise DataError("max_spawns must be >= 0")

@@ -281,8 +281,8 @@ class TestWeaklySupervised:
 def spy_fold_ins(monkeypatch):
     """Record the post-spawn refits of a grow, one dict per spawn.
 
-    Each holds the ``fold_in_all`` call's (config, topics, init_mixes, mixes)
-    and, under "rest", the (docs, config, init_mixes, mixes) of the
+    Each holds the ``fold_in_all`` call's (config, topics, init_mixes, mixes,
+    lls) and, under "rest", the (docs, config, init_mixes, mixes) of the
     ``autostop.fold_in_docs`` call that runs the new topic's takers on, if any.
     """
     calls = []
@@ -290,8 +290,8 @@ def spy_fold_ins(monkeypatch):
 
     def spy_all(corpus, topics, config, init_mixes=None):
         mixes, lls = real_all(corpus, topics, config, init_mixes=init_mixes)
-        calls.append({"all": (config, topics.copy(), np.array(init_mixes), mixes.copy()),
-                      "rest": None})
+        calls.append({"all": (config, topics.copy(), np.array(init_mixes), mixes.copy(),
+                              lls.copy()), "rest": None})
         return mixes, lls
 
     def spy_docs(corpus, docs, topics, config, init_mixes):
@@ -347,14 +347,15 @@ def check_fold_ins(corpus, config, calls, states, trace):
     refit = refit_config(config)
     n_rest = 0
     for row, call in zip(grow, calls):
-        used, topics, init, mixes = call["all"]
+        used, topics, init, mixes, lls = call["all"]
         assert used == refit
         old_topics, old_mixes = states[row.iteration - 1]
         np.testing.assert_array_equal(topics[:-1], old_topics)
         np.testing.assert_array_equal(init, warm_start(old_mixes, topics.shape[0])[1])
         for d in range(corpus.n_docs):
-            mix, _ = fold_in(corpus.docs[d], topics, refit, init_mix=init[d])
+            mix, ll = fold_in(corpus.docs[d], topics, refit, init_mix=init[d])
             np.testing.assert_allclose(mixes[d], mix, rtol=1e-12, atol=1e-12)
+            assert lls[d] == pytest.approx(ll, rel=1e-12)
         deficits, bounds = oracle_deficits(corpus, old_topics, old_mixes, config)
         assert np.all(deficits <= bounds)
         d_star = int(np.argmax(deficits))
