@@ -170,11 +170,14 @@ def _grow(corpus, config, detector, score_fn, max_topics, max_spawns, advice):
     refits every document to the enlarged topic set for at most the smaller of
     ``config.fold_in_max_iters`` and ``_SPAWN_REFIT_PASSES`` passes; a document
     then holding more than ``_SPAWN_UPTAKE`` of the new topic runs on from there
-    with ``fold_in_docs`` for the rest of ``config.fold_in_max_iters``, as its
-    full-budget fold-in would. The bounded search's fits keep the full budget
-    too. A topic cap hit raises "topic explosion" ending in ``advice``. After
-    the detector fires (or the spawn budget runs out) the best snapshot is
-    restored and refined with plain EM. Returns (topics, mixes, trace).
+    with ``fold_in_docs`` for at most the rest of ``config.fold_in_max_iters``.
+    The run-on starts a fresh plateau test, so each such document runs at least
+    one more pass, even one that had already plateaued inside the capped
+    refit; its mix is near, not equal to, that of a full-budget fold-in. The
+    bounded search's fits keep the full budget. A topic cap hit raises "topic
+    explosion" ending in ``advice``. After the detector fires (or the spawn
+    budget runs out) the best snapshot is restored and refined with plain EM.
+    Returns (topics, mixes, trace).
     """
     if max_spawns is not None and max_spawns < 0:
         raise DataError("max_spawns must be >= 0")

@@ -160,14 +160,23 @@ def _read_config_file(path, switches):
 
 
 def _inject_config(argv, parser):
-    """Insert config-file pairs after the subcommand so real flags override them."""
-    if "--config" not in argv:
+    """Insert config-file pairs after the subcommand so real flags override them.
+
+    The file is named by ``--config PATH`` or ``--config=PATH``. Any other
+    spelling argparse accepts (an abbreviation such as ``--conf``) is left in
+    ``argv``, and ``main`` rejects it after parsing.
+    """
+    idx = next((i for i, arg in enumerate(argv) if arg.split("=", 1)[0] == "--config"), None)
+    if idx is None:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
+    if "=" in argv[idx]:
+        path, end = argv[idx].split("=", 1)[1], idx + 1
+    elif idx + 1 < len(argv):
+        path, end = argv[idx + 1], idx + 2
+    else:
         raise UsageError("--config requires a path")
-    pairs = _read_config_file(argv[idx + 1], _store_true_flags(parser))
-    rest = argv[:idx] + argv[idx + 2 :]
+    pairs = _read_config_file(path, _store_true_flags(parser))
+    rest = argv[:idx] + argv[end:]
     if not rest:
         raise UsageError("missing subcommand")
     return rest[:1] + pairs + rest[1:]
@@ -364,6 +373,8 @@ def main(argv=None):
         parser = build_parser()
         argv = _inject_config(list(argv), parser)
         args = parser.parse_args(argv)
+        if args.config is not None:  # a second --config, or one argparse matched by prefix
+            raise UsageError("spell --config out, once: --config PATH or --config=PATH")
         logging.basicConfig(
             level=logging.INFO if args.verbose else logging.WARNING,
             format="%(levelname)s %(name)s: %(message)s",

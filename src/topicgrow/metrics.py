@@ -1,13 +1,13 @@
 """Evaluation metrics: topic quality/coverage error, PMI coherence, perplexity.
 
 PMI reads co-document frequencies of a reference corpus only for the pairs
-within each topic's top words; ``CooccurrenceStats`` counts those pairs on
-demand, from the corpus's flat arrays, and never enumerates all pairs.
+within each topic's top words: ``CooccurrenceStats.count_pairs`` counts them
+from the corpus's flat arrays into a (topic, word, word) array, never
+enumerating all pairs, and ``pmi_coherence`` scores that array.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -40,10 +40,9 @@ class CooccurrenceStats:
 
     ``df[i]`` counts the documents that contain term i. Co-document
     frequencies are counted on demand, only for the pairs asked for:
-    ``count_pairs`` stores in ``co_df[(i, j)]`` (i < j) the number of
-    documents that contain both terms, for each pair it counted that some
-    document holds, and ``co(i, j)`` reads it, 0 for a pair not stored.
-    Probabilities are estimated as frequency / n_docs.
+    ``count_pairs`` returns them as a (group, word, word) array, and records
+    in ``co_df[(i, j)]`` (i < j) the count of each pair it counted that some
+    document holds. Probabilities are estimated as frequency / n_docs.
     """
 
     def __init__(self, terms, n_docs, doc_idx, word_idx):
@@ -64,23 +63,20 @@ class CooccurrenceStats:
     def count_pairs(self, groups):
         """Count the documents holding both terms of each pair within each group.
 
-        ``groups`` is a sequence of arrays of distinct term ids. The 0/1
-        incidence matrix X of documents by the groups' terms is built in
-        blocks of documents, and each group's counts are ``X.T @ X`` over its
-        own columns, so memory grows with the groups' sizes, not with the
-        corpus. The counts are sums of 0/1 products, so they are exact.
+        ``groups`` is a (G, W) int array, each row of distinct term ids, -1
+        for a word the reference lacks. Returns the (G, W, W) array of counts,
+        0 where either word is -1. The 0/1 incidence matrix X of documents by
+        the groups' terms is built in blocks of documents, and each group's
+        counts are ``X.T @ X`` over its own columns, so memory grows with the
+        groups' sizes, not with the corpus. The counts are sums of 0/1
+        products, so they are exact.
         """
-        width = max((len(ids) for ids in groups), default=0)
-        if width < 2:
-            return
-        union = np.unique(np.concatenate(groups))
+        union = np.unique(groups[groups >= 0])
         m = union.size
         col = np.full(len(self.terms), m)  # column m collects the terms outside the groups
         col[union] = np.arange(m)
-        pick = np.full((len(groups), width), m + 1)  # column m + 1 stays 0: padding
-        for g, ids in enumerate(groups):
-            pick[g, : len(ids)] = col[ids]
-        counts = np.zeros((len(groups), width, width))
+        pick = np.where(groups >= 0, col[groups], m + 1)  # column m + 1 stays 0
+        counts = np.zeros(pick.shape + pick.shape[-1:])
         step = max(1, _PAIR_BLOCK_CELLS // pick.size)
         firsts = np.arange(0, self.n_docs, step)
         bounds = np.append(np.searchsorted(self._doc_idx, firsts), self._doc_idx.size)
@@ -90,14 +86,10 @@ class CooccurrenceStats:
             xg = x[:, pick].transpose(1, 0, 2)  # (group, document, word)
             counts += xg.transpose(0, 2, 1) @ xg
         g, a, b = np.nonzero(np.triu(counts, 1))
-        i, j = union[pick[g, a]], union[pick[g, b]]
+        i, j = groups[g, a], groups[g, b]
         pairs = zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist())
         self.co_df.update(zip(pairs, counts[g, a, b].astype(np.int64).tolist()))
-
-    def co(self, i, j):
-        if i > j:
-            i, j = j, i
-        return self.co_df.get((i, j), 0)
+        return counts
 
 
 def _check_same_vocab(learned, truth):
@@ -135,11 +127,12 @@ def pmi_coherence(topics, vocab, stats, cfg=PmiConfig()):
     """Mean pointwise mutual information over top-word pairs, averaged over topics.
 
     Word probabilities come from the reference-corpus document frequencies.
-    The co-document frequencies of the pairs within each topic's top words
-    that the reference knows are counted first, in one ``stats.count_pairs``
-    call. Pairs that never co-occur contribute the additively smoothed ratio
-    (co-df of 0.5), and a top word missing from the stats is treated as having
-    df 0.5, so the score stays finite. A model of fewer than two terms has no
+    The top words' co-document counts come from one ``stats.count_pairs``
+    call, -1 standing for a word the reference lacks. Pairs that never
+    co-occur contribute the additively smoothed ratio (co-df of 0.5), and a
+    top word missing from the stats is treated as having df 0.5, so the score
+    stays finite. Each topic's pair terms are summed one by one, in
+    ``itertools.combinations`` order. A model of fewer than two terms has no
     pairs to score and raises ``DataError``.
     """
     topics = np.asarray(topics, dtype=float)
@@ -147,25 +140,15 @@ def pmi_coherence(topics, vocab, stats, cfg=PmiConfig()):
         raise DataError(
             f"PMI needs at least 2 ranked words per topic; the model has {topics.shape[1]} term(s)"
         )
-    n = stats.n_docs
-    ranked = [[stats.index.get(vocab.term_of(int(w))) for w in top_words(row, cfg.top_n)]
-              for row in topics]
-    stats.count_pairs([np.array([i for i in sids if i is not None], dtype=np.int64)
-                       for sids in ranked])
-    per_topic = []
-    for sids in ranked:
-        total = 0.0
-        pairs = 0
-        for i, j in itertools.combinations(sids, 2):
-            df_i = stats.df[i] if i is not None and stats.df[i] > 0 else 0.5
-            df_j = stats.df[j] if j is not None and stats.df[j] > 0 else 0.5
-            co = stats.co(i, j) if i is not None and j is not None else 0
-            if co == 0:
-                co = 0.5
-            total += math.log(co * n / (df_i * df_j))
-            pairs += 1
-        per_topic.append(total / pairs)
-    return float(np.mean(per_topic))
+    ranked = np.array([[stats.index.get(vocab.term_of(int(w)), -1)
+                        for w in top_words(row, cfg.top_n)] for row in topics])
+    a, b = np.triu_indices(ranked.shape[1], 1)
+    co = stats.count_pairs(ranked)[:, a, b]
+    df = np.where((ranked >= 0) & (stats.df[ranked] > 0), stats.df[ranked], 0.5)
+    ratios = np.where(co > 0, co, 0.5) * stats.n_docs / (df[:, a] * df[:, b])
+    logs = np.array([[math.log(r) for r in row] for row in ratios.tolist()])
+    # cumsum adds left to right, as the pair loop did; a pairwise sum changes the last bits
+    return float(np.mean(logs.cumsum(axis=1)[:, -1] / logs.shape[1]))
 
 
 def perplexity(held_out, topics, config, split_fraction=DEFAULT_SPLIT_FRACTION):

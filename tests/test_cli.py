@@ -328,19 +328,35 @@ def test_text_filters_on_a_sparse_corpus_are_a_data_error(synth_dir, tmp_path, f
     assert not (tmp_path / "model.json").exists()
 
 
-@pytest.mark.parametrize("place, extra, k", [
-    ("after", [], 3),  # a k=3 line supplies --k
-    ("after", ["--k", "2"], 2),  # an explicit flag overrides the file
-    ("before", [], 3),  # --config may come before the subcommand
-])
-def test_config_file_supplies_flag_defaults(synth_dir, tmp_path, place, extra, k):
+@pytest.mark.parametrize("place, extra, k, joined", [
+    ("after", [], 3, False),  # a k=3 line supplies --k
+    ("after", ["--k", "2"], 2, False),  # an explicit flag overrides the file
+    ("before", [], 3, False),  # --config may come before the subcommand
+    ("after", [], 3, True),  # --config=PATH, argparse's joined form
+    ("before", [], 3, True),
+], ids=["after-extra0-3", "after-extra1-2", "before-extra2-3", "after-joined", "before-joined"])
+def test_config_file_supplies_flag_defaults(synth_dir, tmp_path, place, extra, k, joined):
     config = tmp_path / "defaults.cfg"
     config.write_text("# flag defaults\nk=3\n")
     train = train_argv(synth_dir, tmp_path, "--algo", "plsa", *extra)
-    flag = ["--config", str(config)]
+    flag = [f"--config={config}"] if joined else ["--config", str(config)]
     assert main(flag + train if place == "before" else train + flag) == 0
     with open(tmp_path / "model.json", encoding="utf-8") as fh:
         assert json.load(fh)["meta"]["K"] == k
+
+
+@pytest.mark.parametrize("form", [
+    ["--conf", "{}"],  # argparse accepts an unambiguous prefix
+    ["--conf={}"],
+    ["--config", "{}", "--config", "{}"],
+])
+def test_config_not_spelled_out_once_is_a_usage_error(synth_dir, tmp_path, capsys, form):
+    config = tmp_path / "defaults.cfg"
+    config.write_text("k=3\n")
+    flags = [f.format(config) for f in form]
+    assert main(train_argv(synth_dir, tmp_path, "--algo", "plsa", *flags)) == EXIT_USAGE == 1
+    assert "--config PATH or --config=PATH" in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
 
 
 def test_malformed_config_line_is_a_data_error(synth_dir, tmp_path):

@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from topicgrow import metrics
 from topicgrow.corpus import Vocabulary, ingest_sparse
 from topicgrow.errors import DataError
 from topicgrow.metrics import (
@@ -232,6 +233,30 @@ class TestPmi:
             stats = CooccurrenceStats.from_corpus(corpus)
             got = pmi_coherence(topics, vocab, stats, PmiConfig(top_n=top_n))
             assert got == oracle_pmi(topics, vocab, AllPairsStats(corpus), top_n)
+
+    @pytest.mark.parametrize("docs_per_block", [1, 2])
+    def test_counts_across_many_document_blocks(self, monkeypatch, docs_per_block):
+        rng = np.random.default_rng(31 + docs_per_block)
+        corpus = random_reference(rng, 45, 30, 12)
+        vocab = Vocabulary(corpus.vocab.terms + [f"new{i}" for i in range(6)])
+        topics = rng.dirichlet(np.full(len(vocab), 0.3), size=7)
+        stats = CooccurrenceStats.from_corpus(corpus)
+        groups = np.array([[stats.index.get(vocab.term_of(int(w)), -1) for w in top_words(row, 5)]
+                           for row in topics])
+        assert (groups < 0).any()
+        # a block holds _PAIR_BLOCK_CELLS // groups.size documents
+        monkeypatch.setattr(metrics, "_PAIR_BLOCK_CELLS", docs_per_block * groups.size)
+        oracle = AllPairsStats(corpus)
+        assert pmi_coherence(topics, vocab, stats, PmiConfig(top_n=5)) == oracle_pmi(
+            topics, vocab, oracle, 5)
+        counts = stats.count_pairs(groups)
+        expected = np.zeros(counts.shape)
+        for g, ids in enumerate(groups.tolist()):
+            for a, i in enumerate(ids):
+                for b, j in enumerate(ids):
+                    if i >= 0 and j >= 0:
+                        expected[g, a, b] = oracle.df[i] if a == b else oracle.co(i, j)
+        np.testing.assert_array_equal(counts, expected)
 
     def test_stores_only_top_word_pairs(self):
         rng = np.random.default_rng(21)
