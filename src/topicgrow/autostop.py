@@ -115,14 +115,14 @@ def estimate_query_model(corpus, query_terms, lam=DEFAULT_LAM):
 
 
 class StopDetector:
-    """Tracks a per-iteration score and fires after `patience` stalls.
+    """Tracks a per-iteration score and fires after `patience` stalls, 8 by default.
 
     ``mode`` is "maximize" or "minimize". ``update`` records (k, score), keeps
     a snapshot of the best-scoring state, and returns True once the best score
     has not improved for ``patience`` consecutive updates.
     """
 
-    def __init__(self, mode="maximize", patience=3):
+    def __init__(self, mode="maximize", patience=8):
         if mode not in ("maximize", "minimize"):
             raise DataError(f"unknown detector mode: {mode!r}")
         if patience < 1:
@@ -249,7 +249,7 @@ def train_parameter_free(corpus, config, detector=None, max_topics=MAX_TOPICS, m
     """Grow topics until inter-topic diversity stops improving.
 
     ``detector`` defaults to a maximize-mode StopDetector with its default
-    patience; pass a new configured one to change patience or to inspect the score
+    patience, 8; pass a new configured one to change patience or to inspect the score
     history and the best snapshot afterwards. ``max_spawns`` optionally caps
     the number of growth iterations (useful for recording full score curves).
     Returns (topics, mixes, trace).
@@ -275,7 +275,7 @@ def train_weakly_supervised(
     the same farthest-first loop as train_parameter_free but stops when the
     minimum L2 distance between the query model and the topics reaches its
     minimum. ``detector`` defaults to a minimize-mode StopDetector with its
-    default patience. Returns (topics, mixes, trace).
+    default patience, 8. Returns (topics, mixes, trace).
     """
     query = estimate_query_model(corpus, query_terms, lam=lam)
     if detector is None:

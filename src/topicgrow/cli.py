@@ -93,8 +93,8 @@ def build_parser():
     train.add_argument("--query", help="whitespace-separated query terms (query only)")
     train.add_argument("--lambda", dest="lam", type=float,
                        help="query/background mixture weight for pseudo feedback (query only)")
-    train.add_argument("--patience", type=int,
-                       help="stalled iterations before the stop detector fires (auto/query)")
+    train.add_argument("--patience", type=int, help="stalled iterations before the stop "
+                       f"detector fires (auto/query; default {StopDetector().patience})")
     train.add_argument("--max-spawns", type=int,
                        help="cap growth iterations (auto/query; full-curve runs)")
     train.add_argument("--max-topics", type=int, help="topic cap (nplsa/auto/query)")

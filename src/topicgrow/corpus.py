@@ -1,4 +1,4 @@
-"""Sparse bag-of-words corpora and the unigram language models derived from them."""
+"""Sparse bag-of-words corpora, each built by ``Corpus.from_entries``, and their unigram models."""
 
 from __future__ import annotations
 
@@ -59,13 +59,12 @@ class Vocabulary:
 class Corpus:
     """A vocabulary plus one sparse count row per document.
 
-    The rows are stored flat, document after document, in two int64 arrays:
-    the term ids, strictly increasing within a row, and the counts, every one
-    >= 1. ``docs[d]`` is document d's row as a pair of read-only views
-    ``(term_ids, counts)`` into those arrays; ``flat()`` and ``segments()``
-    return the arrays and the rows' runs in them. Rows given out of order are
-    sorted on construction. Instances are immutable after construction and safe
-    to share read-only across workers.
+    ``from_entries`` is the one builder from (document, term, count) entries;
+    ``Corpus(vocab, docs, doc_ids)`` takes rows in any term order. Both store
+    the rows flat in two int64 arrays, term ids strictly increasing within a
+    row and counts >= 1: ``docs[d]`` is document d's row as read-only views
+    ``(term_ids, counts)`` into them, and ``flat()`` and ``segments()`` give
+    the arrays and the rows' runs. Instances are immutable and safe to share.
     """
 
     def __init__(self, vocab, docs, doc_ids, dropped_doc_ids=()):
@@ -73,9 +72,6 @@ class Corpus:
             raise DataError("docs and doc_ids length mismatch")
         if not docs:
             raise DataError("empty corpus: no documents")
-        self.vocab = vocab
-        self.doc_ids = list(doc_ids)
-        self.dropped_doc_ids = list(dropped_doc_ids)
         ids = [np.asarray(row_ids, dtype=np.int64) for row_ids, _ in docs]
         counts = [np.asarray(row_counts, dtype=np.int64) for _, row_counts in docs]
         lengths = np.array([row.size for row in ids], dtype=np.int64)
@@ -83,24 +79,55 @@ class Corpus:
             raise DataError("empty document row")
         if any(i.ndim != 1 or i.shape != c.shape for i, c in zip(ids, counts)):
             raise DataError("row ids/counts shape mismatch")
-        starts = np.cumsum(lengths) - lengths
-        word_idx, counts = np.concatenate(ids), np.concatenate(counts)
-        if _row_steps(word_idx, starts).min(initial=1) < 0:
-            order = np.lexsort((word_idx, np.repeat(starts, lengths)))  # stable
-            word_idx, counts = word_idx[order], counts[order]
-        if _row_steps(word_idx, starts).min(initial=1) == 0:
+        doc_idx = np.repeat(np.arange(len(docs)), lengths)
+        self._store(vocab, doc_idx, np.concatenate(ids), np.concatenate(counts), doc_ids)
+        if self._word_idx.size < doc_idx.size:
             raise DataError("duplicate term id within a document row")
+        self.dropped_doc_ids = list(dropped_doc_ids)
+
+    @classmethod
+    def from_entries(cls, vocab, doc_idx, word_idx, counts, doc_ids):
+        """The corpus in which document ``doc_ids[doc_idx[i]]`` holds ``counts[i]`` of term
+        ``word_idx[i]``, the entries in any order. Duplicate (document, term) pairs are
+        summed in int64; documents without entries are left out, their ids kept in order
+        on ``dropped_doc_ids``. A count below 1, or a term id or document position out
+        of range, is a DataError raised before any pair is keyed."""
+        return cls.__new__(cls)._store(vocab, doc_idx, word_idx, counts, doc_ids)
+
+    def _store(self, vocab, doc_idx, word_idx, counts, doc_ids):
+        """Check and merge the entries into read-only rows sorted by term id; returns self."""
+        doc_idx, word_idx, counts = (np.asarray(a, dtype=np.int64)
+                                     for a in (doc_idx, word_idx, counts))
+        if not counts.size:
+            raise DataError("empty corpus: no documents")
         if word_idx.min() < 0 or word_idx.max() >= len(vocab):
             raise DataError("term id out of vocabulary range")
         if counts.min() < 1:
             raise DataError("invalid count: counts must be >= 1")
-        for array in (word_idx, counts, starts, lengths):
+        if doc_idx.min() < 0 or doc_idx.max() >= len(doc_ids):
+            raise DataError("document position out of range")
+        keys = doc_idx * len(vocab) + word_idx
+        order = np.argsort(keys)  # each step below frees what it replaces: a lower peak memory
+        keys = keys[order]
+        counts = counts[order]
+        del order
+        first = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))  # each pair's first entry
+        keys = keys[first]
+        sums = np.add.reduceat(counts, first)  # integer sums: a float bincount rounds above 2**53
+        del counts, first
+        docs, word_idx = np.divmod(keys, len(vocab))
+        lengths = np.bincount(docs, minlength=len(doc_ids))
+        self.vocab = vocab
+        self.doc_ids = [doc_ids[d] for d in np.flatnonzero(lengths).tolist()]
+        self.dropped_doc_ids = [doc_ids[d] for d in np.flatnonzero(lengths == 0).tolist()]
+        lengths = lengths[lengths > 0]
+        starts = np.cumsum(lengths) - lengths
+        for array in (word_idx, sums, starts, lengths):
             array.flags.writeable = False
-        self._word_idx, self._counts = word_idx, counts
-        self._segments = (starts, lengths)
-        self.docs = split_rows(word_idx, counts, lengths)
-        self._flat = None
-        self._layout = None
+        self._word_idx, self._counts, self._segments = word_idx, sums, (starts, lengths)
+        self.docs = split_rows(word_idx, sums, lengths)
+        self._flat = self._layout = None
+        return self
 
     @property
     def n_docs(self):
@@ -143,13 +170,6 @@ class Corpus:
         if self._layout is None:
             self._layout = BlockLayout(self)
         return self._layout
-
-
-def _row_steps(word_idx, starts):
-    """Differences of consecutive entries, 1 where a new row starts."""
-    steps = np.diff(word_idx)
-    steps[starts[1:] - 1] = 1
-    return steps
 
 
 def split_rows(term_ids, counts, lengths):
@@ -250,25 +270,22 @@ def ingest_text(lines, min_df=MIN_DF, stopwords=None):
     terms = sorted(term_ids)
     rank = np.empty(len(terms), dtype=np.int64)  # first-appearance id -> place in ``terms``
     rank[[term_ids[t] for t in terms]] = np.arange(len(terms))
-    token_terms = rank[np.fromiter(chain.from_iterable(rows), dtype=np.int64)]
-    token_docs = np.repeat(np.arange(len(lines)), [len(row) for row in rows])
-    keys, counts = np.unique(token_docs * len(terms) + token_terms, return_counts=True)
-    docs, words = np.divmod(keys, len(terms))
-
-    keep = np.bincount(words, minlength=len(terms)) >= min_df
-    keep &= np.array([t not in stopwords for t in terms], dtype=bool)
-    kept = keep[words]
-    docs, words, counts = docs[kept], (np.cumsum(keep) - 1)[words[kept]], counts[kept]
-    vocab = Vocabulary(t for t, k in zip(terms, keep) if k)
-
-    lengths = np.bincount(docs, minlength=len(lines))
-    if not lengths.any():
+    df = np.bincount(rank[np.fromiter(chain.from_iterable(map(set, rows)), dtype=np.int64)],
+                     minlength=len(terms))
+    keep = (df >= min_df) & np.array([t not in stopwords for t in terms], dtype=bool)
+    new_id = np.where(keep, np.cumsum(keep) - 1, -1)[rank]  # first-appearance id -> kept id
+    words = new_id[np.fromiter(chain.from_iterable(rows), dtype=np.int64)]
+    docs = np.repeat(np.arange(len(lines)), [len(row) for row in rows])
+    del rows  # a Python list entry per token
+    docs, words = docs[words >= 0], words[words >= 0]
+    if not words.size:
         raise DataError("empty corpus: all documents empty after filtering")
-    dropped = [str(i) for i in np.flatnonzero(lengths == 0)]
-    if dropped:
-        logger.warning("dropped %d empty documents after filtering", len(dropped))
-    doc_ids = [str(i) for i in np.flatnonzero(lengths)]
-    return Corpus(vocab, split_rows(words, counts, lengths[lengths > 0]), doc_ids, dropped)
+    corpus = Corpus.from_entries(Vocabulary(t for t, k in zip(terms, keep) if k), docs, words,
+                                 np.broadcast_to(1, words.shape),  # one count per token
+                                 [str(i) for i in range(len(lines))])
+    if corpus.dropped_doc_ids:
+        logger.warning("dropped %d empty documents after filtering", len(corpus.dropped_doc_ids))
+    return corpus
 
 
 def ingest_sparse(triples, vocab=None):
@@ -280,60 +297,32 @@ def ingest_sparse(triples, vocab=None):
     (doc, term) pairs are summed. Documents, and terms unless a ``vocab``
     fixes them, follow first-appearance order. Counts must be positive integers.
     """
-    entries = _SparseEntries(() if vocab is None else vocab.terms)
+    doc_index, term_index = {}, {} if vocab is None else dict(vocab.index)
+    docs, words, counts = [], [], []
     for entry, (doc_id, term, count) in enumerate(triples, start=1):
         if isinstance(count, float) and not count.is_integer():
             raise DataError(f"invalid count {count!r} at entry {entry}")
-        entries.add(doc_id, term, int(count))
-    return entries.corpus(vocab)
+        docs.append(doc_index.setdefault(doc_id, len(doc_index)))
+        words.append(term_index.setdefault(term, len(term_index)))
+        counts.append(int(count))
+    return _sparse_corpus(vocab, doc_index, term_index, docs, words, counts)
 
 
-class _SparseEntries:
-    """(doc_id, term, count) entries kept as flat integer lists as they arrive.
-
-    Documents get ids in order of first appearance. Terms get their place in
-    ``vocab_terms``, and a term outside those the next free id, so that a
-    fixed vocabulary can name it; without ``vocab_terms`` that is order of
-    first appearance.
-    """
-
-    def __init__(self, vocab_terms):
-        self.doc_index = {}
-        self.term_index = dict(zip(vocab_terms, range(len(vocab_terms))))
-        self.docs, self.words, self.counts = [], [], []
-
-    def add(self, doc_id, term, count):
-        self.docs.append(self.doc_index.setdefault(doc_id, len(self.doc_index)))
-        self.words.append(self.term_index.setdefault(term, len(self.term_index)))
-        self.counts.append(count)
-
-    def corpus(self, vocab):
-        """The Corpus of the entries, on ``vocab`` if given, else on the terms seen.
-
-        Rejects, at the first entry that has one, a count below 1 or a term
-        outside ``vocab``; duplicate (doc, term) pairs are summed.
-        """
-        if not self.counts:
-            raise DataError("empty corpus: no triples")
-        words = np.array(self.words, dtype=np.int64)
-        counts = np.array(self.counts, dtype=np.int64)
-        n_terms = len(self.term_index) if vocab is None else len(vocab)
-        bad = np.flatnonzero((counts < 1) | (words >= n_terms))
-        if bad.size:
-            entry = bad[0]
-            if counts[entry] < 1:
-                raise DataError(f"invalid count {int(counts[entry])!r} at entry {entry + 1}")
-            term = list(self.term_index)[words[entry]]
-            raise DataError(f"term {term!r} at entry {entry + 1} is not in the vocabulary")
-        if vocab is None:
-            vocab = Vocabulary(self.term_index)
-        keys, inverse = np.unique(np.array(self.docs, dtype=np.int64) * n_terms + words,
-                                  return_inverse=True)
-        sums = np.zeros(keys.size, dtype=np.int64)
-        np.add.at(sums, inverse, counts)  # integer sums: a float bincount rounds above 2**53
-        docs, words = np.divmod(keys, n_terms)
-        lengths = np.bincount(docs, minlength=len(self.doc_index))
-        return Corpus(vocab, split_rows(words, sums, lengths), [str(d) for d in self.doc_index])
+def _sparse_corpus(vocab, doc_index, term_index, docs, words, counts):
+    """The Corpus of entries numbered by ``doc_index`` and ``term_index``, on ``vocab`` if given;
+    the first entry with a count below 1 or a term outside ``vocab`` is a DataError."""
+    if not counts:
+        raise DataError("empty corpus: no triples")
+    words, counts = np.array(words, dtype=np.int64), np.array(counts, dtype=np.int64)
+    vocab = Vocabulary(term_index) if vocab is None else vocab
+    bad = np.flatnonzero((counts < 1) | (words >= len(vocab)))
+    if bad.size:
+        entry = bad[0]
+        if counts[entry] < 1:
+            raise DataError(f"invalid count {int(counts[entry])!r} at entry {entry + 1}")
+        term = list(term_index)[words[entry]]
+        raise DataError(f"term {term!r} at entry {entry + 1} is not in the vocabulary")
+    return Corpus.from_entries(vocab, docs, words, counts, [str(d) for d in doc_index])
 
 
 def doc_language_model(corpus, d):
@@ -367,14 +356,10 @@ def reindex_corpus(corpus, vocab):
     new_id = np.array([vocab.index.get(term, -1) for term in corpus.vocab.terms], dtype=np.int64)
     word_idx = new_id[corpus._word_idx]
     kept = word_idx >= 0
-    lengths = np.add.reduceat(kept, corpus.segments()[0])
-    if not lengths.any():
+    if not kept.any():
         raise DataError("empty corpus: no documents survive reindexing")
-    doc_ids = [corpus.doc_ids[d] for d in np.flatnonzero(lengths)]
-    dropped = [corpus.doc_ids[d] for d in np.flatnonzero(lengths == 0)]
-    # Distinct terms keep distinct ids, so rows need only the constructor's sort.
-    rows = split_rows(word_idx[kept], corpus._counts[kept], lengths[lengths > 0])
-    return Corpus(vocab, rows, doc_ids, dropped)
+    return Corpus.from_entries(vocab, corpus.flat()[0][kept], word_idx[kept],
+                               corpus._counts[kept], corpus.doc_ids)
 
 
 def read_stopwords(path):
@@ -395,11 +380,10 @@ def read_sparse_corpus(path):
     term per line, then doc/term/count triples. Without vocabulary lines the
     terms of the triples are taken in order of first appearance.
 
-    The triples are read straight into flat integer arrays, one id per
-    document and per term, and go through the same builder as
-    ``ingest_sparse``: a line that is not a triple or whose count is not an
-    integer is reported by line number, a count below 1 or a term outside the
-    vocabulary by entry number, the triples counted from 1.
+    The triples are read into flat integer lists and checked as ``ingest_sparse``
+    checks them once every line is read: a line that is not a triple or whose
+    count is not an integer is reported by line number, a count below 1 or a
+    term outside the vocabulary by entry number, the triples counted from 1.
     """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
@@ -407,12 +391,14 @@ def read_sparse_corpus(path):
         if not m:
             raise DataError(f"bad sparse corpus header: {header.strip()!r}")
         n_docs, n_terms, nnz = (int(g) for g in m.groups())
-        terms, entries = [], None
+        terms, doc_index, term_index = [], {}, {}
+        docs, words, counts = [], [], []
         for lineno, line in enumerate(fh, start=2):
             parts = line.split()
             if not parts:
                 continue
-            if len(parts) == 1 and entries is None:
+            if len(parts) == 1 and not counts:
+                term_index[parts[0]] = len(terms)  # a repeated term is rejected by Vocabulary
                 terms.append(parts[0])
                 continue
             if len(parts) != 3:
@@ -421,17 +407,15 @@ def read_sparse_corpus(path):
                 count = int(parts[2])
             except ValueError:
                 raise DataError(f"invalid count {parts[2]!r} at line {lineno}") from None
-            if entries is None:
-                entries = _SparseEntries(terms)
-            entries.add(parts[0], parts[1], count)
+            docs.append(doc_index.setdefault(parts[0], len(doc_index)))
+            words.append(term_index.setdefault(parts[1], len(term_index)))
+            counts.append(count)
     vocab = Vocabulary(terms) if terms else None
-    entries = entries or _SparseEntries(terms)
-    corpus = entries.corpus(vocab)
-    if corpus.n_docs != n_docs or corpus.n_terms != n_terms or len(entries.counts) != nnz:
+    corpus = _sparse_corpus(vocab, doc_index, term_index, docs, words, counts)
+    if corpus.n_docs != n_docs or corpus.n_terms != n_terms or len(counts) != nnz:
         raise DataError(
             f"sparse corpus header mismatch: header says docs={n_docs} terms={n_terms} "
-            f"nnz={nnz}, file has docs={corpus.n_docs} terms={corpus.n_terms} "
-            f"nnz={len(entries.counts)}"
+            f"nnz={nnz}, file has docs={corpus.n_docs} terms={corpus.n_terms} nnz={len(counts)}"
         )
     return corpus
 
@@ -447,15 +431,12 @@ def write_sparse_corpus(corpus, path):
         if bad is not None:
             raise DataError(f"{kind} {bad!r} is empty or holds whitespace: "
                             "the sparse format cannot write it")
-    nnz = sum(ids.size for ids, _ in corpus.docs)
+    doc_idx, word_idx, _ = corpus.flat()  # the int64 counts, as float ones round above 2**53
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"docs={corpus.n_docs} terms={corpus.n_terms} nnz={nnz}\n")
-        for term in corpus.vocab.terms:
-            fh.write(f"{term}\n")
-        for d, (ids, counts) in enumerate(corpus.docs):
-            doc_id = corpus.doc_ids[d]
-            for tid, c in zip(ids, counts):
-                fh.write(f"{doc_id} {corpus.vocab.term_of(int(tid))} {int(c)}\n")
+        fh.write(f"docs={corpus.n_docs} terms={corpus.n_terms} nnz={word_idx.size}\n")
+        fh.writelines(f"{term}\n" for term in corpus.vocab.terms)
+        fh.writelines(f"{corpus.doc_ids[d]} {corpus.vocab.terms[w]} {c}\n" for d, w, c in
+                      zip(doc_idx.tolist(), word_idx.tolist(), corpus._counts.tolist()))
 
 
 def load_corpus(path, min_df=MIN_DF, stopwords=None):

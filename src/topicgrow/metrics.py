@@ -167,23 +167,19 @@ def perplexity(held_out, topics, config, split_fraction=DEFAULT_SPLIT_FRACTION):
     if not 0.0 < split_fraction < 1.0:
         raise DataError("split_fraction must lie in (0, 1)")
     rng = np.random.default_rng(config.seed)
-    seen_rows, unseen_rows = [], []
+    halves = []  # each evaluable document's seen and unseen tokens
     for ids, counts in held_out.docs:
         tokens = np.repeat(ids, counts)
         if tokens.size < 2:
             continue
-        tokens = rng.permutation(tokens)
         n1 = min(max(int(split_fraction * tokens.size), 1), tokens.size - 1)
-        seen_rows.append(np.unique(tokens[:n1], return_counts=True))
-        unseen_rows.append(np.unique(tokens[n1:], return_counts=True))
-    skipped = held_out.n_docs - len(seen_rows)
+        halves.append(np.split(rng.permutation(tokens), [n1]))
+    skipped = held_out.n_docs - len(halves)
     if skipped:
         logger.warning("perplexity: skipped %d document(s) shorter than 2 tokens", skipped)
-    if not seen_rows:
+    if not halves:
         raise DataError("no evaluable documents for perplexity")
-    doc_ids = list(range(len(seen_rows)))
-    seen = Corpus(held_out.vocab, seen_rows, doc_ids)
-    unseen = Corpus(held_out.vocab, unseen_rows, doc_ids)
+    seen, unseen = (_token_corpus(held_out.vocab, rows) for rows in zip(*halves))
     k = topics.shape[0]
     mixes, _ = fold_in_docs(seen, np.arange(seen.n_docs), topics, config,
                             np.full((seen.n_docs, k), 1.0 / k))
@@ -192,3 +188,10 @@ def perplexity(held_out, topics, config, split_fraction=DEFAULT_SPLIT_FRACTION):
     except DataError:
         raise DataError("unmodelable word: zero predictive probability") from None
     return math.exp(-float(lls.sum()) / unseen.total_tokens)
+
+
+def _token_corpus(vocab, rows):
+    """The Corpus whose document i holds the tokens (term ids) of ``rows[i]``."""
+    words, doc_idx = np.concatenate(rows), np.repeat(np.arange(len(rows)), [r.size for r in rows])
+    return Corpus.from_entries(vocab, doc_idx, words, np.broadcast_to(1, words.size),
+                               range(len(rows)))

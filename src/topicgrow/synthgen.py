@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, Vocabulary, split_rows
+from .corpus import Corpus, Vocabulary
 from .errors import AlgorithmError, DataError
 
 # One Philox stream per logical unit: stream 0 draws the topics, stream d+1
@@ -182,24 +182,27 @@ def generate_corpus(config):
     topics = sample_distinct_topics(config)
     topic_cdf = _cdf_rows(topics)
     doc_mixes = np.empty((config.n_docs, config.n_topics))
-    rows, assignments = [], []
+    words = np.empty((config.n_docs, config.doc_len), dtype=np.int64)  # ravel() is then a view
+    assignments = []
     step = max(1, _BLOCK_TOKENS // config.doc_len)
     for first in range(0, config.n_docs, step):
-        z, w = _draw_block(config, topic_cdf, first, doc_mixes[first : first + step])
-        rows += _count_rows(w, config.vocab_size)
-        assignments += zip(z, w)
+        block = slice(first, first + step)
+        assignments += zip(_draw_block(config, topic_cdf, first, doc_mixes[block], words[block]),
+                           words[block])
     id_width = len(str(config.n_docs - 1))
     doc_ids = [f"d{d:0{id_width}d}" for d in range(config.n_docs)]
-    corpus = Corpus(make_vocabulary(config.vocab_size), rows, doc_ids)
+    corpus = Corpus.from_entries(make_vocabulary(config.vocab_size),
+                                 np.repeat(np.arange(config.n_docs), config.doc_len),
+                                 words.ravel(), np.broadcast_to(1, words.size), doc_ids)
     truth = SyntheticTruth(topics=topics, doc_mixes=doc_mixes, assignments=assignments)
     return corpus, truth
 
 
-def _draw_block(config, topic_cdf, first, mixes):
+def _draw_block(config, topic_cdf, first, mixes, w):
     """Draw documents ``first, first + 1, ...``, one per row of ``mixes``.
 
-    Fills ``mixes`` in place and returns the token topics and token words,
-    each a ``(len(mixes), doc_len)`` array.
+    Fills ``mixes`` and the token words ``w`` in place and returns the token
+    topics, a ``(len(mixes), doc_len)`` array.
     """
     shape = (len(mixes), config.doc_len)
     topic_u = np.empty(shape)
@@ -215,14 +218,7 @@ def _draw_block(config, topic_cdf, first, mixes):
         z += topic_u >= column[:, None]
     # The topic uniforms are spent: their buffer takes each token's word uniform.
     np.put_along_axis(topic_u, np.argsort(z, axis=1, kind="stable"), word_u, axis=1)
-    w = np.empty(shape, dtype=np.int64)
     for t, cdf in enumerate(topic_cdf):
         sel = z == t
         w[sel] = cdf.searchsorted(topic_u[sel], side="right")
-    return z, w
-
-
-def _count_rows(w, vocab_size):
-    """Each row of token words ``w`` as a count row ``(term_ids, counts)``, ids increasing."""
-    keys, counts = np.unique(np.arange(len(w))[:, None] * vocab_size + w, return_counts=True)
-    return split_rows(keys % vocab_size, counts, np.bincount(keys // vocab_size, minlength=len(w)))
+    return z

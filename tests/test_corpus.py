@@ -486,6 +486,63 @@ class TestCorpusInvariants:
         assert list(word_idx) == [0, 1, 1]
 
 
+def reference_entry_rows(n_docs, doc_idx, word_idx, counts):
+    """Flat entries summed per document in dictionaries, kept as the reference:
+    returns (rows, positions of the documents with entries, positions of the rest)."""
+    sums = [{} for _ in range(n_docs)]
+    for d, t, c in zip(doc_idx, word_idx, counts):
+        sums[d][t] = sums[d].get(t, 0) + int(c)
+    rows = [(sorted(row), [row[t] for t in sorted(row)]) for row in sums if row]
+    kept = [d for d, row in enumerate(sums) if row]
+    return rows, kept, [d for d in range(n_docs) if d not in kept]
+
+
+class TestFromEntries:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_row_constructor(self, seed):
+        rng = np.random.default_rng(seed)
+        n_docs, n_terms = int(rng.integers(1, 15)), int(rng.integers(1, 12))
+        n = int(rng.integers(1, 60))
+        doc_idx, word_idx = rng.integers(n_docs, size=n), rng.integers(n_terms, size=n)
+        counts = rng.integers(1, 6, size=n)
+        repeat = rng.integers(n, size=int(rng.integers(0, 10)))  # pairs given twice or more
+        doc_idx = np.append(doc_idx, doc_idx[repeat])
+        word_idx = np.append(word_idx, word_idx[repeat])
+        counts = np.append(counts, rng.integers(1, 6, size=repeat.size))
+        order = rng.permutation(doc_idx.size)
+        doc_idx, word_idx, counts = doc_idx[order], word_idx[order], counts[order]
+        vocab = Vocabulary([f"t{i}" for i in range(n_terms)])
+        doc_ids = [f"doc{d}" for d in range(n_docs)]
+        rows, kept, empty = reference_entry_rows(n_docs, doc_idx, word_idx, counts)
+        reference = Corpus(vocab, rows, [doc_ids[d] for d in kept], [doc_ids[d] for d in empty])
+        corpus = Corpus.from_entries(vocab, doc_idx, word_idx, counts, doc_ids)
+        assert outcome(lambda: corpus) == outcome(lambda: reference)
+        assert corpus.dropped_doc_ids == reference.dropped_doc_ids
+        assert_rows_equal(corpus, rows)
+
+    def test_counts_above_2_53_merge_exactly(self):
+        corpus = Corpus.from_entries(Vocabulary(["a", "b"]), [0, 0, 0], [1, 1, 0],
+                                     [2**53, 1, 2**60], ["d"])
+        assert corpus.docs[0][1].tolist() == [2**60, 2**53 + 1]
+        assert corpus.total_tokens == 2**60 + 2**53 + 1
+
+    @pytest.mark.parametrize("doc_idx, word_idx, counts, message", [
+        ([0, 1], [0, 1], [1, 0], "invalid count: counts must be >= 1"),
+        # a negative count would cancel its pair's other count in the sum
+        ([0, 0, 1], [2, 2, 1], [2, -1, 1], "invalid count: counts must be >= 1"),
+        # keyed as doc * 3 + term, term 3 of document 0 is term 0 of document 1
+        ([0, 1], [3, 0], [1, 1], "term id out of vocabulary range"),
+        ([1, 0], [-1, 2], [1, 1], "term id out of vocabulary range"),
+        ([0, 2], [0, 0], [1, 1], "document position out of range"),
+        ([-1, 1], [0, 2], [1, 1], "document position out of range"),
+        ([], [], [], "empty corpus: no documents"),
+    ])
+    def test_each_defect_is_rejected_before_keying(self, doc_idx, word_idx, counts, message):
+        with pytest.raises(DataError) as raised:
+            Corpus.from_entries(Vocabulary(["a", "b", "c"]), doc_idx, word_idx, counts, ["x", "y"])
+        assert str(raised.value) == message
+
+
 class TestFiles:
     def test_sparse_roundtrip(self, tmp_path):
         corpus = ingest_sparse([(0, "a", 2), (0, "b", 1), (1, "b", 3)])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from topicgrow import metrics
-from topicgrow.corpus import Vocabulary, ingest_sparse
+from topicgrow.corpus import Corpus, Vocabulary, ingest_sparse
 from topicgrow.errors import DataError
 from topicgrow.metrics import (
     CooccurrenceStats,
@@ -18,8 +18,8 @@ from topicgrow.metrics import (
     topic_quality_error,
     top_words,
 )
-from topicgrow.plsa import EmConfig, fold_in
-from topicgrow.synthgen import SynthConfig, generate_corpus
+from topicgrow.plsa import EmConfig, _e_step, fold_in, fold_in_docs
+from topicgrow.synthgen import PROFILES, SynthConfig, generate_corpus
 
 
 class AllPairsStats:
@@ -357,6 +357,29 @@ class TestPerplexity:
         # a NaN topic entry leaves no predictive probability either
         with pytest.raises(DataError, match="zero predictive probability"):
             perplexity(corpus, np.array([[0.5, 0.5], [np.nan, 0.5]]), EmConfig(seed=0))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_equals_the_per_document_unique_split_on_a_desk_corpus(self, seed):
+        corpus, truth = generate_corpus(SynthConfig(seed=seed, **PROFILES["desk"]))
+        topics = 0.99 * truth.topics + 0.01 / corpus.n_terms
+        config = EmConfig(seed=seed)
+        # reference: each document's halves counted with np.unique into row lists
+        split_rng = np.random.default_rng(config.seed)
+        seen_rows, unseen_rows = [], []
+        for ids, counts in corpus.docs:
+            tokens = split_rng.permutation(np.repeat(ids, counts))
+            n1 = min(max(int(0.8 * tokens.size), 1), tokens.size - 1)
+            seen_rows.append(np.unique(tokens[:n1], return_counts=True))
+            unseen_rows.append(np.unique(tokens[n1:], return_counts=True))
+        doc_ids = list(range(corpus.n_docs))
+        seen = Corpus(corpus.vocab, seen_rows, doc_ids)
+        unseen = Corpus(corpus.vocab, unseen_rows, doc_ids)
+        k = topics.shape[0]
+        mixes, _ = fold_in_docs(seen, np.arange(seen.n_docs), topics, config,
+                                np.full((seen.n_docs, k), 1.0 / k))
+        lls = _e_step(unseen, topics, mixes)[2]
+        expected = math.exp(-float(lls.sum()) / unseen.total_tokens)
+        assert perplexity(corpus, topics, config) == expected
 
     @pytest.mark.parametrize("k", [1, 3, 6])
     def test_matches_per_document_fold_in_oracle(self, k):
