@@ -8,12 +8,15 @@ per spawn then refits the corpus. The refit only sets the start of one EM step,
 and a partial E-step serves there (Neal & Hinton, 1998), so it stops most
 documents after a few passes; only those taking up the new topic run on to
 their plateau, since a new topic they leave half-adopted keeps its spawn
-document's peaked profile and inflates the diversity score. Growth stops when
-a chosen score stops improving: either the mean pairwise distance between
-topics (which peaks near the right topic count) or the distance between the
-topics and a user-supplied exemplar query model, each iteration being one of
-the EM loop ``plsa.em_steps``. The run then rolls back to the best-scoring
-snapshot and finishes with plain EM at that topic count.
+document's peaked profile and inflates the diversity score. Each iteration is
+one of the EM loop ``plsa.em_steps`` and is scored by its trainer's stop rule,
+which also fixes the direction that counts as better: ``train_parameter_free``
+maximizes the mean pairwise distance between topics, which peaks near the
+right topic count, and ``train_weakly_supervised`` minimizes the distance
+between the topics and a user-supplied exemplar query model. Growth stops once
+the best score has not improved for ``patience`` iterations in a row. The run
+then rolls back to the best-scoring iteration and finishes with plain EM at
+that topic count.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .plsa import TraceRow, em_refine, fold_in_all, fold_in_docs
 
 logger = logging.getLogger(__name__)
 
+PATIENCE = 8  # default stalled growth iterations before the stop rule ends growth
 DEFAULT_LAM = 0.5  # default weight of the query model against the background in pseudo feedback
 _FEEDBACK_ITERS = 50  # EM steps at most when estimating a query model by pseudo feedback
 _SPAWN_REFIT_PASSES = 10  # fold-in passes of the post-spawn refit, save for new-topic takers
@@ -114,52 +118,8 @@ def estimate_query_model(corpus, query_terms, lam=DEFAULT_LAM):
     return QueryModel(terms=terms, theta_q=theta_q, feedback_size=int(feedback.sum()))
 
 
-class StopDetector:
-    """Tracks a per-iteration score and fires after `patience` stalls, 8 by default.
-
-    ``mode`` is "maximize" or "minimize". ``update`` records (k, score), keeps
-    a snapshot of the best-scoring state, and returns True once the best score
-    has not improved for ``patience`` consecutive updates.
-    """
-
-    def __init__(self, mode="maximize", patience=8):
-        if mode not in ("maximize", "minimize"):
-            raise DataError(f"unknown detector mode: {mode!r}")
-        if patience < 1:
-            raise DataError("patience must be >= 1")
-        self.mode = mode
-        self.patience = patience
-        self.history = []
-        self.best_k = None
-        self.best_score = None
-        self.best_snapshot = None
-        self._stale = 0
-
-    @property
-    def fired(self):
-        return self._stale >= self.patience
-
-    def _improves(self, score):
-        if self.best_score is None:
-            return True
-        if self.mode == "maximize":
-            return score > self.best_score
-        return score < self.best_score
-
-    def update(self, k, score, snapshot=None):
-        self.history.append((k, score))
-        if self._improves(score):
-            self.best_k = k
-            self.best_score = score
-            self.best_snapshot = snapshot
-            self._stale = 0
-        else:
-            self._stale += 1
-        return self.fired
-
-
-def _grow(corpus, config, detector, score_fn, max_topics, max_spawns, advice):
-    """Shared engine: ``nplsa.grow`` spawning one topic per iteration until the detector fires.
+def _grow(corpus, config, score_fn, patience, max_topics, max_spawns, advice):
+    """Shared engine: ``nplsa.grow`` spawning one topic per iteration until the score stalls.
 
     The spawn phase promotes the document with the largest deficit, its self
     log-likelihood minus the better of its ``best_fits`` fold-in and its EM
@@ -175,14 +135,18 @@ def _grow(corpus, config, detector, score_fn, max_topics, max_spawns, advice):
     one more pass, even one that had already plateaued inside the capped
     refit; its mix is near, not equal to, that of a full-budget fold-in. The
     bounded search's fits keep the full budget. A topic cap hit raises "topic
-    explosion" ending in ``advice``. After the detector fires (or the spawn
-    budget runs out) the best snapshot is restored and refined with plain EM.
-    Returns (topics, mixes, trace).
+    explosion" ending in ``advice``.
+
+    ``score_fn(topics)`` returns (score, trace fields), a larger score being
+    better; only a strictly larger one improves on the best. Once ``patience``
+    rows in a row have not improved (or the spawn budget runs out) the best
+    row's topics and mixes are restored, recorded in a "rollback" row, and
+    refined with plain EM. Returns (topics, mixes, trace).
     """
+    if patience < 1:
+        raise DataError("patience must be >= 1")
     if max_spawns is not None and max_spawns < 0:
         raise DataError("max_spawns must be >= 0")
-    if detector.history:  # its best snapshot would belong to another run
-        raise DataError("the stop detector has already scored a run; pass a fresh one")
     refit = min(config.fold_in_max_iters, _SPAWN_REFIT_PASSES)
     refit_config = replace(config, fold_in_max_iters=refit)
     rest = config.fold_in_max_iters - refit
@@ -213,23 +177,25 @@ def _grow(corpus, config, detector, score_fn, max_topics, max_spawns, advice):
         return topics, new_mixes, (d_star,), {"epsilon": float(deficits[d_star]), "phase": "grow"}
 
     trace = []
+    best, stalls = None, 0  # best: (score, topics, mixes, row loglik)
     rows = grow(corpus, config, max_topics, farthest_first)
     for topics, mixes, row in islice(rows, None if max_spawns is None else max_spawns + 1):
         score, fields = score_fn(topics)
         trace.append(replace(row, **fields))
-        snapshot = (topics.copy(), mixes.copy())
-        stop = detector.update(row.k, score, snapshot=snapshot)
-        if detector.best_snapshot is snapshot:
-            best_ll = row.loglik  # the E-step of exactly the snapshot's arrays
-        if stop:
-            break
+        if best is None or score > best[0]:
+            # row.loglik is the E-step of exactly these arrays; the rollback reuses it
+            best, stalls = (score, topics.copy(), mixes.copy(), row.loglik), 0
+        else:
+            stalls += 1
+            if stalls >= patience:
+                break
     else:
         logger.info("spawn budget exhausted at K=%d", topics.shape[0])
     spawns = trace[-1].iteration
 
-    topics, mixes = (a.copy() for a in detector.best_snapshot)
-    logger.info("rolled back to best K=%d (score %.6f)", detector.best_k, detector.best_score)
-    score, fields = score_fn(topics)
+    _, topics, mixes, best_ll = best
+    fields = score_fn(topics)[1]
+    logger.info("rolled back to best K=%d %s", topics.shape[0], fields)
     trace.append(
         TraceRow(iteration=spawns + 1, k=topics.shape[0], loglik=best_ll, phase="rollback",
                  **fields)
@@ -245,18 +211,16 @@ def _diversity_fields(topics):
     return value, {"diversity": value}
 
 
-def train_parameter_free(corpus, config, detector=None, max_topics=MAX_TOPICS, max_spawns=None):
-    """Grow topics until inter-topic diversity stops improving.
+def train_parameter_free(corpus, config, patience=PATIENCE, max_topics=MAX_TOPICS,
+                         max_spawns=None):
+    """Grow topics until inter-topic diversity has not risen for ``patience`` iterations.
 
-    ``detector`` defaults to a maximize-mode StopDetector with its default
-    patience, 8; pass a new configured one to change patience or to inspect the score
-    history and the best snapshot afterwards. ``max_spawns`` optionally caps
-    the number of growth iterations (useful for recording full score curves).
-    Returns (topics, mixes, trace).
+    The K of the highest diversity is kept; its trace "rollback" row records
+    that K and diversity. ``max_spawns`` optionally caps the number of growth
+    iterations (useful for recording full score curves). Returns (topics,
+    mixes, trace).
     """
-    if detector is None:
-        detector = StopDetector(mode="maximize")
-    return _grow(corpus, config, detector, _diversity_fields, max_topics, max_spawns,
+    return _grow(corpus, config, _diversity_fields, patience, max_topics, max_spawns,
                  " without a diversity peak")
 
 
@@ -265,25 +229,23 @@ def train_weakly_supervised(
     query_terms,
     config,
     lam=DEFAULT_LAM,
-    detector=None,
+    patience=PATIENCE,
     max_topics=MAX_TOPICS,
     max_spawns=None,
 ):
-    """Grow topics until the closest topic to the query model stops improving.
+    """Grow topics until the query distance has not fallen for ``patience`` iterations.
 
     The query model is estimated once by pseudo feedback; growth then follows
-    the same farthest-first loop as train_parameter_free but stops when the
-    minimum L2 distance between the query model and the topics reaches its
-    minimum. ``detector`` defaults to a minimize-mode StopDetector with its
-    default patience, 8. Returns (topics, mixes, trace).
+    the same farthest-first loop as train_parameter_free, scoring each
+    iteration by the minimum L2 distance between the query model and the
+    topics. The K of the smallest distance is kept; its trace "rollback" row
+    records that K and distance. Returns (topics, mixes, trace).
     """
     query = estimate_query_model(corpus, query_terms, lam=lam)
-    if detector is None:
-        detector = StopDetector(mode="minimize")
 
     def score_fn(topics):
         dist, idx = query_distance(query.theta_q, topics)
-        return dist, {"query_distance": dist, "closest_topic": idx}
+        return -dist, {"query_distance": dist, "closest_topic": idx}
 
-    return _grow(corpus, config, detector, score_fn, max_topics, max_spawns,
+    return _grow(corpus, config, score_fn, patience, max_topics, max_spawns,
                  " without a query-distance minimum")

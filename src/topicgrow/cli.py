@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .autostop import (
     DEFAULT_LAM,
-    StopDetector,
+    PATIENCE,
     diversity,
     train_parameter_free,
     train_weakly_supervised,
@@ -94,7 +94,7 @@ def build_parser():
     train.add_argument("--lambda", dest="lam", type=float,
                        help="query/background mixture weight for pseudo feedback (query only)")
     train.add_argument("--patience", type=int, help="stalled iterations before the stop "
-                       f"detector fires (auto/query; default {StopDetector().patience})")
+                       f"rule ends growth (auto/query; default {PATIENCE})")
     train.add_argument("--max-spawns", type=int,
                        help="cap growth iterations (auto/query; full-curve runs)")
     train.add_argument("--max-topics", type=int, help="topic cap (nplsa/auto/query)")
@@ -259,7 +259,7 @@ def _mutually_exclusive(args):
 
 def _resolve_defaults(args):
     """Fill the library default of each train flag left unset; config.json echoes them."""
-    defaults = {"patience": StopDetector().patience, "lam": DEFAULT_LAM, "max_topics": MAX_TOPICS}
+    defaults = {"patience": PATIENCE, "lam": DEFAULT_LAM, "max_topics": MAX_TOPICS}
     for dest, default in defaults.items():
         if getattr(args, dest) is None:
             setattr(args, dest, default)
@@ -286,22 +286,22 @@ def _cmd_train(args, out_dir):
         )
         meta["epsilon"] = args.epsilon
     elif args.algo == "auto":
-        detector = StopDetector(mode="maximize", patience=args.patience)
         topics, mixes, trace = train_parameter_free(
-            corpus, config, detector=detector,
+            corpus, config, patience=args.patience,
             max_topics=args.max_topics, max_spawns=args.max_spawns,
         )
-        meta["best_k"] = detector.best_k
-        meta["best_diversity"] = detector.best_score
+        rollback = next(r for r in trace if r.phase == "rollback")
+        meta["best_k"] = rollback.k
+        meta["best_diversity"] = rollback.diversity
     else:
-        detector = StopDetector(mode="minimize", patience=args.patience)
         topics, mixes, trace = train_weakly_supervised(
-            corpus, args.query.split(), config, lam=args.lam, detector=detector,
+            corpus, args.query.split(), config, lam=args.lam, patience=args.patience,
             max_topics=args.max_topics, max_spawns=args.max_spawns,
         )
+        rollback = next(r for r in trace if r.phase == "rollback")
         meta["query"] = args.query
-        meta["best_k"] = detector.best_k
-        meta["best_query_distance"] = detector.best_score
+        meta["best_k"] = rollback.k
+        meta["best_query_distance"] = rollback.query_distance
 
     meta["K"] = int(topics.shape[0])
     meta["iters"] = len(trace)

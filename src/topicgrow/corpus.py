@@ -40,17 +40,11 @@ class Vocabulary:
     def __len__(self):
         return len(self.terms)
 
-    def __contains__(self, term):
-        return term in self.index
-
     def __eq__(self, other):
         return isinstance(other, Vocabulary) and self.terms == other.terms
 
     def __repr__(self):
         return f"Vocabulary({len(self.terms)} terms)"
-
-    def id_of(self, term):
-        return self.index[term]
 
     def term_of(self, term_id):
         return self.terms[term_id]
@@ -67,7 +61,7 @@ class Corpus:
     the arrays and the rows' runs. Instances are immutable and safe to share.
     """
 
-    def __init__(self, vocab, docs, doc_ids, dropped_doc_ids=()):
+    def __init__(self, vocab, docs, doc_ids):
         if len(docs) != len(doc_ids):
             raise DataError("docs and doc_ids length mismatch")
         if not docs:
@@ -83,7 +77,6 @@ class Corpus:
         self._store(vocab, doc_idx, np.concatenate(ids), np.concatenate(counts), doc_ids)
         if self._word_idx.size < doc_idx.size:
             raise DataError("duplicate term id within a document row")
-        self.dropped_doc_ids = list(dropped_doc_ids)
 
     @classmethod
     def from_entries(cls, vocab, doc_idx, word_idx, counts, doc_ids):

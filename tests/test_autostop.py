@@ -7,7 +7,6 @@ import pytest
 
 from topicgrow import autostop
 from topicgrow.autostop import (
-    StopDetector,
     diversity,
     estimate_query_model,
     query_distance,
@@ -139,39 +138,6 @@ class TestQueryModelEstimation:
         np.testing.assert_allclose(model.theta_q, [0.3, 0.3, 0.2, 0.2], atol=1e-12)
 
 
-class TestStopDetector:
-    def test_fires_after_patience_stalls(self):
-        det = StopDetector(mode="maximize", patience=2)
-        assert not det.update(1, 0.1)
-        assert not det.update(2, 0.5)
-        assert not det.update(3, 0.4)
-        assert det.update(4, 0.3)
-        assert det.best_k == 2 and det.best_score == 0.5
-
-    def test_improvement_resets_patience(self):
-        det = StopDetector(mode="maximize", patience=2)
-        det.update(1, 0.1)
-        det.update(2, 0.05)
-        det.update(3, 0.2)
-        det.update(4, 0.15)
-        assert not det.fired
-        assert det.best_k == 3
-
-    def test_minimize_mode(self):
-        det = StopDetector(mode="minimize", patience=1)
-        det.update(1, 5.0)
-        det.update(2, 3.0)
-        assert det.update(3, 4.0)
-        assert det.best_k == 2
-
-    def test_ties_do_not_improve(self):
-        det = StopDetector(mode="maximize", patience=2)
-        det.update(1, 1.0)
-        det.update(2, 1.0)
-        assert det.update(3, 1.0)
-        assert det.best_k == 1
-
-
 def clustered_corpus(rng, n_docs=24, n_terms=18, n_clusters=3, doc_len=60):
     """Documents drawn from disjoint-support cluster distributions."""
     block = n_terms // n_clusters
@@ -184,13 +150,61 @@ def clustered_corpus(rng, n_docs=24, n_terms=18, n_clusters=3, doc_len=60):
     return ingest_sparse(triples)
 
 
+def rollback_row(trace):
+    """The trace's rollback row and the rows before it."""
+    n = [row.phase for row in trace].index("rollback")
+    return trace[n], trace[:n]
+
+
+def scripted_grow(scores, patience):
+    """``_grow`` on a tiny corpus with the row at K topics scored ``scores[K - 1]``.
+
+    Returns the rollback row and the rows before it."""
+    corpus = clustered_corpus(np.random.default_rng(73), n_docs=12)
+
+    def score_fn(topics):
+        score = scores[topics.shape[0] - 1]
+        return score, {"diversity": score}
+
+    _, _, trace = autostop._grow(corpus, EmConfig(seed=1, max_iters=20), score_fn, patience,
+                                 max_topics=12, max_spawns=len(scores) - 1, advice="")
+    return rollback_row(trace)
+
+
+class TestStopRule:
+    def test_fires_after_patience_stalls(self):
+        rollback, grown = scripted_grow([0.1, 0.5, 0.4, 0.3, 0.9], patience=2)
+        assert [row.k for row in grown] == [1, 2, 3, 4]
+        assert (rollback.k, rollback.diversity) == (2, 0.5)
+
+    def test_improvement_resets_patience(self):
+        rollback, grown = scripted_grow([0.1, 0.05, 0.2, 0.15, 0.1, 0.0], patience=2)
+        assert [row.k for row in grown] == [1, 2, 3, 4, 5]
+        assert rollback.k == 3
+
+    def test_query_rule_minimizes_distance(self, monkeypatch):
+        distances = [5.0, 3.0, 4.0, 1.0]
+        monkeypatch.setattr(autostop, "query_distance",
+                            lambda theta_q, topics: (distances[topics.shape[0] - 1], 0))
+        corpus = clustered_corpus(np.random.default_rng(73), n_docs=12)
+        _, _, trace = train_weakly_supervised(corpus, ["t01"], EmConfig(seed=1, max_iters=20),
+                                              patience=1, max_spawns=3)
+        rollback, grown = rollback_row(trace)
+        assert [row.k for row in grown] == [1, 2, 3]
+        assert (rollback.k, rollback.query_distance) == (2, 3.0)
+
+    def test_ties_do_not_improve(self):
+        rollback, grown = scripted_grow([1.0, 1.0, 1.0, 2.0], patience=2)
+        assert [row.k for row in grown] == [1, 2, 3]
+        assert rollback.k == 1
+
+
 class TestParameterFree:
     def test_recovers_cluster_count(self):
         rng = np.random.default_rng(41)
         corpus = clustered_corpus(rng)
-        detector = StopDetector(mode="maximize", patience=3)
         topics, mixes, trace = train_parameter_free(
-            corpus, EmConfig(seed=1, max_iters=60), detector=detector
+            corpus, EmConfig(seed=1, max_iters=60), patience=3
         )
         assert 3 <= topics.shape[0] <= 5
         assert mixes.shape == (corpus.n_docs, topics.shape[0])
@@ -205,14 +219,14 @@ class TestParameterFree:
         ks = [row.k for row in grow]
         assert ks == list(range(2, 2 + len(grow)))
 
-    def test_snapshot_matches_best_score(self):
+    def test_rollback_matches_the_best_grow_row(self):
         rng = np.random.default_rng(47)
         corpus = clustered_corpus(rng)
-        detector = StopDetector(mode="maximize", patience=3)
-        train_parameter_free(corpus, EmConfig(seed=3, max_iters=60), detector=detector)
-        snap_topics, _ = detector.best_snapshot
-        assert snap_topics.shape[0] == detector.best_k
-        assert diversity(snap_topics) == pytest.approx(detector.best_score, abs=1e-9)
+        _, _, trace = train_parameter_free(corpus, EmConfig(seed=3, max_iters=60), patience=3)
+        rollback, grown = rollback_row(trace)
+        best = max(grown, key=lambda row: row.diversity)  # the first of equal scores
+        assert rollback.k == best.k >= 2
+        assert rollback.diversity == best.diversity
 
     def test_identical_docs_stop_small(self):
         triples = []
@@ -220,9 +234,8 @@ class TestParameterFree:
             for t in range(6):
                 triples.append((d, f"t{t}", t + 1))
         corpus = ingest_sparse(triples)
-        detector = StopDetector(mode="maximize", patience=3)
         topics, _, _ = train_parameter_free(
-            corpus, EmConfig(seed=5, max_iters=40), detector=detector
+            corpus, EmConfig(seed=5, max_iters=40), patience=3
         )
         assert topics.shape[0] <= 3
 
@@ -242,17 +255,18 @@ class TestWeaklySupervised:
     def test_query_pulls_out_matching_cluster(self):
         rng = np.random.default_rng(59)
         corpus = clustered_corpus(rng)
-        detector = StopDetector(mode="minimize", patience=3)
         topics, mixes, trace = train_weakly_supervised(
-            corpus, ["t01"], EmConfig(seed=4, max_iters=60), detector=detector
+            corpus, ["t01"], EmConfig(seed=4, max_iters=60), patience=3
         )
         assert mixes.shape == (corpus.n_docs, topics.shape[0])
         np.testing.assert_allclose(mixes.sum(axis=1), 1.0, atol=1e-9)
+        rollback, grown = rollback_row(trace)
+        best = min(grown, key=lambda row: row.query_distance)  # the first of equal scores
+        assert (rollback.k, rollback.query_distance, rollback.closest_topic) == (
+            best.k, best.query_distance, best.closest_topic)
         # cluster 0 owns terms t00..t05; the closest topic should live there
-        snap_topics, _ = detector.best_snapshot
-        model = estimate_query_model(corpus, ["t01"])
-        _, idx = query_distance(model.theta_q, snap_topics)
-        top_word = int(np.argmax(snap_topics[idx]))
+        assert topics.shape[0] == rollback.k
+        top_word = int(np.argmax(topics[rollback.closest_topic]))
         assert corpus.vocab.term_of(top_word).startswith("t0")
 
     def test_background_query_stops_early(self):
@@ -270,12 +284,10 @@ class TestWeaklySupervised:
         model = estimate_query_model(corpus, ["common"], lam=1e-12)
         np.testing.assert_allclose(model.theta_q, background_model(corpus), atol=1e-9)
 
-        detector = StopDetector(mode="minimize", patience=3)
-        train_weakly_supervised(
-            corpus, ["common"], EmConfig(seed=6, max_iters=50), lam=1e-12,
-            detector=detector,
+        _, _, trace = train_weakly_supervised(
+            corpus, ["common"], EmConfig(seed=6, max_iters=50), lam=1e-12, patience=3,
         )
-        assert detector.best_k <= 5
+        assert rollback_row(trace)[0].k <= 5
 
 
 def spy_fold_ins(monkeypatch):
@@ -408,25 +420,22 @@ class TestGrowthBudgets:
             self.train(which, max_topics=max_topics)
 
     @pytest.mark.parametrize("which", ["auto", "query"])
-    def test_a_used_detector_raises(self, which):
-        detector = StopDetector(mode="maximize" if which == "auto" else "minimize")
-        self.train(which, detector=detector, max_spawns=2)
-        with pytest.raises(DataError, match="already scored a run; pass a fresh one"):
-            self.train(which, detector=detector, max_spawns=2)
+    @pytest.mark.parametrize("patience", [0, -1])
+    def test_patience_below_one_raises(self, which, patience):
+        with pytest.raises(DataError, match="patience must be >= 1"):
+            self.train(which, patience=patience)
 
     def test_topic_cap_raises(self):
-        detector = StopDetector(mode="maximize", patience=50)
         with pytest.raises(AlgorithmError, match="topic explosion: more than 2 topics"):
-            self.train("auto", detector=detector, max_topics=2)
+            self.train("auto", patience=50, max_topics=2)
 
-    @pytest.mark.parametrize("which, mode, advice", [
-        ("auto", "maximize", "without a diversity peak"),
-        ("query", "minimize", "without a query-distance minimum"),
+    @pytest.mark.parametrize("which, advice", [
+        ("auto", "without a diversity peak"),
+        ("query", "without a query-distance minimum"),
     ])
-    def test_topic_cap_names_the_stop_rule(self, which, mode, advice):
-        detector = StopDetector(mode=mode, patience=50)
+    def test_topic_cap_names_the_stop_rule(self, which, advice):
         with pytest.raises(AlgorithmError, match=f"more than 2 topics {advice}$"):
-            self.train(which, detector=detector, max_topics=2)
+            self.train(which, patience=50, max_topics=2)
 
     @pytest.mark.parametrize("which", ["auto", "query"])
     def test_zero_spawn_budget_refines_one_topic(self, which):
@@ -508,9 +517,8 @@ def test_desk_grid_picks_the_reference_k(monkeypatch, seed):
     results = []
     for fold_in_all in (fold_in_until_slowest, autostop.fold_in_all):
         monkeypatch.setattr(autostop, "fold_in_all", fold_in_all)
-        detector = StopDetector(mode="maximize", patience=15)
-        topics, _, _ = train_parameter_free(corpus, config, detector=detector, max_spawns=14)
-        results.append((detector.best_k, topic_coverage_error(topics, truth.topics)))
+        topics, _, trace = train_parameter_free(corpus, config, patience=15, max_spawns=14)
+        results.append((rollback_row(trace)[0].k, topic_coverage_error(topics, truth.topics)))
     (ref_k, ref_tce), (k, tce) = results
     assert k == ref_k
     assert tce == pytest.approx(ref_tce, rel=0.10)
@@ -547,9 +555,8 @@ def test_desk_grid_search_picks_the_two_fold_in_k(monkeypatch, seed):
     results = []
     for grow_fn in (two_fold_in_grow, grow):
         monkeypatch.setattr(autostop, "grow", grow_fn)
-        detector = StopDetector(mode="maximize", patience=15)
-        topics, _, _ = train_parameter_free(corpus, config, detector=detector, max_spawns=14)
-        results.append((detector.best_k, topic_coverage_error(topics, truth.topics)))
+        topics, _, trace = train_parameter_free(corpus, config, patience=15, max_spawns=14)
+        results.append((rollback_row(trace)[0].k, topic_coverage_error(topics, truth.topics)))
     (ref_k, ref_tce), (k, tce) = results
     assert k == ref_k
     assert tce == pytest.approx(ref_tce, rel=0.10)

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from topicgrow import autostop, cli, metrics, nplsa
-from topicgrow.autostop import StopDetector
 from topicgrow.cli import EXIT_DATA, EXIT_USAGE, build_parser, main
 from topicgrow.corpus import (
     MIN_DF,
@@ -195,7 +194,7 @@ def test_parsed_defaults_are_the_library_defaults():
     assert (train.max_iters, train.rel_tol, train.floor, train.fold_in_iters,
             train.fold_in_tol) == (em.max_iters, em.rel_tol, em.smoothing_floor,
                                    em.fold_in_max_iters, em.fold_in_rel_tol)
-    assert train.patience == StopDetector().patience
+    assert train.patience == autostop.PATIENCE
     assert train.max_topics == nplsa.MAX_TOPICS
     assert train.lam == autostop.DEFAULT_LAM
     for fn in (nplsa.train_nplsa, autostop.train_parameter_free,
@@ -284,7 +283,7 @@ def test_config_echo_holds_the_resolved_defaults(synth_dir, tmp_path):
     with open(tmp_path / "config.json", encoding="utf-8") as fh:
         echo = json.load(fh)
     assert (echo["patience"], echo["lam"], echo["max_topics"]) == (
-        StopDetector().patience, autostop.DEFAULT_LAM, nplsa.MAX_TOPICS)
+        autostop.PATIENCE, autostop.DEFAULT_LAM, nplsa.MAX_TOPICS)
 
 
 @pytest.mark.parametrize("algo, advice", [
@@ -297,6 +296,13 @@ def test_topic_cap_names_the_stop_rule(synth_dir, tmp_path, algo, advice, capsys
                            "--max-topics", "2", "--patience", "30"))
     assert code == cli.EXIT_ALGORITHM == 3
     assert f"topic explosion: more than 2 topics {advice}" in capsys.readouterr().err
+
+
+def test_patience_below_one_is_a_data_error(synth_dir, tmp_path, capsys):
+    code = main(train_argv(synth_dir, tmp_path, "--algo", "auto", "--patience", "0"))
+    assert code == EXIT_DATA == 2
+    assert "patience must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
 
 
 @pytest.mark.parametrize("flags", [

@@ -95,7 +95,7 @@ class TestVocabulary:
     def test_roundtrip(self):
         vocab = Vocabulary(["b", "a", "c"])
         for i, term in enumerate(vocab.terms):
-            assert vocab.id_of(term) == i
+            assert vocab.index[term] == i
             assert vocab.term_of(i) == term
 
     def test_dense_ids(self):
@@ -514,10 +514,10 @@ class TestFromEntries:
         vocab = Vocabulary([f"t{i}" for i in range(n_terms)])
         doc_ids = [f"doc{d}" for d in range(n_docs)]
         rows, kept, empty = reference_entry_rows(n_docs, doc_idx, word_idx, counts)
-        reference = Corpus(vocab, rows, [doc_ids[d] for d in kept], [doc_ids[d] for d in empty])
+        reference = Corpus(vocab, rows, [doc_ids[d] for d in kept])
         corpus = Corpus.from_entries(vocab, doc_idx, word_idx, counts, doc_ids)
         assert outcome(lambda: corpus) == outcome(lambda: reference)
-        assert corpus.dropped_doc_ids == reference.dropped_doc_ids
+        assert corpus.dropped_doc_ids == [doc_ids[d] for d in empty]
         assert_rows_equal(corpus, rows)
 
     def test_counts_above_2_53_merge_exactly(self):

@@ -449,8 +449,7 @@ class TestTopicMajorEquivalence:
         corpus = desk_corpus(seed)
 
         def train():
-            detector = autostop.StopDetector(patience=9)
-            return autostop.train_parameter_free(corpus, EmConfig(seed=seed), detector,
+            return autostop.train_parameter_free(corpus, EmConfig(seed=seed), patience=9,
                                                  max_spawns=8)
 
         (topics, _, trace), (ref_topics, _, ref_trace) = self.both(monkeypatch, train)
@@ -743,8 +742,12 @@ class TestRollback:
         calls = []
         e_step = plsa._e_step
         monkeypatch.setattr(plsa, "_e_step", lambda *a: calls.append(1) or e_step(*a))
-        detector = autostop.StopDetector(mode="maximize")
-        _, _, trace = autostop.train_parameter_free(corpus, EmConfig(seed=1), detector)
+        refine_starts = []
+        refine = autostop.em_refine
+        monkeypatch.setattr(autostop, "em_refine", lambda corpus, topics, mixes, *a, **kw:
+                            refine_starts.append((topics.copy(), mixes.copy()))
+                            or refine(corpus, topics, mixes, *a, **kw))
+        _, _, trace = autostop.train_parameter_free(corpus, EmConfig(seed=1))
         phases = [r.phase for r in trace]
         n_grow, n_refine = phases.count("grow"), phases.count("refine")
         assert phases.count("rollback") == 1 and n_grow > 0 and n_refine > 0
@@ -755,8 +758,13 @@ class TestRollback:
         assert len(calls) == 1 + 2 * n_grow + (n_refine + 1) + n_rejected
         monkeypatch.undo()
         rollback = trace[phases.index("rollback")]
-        assert rollback.k == detector.best_k
-        assert rollback.loglik == log_likelihood(corpus, *detector.best_snapshot)
+        grown = trace[:phases.index("rollback")]
+        best = max(grown, key=lambda r: r.diversity)  # the first of equal scores
+        assert (rollback.k, rollback.diversity, rollback.loglik) == (
+            best.k, best.diversity, best.loglik)
+        [start] = refine_starts
+        assert start[0].shape[0] == rollback.k
+        assert rollback.loglik == log_likelihood(corpus, *start)
 
 
 class TestLogLikelihood:

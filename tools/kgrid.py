@@ -7,7 +7,7 @@ Run from the repository root:
     python3 tools/kgrid.py --summary --seeds 4 5 6
 
 A cell is a synthetic corpus (profile, K* true topics, seed; the seed also
-seeds training) trained by ``auto`` or by ``query`` at one stop-detector
+seeds training) trained by ``auto`` or by ``query`` at one stop-rule
 patience, with no spawn budget, or by ``nplsa`` at one spawn threshold per
 token: epsilon is ``eps_tok`` times the profile's document length, and the
 row's patience is None. The query is the top words of the truth's first
@@ -60,15 +60,18 @@ def run_cell(tg, profile, k_true, algo, patience, eps_tok, seed, n_docs=None):
     start = time.perf_counter()
     if algo == "nplsa":
         topics, _, trace = nplsa.train_nplsa(corpus, eps_tok * sizes["doc_len"], config)
-    elif algo == "auto":
-        detector = autostop.StopDetector(mode="maximize", patience=patience)
-        topics, _, trace = autostop.train_parameter_free(corpus, config, detector=detector)
     else:
-        detector = autostop.StopDetector(mode="minimize", patience=patience)
-        query = [corpus.vocab.term_of(int(w))
-                 for w in metrics.top_words(truth.topics[0], QUERY_WORDS)]
-        topics, _, trace = autostop.train_weakly_supervised(corpus, query, config,
-                                                            detector=detector)
+        if hasattr(autostop, "PATIENCE"):
+            stop = {"patience": patience}
+        else:  # a checkout whose trainers take a stop detector
+            mode = "maximize" if algo == "auto" else "minimize"
+            stop = {"detector": autostop.StopDetector(mode=mode, patience=patience)}
+        if algo == "auto":
+            topics, _, trace = autostop.train_parameter_free(corpus, config, **stop)
+        else:
+            query = [corpus.vocab.term_of(int(w))
+                     for w in metrics.top_words(truth.topics[0], QUERY_WORDS)]
+            topics, _, trace = autostop.train_weakly_supervised(corpus, query, config, **stop)
     seconds = time.perf_counter() - start
     return {"k": int(topics.shape[0]),
             "tce": metrics.topic_coverage_error(topics, truth.topics),
@@ -111,7 +114,7 @@ def main(argv=None):
     parser.add_argument("--algos", nargs="+", choices=["auto", "query", "nplsa"],
                         default=["auto", "query"])
     parser.add_argument("--patience", nargs="+", type=int, default=[3, 8],
-                        help="stop-detector patiences of auto and query")
+                        help="stop-rule patiences of auto and query")
     parser.add_argument("--eps-tok", nargs="+", type=float, default=[1.5],
                         help="nplsa spawn thresholds, in nats per token of a document")
     parser.add_argument("--seeds", nargs="+", type=int, default=list(range(1, 7)))
