@@ -29,8 +29,8 @@ from .corpus import MIN_DF, load_corpus, read_stopwords, reindex_corpus, write_s
 from .errors import AlgorithmError, DataError
 from .metrics import (
     DEFAULT_SPLIT_FRACTION,
+    DEFAULT_TOP_N,
     CooccurrenceStats,
-    PmiConfig,
     perplexity,
     pmi_coherence,
     topic_coverage_error,
@@ -119,7 +119,7 @@ def build_parser():
     ev.add_argument("--truth", help="truth.json for quality/coverage error")
     ev.add_argument("--reference", help="reference corpus for PMI coherence")
     ev.add_argument("--split-fraction", type=float, default=DEFAULT_SPLIT_FRACTION)
-    ev.add_argument("--top-n", type=int, default=PmiConfig().top_n, help="words per topic for PMI")
+    ev.add_argument("--top-n", type=int, default=DEFAULT_TOP_N, help="words per topic for PMI")
     ev.add_argument("--min-df", type=int, default=MIN_DF,
                     help="text ingestion of --reference: df filter")
     ev.add_argument("--stopwords", help="text ingestion of --reference: stopword file")
@@ -222,10 +222,8 @@ def _cmd_synth(args, out_dir):
             "config": {**asdict(config), "rng": RNG_ALGORITHM, "vocab": corpus.vocab.terms},
         },
     )
-    z = np.stack([z for z, _ in truth.assignments])
-    w = np.stack([w for _, w in truth.assignments])
-    np.save(out_dir / "assignments_topics.npy", z)
-    np.save(out_dir / "assignments_words.npy", w)
+    np.save(out_dir / "assignments_topics.npy", truth.token_topics)
+    np.save(out_dir / "assignments_words.npy", truth.token_words)
     write_json(out_dir / "config.json", _echo(args))
     print(f"wrote {corpus.n_docs} docs, {config.n_topics} truth topics to {out_dir}")
     return EXIT_OK
@@ -358,7 +356,7 @@ def _cmd_eval(args, out_dir):
         stopwords = read_stopwords(args.stopwords) if args.stopwords else None
         reference = load_corpus(args.reference, min_df=args.min_df, stopwords=stopwords)
         stats = CooccurrenceStats.from_corpus(reference)
-        report["pmi"] = pmi_coherence(topics, vocab, stats, PmiConfig(top_n=args.top_n))
+        report["pmi"] = pmi_coherence(topics, vocab, stats, top_n=args.top_n)
     report["config"] = _echo(args, extra={"model_meta": meta})
     write_json(out_dir / "metrics.json", report)
     summary = {k: report[k] for k in ("K", "tqe", "tce", "pmi", "perplexity", "diversity")}

@@ -16,8 +16,6 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 SPARSE_HEADER_RE = re.compile(r"^docs=(\d+)\s+terms=(\d+)\s+nnz=(\d+)\s*$")
 
-_BLOCK_CELLS = 1 << 12  # padded (document, word) cells per block of the EM layout
-
 MIN_DF = 1  # default document-frequency filter of text ingestion: keep every term
 
 
@@ -46,19 +44,18 @@ class Vocabulary:
     def __repr__(self):
         return f"Vocabulary({len(self.terms)} terms)"
 
-    def term_of(self, term_id):
-        return self.terms[term_id]
-
 
 class Corpus:
     """A vocabulary plus one sparse count row per document.
 
     ``from_entries`` is the one builder from (document, term, count) entries;
-    ``Corpus(vocab, docs, doc_ids)`` takes rows in any term order. Both store
-    the rows flat in two int64 arrays, term ids strictly increasing within a
-    row and counts >= 1: ``docs[d]`` is document d's row as read-only views
-    ``(term_ids, counts)`` into them, and ``flat()`` and ``segments()`` give
-    the arrays and the rows' runs. Instances are immutable and safe to share.
+    ``Corpus(vocab, docs, doc_ids)`` takes rows in any term order. Both take
+    integers, or floats that are integral, and store the rows flat in two int64
+    arrays, term ids strictly increasing within a row and counts >= 1:
+    ``docs[d]`` is document d's row as read-only views ``(term_ids, counts)``
+    into them, and ``flat()`` and ``segments()`` give the arrays and the rows'
+    runs. Instances are immutable and safe to share; ``flat()`` caches its
+    float counts on first use.
     """
 
     def __init__(self, vocab, docs, doc_ids):
@@ -66,8 +63,8 @@ class Corpus:
             raise DataError("docs and doc_ids length mismatch")
         if not docs:
             raise DataError("empty corpus: no documents")
-        ids = [np.asarray(row_ids, dtype=np.int64) for row_ids, _ in docs]
-        counts = [np.asarray(row_counts, dtype=np.int64) for _, row_counts in docs]
+        ids = [np.asarray(row_ids) for row_ids, _ in docs]
+        counts = [np.asarray(row_counts) for _, row_counts in docs]
         lengths = np.array([row.size for row in ids], dtype=np.int64)
         if not lengths.all():
             raise DataError("empty document row")
@@ -83,14 +80,15 @@ class Corpus:
         """The corpus in which document ``doc_ids[doc_idx[i]]`` holds ``counts[i]`` of term
         ``word_idx[i]``, the entries in any order. Duplicate (document, term) pairs are
         summed in int64; documents without entries are left out, their ids kept in order
-        on ``dropped_doc_ids``. A count below 1, or a term id or document position out
-        of range, is a DataError raised before any pair is keyed."""
+        on ``dropped_doc_ids``. A value neither an integer nor an integral float below
+        2**63 in size, a count below 1, or a term id or document position out of range,
+        is a DataError raised before any pair is keyed."""
         return cls.__new__(cls)._store(vocab, doc_idx, word_idx, counts, doc_ids)
 
     def _store(self, vocab, doc_idx, word_idx, counts, doc_ids):
         """Check and merge the entries into read-only rows sorted by term id; returns self."""
-        doc_idx, word_idx, counts = (np.asarray(a, dtype=np.int64)
-                                     for a in (doc_idx, word_idx, counts))
+        doc_idx, word_idx, counts = (_int64(doc_idx, "document positions"),
+                                     _int64(word_idx, "term ids"), _int64(counts, "counts"))
         if not counts.size:
             raise DataError("empty corpus: no documents")
         if word_idx.min() < 0 or word_idx.max() >= len(vocab):
@@ -118,8 +116,9 @@ class Corpus:
         for array in (word_idx, sums, starts, lengths):
             array.flags.writeable = False
         self._word_idx, self._counts, self._segments = word_idx, sums, (starts, lengths)
-        self.docs = split_rows(word_idx, sums, lengths)
-        self._flat = self._layout = None
+        self.docs = [(word_idx[a : a + n], sums[a : a + n])
+                     for a, n in zip(starts.tolist(), lengths.tolist())]
+        self._flat = None
         return self
 
     @property
@@ -155,90 +154,16 @@ class Corpus:
         """
         return self._segments
 
-    def layout(self):
-        """The padded block layout of the EM kernel (``BlockLayout``), cached.
 
-        It does not depend on the number of topics.
-        """
-        if self._layout is None:
-            self._layout = BlockLayout(self)
-        return self._layout
-
-
-def split_rows(term_ids, counts, lengths):
-    """Cut flat row arrays into a list of per-document ``(term_ids, counts)`` views."""
-    ends = np.cumsum(lengths).tolist()
-    return [(term_ids[a:b], counts[a:b]) for a, b in zip([0] + ends[:-1], ends)]
-
-
-def pad_runs(starts, lengths, cells, fill):
-    """Sort runs longest first and cut them into padded blocks of at most ``cells`` cells.
-
-    Run i is the flat indices ``starts[i]`` to ``starts[i] + lengths[i] - 1``.
-    The runs are stably sorted by decreasing length (``order``) and cut into
-    consecutive blocks, each a row per run padded to the length of its first
-    run; a run longer than ``cells`` sits alone. Returns ``(order, blocks,
-    idx)``: ``idx`` is every cell's flat index, ``fill`` in the padding, block
-    after block and row-major within one, and a block ``(r0, r1, c0, c1)``
-    holds the runs ``order[r0:r1]`` in the cells ``idx[c0:c1]``.
-    """
-    order = np.argsort(-lengths, kind="stable")
-    blocks, parts = [], [np.empty(0, dtype=np.int64)]
-    r0 = c0 = 0
-    while r0 < order.size:
-        width = lengths[order[r0]]
-        runs = order[r0 : r0 + max(1, cells // width)]
-        idx = starts[runs, None] + np.arange(width)
-        idx[np.arange(width) >= lengths[runs, None]] = fill
-        blocks.append((r0, r0 + runs.size, c0, c0 + idx.size))
-        parts.append(idx.ravel())
-        r0, c0 = r0 + runs.size, c0 + idx.size
-    return order, tuple(blocks), np.concatenate(parts)
-
-
-class BlockLayout:
-    """A corpus's entries in padded blocks, seen from both sides, for the EM kernel.
-
-    Document side: the documents sorted longest first (``doc_order``) and cut
-    by ``pad_runs`` into blocks of at most ``_BLOCK_CELLS`` cells, each
-    document a row padded to its block's longest. ``words`` and ``counts`` hold
-    every cell's term id and count, the padding being term ``n_terms`` with
-    count 0; ``row_starts`` is the first cell of each row. Word side: the terms
-    that occur, sorted by decreasing document frequency (``word_order``), each
-    a row of the documents that hold it in increasing order, cut the same way.
-    ``word_docs`` holds every cell's document, 0 in the padding, and
-    ``word_cells`` the document-side cell of the same entry, ``n_cells`` (one
-    past the last) in the padding. A block in ``doc_blocks`` or
-    ``word_blocks`` is ``(r0, r1, c0, c1)``: rows ``r0:r1`` of its side's
-    order, cells ``c0:c1``; ``max_cells`` is the most cells of any block.
-    """
-
-    def __init__(self, corpus):
-        doc_idx, word_idx, counts = corpus.flat()
-        starts, lengths = corpus.segments()
-        nnz = word_idx.size
-        self.doc_order, self.doc_blocks, entries = pad_runs(starts, lengths, _BLOCK_CELLS, nnz)
-        self.words = np.append(word_idx, corpus.n_terms)[entries]
-        self.counts = np.append(counts, 0.0)[entries]
-        self.n_cells = entries.size
-        self.row_starts = np.concatenate(
-            [np.arange(c0, c1, (c1 - c0) // (r1 - r0)) for r0, r1, c0, c1 in self.doc_blocks]
-        )
-        cell_of = np.empty(nnz + 1, dtype=np.int64)
-        cell_of[entries] = np.arange(entries.size)
-        cell_of[nnz] = entries.size
-
-        df = np.bincount(word_idx, minlength=corpus.n_terms)
-        used = np.flatnonzero(df)
-        by_word = np.append(np.argsort(word_idx, kind="stable"), nnz)
-        word_runs, self.word_blocks, entries = pad_runs(
-            (np.cumsum(df) - df)[used], df[used], _BLOCK_CELLS, nnz
-        )
-        entries = by_word[entries]
-        self.word_order = used[word_runs]
-        self.word_docs = np.append(doc_idx, 0)[entries]
-        self.word_cells = cell_of[entries]
-        self.max_cells = max(c1 - c0 for _, _, c0, c1 in self.doc_blocks + self.word_blocks)
+def _int64(values, what):
+    """``values`` as an int64 array: integers, or floats that are integral and below
+    2**63 in size (which NaN and infinities are not); anything else is a DataError."""
+    values = np.asarray(values)
+    kind = values.dtype.kind
+    if kind not in "iu" and not (kind == "f" and np.all((abs(values) < 2.0**63)
+                                                        & (values == np.trunc(values)))):
+        raise DataError(f"{what} must be integers")
+    return values.astype(np.int64, copy=False)
 
 
 def ingest_text(lines, min_df=MIN_DF, stopwords=None):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,17 +21,7 @@ logger = logging.getLogger(__name__)
 
 _PAIR_BLOCK_CELLS = 1 << 16  # (document, top word) cells per block of ``count_pairs``
 DEFAULT_SPLIT_FRACTION = 0.8  # default share of a held-out document that perplexity folds in
-
-
-@dataclass(frozen=True)
-class PmiConfig:
-    """Number of top-ranked words per topic entering the PMI average."""
-
-    top_n: int = 20
-
-    def __post_init__(self):
-        if self.top_n < 2:
-            raise DataError("top_n must be >= 2")
+DEFAULT_TOP_N = 20  # default number of a topic's top-ranked words that PMI scores
 
 
 class CooccurrenceStats:
@@ -123,8 +112,8 @@ def top_words(topic_row, n):
     return np.argsort(-np.asarray(topic_row), kind="stable")[:n]
 
 
-def pmi_coherence(topics, vocab, stats, cfg=PmiConfig()):
-    """Mean pointwise mutual information over top-word pairs, averaged over topics.
+def pmi_coherence(topics, vocab, stats, top_n=DEFAULT_TOP_N):
+    """Mean PMI over the pairs of each topic's ``top_n`` top words, averaged over topics.
 
     Word probabilities come from the reference-corpus document frequencies.
     The top words' co-document counts come from one ``stats.count_pairs``
@@ -133,15 +122,17 @@ def pmi_coherence(topics, vocab, stats, cfg=PmiConfig()):
     top word missing from the stats is treated as having df 0.5, so the score
     stays finite. Each topic's pair terms are summed one by one, in
     ``itertools.combinations`` order. A model of fewer than two terms has no
-    pairs to score and raises ``DataError``.
+    pairs to score and raises ``DataError``, as does a ``top_n`` below 2.
     """
+    if top_n < 2:
+        raise DataError("top_n must be >= 2")
     topics = np.asarray(topics, dtype=float)
     if topics.shape[1] < 2:
         raise DataError(
             f"PMI needs at least 2 ranked words per topic; the model has {topics.shape[1]} term(s)"
         )
-    ranked = np.array([[stats.index.get(vocab.term_of(int(w)), -1)
-                        for w in top_words(row, cfg.top_n)] for row in topics])
+    ranked = np.array([[stats.index.get(vocab.terms[w], -1) for w in top_words(row, top_n)]
+                       for row in topics])
     a, b = np.triu_indices(ranked.shape[1], 1)
     co = stats.count_pairs(ranked)[:, a, b]
     df = np.where((ranked >= 0) & (stats.df[ranked] > 0), stats.df[ranked], 0.5)

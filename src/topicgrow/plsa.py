@@ -6,16 +6,20 @@ document mixes are simplex rows p(z|d) of a dense ``(D, K)`` array.
 The EM kernel never forms the posterior p(z|d,w). PLSA's EM update is the
 KL-NMF multiplicative update: with R = n(d,w) / p(w|d) at the corpus entries,
 the expected counts are n(d,z) = p(z|d) (R p(w|z)^T) and n(z,w) = p(w|z)
-(p(z|d)^T R). Both run on the padded blocks of ``Corpus.layout()``, built once
-per corpus whatever K: the E-step (``_e_step``) on documents sorted longest
-first, gathering p(w|z) into ``(n, L, K)`` blocks, and the M-step
-(``_m_step``) on words sorted by document frequency, gathering the mixes of
-the documents that hold them. The E-step is the one pass that evaluates the
-mixture probability of every corpus entry, so it also returns the
-per-document log-likelihoods that nPLSA's spawn test, perplexity and the
-training traces read, nPLSA's penalized ``objective`` column included. The
-batched fold-in works on padded ``(n, L, K)`` blocks of documents sorted
-longest first (``fold_in_docs``), cut by the same ``pad_runs``. ``em_steps``
+(p(z|d)^T R). Both run on the padded blocks of a corpus's ``BlockLayout``, built
+once per corpus whatever K and kept by ``_layout`` while the corpus lives: the
+E-step (``_e_step``) on documents sorted longest first, gathering p(w|z) into
+``(n, L, K)`` blocks, and the M-step (``_m_step``) on words sorted by document
+frequency, gathering the mixes of the documents that hold them. The E-step is
+the one pass that evaluates the mixture probability of every corpus entry, so
+it also returns the per-document log-likelihoods that nPLSA's spawn test,
+perplexity and the training traces read, nPLSA's penalized ``objective``
+column included. The batched fold-in works on padded ``(n, L, K)`` blocks of
+documents sorted longest first (``fold_in_docs``), cut by the same
+``pad_runs``. A padding cell, in either kind of block, holds term ``n_terms``,
+whose probability is 1 under every topic, with count 0: it adds log 1 = 0 to
+the log-likelihoods and nothing to the expected counts. ``_e_step``'s
+``ratio`` has one zero cell more, which the word side's padding reads. ``em_steps``
 is the one EM loop: ``em_refine`` and both growth runs (``nplsa.grow``)
 iterate it. At fixed K (``em_refine``: ``train_plsa`` and the refine phase of
 ``autostop``) its M-step is adaptively over-relaxed, the multiplicative factors
@@ -29,16 +33,17 @@ from __future__ import annotations
 import logging
 import math
 import time
+import weakref
 from dataclasses import dataclass, field
 from itertools import count, islice
 
 import numpy as np
 
-from .corpus import pad_runs
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
 
+_BLOCK_CELLS = 1 << 12  # padded (document, word) cells per block of the EM layout
 _BLOCK_ENTRIES = 1 << 17  # padded (document, word, topic) entries per fold-in block
 _DROP_SHARE = 0.3  # converged share of a block's working documents at which they leave it
 _ETA_GROWTH = 1.1  # factor on the over-relaxation exponent after each accepted fixed-K step
@@ -117,8 +122,10 @@ def init_topics(k, n_terms, rng):
 def _floor_rows(mat, floor):
     """Clamp every entry to >= floor and renormalize rows to sum to 1.
 
-    Entries already at the floor are exempt from rescaling so the floor is
-    exact; the loop terminates because floored entries only accumulate.
+    A pass floors the entries below the floor and rescales the rest of the row,
+    entries floored by an earlier pass included, which can take those below it
+    again: entries may take turns below the floor until a pass finds none, for
+    at most 50 passes, and one floored before the last pass can end an ulp above.
     """
     mat = mat / mat.sum(axis=1, keepdims=True)
     if floor <= 0:
@@ -158,20 +165,99 @@ def log_likelihood(corpus, topics, mixes):
     return float(_e_step(corpus, topics, mixes)[2].sum())
 
 
+def pad_runs(starts, lengths, cells, fill):
+    """Sort runs longest first and cut them into padded blocks of at most ``cells`` cells.
+
+    Run i is the flat indices ``starts[i]`` to ``starts[i] + lengths[i] - 1``.
+    The runs are stably sorted by decreasing length (``order``) and cut into
+    consecutive blocks, each a row per run padded to the length of its first
+    run; a run longer than ``cells`` sits alone. Returns ``(order, blocks,
+    idx)``: ``idx`` is every cell's flat index, ``fill`` in the padding, block
+    after block and row-major within one, and a block ``(r0, r1, c0, c1)``
+    holds the runs ``order[r0:r1]`` in the cells ``idx[c0:c1]``.
+    """
+    order = np.argsort(-lengths, kind="stable")
+    blocks, parts = [], [np.empty(0, dtype=np.int64)]
+    r0 = c0 = 0
+    while r0 < order.size:
+        width = lengths[order[r0]]
+        runs = order[r0 : r0 + max(1, cells // width)]
+        idx = starts[runs, None] + np.arange(width)
+        idx[np.arange(width) >= lengths[runs, None]] = fill
+        blocks.append((r0, r0 + runs.size, c0, c0 + idx.size))
+        parts.append(idx.ravel())
+        r0, c0 = r0 + runs.size, c0 + idx.size
+    return order, tuple(blocks), np.concatenate(parts)
+
+
+class BlockLayout:
+    """A corpus's entries in padded blocks, seen from both sides, for the EM kernel.
+
+    Document side: the documents sorted longest first (``doc_order``) and cut
+    by ``pad_runs`` into blocks of at most ``_BLOCK_CELLS`` cells, each
+    document a row padded to its block's longest. ``words`` and ``counts`` hold
+    every cell's term id and count, padding cells included; ``row_starts`` is
+    the first cell of each row. Word side: the terms that occur, sorted by
+    decreasing document frequency (``word_order``), each a row of the documents
+    that hold it in increasing order, cut the same way. ``word_docs`` holds
+    every cell's document, 0 in the padding, and ``word_cells`` the
+    document-side cell of the same entry, ``n_cells`` (``ratio``'s zero cell)
+    in the padding. A block in ``doc_blocks`` or ``word_blocks`` is ``(r0, r1,
+    c0, c1)``: rows ``r0:r1`` of its side's order, cells ``c0:c1``;
+    ``max_cells`` is the most cells of any block.
+    """
+
+    def __init__(self, corpus):
+        doc_idx, word_idx, counts = corpus.flat()
+        starts, lengths = corpus.segments()
+        nnz = word_idx.size
+        self.doc_order, self.doc_blocks, entries = pad_runs(starts, lengths, _BLOCK_CELLS, nnz)
+        self.words = np.append(word_idx, corpus.n_terms)[entries]
+        self.counts = np.append(counts, 0.0)[entries]
+        self.n_cells = entries.size
+        self.row_starts = np.concatenate(
+            [np.arange(c0, c1, (c1 - c0) // (r1 - r0)) for r0, r1, c0, c1 in self.doc_blocks]
+        )
+        cell_of = np.empty(nnz + 1, dtype=np.int64)
+        cell_of[entries] = np.arange(entries.size)
+        cell_of[nnz] = entries.size
+
+        df = np.bincount(word_idx, minlength=corpus.n_terms)
+        used = np.flatnonzero(df)
+        by_word = np.append(np.argsort(word_idx, kind="stable"), nnz)
+        word_runs, self.word_blocks, entries = pad_runs(
+            (np.cumsum(df) - df)[used], df[used], _BLOCK_CELLS, nnz
+        )
+        entries = by_word[entries]
+        self.word_order = used[word_runs]
+        self.word_docs = np.append(doc_idx, 0)[entries]
+        self.word_cells = cell_of[entries]
+        self.max_cells = max(c1 - c0 for _, _, c0, c1 in self.doc_blocks + self.word_blocks)
+
+
+_LAYOUTS = weakref.WeakKeyDictionary()  # corpus -> its BlockLayout, dropped with the corpus
+
+
+def _layout(corpus):
+    """The corpus's ``BlockLayout``, built on first use; it does not depend on K."""
+    if corpus not in _LAYOUTS:
+        _LAYOUTS[corpus] = BlockLayout(corpus)
+    return _LAYOUTS[corpus]
+
+
 def _e_step(corpus, topics, mixes):
     """E-step for dense (D, K) ``mixes``. Returns ``(ratio, doc_counts, doc_lls)``.
 
-    Runs on the document side of ``corpus.layout()``: per block, p(w|z) is
-    gathered once into ``(n, L, K)``, ``probs = rows @ mix`` is every entry's
-    mixture probability p(w|d), ``ratio = n(d,w) / p(w|d)`` and
+    Runs on the document side of the corpus's ``BlockLayout``: per block,
+    p(w|z) is gathered once into ``(n, L, K)``, ``probs = rows @ mix`` is every
+    entry's mixture probability p(w|d), ``ratio = n(d,w) / p(w|d)`` and
     ``doc_counts = mix * (ratio @ rows)`` is n(d,z) = sum_w n(d,w) p(z|d,w).
-    Padding cells are a word of probability 1 with count 0, so they add
-    nothing. ``ratio`` stays in the layout's cells for ``_m_step``, with one
-    zero cell appended; ``doc_lls[d]`` is document d's log-likelihood under
-    the given parameters, so ``doc_lls.sum()`` is the corpus log-likelihood.
+    ``ratio`` stays in the layout's cells for ``_m_step``, with one zero cell
+    appended; ``doc_lls[d]`` is document d's log-likelihood under the given
+    parameters, so ``doc_lls.sum()`` is the corpus log-likelihood.
     An entry whose mixture probability is zero or not finite is a DataError.
     """
-    lay = corpus.layout()
+    lay = _layout(corpus)
     k = topics.shape[0]
     table = np.vstack([topics.T, np.ones(k)])  # row n_terms is the padding word
     mix = mixes[lay.doc_order]
@@ -219,7 +305,7 @@ def _m_step(corpus, topics, mixes, ratio, doc_counts, smoothing_floor, eta=1.0):
     """M-step from the E-step of ``topics`` and ``mixes``. Returns (topics, mixes (D, K)).
 
     The topic counts n(z,w) = p(w|z) S(z,w), S(z,w) = sum_d p(z|d) ratio(d,w),
-    run on the word side of ``corpus.layout()``: per block, the mixes of the
+    run on the word side of the corpus's ``BlockLayout``: per block, the mixes of the
     documents holding each word are gathered once into ``(n, L, K)`` and one
     batched matmul with the ratio gives the sums. Topic rows are floored then
     renormalized; a topic without mass is reset to uniform. The mixes are the
@@ -228,7 +314,7 @@ def _m_step(corpus, topics, mixes, ratio, doc_counts, smoothing_floor, eta=1.0):
     to p(z|d) F^eta, F = n(d,z) / p(z|d) (0 where p(z|d) = 0); at eta = 1
     both are the plain EM update.
     """
-    lay = corpus.layout()
+    lay = _layout(corpus)
     k = topics.shape[0]
     cells = ratio[lay.word_cells]
     sums = np.empty((lay.word_order.size, k))
@@ -391,17 +477,15 @@ def fold_in_docs(corpus, docs, topics, config, init_mixes):
 
     The documents are sorted longest first and cut into blocks of at most
     ``_BLOCK_ENTRIES`` padded (document, word, topic) entries. A block's p(w|z)
-    is gathered once into ``(n, L, K)``, L being its longest document; padding
-    rows are 1 with count 0, so they add log 1 = 0 and nothing to the mixes.
-    Each pass runs two batched matmuls, ``probs = rows @ mix`` and
-    ``mix *= (cnt / probs) @ rows``, and one log for the documents' lls; the
-    per-document plateau test and write-back touch only the working rows. A
-    document stops iterating on its own plateau or at the ``fold_in_max_iters``
-    cap, where its result is written; converged documents keep iterating
-    unread until they are at least ``_DROP_SHARE`` of the block's rows, then
-    leave it together. Each document gets ``fold_in``'s iterates up to
-    round-off. ``init_mixes`` is ``(len(docs), K)``. Returns (mixes
-    (len(docs), K), fitted lls (len(docs),)) in the order of ``docs``.
+    is gathered once into ``(n, L, K)``, L being its longest document. Each
+    pass runs two batched matmuls, ``probs = rows @ mix`` and ``mix *= (cnt /
+    probs) @ rows``, and one log for the documents' lls; the per-document
+    plateau test and write-back touch only the working rows. A document stops
+    iterating on its own plateau or at the ``fold_in_max_iters`` cap, where its
+    result is written; converged documents keep iterating unread until they are
+    at least ``_DROP_SHARE`` of the block's rows, then leave it together. Each
+    document gets ``fold_in``'s iterates up to round-off. ``init_mixes`` is
+    ``(len(docs), K)``; returns the fitted mixes and their lls in the order of ``docs``.
     """
     _, word_idx, counts = corpus.flat()
     starts, lengths = corpus.segments()

@@ -72,13 +72,15 @@ PROFILES = {
 class SyntheticTruth:
     """Ground truth emitted alongside a generated corpus.
 
-    ``assignments`` holds the per-token (topic, word) draws of each document,
-    retained so statistical checks can condition on the latent variables.
+    ``token_topics[d, i]`` and ``token_words[d, i]`` are the topic and the word
+    drawn for token i of document d, two ``(D, doc_len)`` int64 arrays retained
+    so statistical checks can condition on the latent variables.
     """
 
     topics: np.ndarray
     doc_mixes: np.ndarray
-    assignments: list
+    token_topics: np.ndarray
+    token_words: np.ndarray
 
 
 def stream_rng(seed, stream):
@@ -102,16 +104,7 @@ def stream_rng(seed, stream):
     return np.random.Generator(bit_gen)
 
 
-def term_name(i, vocab_size):
-    width = len(str(vocab_size - 1))
-    return f"w{i:0{width}d}"
-
-
-def make_vocabulary(vocab_size):
-    return Vocabulary([term_name(i, vocab_size) for i in range(vocab_size)])
-
-
-def sample_distinct_topics(config, rng=None):
+def sample_distinct_topics(config):
     """Draw topic rows from Dirichlet(beta) keeping only well-separated ones.
 
     A candidate is accepted iff its minimum L2 distance to every previously
@@ -121,8 +114,7 @@ def sample_distinct_topics(config, rng=None):
     whole batch at once; a candidate is then checked alone only against the
     topics accepted earlier in its own batch.
     """
-    if rng is None:
-        rng = stream_rng(config.seed, 0)
+    rng = stream_rng(config.seed, 0)
     alpha = np.full(config.vocab_size, config.beta)
     accepted = []
     rejections = 0
@@ -168,7 +160,7 @@ def generate_corpus(config):
 
     Every document has exactly ``doc_len`` tokens: a topic mixture is drawn
     from Dirichlet(alpha), each token draws a topic from the mixture and a
-    word from that topic. Token-level assignments are kept on the truth
+    word from that topic. The tokens' topics and words are kept on the truth
     object.
 
     Document d's stream (stream d+1) yields its Dirichlet mixture, then
@@ -182,27 +174,25 @@ def generate_corpus(config):
     topics = sample_distinct_topics(config)
     topic_cdf = _cdf_rows(topics)
     doc_mixes = np.empty((config.n_docs, config.n_topics))
-    words = np.empty((config.n_docs, config.doc_len), dtype=np.int64)  # ravel() is then a view
-    assignments = []
+    token_topics = np.zeros((config.n_docs, config.doc_len), dtype=np.int64)
+    words = np.empty_like(token_topics)  # ravel() is then a view
     step = max(1, _BLOCK_TOKENS // config.doc_len)
     for first in range(0, config.n_docs, step):
         block = slice(first, first + step)
-        assignments += zip(_draw_block(config, topic_cdf, first, doc_mixes[block], words[block]),
-                           words[block])
-    id_width = len(str(config.n_docs - 1))
+        _draw_block(config, topic_cdf, first, doc_mixes[block], token_topics[block], words[block])
+    term_width, id_width = len(str(config.vocab_size - 1)), len(str(config.n_docs - 1))
+    vocab = Vocabulary([f"w{i:0{term_width}d}" for i in range(config.vocab_size)])
     doc_ids = [f"d{d:0{id_width}d}" for d in range(config.n_docs)]
-    corpus = Corpus.from_entries(make_vocabulary(config.vocab_size),
-                                 np.repeat(np.arange(config.n_docs), config.doc_len),
+    corpus = Corpus.from_entries(vocab, np.repeat(np.arange(config.n_docs), config.doc_len),
                                  words.ravel(), np.broadcast_to(1, words.size), doc_ids)
-    truth = SyntheticTruth(topics=topics, doc_mixes=doc_mixes, assignments=assignments)
-    return corpus, truth
+    return corpus, SyntheticTruth(topics, doc_mixes, token_topics, token_words=words)
 
 
-def _draw_block(config, topic_cdf, first, mixes, w):
+def _draw_block(config, topic_cdf, first, mixes, z, w):
     """Draw documents ``first, first + 1, ...``, one per row of ``mixes``.
 
-    Fills ``mixes`` and the token words ``w`` in place and returns the token
-    topics, a ``(len(mixes), doc_len)`` array.
+    Fills ``mixes``, the token topics ``z`` (zeros on entry) and the token
+    words ``w`` in place, the last two ``(len(mixes), doc_len)`` arrays.
     """
     shape = (len(mixes), config.doc_len)
     topic_u = np.empty(shape)
@@ -213,7 +203,6 @@ def _draw_block(config, topic_cdf, first, mixes, w):
         mixes[i] = rng.dirichlet(alpha)
         rng.random(out=topic_u[i])
         rng.random(out=word_u[i])
-    z = np.zeros(shape, dtype=np.int64)
     for column in _cdf_rows(mixes).T:
         z += topic_u >= column[:, None]
     # The topic uniforms are spent: their buffer takes each token's word uniform.
@@ -221,4 +210,3 @@ def _draw_block(config, topic_cdf, first, mixes, w):
     for t, cdf in enumerate(topic_cdf):
         sel = z == t
         w[sel] = cdf.searchsorted(topic_u[sel], side="right")
-    return z

@@ -267,7 +267,7 @@ class TestWeaklySupervised:
         # cluster 0 owns terms t00..t05; the closest topic should live there
         assert topics.shape[0] == rollback.k
         top_word = int(np.argmax(topics[rollback.closest_topic]))
-        assert corpus.vocab.term_of(top_word).startswith("t0")
+        assert corpus.vocab.terms[top_word].startswith("t0")
 
     def test_background_query_stops_early(self):
         rng = np.random.default_rng(61)
@@ -278,7 +278,7 @@ class TestWeaklySupervised:
         for d in range(corpus.n_docs):
             ids, counts = corpus.docs[d]
             for t, c in zip(ids, counts):
-                triples.append((d, corpus.vocab.term_of(int(t)), int(c)))
+                triples.append((d, corpus.vocab.terms[t], int(c)))
             triples.append((d, "common", 3))
         corpus = ingest_sparse(triples)
         model = estimate_query_model(corpus, ["common"], lam=1e-12)

@@ -17,7 +17,7 @@ from topicgrow.corpus import (
     load_corpus,
     read_text_corpus,
 )
-from topicgrow.metrics import PmiConfig
+from topicgrow.metrics import DEFAULT_TOP_N
 from topicgrow.plsa import EmConfig
 from topicgrow.synthgen import SynthConfig
 
@@ -39,7 +39,7 @@ def algo_flags(algo, corpus_path):
         return ["--epsilon", "30"]
     if algo == "query":
         corpus = load_corpus(corpus_path)
-        return ["--query", corpus.vocab.term_of(int(np.argmax(background_model(corpus))))]
+        return ["--query", corpus.vocab.terms[np.argmax(background_model(corpus))]]
     return []
 
 
@@ -179,6 +179,24 @@ def test_pmi_of_a_single_term_model_is_a_data_error(tmp_path, capsys):
     assert "at least 2 ranked words per topic" in capsys.readouterr().err
 
 
+def test_pmi_top_n_below_two_is_a_data_error(synth_dir, tmp_path, capsys):
+    assert main(train_argv(synth_dir, tmp_path, "--algo", "plsa", "--k", "3")) == 0
+    code = main(["eval", "--model", str(tmp_path / "model.json"), "--out", str(tmp_path),
+                 "--reference", str(synth_dir / "corpus.sparse"), "--top-n", "1", "--seed", "1"])
+    assert code == EXIT_DATA == 2
+    assert "top_n must be >= 2" in capsys.readouterr().err
+
+
+def test_floor_too_large_for_the_vocabulary_is_a_data_error(tmp_path, capsys):
+    # 500 desk-profile terms at a floor of 1e-3 would put half of each topic's mass on the floor
+    assert main(["synth", "--profile", "desk", "--docs", "30", "--doc-len", "40", "--topics", "3",
+                 "--out", str(tmp_path), "--seed", "1"]) == 0
+    code = main(["train", "--algo", "plsa", "--k", "3", "--floor", "1e-3", "--corpus",
+                 str(tmp_path / "corpus.sparse"), "--out", str(tmp_path / "model"), "--seed", "1"])
+    assert code == EXIT_DATA == 2
+    assert "smoothing_floor too large for this vocabulary size" in capsys.readouterr().err
+
+
 def test_parsed_defaults_are_the_library_defaults():
     parser = build_parser()
     common = ["--out", "o", "--seed", "0"]
@@ -204,7 +222,7 @@ def test_parsed_defaults_are_the_library_defaults():
         assert inspect.signature(fn).parameters["lam"].default == train.lam
 
     ev = parser.parse_args(["eval", "--model", "m", *common])
-    assert ev.top_n == PmiConfig().top_n
+    assert ev.top_n == DEFAULT_TOP_N
     assert ev.split_fraction == metrics.DEFAULT_SPLIT_FRACTION
     assert inspect.signature(metrics.perplexity).parameters["split_fraction"].default == (
         ev.split_fraction)
@@ -398,7 +416,7 @@ def test_config_file_sets_a_store_true_flag(synth_dir, tmp_path, monkeypatch, ca
 def test_eval_text_filters_apply_to_the_reference_only(synth_dir, tmp_path):
     held_out = synth_dir / "corpus.sparse"
     corpus = load_corpus(held_out)
-    stop = {corpus.vocab.term_of(int(t)) for t in np.argsort(-background_model(corpus))[:5]}
+    stop = {corpus.vocab.terms[t] for t in np.argsort(-background_model(corpus))[:5]}
     (tmp_path / "sw.txt").write_text("\n".join(sorted(stop)) + "\n")
 
     terms = np.array(corpus.vocab.terms)

@@ -24,7 +24,7 @@ from topicgrow.synthgen import SynthConfig, generate_corpus
 
 def row_as_dict(corpus, d):
     ids, counts = corpus.docs[d]
-    return {corpus.vocab.term_of(int(t)): int(c) for t, c in zip(ids, counts)}
+    return {corpus.vocab.terms[t]: int(c) for t, c in zip(ids, counts)}
 
 
 def reference_ingest_text(lines, min_df=1, stopwords=None):
@@ -60,7 +60,7 @@ def reference_reindex(corpus, vocab):
     for d, (ids, counts) in enumerate(corpus.docs):
         new = {}
         for tid, c in zip(ids, counts):
-            mapped = vocab.index.get(corpus.vocab.term_of(tid))
+            mapped = vocab.index.get(corpus.vocab.terms[tid])
             if mapped is not None:
                 new[mapped] = new.get(mapped, 0) + int(c)
         if new:
@@ -96,7 +96,7 @@ class TestVocabulary:
         vocab = Vocabulary(["b", "a", "c"])
         for i, term in enumerate(vocab.terms):
             assert vocab.index[term] == i
-            assert vocab.term_of(i) == term
+            assert vocab.terms[i] == term
 
     def test_dense_ids(self):
         vocab = Vocabulary(["x", "y"])
@@ -468,6 +468,10 @@ class TestCorpusInvariants:
             assert not ids.flags.writeable and not row_counts.flags.writeable
         assert corpus.total_tokens == sum(c.sum() for _, c in rows)
 
+    def test_non_integral_row_count_rejected(self):
+        with pytest.raises(DataError, match="^counts must be integers$"):
+            Corpus(Vocabulary(["a", "b"]), [([0, 1], [1.5, 3])], ["d0"])
+
     def test_duplicate_term_id_rejected(self):
         vocab = Vocabulary(["a", "b"])
         with pytest.raises(DataError):
@@ -520,6 +524,18 @@ class TestFromEntries:
         assert corpus.dropped_doc_ids == [doc_ids[d] for d in empty]
         assert_rows_equal(corpus, rows)
 
+    def test_integral_floats_build_the_int_corpus(self):
+        vocab, doc_ids = Vocabulary(["a", "b", "c"]), ["x", "y", "z"]
+        entries = ([2, 0, 2, 0], [1, 2, 1, 0], [3, 1, 4, 2**40])
+        as_ints = outcome(Corpus.from_entries, vocab, *entries, doc_ids)
+        as_floats = outcome(Corpus.from_entries, vocab,
+                            *(np.array(a, dtype=float) for a in entries), doc_ids)
+        assert as_floats == as_ints and not isinstance(as_ints, str)
+        rows = [([1, 0], [2, 5]), ([2], [2**40])]
+        float_rows = [(np.array(i, dtype=float), np.array(c, dtype=float)) for i, c in rows]
+        row_ids = ["x", "y"]
+        assert outcome(Corpus, vocab, float_rows, row_ids) == outcome(Corpus, vocab, rows, row_ids)
+
     def test_counts_above_2_53_merge_exactly(self):
         corpus = Corpus.from_entries(Vocabulary(["a", "b"]), [0, 0, 0], [1, 1, 0],
                                      [2**53, 1, 2**60], ["d"])
@@ -536,6 +552,14 @@ class TestFromEntries:
         ([0, 2], [0, 0], [1, 1], "document position out of range"),
         ([-1, 1], [0, 2], [1, 1], "document position out of range"),
         ([], [], [], "empty corpus: no documents"),
+        # floats must be integral and fit int64; a cast would truncate or raise
+        ([0, 0], [0, 1.9], [2.7, 1], "term ids must be integers"),
+        ([0, 0], [0, 1], [2.7, 1], "counts must be integers"),
+        ([0.5, 1], [0, 1], [1, 1], "document positions must be integers"),
+        ([0, 1], [0, 1], [1, float("nan")], "counts must be integers"),
+        ([0, 1], [0, 1], [1, float("inf")], "counts must be integers"),
+        ([0, 1], [0, 1], [2.0**63, 1], "counts must be integers"),
+        ([0, 1], [0, 1], ["1", "2"], "counts must be integers"),
     ])
     def test_each_defect_is_rejected_before_keying(self, doc_idx, word_idx, counts, message):
         with pytest.raises(DataError) as raised:

@@ -11,7 +11,6 @@ from topicgrow.corpus import Corpus, Vocabulary, ingest_sparse
 from topicgrow.errors import DataError
 from topicgrow.metrics import (
     CooccurrenceStats,
-    PmiConfig,
     perplexity,
     pmi_coherence,
     topic_coverage_error,
@@ -48,7 +47,7 @@ def oracle_pmi(topics, vocab, stats, top_n):
     per_topic = []
     for row in np.asarray(topics, dtype=float):
         ranked = top_words(row, top_n)
-        sids = [stats.index.get(vocab.term_of(int(w))) for w in ranked]
+        sids = [stats.index.get(vocab.terms[w]) for w in ranked]
         total = 0.0
         pairs = 0
         for a, b in itertools.combinations(range(len(ranked)), 2):
@@ -76,7 +75,7 @@ def top_word_pairs(topics, vocab, stats, top_n):
     """The distinct pairs (i, j), i < j, of reference ids within each topic's top words."""
     pairs = set()
     for row in topics:
-        sids = [stats.index.get(vocab.term_of(int(w))) for w in top_words(row, top_n)]
+        sids = [stats.index.get(vocab.terms[w]) for w in top_words(row, top_n)]
         sids = [i for i in sids if i is not None]
         pairs.update((min(i, j), max(i, j)) for i, j in itertools.combinations(sids, 2))
     return pairs
@@ -149,7 +148,7 @@ class TestPmi:
         )
         stats = CooccurrenceStats.from_corpus(corpus)
         topics = np.array([[0.5, 0.4, 0.1]])
-        score = pmi_coherence(topics, corpus.vocab, stats, PmiConfig(top_n=2))
+        score = pmi_coherence(topics, corpus.vocab, stats, top_n=2)
         assert score == pytest.approx(0.0, abs=1e-9)
 
     def test_always_cooccurring_pair(self):
@@ -159,7 +158,7 @@ class TestPmi:
         )
         stats = CooccurrenceStats.from_corpus(corpus)
         topics = np.array([[0.6, 0.4, 0.0, 0.0]])
-        score = pmi_coherence(topics, corpus.vocab, stats, PmiConfig(top_n=2))
+        score = pmi_coherence(topics, corpus.vocab, stats, top_n=2)
         assert score == pytest.approx(math.log(2), abs=1e-12)
 
     def test_three_word_topic_hand_computed(self):
@@ -175,14 +174,14 @@ class TestPmi:
             + math.log((2 / 3) / ((3 / 3) * (2 / 3)))
             + math.log((1 / 3) / ((2 / 3) * (2 / 3)))
         ) / 3
-        score = pmi_coherence(topics, corpus.vocab, stats, PmiConfig(top_n=3))
+        score = pmi_coherence(topics, corpus.vocab, stats, top_n=3)
         assert score == pytest.approx(expected, abs=1e-12)
 
     def test_zero_cooccurrence_smoothed(self):
         corpus = ingest_sparse([(0, "a", 1), (1, "b", 1)])
         stats = CooccurrenceStats.from_corpus(corpus)
         topics = np.array([[0.7, 0.3]])
-        score = pmi_coherence(topics, corpus.vocab, stats, PmiConfig(top_n=2))
+        score = pmi_coherence(topics, corpus.vocab, stats, top_n=2)
         assert score == pytest.approx(math.log(0.5 * 2 / (1 * 1)), abs=1e-12)
 
     def test_scale_invariance(self):
@@ -193,17 +192,23 @@ class TestPmi:
         tripled = ingest_sparse([(f"{d}.{copy}", t, c) for d, t, c in triples for copy in range(3)])
         topics = np.array([[0.5, 0.3, 0.2]])
         a = pmi_coherence(topics, corpus.vocab, CooccurrenceStats.from_corpus(corpus),
-                          PmiConfig(top_n=3))
+                          top_n=3)
         b = pmi_coherence(topics, tripled.vocab, CooccurrenceStats.from_corpus(tripled),
-                          PmiConfig(top_n=3))
+                          top_n=3)
         assert a == pytest.approx(b, abs=1e-12)
+
+    def test_top_n_below_two_raises(self):
+        corpus = ingest_sparse([(0, "a", 1), (0, "b", 1)])
+        with pytest.raises(DataError, match="top_n must be >= 2"):
+            pmi_coherence(np.array([[0.6, 0.4]]), corpus.vocab,
+                          CooccurrenceStats.from_corpus(corpus), top_n=1)
 
     def test_missing_word_smoothed(self):
         corpus = ingest_sparse([(0, "a", 1), (0, "b", 1)])
         stats = CooccurrenceStats.from_corpus(corpus)
         other_vocab = Vocabulary(["a", "zzz"])
         topics = np.array([[0.4, 0.6]])
-        score = pmi_coherence(topics, other_vocab, stats, PmiConfig(top_n=2))
+        score = pmi_coherence(topics, other_vocab, stats, top_n=2)
         assert math.isfinite(score)
 
     def test_stats_invariants(self):
@@ -212,7 +217,7 @@ class TestPmi:
         stats = CooccurrenceStats.from_corpus(corpus)
         assert stats.co_df == {}  # nothing is counted before PMI asks
         topics = rng.dirichlet(np.ones(corpus.n_terms), size=3)
-        pmi_coherence(topics, corpus.vocab, stats, PmiConfig(top_n=4))
+        pmi_coherence(topics, corpus.vocab, stats, top_n=4)
         oracle = AllPairsStats(corpus)
         assert stats.co_df
         for (i, j), c in stats.co_df.items():
@@ -231,7 +236,7 @@ class TestPmi:
             vocab = Vocabulary(corpus.vocab.terms + [f"new{i}" for i in range(6)])
             topics = rng.dirichlet(np.full(len(vocab), 0.3), size=k)
             stats = CooccurrenceStats.from_corpus(corpus)
-            got = pmi_coherence(topics, vocab, stats, PmiConfig(top_n=top_n))
+            got = pmi_coherence(topics, vocab, stats, top_n=top_n)
             assert got == oracle_pmi(topics, vocab, AllPairsStats(corpus), top_n)
 
     @pytest.mark.parametrize("docs_per_block", [1, 2])
@@ -241,13 +246,13 @@ class TestPmi:
         vocab = Vocabulary(corpus.vocab.terms + [f"new{i}" for i in range(6)])
         topics = rng.dirichlet(np.full(len(vocab), 0.3), size=7)
         stats = CooccurrenceStats.from_corpus(corpus)
-        groups = np.array([[stats.index.get(vocab.term_of(int(w)), -1) for w in top_words(row, 5)]
+        groups = np.array([[stats.index.get(vocab.terms[w], -1) for w in top_words(row, 5)]
                            for row in topics])
         assert (groups < 0).any()
         # a block holds _PAIR_BLOCK_CELLS // groups.size documents
         monkeypatch.setattr(metrics, "_PAIR_BLOCK_CELLS", docs_per_block * groups.size)
         oracle = AllPairsStats(corpus)
-        assert pmi_coherence(topics, vocab, stats, PmiConfig(top_n=5)) == oracle_pmi(
+        assert pmi_coherence(topics, vocab, stats, top_n=5) == oracle_pmi(
             topics, vocab, oracle, 5)
         counts = stats.count_pairs(groups)
         expected = np.zeros(counts.shape)
@@ -263,7 +268,7 @@ class TestPmi:
         corpus = random_reference(rng, 80, 50, 20)
         topics = rng.dirichlet(np.full(corpus.n_terms, 0.3), size=6)
         stats = CooccurrenceStats.from_corpus(corpus)
-        pmi_coherence(topics, corpus.vocab, stats, PmiConfig(top_n=5))
+        pmi_coherence(topics, corpus.vocab, stats, top_n=5)
         wanted = top_word_pairs(topics, corpus.vocab, stats, 5)
         assert set(stats.co_df) <= wanted
         assert len(stats.co_df) <= len(wanted) < len(AllPairsStats(corpus).co_df)

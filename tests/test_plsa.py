@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from topicgrow import autostop, nplsa, plsa
-from topicgrow import corpus as corpus_module
 from topicgrow.corpus import (
     Corpus,
     Vocabulary,
@@ -165,6 +164,16 @@ class TestMStep:
         topics, _ = em_step(corpus, np.array([[1.0], [1.0]]), np.array([[1.0, 0.0]]))
         np.testing.assert_allclose(topics[1], [1.0])
 
+    def test_floored_entries_taking_turns_settle_on_the_floor(self):
+        # Entries 0 and 1 take turns below the floor for 6 passes: each pass's
+        # rescaling takes the entry floored by the pass before it just below.
+        f = 1e-3
+        row = np.array([[0.2 * f, f * (1 + 1e-7)] + [(1 - 1.2 * f) / 10] * 10])
+        out = _floor_rows(row, f)[0]
+        assert np.all(out >= f)
+        assert out[1] == f and out[0] - f <= np.spacing(f)  # entry 0 was floored a pass earlier
+        assert abs(out.sum() - 1.0) <= 1e-12
+
     def test_floor_respected(self):
         corpus = ingest_sparse([(0, "a", 5), (0, "b", 1), (1, "a", 2)])
         mixes = np.array([[0.5, 0.5], [1.0, 0.0]])
@@ -267,9 +276,9 @@ def layout_instance():
 
 def layout_corpus(monkeypatch, cells):
     """A fresh ``layout_instance`` whose EM layout is cut at ``cells`` padded cells per block."""
-    monkeypatch.setattr(corpus_module, "_BLOCK_CELLS", cells)
+    monkeypatch.setattr(plsa, "_BLOCK_CELLS", cells)
     corpus = layout_instance()
-    corpus.layout()
+    plsa._layout(corpus)
     return corpus
 
 
@@ -288,7 +297,7 @@ class TestBlockLayout:
     @pytest.mark.parametrize("cells", BUDGETS)
     def test_blocks_cover_every_entry_once(self, monkeypatch, cells):
         corpus = layout_corpus(monkeypatch, cells)
-        lay = corpus.layout()
+        lay = plsa._layout(corpus)
         doc_idx, word_idx, counts = corpus.flat()
         lengths = corpus.segments()[1]
         if cells == 1:  # one document, and one word, per block
@@ -335,7 +344,7 @@ class TestBlockLayout:
         # "w46" is the last word of the 3-word document 2, padded in a block of
         # longer documents under either budget; "w47" is in the longest document.
         corpus = layout_corpus(monkeypatch, cells)
-        lay = corpus.layout()
+        lay = plsa._layout(corpus)
         row = int(np.flatnonzero(lay.doc_order == 2)[0])
         r0, r1, c0, c1 = next(b for b in lay.doc_blocks if b[0] <= row < b[1])
         assert r1 - r0 > 1 and (c1 - c0) // (r1 - r0) > 3
@@ -1072,6 +1081,10 @@ class TestFoldInDocs:
     def test_seed_must_be_non_negative(self):
         with pytest.raises(DataError, match="seed must be non-negative"):
             EmConfig(seed=-1)
+
+    def test_smoothing_floor_above_its_cap_raises(self):
+        with pytest.raises(DataError, match=r"smoothing_floor must lie in \[0, 1e-3\]"):
+            EmConfig(seed=0, smoothing_floor=2e-3)
 
     def test_fold_in_budget_must_be_positive(self):
         with pytest.raises(DataError, match="fold_in_max_iters"):

@@ -189,8 +189,8 @@ def assert_matches_reference(config):
         assert same_bytes(ids, ref_ids) and same_bytes(counts, ref_counts)
     assert same_bytes(truth.topics, topics)
     assert same_bytes(truth.doc_mixes, mixes)
-    assert len(truth.assignments) == len(assignments)
-    for (z, w), (ref_z, ref_w) in zip(truth.assignments, assignments):
+    assert truth.token_topics.shape == truth.token_words.shape == (config.n_docs, config.doc_len)
+    for z, w, (ref_z, ref_w) in zip(truth.token_topics, truth.token_words, assignments):
         assert same_bytes(z, ref_z) and same_bytes(w, ref_w)
 
 
@@ -234,7 +234,7 @@ class TestGenerateCorpus:
     def test_assignments_reproduce_counts(self):
         config = desk_config()
         corpus, truth = generate_corpus(config)
-        for d, (z, w) in enumerate(truth.assignments):
+        for d, (z, w) in enumerate(zip(truth.token_topics, truth.token_words)):
             counts = np.bincount(w, minlength=config.vocab_size)
             ids, row = corpus.docs[d]
             np.testing.assert_array_equal(counts[ids], row)
@@ -253,7 +253,7 @@ class TestGenerateCorpus:
         _, truth = generate_corpus(config)
         k = config.n_topics
         crit = chi2.ppf(0.999, k - 1)
-        for z, _ in truth.assignments:
+        for z in truth.token_topics:
             observed = np.bincount(z, minlength=k)
             expected = config.doc_len / k
             stat = ((observed - expected) ** 2 / expected).sum()
@@ -265,7 +265,7 @@ class TestGenerateCorpus:
         config = desk_config(seed=7, n_docs=60, doc_len=120)
         corpus, truth = generate_corpus(config)
         topic_use = np.zeros((corpus.n_docs, config.n_topics))
-        for d, (z, _) in enumerate(truth.assignments):
+        for d, z in enumerate(truth.token_topics):
             topic_use[d] = np.bincount(z, minlength=config.n_topics)
         expected = topic_use.sum(axis=0) @ truth.topics
         variance = topic_use.sum(axis=0) @ (truth.topics * (1 - truth.topics))

@@ -69,7 +69,7 @@ def run_cell(tg, profile, k_true, algo, patience, eps_tok, seed, n_docs=None):
         if algo == "auto":
             topics, _, trace = autostop.train_parameter_free(corpus, config, **stop)
         else:
-            query = [corpus.vocab.term_of(int(w))
+            query = [corpus.vocab.terms[w]
                      for w in metrics.top_words(truth.topics[0], QUERY_WORDS)]
             topics, _, trace = autostop.train_weakly_supervised(corpus, query, config, **stop)
     seconds = time.perf_counter() - start
