@@ -75,7 +75,8 @@ def query_distance(theta_q, topics):
 def estimate_query_model(corpus, query_terms, lam=DEFAULT_LAM):
     """Estimate a query language model by model-based pseudo feedback.
 
-    The feedback set is every document containing at least one query term.
+    The feedback set is every document containing at least one query term; a
+    term matches a corpus term as given, else in lowercase.
     Each feedback document is modeled as lam * theta_q + (1 - lam) * theta_C
     with theta_C the collection background model; theta_q starts from the
     pooled feedback MLE and is re-estimated by EM on the feedback tokens.
@@ -85,7 +86,7 @@ def estimate_query_model(corpus, query_terms, lam=DEFAULT_LAM):
     """
     if not 0.0 <= lam <= 1.0:  # also rejects NaN
         raise DataError(f"lam must lie in [0, 1], got {lam}")
-    terms = [raw.strip().lower() for raw in query_terms]
+    terms = [t if t in corpus.vocab.index else t.lower() for t in map(str.strip, query_terms)]
     term_ids = [corpus.vocab.index[t] for t in terms if t in corpus.vocab.index]
     doc_idx, word_idx, _ = corpus.flat()
     feedback = np.zeros(corpus.n_docs, dtype=bool)
@@ -140,8 +141,8 @@ def _grow(corpus, config, score_fn, patience, max_topics, max_spawns, advice):
     ``score_fn(topics)`` returns (score, trace fields), a larger score being
     better; only a strictly larger one improves on the best. Once ``patience``
     rows in a row have not improved (or the spawn budget runs out) the best
-    row's topics and mixes are restored, recorded in a "rollback" row, and
-    refined with plain EM. Returns (topics, mixes, trace).
+    row's topics and mixes are restored, recorded with its score fields in a
+    "rollback" row, and refined with plain EM. Returns (topics, mixes, trace).
     """
     if patience < 1:
         raise DataError("patience must be >= 1")
@@ -177,14 +178,14 @@ def _grow(corpus, config, score_fn, patience, max_topics, max_spawns, advice):
         return topics, new_mixes, (d_star,), {"epsilon": float(deficits[d_star]), "phase": "grow"}
 
     trace = []
-    best, stalls = None, 0  # best: (score, topics, mixes, row loglik)
+    best, stalls = None, 0  # best: (score, fields, topics, mixes, row loglik)
     rows = grow(corpus, config, max_topics, farthest_first)
     for topics, mixes, row in islice(rows, None if max_spawns is None else max_spawns + 1):
         score, fields = score_fn(topics)
         trace.append(replace(row, **fields))
         if best is None or score > best[0]:
-            # row.loglik is the E-step of exactly these arrays; the rollback reuses it
-            best, stalls = (score, topics.copy(), mixes.copy(), row.loglik), 0
+            # the rollback row reuses the score fields and the E-step loglik of these arrays
+            best, stalls = (score, fields, topics.copy(), mixes.copy(), row.loglik), 0
         else:
             stalls += 1
             if stalls >= patience:
@@ -193,8 +194,7 @@ def _grow(corpus, config, score_fn, patience, max_topics, max_spawns, advice):
         logger.info("spawn budget exhausted at K=%d", topics.shape[0])
     spawns = trace[-1].iteration
 
-    _, topics, mixes, best_ll = best
-    fields = score_fn(topics)[1]
+    _, fields, topics, mixes, best_ll = best
     logger.info("rolled back to best K=%d %s", topics.shape[0], fields)
     trace.append(
         TraceRow(iteration=spawns + 1, k=topics.shape[0], loglik=best_ll, phase="rollback",

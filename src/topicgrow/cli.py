@@ -118,10 +118,9 @@ def build_parser():
     ev.add_argument("--corpus", help="held-out corpus for perplexity")
     ev.add_argument("--truth", help="truth.json for quality/coverage error")
     ev.add_argument("--reference", help="reference corpus for PMI coherence")
-    ev.add_argument("--split-fraction", type=float, default=DEFAULT_SPLIT_FRACTION)
-    ev.add_argument("--top-n", type=int, default=DEFAULT_TOP_N, help="words per topic for PMI")
-    ev.add_argument("--min-df", type=int, default=MIN_DF,
-                    help="text ingestion of --reference: df filter")
+    ev.add_argument("--split-fraction", type=float, help="perplexity: share of a document seen")
+    ev.add_argument("--top-n", type=int, help="words per topic for PMI")
+    ev.add_argument("--min-df", type=int, help="text ingestion of --reference: df filter")
     ev.add_argument("--stopwords", help="text ingestion of --reference: stopword file")
     return parser
 
@@ -256,8 +255,12 @@ def _mutually_exclusive(args):
 
 
 def _resolve_defaults(args):
-    """Fill the library default of each train flag left unset; config.json echoes them."""
-    defaults = {"patience": PATIENCE, "lam": DEFAULT_LAM, "max_topics": MAX_TOPICS}
+    """Fill the library default of each train or eval flag left unset; config.json echoes them."""
+    defaults = {
+        "train": {"patience": PATIENCE, "lam": DEFAULT_LAM, "max_topics": MAX_TOPICS},
+        "eval": {"split_fraction": DEFAULT_SPLIT_FRACTION, "top_n": DEFAULT_TOP_N,
+                 "min_df": MIN_DF},
+    }[args.command]
     for dest, default in defaults.items():
         if getattr(args, dest) is None:
             setattr(args, dest, default)
@@ -288,18 +291,16 @@ def _cmd_train(args, out_dir):
             corpus, config, patience=args.patience,
             max_topics=args.max_topics, max_spawns=args.max_spawns,
         )
-        rollback = next(r for r in trace if r.phase == "rollback")
-        meta["best_k"] = rollback.k
-        meta["best_diversity"] = rollback.diversity
     else:
         topics, mixes, trace = train_weakly_supervised(
             corpus, args.query.split(), config, lam=args.lam, patience=args.patience,
             max_topics=args.max_topics, max_spawns=args.max_spawns,
         )
-        rollback = next(r for r in trace if r.phase == "rollback")
         meta["query"] = args.query
-        meta["best_k"] = rollback.k
-        meta["best_query_distance"] = rollback.query_distance
+    if args.algo in ("auto", "query"):
+        rollback = next(r for r in trace if r.phase == "rollback")
+        score = "diversity" if args.algo == "auto" else "query_distance"
+        meta["best_k"], meta[f"best_{score}"] = rollback.k, getattr(rollback, score)
 
     meta["K"] = int(topics.shape[0])
     meta["iters"] = len(trace)
@@ -333,6 +334,11 @@ def _truth_errors(topics, vocab, truth_path):
 
 
 def _cmd_eval(args, out_dir):
+    for dest, source in (("split_fraction", "corpus"), ("top_n", "reference"),
+                         ("min_df", "reference"), ("stopwords", "reference")):
+        if getattr(args, dest) is not None and getattr(args, source) is None:
+            raise UsageError(f"--{dest.replace('_', '-')} only applies with --{source}")
+    _resolve_defaults(args)
     vocab, topics, _, meta = read_model(args.model)
     report = {
         "K": int(topics.shape[0]),

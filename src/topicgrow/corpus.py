@@ -286,13 +286,6 @@ def read_stopwords(path):
         return {line.strip() for line in fh if line.strip()}
 
 
-def read_text_corpus(path, min_df=MIN_DF, stopwords=None):
-    """Read a UTF-8 text corpus, one document per line."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    return ingest_text(lines, min_df=min_df, stopwords=stopwords)
-
-
 def read_sparse_corpus(path):
     """Read a sparse corpus file: a "docs= terms= nnz=" header, the vocabulary one
     term per line, then doc/term/count triples. Without vocabulary lines the
@@ -360,13 +353,16 @@ def write_sparse_corpus(corpus, path):
 def load_corpus(path, min_df=MIN_DF, stopwords=None):
     """Load a corpus file, sniffing the sparse header to pick the format.
 
-    ``min_df`` and ``stopwords`` filter text corpora only: a sparse file given
-    stopwords or a non-default ``min_df`` is rejected rather than read unfiltered.
+    A text corpus is UTF-8, one document per line, and is read through the
+    handle that sniffed it. ``min_df`` and ``stopwords`` filter text corpora
+    only: a sparse file given stopwords or a non-default ``min_df`` is rejected
+    rather than read unfiltered.
     """
     with open(path, encoding="utf-8") as fh:
-        first = fh.readline()
-    if SPARSE_HEADER_RE.match(first):
-        if stopwords or min_df != MIN_DF:
-            raise DataError(f"{path}: min_df and stopwords apply to text corpora only")
-        return read_sparse_corpus(path)
-    return read_text_corpus(path, min_df=min_df, stopwords=stopwords)
+        if not SPARSE_HEADER_RE.match(fh.readline()):
+            fh.seek(0)
+            return ingest_text([line.rstrip("\n") for line in fh], min_df=min_df,
+                               stopwords=stopwords)
+    if stopwords or min_df != MIN_DF:
+        raise DataError(f"{path}: min_df and stopwords apply to text corpora only")
+    return read_sparse_corpus(path)

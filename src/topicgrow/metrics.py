@@ -1,9 +1,10 @@
 """Evaluation metrics: topic quality/coverage error, PMI coherence, perplexity.
 
 PMI reads co-document frequencies of a reference corpus only for the pairs
-within each topic's top words: ``CooccurrenceStats.count_pairs`` counts them
-from the corpus's flat arrays into a (topic, word, word) array, never
-enumerating all pairs, and ``pmi_coherence`` scores that array.
+within each topic's top words, named by the reference's own ``Vocabulary``:
+``CooccurrenceStats.count_pairs`` counts them from the corpus's flat arrays
+into a (topic, word, word) array, never enumerating or storing all pairs, and
+``pmi_coherence`` scores that array.
 """
 
 from __future__ import annotations
@@ -27,27 +28,26 @@ DEFAULT_TOP_N = 20  # default number of a topic's top-ranked words that PMI scor
 class CooccurrenceStats:
     """Document and co-document frequencies of a reference corpus.
 
-    ``df[i]`` counts the documents that contain term i. Co-document
-    frequencies are counted on demand, only for the pairs asked for:
-    ``count_pairs`` returns them as a (group, word, word) array, and records
-    in ``co_df[(i, j)]`` (i < j) the count of each pair it counted that some
-    document holds. Probabilities are estimated as frequency / n_docs.
+    ``vocab`` is the reference's ``Vocabulary``, and ``df[i]`` counts the
+    documents that contain its term i. Co-document frequencies are counted on
+    demand, only for the pairs asked for: ``count_pairs`` returns them as a
+    (group, word, word) array and keeps none. Probabilities are estimated as
+    frequency / n_docs.
     """
 
-    def __init__(self, terms, n_docs, doc_idx, word_idx):
-        """The reference's terms and document count, and its flat
+    def __init__(self, vocab, n_docs, doc_idx, word_idx):
+        """The reference's vocabulary and document count, and its flat
         (document, term) entries, each pair at most once, sorted by document."""
-        self.terms = list(terms)
-        self.index = {t: i for i, t in enumerate(self.terms)}
+        self.vocab = vocab
         self.n_docs = int(n_docs)
         self._doc_idx, self._word_idx = doc_idx, word_idx
-        self.df = np.bincount(word_idx, minlength=len(self.terms))
-        self.co_df = {}
+        self.df = np.bincount(word_idx, minlength=len(vocab))
+        self.co_df = {}  # always empty; perfbench's metrics.cooc_pairs reads its size
 
     @classmethod
     def from_corpus(cls, corpus):
         doc_idx, word_idx, _ = corpus.flat()
-        return cls(corpus.vocab.terms, corpus.n_docs, doc_idx, word_idx)
+        return cls(corpus.vocab, corpus.n_docs, doc_idx, word_idx)
 
     def count_pairs(self, groups):
         """Count the documents holding both terms of each pair within each group.
@@ -62,7 +62,7 @@ class CooccurrenceStats:
         """
         union = np.unique(groups[groups >= 0])
         m = union.size
-        col = np.full(len(self.terms), m)  # column m collects the terms outside the groups
+        col = np.full(len(self.vocab), m)  # column m collects the terms outside the groups
         col[union] = np.arange(m)
         pick = np.where(groups >= 0, col[groups], m + 1)  # column m + 1 stays 0
         counts = np.zeros(pick.shape + pick.shape[-1:])
@@ -74,10 +74,6 @@ class CooccurrenceStats:
             x[self._doc_idx[e0:e1] - d0, col[self._word_idx[e0:e1]]] = 1.0
             xg = x[:, pick].transpose(1, 0, 2)  # (group, document, word)
             counts += xg.transpose(0, 2, 1) @ xg
-        g, a, b = np.nonzero(np.triu(counts, 1))
-        i, j = groups[g, a], groups[g, b]
-        pairs = zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist())
-        self.co_df.update(zip(pairs, counts[g, a, b].astype(np.int64).tolist()))
         return counts
 
 
@@ -131,8 +127,8 @@ def pmi_coherence(topics, vocab, stats, top_n=DEFAULT_TOP_N):
         raise DataError(
             f"PMI needs at least 2 ranked words per topic; the model has {topics.shape[1]} term(s)"
         )
-    ranked = np.array([[stats.index.get(vocab.terms[w], -1) for w in top_words(row, top_n)]
-                       for row in topics])
+    ranked = np.array([[stats.vocab.index.get(vocab.terms[w], -1)
+                        for w in top_words(row, top_n)] for row in topics])
     a, b = np.triu_indices(ranked.shape[1], 1)
     co = stats.count_pairs(ranked)[:, a, b]
     df = np.where((ranked >= 0) & (stats.df[ranked] > 0), stats.df[ranked], 0.5)

@@ -7,13 +7,14 @@ then a topic and a word for every token. All randomness flows through named
 counter-based streams so the same seed reproduces the corpus bit-for-bit, even
 if documents are generated in parallel.
 
-Stream layout: stream 0 draws the candidate topics, ``_CANDIDATE_BATCH`` at a
-time. Stream d+1 draws document d: its Dirichlet mixture, then ``doc_len``
-uniforms that pick the tokens' topics in position order, then ``doc_len``
-uniforms that pick their words, spent topic by topic in increasing topic order
-and in position order within a topic. A uniform u picks from a distribution p
-the number of entries of p's cumulative sums, divided by their last entry,
-that are <= u; this is how ``Generator.choice`` samples with ``p=``.
+Stream layout: stream s is numpy's Philox keyed by (seed, s), ``stream_rng``.
+Stream 0 draws the candidate topics, ``_CANDIDATE_BATCH`` at a time. Stream
+d+1 draws document d: its Dirichlet mixture, then ``doc_len`` uniforms that
+pick the tokens' topics in position order, then ``doc_len`` uniforms that pick
+their words, spent topic by topic in increasing topic order and in position
+order within a topic. A uniform u picks from a distribution p the number of
+entries of p's cumulative sums, divided by their last entry, that are <= u;
+this is how ``Generator.choice`` samples with ``p=``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .errors import AlgorithmError, DataError
 RNG_ALGORITHM = "numpy.random.Philox4x64 key=(seed, stream); stream 0 topics, stream d+1 document d"
 
 _CANDIDATE_BATCH = 256
-_UNUSED_SEED = np.random.SeedSequence(0)  # replaced by the keyed state in ``stream_rng``
 _BLOCK_TOKENS = 1 << 13  # tokens per block of documents drawn together; bounds the temporaries
 _MAX_REJECTIONS_PER_TOPIC = 10_000
 
@@ -52,8 +52,8 @@ class SynthConfig:
     def __post_init__(self):
         if min(self.n_docs, self.doc_len, self.n_topics, self.vocab_size) < 1:
             raise DataError("synth sizes must be positive")
-        if self.alpha <= 0 or self.beta <= 0:
-            raise DataError("Dirichlet parameters must be positive")
+        if not (0 < self.alpha < np.inf and 0 < self.beta < np.inf):  # also rejects NaN
+            raise DataError("Dirichlet parameters must be finite and > 0")
         if not 0 <= self.min_topic_dist < math.sqrt(2):
             raise DataError("min_topic_dist must lie in [0, sqrt(2))")
         if self.seed < 0:
@@ -84,24 +84,9 @@ class SyntheticTruth:
 
 
 def stream_rng(seed, stream):
-    """Counter-based generator for one logical stream of a seeded run.
-
-    It draws what ``Generator(Philox(key=[seed, stream]))`` draws. That
-    constructor first seeds a ``SeedSequence`` from OS entropy and then
-    discards it; here the bit generator starts from a fixed sequence and is
-    then given the keyed state, counter 0 and an empty buffer.
-    """
-    bit_gen = np.random.Philox(_UNUSED_SEED)
-    bit_gen.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64),
-                  "key": np.array([seed, stream], dtype=np.uint64)},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return np.random.Generator(bit_gen)
+    """Counter-based generator for one logical stream of a seeded run: Philox keyed by
+    (seed, stream), counter 0. The key is a uint64 array, which takes any 64-bit seed."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
 def sample_distinct_topics(config):

@@ -13,7 +13,7 @@ from topicgrow.autostop import (
     train_parameter_free,
     train_weakly_supervised,
 )
-from topicgrow.corpus import background_model, ingest_sparse
+from topicgrow.corpus import background_model, ingest_sparse, ingest_text
 from topicgrow.errors import AlgorithmError, DataError
 from topicgrow.metrics import topic_coverage_error
 from topicgrow.nplsa import doc_self_loglik, grow, spawn, warm_start
@@ -122,6 +122,22 @@ class TestQueryModelEstimation:
         with pytest.raises(DataError, match="query not in corpus"):
             estimate_query_model(corpus, ["zzz"])
 
+    def test_term_matches_as_given_then_in_lowercase(self):
+        corpus = ingest_sparse([(0, "Apple", 2), (0, "banana", 1), (1, "banana", 1),
+                                (1, "Cherry", 3), (2, "apple", 1), (2, "Cherry", 1)])
+        given = estimate_query_model(corpus, ["Apple"], lam=1.0)
+        assert (given.terms, given.feedback_size) == (["Apple"], 1)
+        np.testing.assert_allclose(given.theta_q, [2 / 3, 1 / 3, 0.0, 0.0], atol=1e-12)
+        lowered = estimate_query_model(corpus, ["APPLE"], lam=1.0)
+        assert (lowered.terms, lowered.feedback_size) == (["apple"], 1)
+        with pytest.raises(DataError, match="query not in corpus"):
+            estimate_query_model(corpus, ["cherry"])
+
+    def test_uppercase_query_matches_a_text_corpus(self):
+        corpus = ingest_text(["The Cat sat", "a dog ran", "the dog sat"])
+        model = estimate_query_model(corpus, ["CAT"], lam=1.0)
+        assert (model.terms, model.feedback_size) == (["cat"], 1)
+
     def test_document_matching_several_terms_is_pooled_once(self):
         model = estimate_query_model(feedback_corpus(), [" A", "b", "zzz"], lam=1.0)
         assert model.feedback_size == 2
@@ -159,16 +175,21 @@ def rollback_row(trace):
 def scripted_grow(scores, patience):
     """``_grow`` on a tiny corpus with the row at K topics scored ``scores[K - 1]``.
 
-    Returns the rollback row and the rows before it."""
+    Returns the rollback row and the rows before it, after checking that each of
+    those rows was scored once and the rollback row scored no more."""
     corpus = clustered_corpus(np.random.default_rng(73), n_docs=12)
+    scored = []
 
     def score_fn(topics):
+        scored.append(topics.shape[0])
         score = scores[topics.shape[0] - 1]
         return score, {"diversity": score}
 
     _, _, trace = autostop._grow(corpus, EmConfig(seed=1, max_iters=20), score_fn, patience,
                                  max_topics=12, max_spawns=len(scores) - 1, advice="")
-    return rollback_row(trace)
+    rollback, grown = rollback_row(trace)
+    assert scored == [row.k for row in grown]
+    return rollback, grown
 
 
 class TestStopRule:

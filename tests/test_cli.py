@@ -10,13 +10,7 @@ import pytest
 
 from topicgrow import autostop, cli, metrics, nplsa
 from topicgrow.cli import EXIT_DATA, EXIT_USAGE, build_parser, main
-from topicgrow.corpus import (
-    MIN_DF,
-    background_model,
-    ingest_text,
-    load_corpus,
-    read_text_corpus,
-)
+from topicgrow.corpus import MIN_DF, background_model, ingest_text, load_corpus
 from topicgrow.metrics import DEFAULT_TOP_N
 from topicgrow.plsa import EmConfig
 from topicgrow.synthgen import SynthConfig
@@ -222,13 +216,16 @@ def test_parsed_defaults_are_the_library_defaults():
         assert inspect.signature(fn).parameters["lam"].default == train.lam
 
     ev = parser.parse_args(["eval", "--model", "m", *common])
+    assert (ev.top_n, ev.split_fraction, ev.min_df) == (None, None, None)  # unset
+    cli._resolve_defaults(ev)
     assert ev.top_n == DEFAULT_TOP_N
     assert ev.split_fraction == metrics.DEFAULT_SPLIT_FRACTION
     assert inspect.signature(metrics.perplexity).parameters["split_fraction"].default == (
         ev.split_fraction)
+    assert inspect.signature(metrics.pmi_coherence).parameters["top_n"].default == ev.top_n
 
     assert train.min_df == ev.min_df == MIN_DF
-    for fn in (ingest_text, read_text_corpus, load_corpus):
+    for fn in (ingest_text, load_corpus):
         assert inspect.signature(fn).parameters["min_df"].default == MIN_DF
 
 
@@ -302,6 +299,61 @@ def test_config_echo_holds_the_resolved_defaults(synth_dir, tmp_path):
         echo = json.load(fh)
     assert (echo["patience"], echo["lam"], echo["max_topics"]) == (
         autostop.PATIENCE, autostop.DEFAULT_LAM, nplsa.MAX_TOPICS)
+    assert main(["eval", "--model", str(tmp_path / "model.json"), "--out", str(tmp_path),
+                 "--truth", str(synth_dir / "truth.json"), "--seed", "1"]) == 0
+    with open(tmp_path / "metrics.json", encoding="utf-8") as fh:
+        echo = json.load(fh)["config"]
+    assert (echo["top_n"], echo["split_fraction"], echo["min_df"], echo["stopwords"]) == (
+        DEFAULT_TOP_N, metrics.DEFAULT_SPLIT_FRACTION, MIN_DF, None)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--top-n", "5"], "--top-n only applies with --reference"),
+    (["--min-df", "3"], "--min-df only applies with --reference"),
+    (["--stopwords", "sw.txt"], "--stopwords only applies with --reference"),
+    (["--split-fraction", "0.5"], "--split-fraction only applies with --corpus"),
+    (["--split-fraction", "2", "--reference", "CORPUS"],
+     "--split-fraction only applies with --corpus"),
+    (["--top-n", "1", "--corpus", "CORPUS"], "--top-n only applies with --reference"),
+])
+def test_eval_flag_without_its_input_is_a_usage_error(synth_dir, tmp_path, flags, message,
+                                                      capsys):
+    assert main(train_argv(synth_dir, tmp_path, "--algo", "plsa", "--k", "3")) == 0
+    flags = [str(synth_dir / "corpus.sparse") if f == "CORPUS" else f for f in flags]
+    code = main(["eval", "--model", str(tmp_path / "model.json"), "--out", str(tmp_path / "ev"),
+                 "--truth", str(synth_dir / "truth.json"), *flags, "--seed", "1"])
+    assert code == EXIT_USAGE == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "ev" / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("field", ["alpha", "beta"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_synth_dirichlet_parameter_not_finite_is_a_data_error(tmp_path, field, value, capsys):
+    code = main(["synth", *SYNTH, f"--{field}", value, "--out", str(tmp_path), "--seed", "1"])
+    assert code == EXIT_DATA == 2
+    assert "Dirichlet parameters must be finite and > 0" in capsys.readouterr().err
+    assert not (tmp_path / "truth.json").exists()
+
+
+@pytest.mark.parametrize("name, text, query, terms", [
+    ("corpus.sparse", "docs=4 terms=3 nnz=6\nApple\nbanana\nCherry\nd0 Apple 2\n"
+     "d0 banana 1\nd1 banana 3\nd2 Cherry 2\nd2 Apple 1\nd3 Cherry 1\n", "Apple",
+     ["Apple", "banana", "Cherry"]),
+    ("corpus.txt", "Apple banana apple\nbanana banana\ncherry Apple\ncherry\n", "APPLE",
+     ["apple", "banana", "cherry"]),
+])
+def test_query_names_a_term_as_given_or_in_lowercase(tmp_path, name, text, query, terms):
+    (tmp_path / name).write_text(text)
+    code = main(["train", "--algo", "query", "--query", query, "--corpus", str(tmp_path / name),
+                 "--out", str(tmp_path / "model"), "--seed", "1"])
+    assert code == 0
+    with open(tmp_path / "model" / "model.json", encoding="utf-8") as fh:
+        model = json.load(fh)
+    assert model["vocab"] == terms and model["meta"]["query"] == query
+    code = main(["train", "--algo", "query", "--query", "durian", "--corpus",
+                 str(tmp_path / name), "--out", str(tmp_path / "unknown"), "--seed", "1"])
+    assert code == EXIT_DATA == 2
 
 
 @pytest.mark.parametrize("algo, advice", [

@@ -634,6 +634,21 @@ class TestFiles:
         with pytest.raises(DataError, match="mismatch"):
             read_sparse_corpus(path)
 
+    @pytest.mark.parametrize("filters", [{}, {"stopwords": {"the"}}, {"min_df": 2}])
+    def test_text_file_loads_as_its_lines(self, tmp_path, filters):
+        lines = ["The cat sat", "", "the dog, the cat", "docs=1 terms=1 nnz=1", "dog"]
+        path = tmp_path / "corpus.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        loaded, direct = load_corpus(path, **filters), ingest_text(lines, **filters)
+        assert (loaded.vocab, loaded.doc_ids) == (direct.vocab, direct.doc_ids)
+        assert_rows_equal(loaded, direct.docs)
+
+    def test_empty_text_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("")
+        with pytest.raises(DataError, match="empty corpus: no input documents"):
+            load_corpus(path)
+
     @pytest.mark.parametrize("filters", [{"stopwords": {"a"}}, {"min_df": 2}])
     def test_text_filters_on_a_sparse_file_rejected(self, tmp_path, filters):
         path = tmp_path / "corpus.sparse"

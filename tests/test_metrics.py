@@ -71,16 +71,6 @@ def random_reference(rng, n_docs, n_terms, max_len):
     return ingest_sparse(triples)
 
 
-def top_word_pairs(topics, vocab, stats, top_n):
-    """The distinct pairs (i, j), i < j, of reference ids within each topic's top words."""
-    pairs = set()
-    for row in topics:
-        sids = [stats.index.get(vocab.terms[w]) for w in top_words(row, top_n)]
-        sids = [i for i in sids if i is not None]
-        pairs.update((min(i, j), max(i, j)) for i, j in itertools.combinations(sids, 2))
-    return pairs
-
-
 def brute_force_tqe(learned, truth):
     total = 0.0
     for row in learned:
@@ -215,16 +205,10 @@ class TestPmi:
         rng = np.random.default_rng(9)
         corpus = random_reference(rng, 12, 8, 5)
         stats = CooccurrenceStats.from_corpus(corpus)
-        assert stats.co_df == {}  # nothing is counted before PMI asks
+        assert stats.vocab is corpus.vocab
         topics = rng.dirichlet(np.ones(corpus.n_terms), size=3)
         pmi_coherence(topics, corpus.vocab, stats, top_n=4)
-        oracle = AllPairsStats(corpus)
-        assert stats.co_df
-        for (i, j), c in stats.co_df.items():
-            assert i < j
-            assert 0 < c <= min(stats.df[i], stats.df[j])
-            assert c == oracle.co(i, j)
-        np.testing.assert_array_equal(stats.df, oracle.df)
+        np.testing.assert_array_equal(stats.df, AllPairsStats(corpus).df)
 
     @pytest.mark.parametrize("top_n", [2, 3, 20])
     @pytest.mark.parametrize("k", [1, 7, 40])
@@ -246,8 +230,8 @@ class TestPmi:
         vocab = Vocabulary(corpus.vocab.terms + [f"new{i}" for i in range(6)])
         topics = rng.dirichlet(np.full(len(vocab), 0.3), size=7)
         stats = CooccurrenceStats.from_corpus(corpus)
-        groups = np.array([[stats.index.get(vocab.terms[w], -1) for w in top_words(row, 5)]
-                           for row in topics])
+        groups = np.array([[stats.vocab.index.get(vocab.terms[w], -1)
+                            for w in top_words(row, 5)] for row in topics])
         assert (groups < 0).any()
         # a block holds _PAIR_BLOCK_CELLS // groups.size documents
         monkeypatch.setattr(metrics, "_PAIR_BLOCK_CELLS", docs_per_block * groups.size)
@@ -262,16 +246,6 @@ class TestPmi:
                     if i >= 0 and j >= 0:
                         expected[g, a, b] = oracle.df[i] if a == b else oracle.co(i, j)
         np.testing.assert_array_equal(counts, expected)
-
-    def test_stores_only_top_word_pairs(self):
-        rng = np.random.default_rng(21)
-        corpus = random_reference(rng, 80, 50, 20)
-        topics = rng.dirichlet(np.full(corpus.n_terms, 0.3), size=6)
-        stats = CooccurrenceStats.from_corpus(corpus)
-        pmi_coherence(topics, corpus.vocab, stats, top_n=5)
-        wanted = top_word_pairs(topics, corpus.vocab, stats, 5)
-        assert set(stats.co_df) <= wanted
-        assert len(stats.co_df) <= len(wanted) < len(AllPairsStats(corpus).co_df)
 
     def test_paper_scale_reference_memory(self):
         # Counting every within-document pair of this reference up front

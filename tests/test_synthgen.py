@@ -89,18 +89,6 @@ class TestStreamRng:
                           keyed.integers(0, 2**32, 9, dtype=np.uint32))
         assert same_bytes(rng.standard_normal(5), keyed.standard_normal(5))
 
-    def test_no_os_entropy_is_drawn(self, monkeypatch):
-        from numpy.random import bit_generator
-
-        if not hasattr(bit_generator, "randbits"):
-            pytest.skip("this numpy draws seed entropy elsewhere")
-
-        def no_entropy(*args):
-            raise AssertionError("OS entropy drawn")
-
-        monkeypatch.setattr(bit_generator, "randbits", no_entropy)
-        generate_corpus(desk_config(n_docs=3))
-
     def test_streams_do_not_share_state(self):
         a, b = stream_rng(3, 1), stream_rng(3, 1)
         first = a.random(4)
@@ -116,6 +104,12 @@ class TestConfig:
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(DataError):
             SynthConfig(seed=0, alpha=0.0)
+
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_dirichlet_parameters_that_are_not_finite(self, field, value):
+        with pytest.raises(DataError, match="Dirichlet parameters must be finite and > 0"):
+            SynthConfig(seed=0, **{field: value})
 
 
 class TestDistinctTopics:
