@@ -29,6 +29,7 @@ import numpy as np
 
 from .corpus import background_model, pooled_counts
 from .errors import DataError
+from .metrics import l2_distances
 from .nplsa import MAX_TOPICS, best_fits, grow, spawn, warm_start
 from .plsa import TraceRow, em_refine, fold_in_all, fold_in_docs
 
@@ -59,15 +60,13 @@ def diversity(topics) -> float:
     k = topics.shape[0]
     if k < 2:
         raise DataError("diversity undefined for fewer than 2 topics")
-    total = 0.0
-    for i in range(k - 1):
-        total += float(np.sqrt(((topics[i + 1 :] - topics[i]) ** 2).sum(axis=1)).sum())
+    total = sum(float(row[i + 1 :].sum()) for i, row in enumerate(l2_distances(topics, topics)))
     return total * 2.0 / (k * (k - 1))
 
 
 def query_distance(theta_q, topics):
     """Distance from a query model to its closest topic: (min L2, argmin index)."""
-    dists = np.sqrt(((topics - theta_q[None, :]) ** 2).sum(axis=1))
+    dists = l2_distances(theta_q[None, :], topics)[0]
     idx = int(np.argmin(dists))
     return float(dists[idx]), idx
 
@@ -192,17 +191,11 @@ def _grow(corpus, config, score_fn, patience, max_topics, max_spawns, advice):
                 break
     else:
         logger.info("spawn budget exhausted at K=%d", topics.shape[0])
-    spawns = trace[-1].iteration
-
     _, fields, topics, mixes, best_ll = best
     logger.info("rolled back to best K=%d %s", topics.shape[0], fields)
-    trace.append(
-        TraceRow(iteration=spawns + 1, k=topics.shape[0], loglik=best_ll, phase="rollback",
-                 **fields)
-    )
-    topics, mixes, _ = em_refine(
-        corpus, topics, mixes, config, trace=trace, start_iter=spawns + 2, phase="refine"
-    )
+    trace.append(TraceRow(iteration=trace[-1].iteration + 1, k=topics.shape[0], loglik=best_ll,
+                          phase="rollback", **fields))
+    topics, mixes, _ = em_refine(corpus, topics, mixes, config, trace=trace, phase="refine")
     return topics, mixes, trace
 
 

@@ -25,7 +25,8 @@ from .autostop import (
     train_parameter_free,
     train_weakly_supervised,
 )
-from .corpus import MIN_DF, load_corpus, read_stopwords, reindex_corpus, write_sparse_corpus
+from .corpus import (MIN_DF, Vocabulary, load_corpus, read_stopwords, reindex_corpus,
+                     write_sparse_corpus)
 from .errors import AlgorithmError, DataError
 from .metrics import (
     DEFAULT_SPLIT_FRACTION,
@@ -36,7 +37,7 @@ from .metrics import (
     topic_coverage_error,
     topic_quality_error,
 )
-from .modelio import read_model, write_json, write_model, write_trace
+from .modelio import check_rows, read_model, write_json, write_model, write_trace
 from .nplsa import MAX_TOPICS, train_nplsa
 from .plsa import EmConfig, train_plsa
 from .synthgen import PROFILES, RNG_ALGORITHM, SynthConfig, generate_corpus
@@ -103,11 +104,13 @@ def build_parser():
     train.add_argument("--max-iters", type=int, default=em.max_iters)
     train.add_argument("--rel-tol", type=float, default=em.rel_tol)
     train.add_argument("--floor", type=float, default=em.smoothing_floor)
-    train.add_argument("--fold-in-iters", type=int, default=em.fold_in_max_iters,
-                       help="fold-in passes at most per document, in every fold-in; the "
-                            "post-spawn refit of auto/query stops earlier, after a fixed few "
-                            "passes, in documents that do not take up the new topic")
-    train.add_argument("--fold-in-tol", type=float, default=em.fold_in_rel_tol)
+    train.add_argument("--fold-in-iters", type=int,
+                       help="fold-in passes at most per document, in every fold-in "
+                            f"(nplsa/auto/query; default {em.fold_in_max_iters}); the post-spawn "
+                            "refit of auto/query stops earlier, after a fixed few passes, in "
+                            "documents that do not take up the new topic")
+    train.add_argument("--fold-in-tol", type=float, help="fold-in plateau tolerance "
+                       f"(nplsa/auto/query; default {em.fold_in_rel_tol})")
     train.add_argument("--min-df", type=int, default=MIN_DF, help="text ingestion: df filter")
     train.add_argument("--stopwords", help="text ingestion: stopword file")
 
@@ -241,10 +244,11 @@ def _em_config(args):
 
 def _mutually_exclusive(args):
     """Reject a train flag the chosen --algo ignores, or a missing one it requires."""
+    growth = ("nplsa", "auto", "query")
     applies = {"k": ("plsa",), "epsilon": ("nplsa",), "query": ("query",),
                "order_seed": ("nplsa",), "max_spawns": ("auto", "query"),
-               "patience": ("auto", "query"), "lam": ("query",),
-               "max_topics": ("nplsa", "auto", "query")}
+               "patience": ("auto", "query"), "lam": ("query",), "max_topics": growth,
+               "fold_in_iters": growth, "fold_in_tol": growth}
     for dest, algos in applies.items():
         flag = "--lambda" if dest == "lam" else "--" + dest.replace("_", "-")
         value = getattr(args, dest)
@@ -256,8 +260,10 @@ def _mutually_exclusive(args):
 
 def _resolve_defaults(args):
     """Fill the library default of each train or eval flag left unset; config.json echoes them."""
+    em = EmConfig(seed=0)
     defaults = {
-        "train": {"patience": PATIENCE, "lam": DEFAULT_LAM, "max_topics": MAX_TOPICS},
+        "train": {"patience": PATIENCE, "lam": DEFAULT_LAM, "max_topics": MAX_TOPICS,
+                  "fold_in_iters": em.fold_in_max_iters, "fold_in_tol": em.fold_in_rel_tol},
         "eval": {"split_fraction": DEFAULT_SPLIT_FRACTION, "top_n": DEFAULT_TOP_N,
                  "min_df": MIN_DF},
     }[args.command]
@@ -317,20 +323,16 @@ def _cmd_train(args, out_dir):
 def _truth_errors(topics, vocab, truth_path):
     with open(truth_path, encoding="utf-8") as fh:
         truth = json.load(fh)
-    truth_topics = np.asarray(truth["topics"], dtype=float)
-    truth_vocab = truth.get("config", {}).get("vocab")
-    if truth_vocab is None:
-        raise DataError("truth.json lacks config.vocab; cannot align vocabularies")
-    index = {t: i for i, t in enumerate(truth_vocab)}
+    try:
+        truth_vocab = Vocabulary(truth["config"]["vocab"])
+        truth_topics = np.asarray(truth["topics"], dtype=float)
+    except (DataError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"bad truth file {truth_path}: {exc}") from exc
+    check_rows(truth_path, "truth", "topic", truth_topics, len(truth_vocab))
+    shared = [j for j, term in enumerate(vocab.terms) if term in truth_vocab.index]
     aligned = np.zeros((topics.shape[0], len(truth_vocab)))
-    for j, term in enumerate(vocab.terms):
-        pos = index.get(term)
-        if pos is not None:
-            aligned[:, pos] = topics[:, j]
-    return (
-        topic_quality_error(aligned, truth_topics),
-        topic_coverage_error(aligned, truth_topics),
-    )
+    aligned[:, [truth_vocab.index[vocab.terms[j]] for j in shared]] = topics[:, shared]
+    return topic_quality_error(aligned, truth_topics), topic_coverage_error(aligned, truth_topics)
 
 
 def _cmd_eval(args, out_dir):

@@ -87,20 +87,21 @@ def _check_same_vocab(learned, truth):
     return learned, truth
 
 
-def _pairwise_l2(a, b):
-    return np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
+def l2_distances(a, b):
+    """The (len(a), len(b)) L2 distances between rows, one row of ``a`` at a time."""
+    return np.array([np.sqrt(np.square(b - row).sum(axis=1)) for row in a])
 
 
 def topic_quality_error(learned, truth):
     """Mean distance of each learned topic to its nearest ground-truth topic."""
     learned, truth = _check_same_vocab(learned, truth)
-    return float(_pairwise_l2(learned, truth).min(axis=1).mean())
+    return float(l2_distances(learned, truth).min(axis=1).mean())
 
 
 def topic_coverage_error(learned, truth):
     """Mean distance of each ground-truth topic to its nearest learned topic."""
     learned, truth = _check_same_vocab(learned, truth)
-    return float(_pairwise_l2(truth, learned).min(axis=1).mean())
+    return float(l2_distances(truth, learned).min(axis=1).mean())
 
 
 def top_words(topic_row, n):

@@ -54,6 +54,18 @@ def _write_rows(fh, rows):
     fh.write("\n  ]")
 
 
+def check_rows(path, kind, name, rows, width):
+    """Raise a DataError naming the ``kind`` file ``path`` unless ``rows`` are simplex rows.
+
+    That is 2-d, ``width`` wide, each ``name`` row finite, non-negative, summing to 1 within 1e-9.
+    """
+    if rows.ndim != 2 or rows.shape[1] != width:
+        raise DataError(f"bad {kind} file {path}: {name} shape {rows.shape} is not (n, {width})")
+    if not (np.all(np.isfinite(rows)) and np.all(rows >= 0.0)
+            and np.all(np.abs(rows.sum(axis=1) - 1.0) <= 1e-9)):
+        raise DataError(f"bad {kind} file {path}: a {name} row is not a probability distribution")
+
+
 def read_model(path):
     """Load a model file into (vocab, topics, mixes or None, meta).
 
@@ -70,18 +82,9 @@ def read_model(path):
             mixes = np.asarray(mixes, dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"bad model file {path}: {exc}") from exc
-    if topics.ndim != 2 or topics.shape[1] != len(vocab):
-        raise DataError(f"bad model file {path}: topic shape does not match vocabulary")
-    if mixes is not None and (mixes.ndim != 2 or mixes.shape[1] != topics.shape[0]):
-        raise DataError(f"bad model file {path}: mix shape does not match the topics")
-    for name, rows in (("topic", topics), ("mix", mixes)):
-        if rows is not None and not (
-            np.all(np.isfinite(rows)) and np.all(rows >= 0.0)
-            and np.all(np.abs(rows.sum(axis=1) - 1.0) <= 1e-9)
-        ):
-            raise DataError(
-                f"bad model file {path}: a {name} row is not a probability distribution"
-            )
+    check_rows(path, "model", "topic", topics, len(vocab))
+    if mixes is not None:
+        check_rows(path, "model", "mix", mixes, topics.shape[0])
     return vocab, topics, mixes, payload.get("meta", {})
 
 

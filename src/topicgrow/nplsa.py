@@ -9,20 +9,18 @@ topics within a single EM execution while monotonically improving the
 penalized objective ``log-likelihood - epsilon * K``, which every trace row
 records as ``objective``.
 
-Every growth run, nPLSA's and ``autostop``'s farthest-first one, is
-``plsa.em_steps``, the package's one EM loop, started by ``grow`` and given
-its own spawn phase; both spawn through ``spawn``.
+Every growth run, nPLSA's and ``autostop``'s farthest-first one, is ``plsa.em_steps``,
+the package's one EM loop, started by ``grow`` with its own spawn phase and spawning
+through ``spawn``; nPLSA stops it with ``plsa.run_to_plateau``, as fixed-K EM does.
 """
 
 from __future__ import annotations
-
-from itertools import islice
 
 import numpy as np
 
 from .corpus import doc_language_model
 from .errors import AlgorithmError, DataError
-from .plsa import _floor_rows, _plateaued, em_steps, fold_in_docs, init_topics
+from .plsa import _floor_rows, em_steps, fold_in_docs, init_topics, run_to_plateau
 
 # Warm-start blend for fold-in restarts: mostly the previous mix, plus enough
 # uniform mass that newly appended topics are reachable (multiplicative EM
@@ -112,8 +110,8 @@ def train_nplsa(corpus, epsilon, config, max_topics=MAX_TOPICS, order_seed=None)
     per-document log-likelihoods are the previous sweep's traced
     log-likelihood and let a document already within epsilon skip its
     fold-in; unless the sweep spawned or refitted a document, its expected
-    counts also feed the M-step. The run stops once a full sweep spawns
-    nothing and the log-likelihood has plateaued, or after
+    counts also feed the M-step. ``plsa.run_to_plateau`` stops the run once a
+    full sweep spawns nothing and the log-likelihood has plateaued, or after
     ``config.max_iters`` sweeps. Returns (topics, mixes, trace); each trace
     row's ``objective`` is the penalized objective ``loglik - epsilon * K``.
     """
@@ -165,13 +163,7 @@ def train_nplsa(corpus, epsilon, config, max_topics=MAX_TOPICS, order_seed=None)
         return topics, post_mixes if spawned or refit else None, spawned, {"epsilon": epsilon}
 
     trace = []
-    prev_ll = None
-    sweeps = islice(grow(corpus, config, max_topics, sweep), 1, config.max_iters + 1)
-    for topics, mixes, row in sweeps:
-        ll = row.loglik
-        row.objective = ll - epsilon * row.k
-        trace.append(row)
-        if not row.spawned and prev_ll is not None and _plateaued(ll, prev_ll, config.rel_tol):
-            break
-        prev_ll = ll
+    topics, mixes, _ = run_to_plateau(grow(corpus, config, max_topics, sweep), config, trace)
+    for row in trace:
+        row.objective = row.loglik - epsilon * row.k
     return topics, mixes, trace

@@ -20,12 +20,12 @@ documents sorted longest first (``fold_in_docs``), cut by the same
 whose probability is 1 under every topic, with count 0: it adds log 1 = 0 to
 the log-likelihoods and nothing to the expected counts. ``_e_step``'s
 ``ratio`` has one zero cell more, which the word side's padding reads. ``em_steps``
-is the one EM loop: ``em_refine`` and both growth runs (``nplsa.grow``)
-iterate it. At fixed K (``em_refine``: ``train_plsa`` and the refine phase of
-``autostop``) its M-step is adaptively over-relaxed, the multiplicative factors
-raised to a power eta > 1, with a fall-back to the plain step that keeps the
-log-likelihood monotone; growth runs take plain EM steps. A log-likelihood
-returned or traced with parameters is always theirs.
+is the one EM loop and ``run_to_plateau`` its one stop: ``em_refine`` and both
+growth runs (``nplsa.grow``) run it to a plateau. At fixed K (``em_refine``:
+``train_plsa`` and the refine phase of ``autostop``) its M-step is adaptively
+over-relaxed, the multiplicative factors raised to a power eta > 1, with a fall-back
+to the plain step that keeps the log-likelihood monotone; growth runs take plain
+EM steps. A log-likelihood returned or traced with parameters is always theirs.
 """
 
 from __future__ import annotations
@@ -400,24 +400,33 @@ def em_steps(corpus, topics, mixes, config, spawn_phase=None):
         yield topics, mixes, row
 
 
-def em_refine(corpus, topics, mixes, config, trace=None, start_iter=1, phase=""):
-    """Run full EM at fixed K until the log-likelihood plateaus: ``em_steps`` from iteration 1.
+def run_to_plateau(rows, config, trace=None, phase=""):
+    """The one plateau loop: an EM run's ``rows``, as ``em_steps`` yields them, from iteration 1.
 
-    The steps are ``em_steps``' over-relaxed ones, none of which lowers the
-    log-likelihood; an iteration whose first try was rejected costs one more
-    M-step and E-step. Runs at most ``config.max_iters`` iterations. Appends their
-    TraceRows, numbered from ``start_iter`` and tagged ``phase``, when ``trace``
-    is given and returns (topics, mixes, last_loglik).
+    It stops after a row that spawned nothing has plateaued (``_plateaued`` at
+    ``config.rel_tol``) or after ``config.max_iters`` rows; given a ``trace``, it
+    appends the rows, tagged ``phase`` and numbered on from its last row. Returns
+    the last row's (topics, mixes, TraceRow).
     """
-    prev_ll = None
-    for topics, mixes, row in islice(em_steps(corpus, topics, mixes, config), 1,
-                                     config.max_iters + 1):
+    start, prev_ll = (trace[-1].iteration if trace else 0), None
+    for topics, mixes, row in islice(rows, 1, config.max_iters + 1):
         if trace is not None:
-            row.iteration, row.phase = start_iter + row.iteration - 1, phase
+            row.iteration, row.phase = start + row.iteration, phase
             trace.append(row)
-        if prev_ll is not None and _plateaued(row.loglik, prev_ll, config.rel_tol):
+        if not (row.spawned or prev_ll is None) and _plateaued(row.loglik, prev_ll, config.rel_tol):
             break
         prev_ll = row.loglik
+    return topics, mixes, row
+
+
+def em_refine(corpus, topics, mixes, config, trace=None, phase=""):
+    """Fixed-K EM: ``run_to_plateau`` on ``em_steps``. Returns (topics, mixes, last_loglik).
+
+    No over-relaxed step lowers the log-likelihood; one whose first try is
+    rejected costs one more M-step and E-step.
+    """
+    topics, mixes, row = run_to_plateau(em_steps(corpus, topics, mixes, config), config,
+                                        trace, phase)
     return topics, mixes, row.loglik
 
 

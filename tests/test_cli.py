@@ -147,6 +147,25 @@ def test_eval_of_a_tampered_model_is_a_data_error(synth_dir, tmp_path, value):
     assert code == EXIT_DATA == 2
 
 
+@pytest.mark.parametrize("tamper, message", [
+    (lambda truth: truth["topics"][1].__setitem__(0, float("nan")),
+     "a topic row is not a probability distribution"),
+    (lambda truth: truth["config"]["vocab"].__setitem__(1, truth["config"]["vocab"][0]),
+     "duplicate vocabulary term"),
+])
+def test_eval_of_a_tampered_truth_is_a_data_error(synth_dir, tmp_path, tamper, message, capsys):
+    assert main(train_argv(synth_dir, tmp_path, "--algo", "plsa", "--k", "3")) == 0
+    truth = json.loads((synth_dir / "truth.json").read_text(encoding="utf-8"))
+    tamper(truth)
+    path = tmp_path / "truth.json"
+    path.write_text(json.dumps(truth), encoding="utf-8")  # NaN is written as NaN
+    code = main(["eval", "--model", str(tmp_path / "model.json"), "--truth", str(path),
+                 "--out", str(tmp_path / "ev"), "--seed", "1"])
+    assert code == EXIT_DATA == 2
+    assert f"bad truth file {path}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "ev" / "metrics.json").exists()
+
+
 def test_train_stopwords_match_any_case(tmp_path):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("The cat sat on the mat\nA dog and the cat\nTHE dog ran and ran\n"
@@ -284,6 +303,10 @@ def test_zero_spawn_budget_trains_one_topic(synth_dir, tmp_path):
     (["--algo", "auto", "--lambda", "0.9"], "--lambda only applies to --algo query"),
     (["--algo", "plsa", "--k", "3", "--max-topics", "2"],
      "--max-topics only applies to --algo nplsa/auto/query"),
+    (["--algo", "plsa", "--k", "3", "--fold-in-iters", "7"],
+     "--fold-in-iters only applies to --algo nplsa/auto/query"),
+    (["--algo", "plsa", "--k", "3", "--fold-in-tol", "0.5"],
+     "--fold-in-tol only applies to --algo nplsa/auto/query"),
 ])
 def test_flag_missing_or_ignored_by_the_algo_is_a_usage_error(synth_dir, tmp_path, flags,
                                                               message, capsys):

@@ -30,6 +30,7 @@ from topicgrow.plsa import (
     fold_in_docs,
     init_topics,
     log_likelihood,
+    run_to_plateau,
     train_plsa,
 )
 from topicgrow.synthgen import PROFILES, SynthConfig, generate_corpus
@@ -530,6 +531,52 @@ class TestEmSteps:
         assert "pruning 1 dead topic(s)" in [r.getMessage() for r in caplog.records]
 
 
+class TestRunToPlateau:
+    """The one plateau loop on scripted rows: (topics, mixes, row) with row 0 the start."""
+
+    @staticmethod
+    def scripted(lls, spawned=(), produced=None):
+        """Rows 0, 1, ... with the given log-likelihoods; the ones in ``spawned`` spawned a topic."""
+        for it, ll in enumerate(lls):
+            if produced is not None:
+                produced.append(it)
+            row = TraceRow(iteration=it, k=1, loglik=ll, spawned=(it,) if it in spawned else ())
+            yield f"topics{it}", f"mixes{it}", row
+
+    def test_a_spawning_row_never_ends_the_run(self):
+        lls = [-100.0, -50.0, -50.0, -50.0, -50.0, -50.0]
+        trace = []
+        topics, mixes, row = run_to_plateau(self.scripted(lls, spawned={2, 3}),
+                                            EmConfig(seed=0), trace)
+        # Rows 2 and 3 have plateaued but spawned; row 4 is the first plateau without a spawn.
+        assert (topics, mixes, row.iteration) == ("topics4", "mixes4", 4)
+        assert [r.iteration for r in trace] == [1, 2, 3, 4]
+        _, _, row = run_to_plateau(self.scripted(lls), EmConfig(seed=0))
+        assert row.iteration == 2
+
+    def test_rows_number_on_from_the_trace(self):
+        trace = [TraceRow(iteration=7, k=3, phase="rollback")]
+        run_to_plateau(self.scripted([-9.0, -5.0, -4.0, -4.0]), EmConfig(seed=0), trace,
+                       phase="refine")
+        assert [(r.iteration, r.phase) for r in trace] == [
+            (7, "rollback"), (8, "refine"), (9, "refine"), (10, "refine")]
+
+    def test_max_iters_caps_the_run(self):
+        produced, trace = [], []
+        lls = [-1000.0 / (it + 1) for it in range(50)]  # rising by far more than rel_tol
+        _, _, row = run_to_plateau(self.scripted(lls, produced=produced),
+                                   EmConfig(seed=0, max_iters=5), trace)
+        assert row.iteration == 5 and len(trace) == 5
+        assert produced == [0, 1, 2, 3, 4, 5]  # no row past the cap is drawn
+
+    def test_no_trace_records_nothing(self):
+        rows = list(self.scripted([-9.0, -5.0, -4.0, -4.0]))
+        topics, mixes, row = run_to_plateau(iter(rows), EmConfig(seed=0), phase="refine")
+        assert (topics, mixes, row) == rows[3]
+        # Without a trace the rows keep their own numbers and phase.
+        assert [(r.iteration, r.phase) for _, _, r in rows] == [(it, "") for it in range(4)]
+
+
 def parent_em_refine(corpus, topics, mixes, config, trace=None, start_iter=1, phase=""):
     """Fixed-K EM as its own loop, as it was before ``em_steps``: the oracle of ``em_refine``."""
     ratio, doc_counts, _ = _e_step(corpus, topics, mixes)
@@ -599,8 +646,12 @@ class TestOneLoopEquivalence:
         if not name.startswith("nplsa"):  # the old loops had no over-relaxed fixed-K step
             monkeypatch.setattr(plsa, "_ETA_CAP", 1.0)
         topics, mixes, trace = train(corpus, EmConfig(seed=seed))
+        def refine(corpus, topics, mixes, config, trace=None, phase=""):
+            start_iter = trace[-1].iteration + 1 if trace else 1
+            return parent_em_refine(corpus, topics, mixes, config, trace, start_iter, phase)
+
         for module in (plsa, autostop):
-            monkeypatch.setattr(module, "em_refine", parent_em_refine)
+            monkeypatch.setattr(module, "em_refine", refine)
         for module in (nplsa, autostop):
             monkeypatch.setattr(module, "grow", parent_grow)
         ref_topics, ref_mixes, ref_trace = train(corpus, EmConfig(seed=seed))
