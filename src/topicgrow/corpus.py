@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import logging
 import re
-from itertools import chain
+from collections import defaultdict
 
 import numpy as np
 
@@ -13,6 +14,7 @@ from .errors import DataError
 logger = logging.getLogger(__name__)
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+_ASCII_SEPARATORS = {c: chr(c) if chr(c).isalnum() else " " for c in range(128)}  # for translate
 
 SPARSE_HEADER_RE = re.compile(r"^docs=(\d+)\s+terms=(\d+)\s+nnz=(\d+)\s*$")
 
@@ -20,8 +22,10 @@ MIN_DF = 1  # default document-frequency filter of text ingestion: keep every te
 
 
 def tokenize(text):
-    """Lowercase and split on runs of non-alphanumeric characters."""
-    return _TOKEN_RE.findall(text.lower())
+    """Lowercase, then split on every character that is not ``str.isalnum``: ASCII text with
+    ``str.translate``, in C, and other text with ``_TOKEN_RE``, as translate is slow off ASCII."""
+    text = text.lower()
+    return text.translate(_ASCII_SEPARATORS).split() if text.isascii() else _TOKEN_RE.findall(text)
 
 
 class Vocabulary:
@@ -167,40 +171,44 @@ def _int64(values, what):
 
 
 def ingest_text(lines, min_df=MIN_DF, stopwords=None):
-    """Build a Corpus from raw document strings, one document per entry.
+    """Build a Corpus from raw document strings, one document per item of ``lines``.
 
-    Tokens are lowercased and split on non-alphanumeric runs. Terms that
-    appear in fewer than ``min_df`` documents or in ``stopwords`` (compared
-    lowercased) are removed; documents left empty by the filter are dropped
-    and their ids recorded on ``Corpus.dropped_doc_ids``. The vocabulary is
-    sorted lexicographically so repeated ingestion of the same input is
-    bit-identical.
+    ``lines`` is read once, so a file handle or generator will do. Tokens are
+    lowercased and split on every character that is not ``str.isalnum``. Terms
+    that appear in fewer than ``min_df`` documents or in ``stopwords`` (compared
+    lowercased) are removed; documents left empty by the filter are dropped and
+    their ids recorded on ``Corpus.dropped_doc_ids``. The vocabulary is sorted
+    lexicographically so repeated ingestion of the same input is bit-identical.
     """
-    lines = list(lines)
-    if not lines:
-        raise DataError("empty corpus: no input documents")
     if min_df < 1:
         raise DataError("min_df must be >= 1")
-    stopwords = {term.lower() for term in stopwords} if stopwords else set()
-
-    term_ids = {}  # first-appearance ids
-    rows = [[term_ids.setdefault(t, len(term_ids)) for t in tokenize(line)] for line in lines]
-    terms = sorted(term_ids)
-    rank = np.empty(len(terms), dtype=np.int64)  # first-appearance id -> place in ``terms``
-    rank[[term_ids[t] for t in terms]] = np.arange(len(terms))
-    df = np.bincount(rank[np.fromiter(chain.from_iterable(map(set, rows)), dtype=np.int64)],
-                     minlength=len(terms))
-    keep = (df >= min_df) & np.array([t not in stopwords for t in terms], dtype=bool)
-    new_id = np.where(keep, np.cumsum(keep) - 1, -1)[rank]  # first-appearance id -> kept id
-    words = new_id[np.fromiter(chain.from_iterable(rows), dtype=np.int64)]
-    docs = np.repeat(np.arange(len(lines)), [len(row) for row in rows])
-    del rows  # a Python list entry per token
-    docs, words = docs[words >= 0], words[words >= 0]
-    if not words.size:
+    term_ids = defaultdict(itertools.count().__next__)  # a new term takes the next id
+    words, lengths = [], []  # each token's term id, each document's token count
+    for line in lines:
+        tokens = tokenize(line)
+        lengths.append(len(tokens))
+        words += map(term_ids.__getitem__, tokens)
+    if not lengths:
+        raise DataError("empty corpus: no input documents")
+    if not words:
         raise DataError("empty corpus: all documents empty after filtering")
-    corpus = Corpus.from_entries(Vocabulary(t for t, k in zip(terms, keep) if k), docs, words,
-                                 np.broadcast_to(1, words.shape),  # one count per token
-                                 [str(i) for i in range(len(lines))])
+    terms = sorted(term_ids)
+    rank = np.argsort(list(map(term_ids.__getitem__, terms)))  # inverts the sort's permutation
+    words = rank[np.fromiter(words, dtype=np.int64, count=len(words))]  # ids in ``terms``
+    doc_ids = [str(i) for i in range(len(lengths))]
+    corpus = Corpus.from_entries(Vocabulary(terms), np.repeat(np.arange(len(lengths)), lengths),
+                                 words, np.broadcast_to(1, words.shape), doc_ids)  # 1 per token
+    stopwords = {term.lower() for term in stopwords} if stopwords else set()
+    df = np.bincount(corpus._word_idx, minlength=len(terms))  # an entry per (document, term)
+    keep = (df >= min_df) & np.array([t not in stopwords for t in terms], dtype=bool)
+    if not keep.all():  # rebuild from the merged entries of the kept terms
+        if not keep.any():
+            raise DataError("empty corpus: all documents empty after filtering")
+        kept = keep[corpus._word_idx]
+        corpus = Corpus.from_entries(Vocabulary(t for t, k in zip(terms, keep) if k),
+                                     np.repeat(np.flatnonzero(lengths), corpus.segments()[1])[kept],
+                                     (np.cumsum(keep) - 1)[corpus._word_idx[kept]],
+                                     corpus._counts[kept], doc_ids)
     if corpus.dropped_doc_ids:
         logger.warning("dropped %d empty documents after filtering", len(corpus.dropped_doc_ids))
     return corpus
@@ -301,26 +309,31 @@ def read_sparse_corpus(path):
         m = SPARSE_HEADER_RE.match(header)
         if not m:
             raise DataError(f"bad sparse corpus header: {header.strip()!r}")
-        n_docs, n_terms, nnz = (int(g) for g in m.groups())
-        terms, doc_index, term_index = [], {}, {}
-        docs, words, counts = [], [], []
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) == 1 and not counts:
-                term_index[parts[0]] = len(terms)  # a repeated term is rejected by Vocabulary
-                terms.append(parts[0])
-                continue
-            if len(parts) != 3:
-                raise DataError(f"bad sparse corpus line {lineno}: {line.strip()!r}")
-            try:
-                count = int(parts[2])
-            except ValueError:
-                raise DataError(f"invalid count {parts[2]!r} at line {lineno}") from None
-            docs.append(doc_index.setdefault(parts[0], len(doc_index)))
-            words.append(term_index.setdefault(parts[1], len(term_index)))
-            counts.append(count)
+        return _read_sparse_body(fh, m)
+
+
+def _read_sparse_body(fh, header):
+    """The corpus of the sparse file open on ``fh`` past the header line, ``header`` its match."""
+    n_docs, n_terms, nnz = (int(g) for g in header.groups())
+    terms, doc_index, term_index = [], {}, {}
+    docs, words, counts = [], [], []
+    for lineno, line in enumerate(fh, start=2):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) == 1 and not counts:
+            term_index[parts[0]] = len(terms)  # a repeated term is rejected by Vocabulary
+            terms.append(parts[0])
+            continue
+        if len(parts) != 3:
+            raise DataError(f"bad sparse corpus line {lineno}: {line.strip()!r}")
+        try:
+            count = int(parts[2])
+        except ValueError:
+            raise DataError(f"invalid count {parts[2]!r} at line {lineno}") from None
+        docs.append(doc_index.setdefault(parts[0], len(doc_index)))
+        words.append(term_index.setdefault(parts[1], len(term_index)))
+        counts.append(count)
     vocab = Vocabulary(terms) if terms else None
     corpus = _sparse_corpus(vocab, doc_index, term_index, docs, words, counts)
     if corpus.n_docs != n_docs or corpus.n_terms != n_terms or len(counts) != nnz:
@@ -353,16 +366,16 @@ def write_sparse_corpus(corpus, path):
 def load_corpus(path, min_df=MIN_DF, stopwords=None):
     """Load a corpus file, sniffing the sparse header to pick the format.
 
-    A text corpus is UTF-8, one document per line, and is read through the
-    handle that sniffed it. ``min_df`` and ``stopwords`` filter text corpora
-    only: a sparse file given stopwords or a non-default ``min_df`` is rejected
-    rather than read unfiltered.
+    Either format is read through the handle that sniffed it. A text corpus is
+    UTF-8, one document per line, streamed into ``ingest_text``. ``min_df`` and
+    ``stopwords`` filter text corpora only: a sparse file given stopwords or a
+    non-default ``min_df`` is rejected rather than read unfiltered.
     """
     with open(path, encoding="utf-8") as fh:
-        if not SPARSE_HEADER_RE.match(fh.readline()):
+        header = SPARSE_HEADER_RE.match(fh.readline())
+        if not header:
             fh.seek(0)
-            return ingest_text([line.rstrip("\n") for line in fh], min_df=min_df,
-                               stopwords=stopwords)
-    if stopwords or min_df != MIN_DF:
-        raise DataError(f"{path}: min_df and stopwords apply to text corpora only")
-    return read_sparse_corpus(path)
+            return ingest_text(fh, min_df=min_df, stopwords=stopwords)
+        if stopwords or min_df != MIN_DF:
+            raise DataError(f"{path}: min_df and stopwords apply to text corpora only")
+        return _read_sparse_body(fh, header)

@@ -1,9 +1,11 @@
 import logging
 import re
+import sys
 
 import numpy as np
 import pytest
 
+from topicgrow import corpus as corpus_module
 from topicgrow.corpus import (
     SPARSE_HEADER_RE,
     Corpus,
@@ -27,11 +29,18 @@ def row_as_dict(corpus, d):
     return {corpus.vocab.terms[t]: int(c) for t, c in zip(ids, counts)}
 
 
+TOKEN_RE = re.compile(r"[^\W_]+")  # runs of word characters other than the underscore
+
+
+def reference_tokenize(text):
+    return TOKEN_RE.findall(text.lower())
+
+
 def reference_ingest_text(lines, min_df=1, stopwords=None):
-    """The dictionary-counting ingest loop, kept as the reference:
+    """The dictionary-counting ingest loop over regex tokens, kept as the reference:
     returns (terms, rows, doc_ids, dropped doc ids)."""
     stopwords = set(stopwords) if stopwords else set()
-    token_lists = [tokenize(line) for line in lines]
+    token_lists = [reference_tokenize(line) for line in lines]
     df = {}
     for tokens in token_lists:
         for term in set(tokens):
@@ -102,9 +111,13 @@ class TestVocabulary:
         vocab = Vocabulary(["x", "y"])
         assert sorted(vocab.index.values()) == [0, 1]
 
-    def test_duplicate_rejected(self):
-        with pytest.raises(DataError):
-            Vocabulary(["a", "a"])
+    @pytest.mark.parametrize("terms, first_repeat", [
+        (["a", "a"], "a"), (["a", "b", "b", "a"], "b"), (["x", "a", "b", "c", "a"], "a"),
+    ])
+    def test_duplicate_rejected_naming_the_first_repeat(self, terms, first_repeat):
+        with pytest.raises(DataError) as raised:
+            Vocabulary(terms)
+        assert str(raised.value) == f"duplicate vocabulary term: {first_repeat!r}"
 
 
 class TestIngestText:
@@ -139,6 +152,25 @@ class TestIngestText:
     def test_tokenizer_splits_punctuation(self):
         assert tokenize("Foo-bar, baz42! qux_quux") == ["foo", "bar", "baz42", "qux", "quux"]
 
+    @pytest.mark.parametrize("text, tokens", [
+        ("İstanbul", ["i", "stanbul"]),  # lowers to i + a combining dot, which is no letter
+        ("ΣΑΣ ΟΔΟΣ.", ["σας", "οδος"]),  # a final capital sigma lowers to the final form
+        ("Straße STRASSE", ["straße", "strasse"]),
+        ("_a__b_", ["a", "b"]),
+        ("\u212aELVIN, K.", ["kelvin", "k"]),  # the Kelvin sign lowers to an ASCII k
+        ("x²+½ Ⅻ 日本語", ["x²", "½", "ⅻ", "日本語"]),
+        ("a\u00a0b\u2028c\x85d\x1ce", ["a", "b", "c", "d", "e"]),
+    ])
+    def test_tokenizer_cases_match_the_regex(self, text, tokens):
+        assert tokenize(text) == reference_tokenize(text) == tokens
+
+    def test_tokenizer_matches_the_regex_on_every_code_point(self):
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        lowers_to_ascii = "".join(c for c in every if c.lower().isascii())  # str.translate's text
+        assert "\u212a" in lowers_to_ascii  # the Kelvin sign, which lowers to "k"
+        for text in (every, lowers_to_ascii):
+            assert tokenize(text) == reference_tokenize(text)
+
     def test_capitalized_stopwords_are_removed(self):
         corpus = ingest_text(["The cat and the dog"], stopwords={"The", "and"})
         assert corpus.vocab.terms == ["cat", "dog"]
@@ -165,6 +197,24 @@ class TestIngestText:
         assert corpus.dropped_doc_ids == dropped
         expected = [f"dropped {len(dropped)} empty documents after filtering"] if dropped else []
         assert [r.getMessage() for r in caplog.records] == expected
+
+    def test_one_shot_generator(self):
+        lines = ["the cat sat", "", "a cat ran", "dogs ran fast"]
+        lazy, direct = ingest_text(line for line in lines), ingest_text(lines)
+        assert (lazy.vocab, lazy.doc_ids, lazy.dropped_doc_ids) == (
+            direct.vocab, direct.doc_ids, direct.dropped_doc_ids)
+        assert_rows_equal(lazy, direct.docs)
+
+    @pytest.mark.parametrize("lines", [[], iter([])], ids=["list", "iterator"])
+    def test_no_input_documents_is_error(self, lines):
+        with pytest.raises(DataError, match="^empty corpus: no input documents$"):
+            ingest_text(lines)
+
+    @pytest.mark.parametrize("lines", [["a b"], []], ids=["documents", "no documents"])
+    def test_min_df_below_one_is_error(self, lines):
+        """The argument is checked before the input is read, so its message wins."""
+        with pytest.raises(DataError, match="^min_df must be >= 1$"):
+            ingest_text(lines, min_df=0)
 
     def test_no_tokens_at_all_is_error(self):
         with pytest.raises(DataError, match="all documents empty"):
@@ -643,11 +693,43 @@ class TestFiles:
         assert (loaded.vocab, loaded.doc_ids) == (direct.vocab, direct.doc_ids)
         assert_rows_equal(loaded, direct.docs)
 
+    @pytest.mark.parametrize("newline, end", [("\n", "\n"), ("\r\n", "\r\n"), ("\n", ""),
+                                              ("\n", "\n\n"), ("\r\n", "\r\n\r\n")],
+                             ids=["lf", "crlf", "no-final-newline", "blank-last-line",
+                                  "crlf-blank-last-line"])
+    def test_text_file_line_ends(self, tmp_path, newline, end):
+        lines = ["Ünïcode, ΣΑΣ!", "the cat; sat", "", "tab\tsep-a-rated", "the end."]
+        path = tmp_path / "corpus.txt"
+        path.write_bytes((newline.join(lines) + end).encode("utf-8"))
+        lines += [""] * (end.count("\n") - 1)  # a blank last line is a document of its own
+        loaded, direct = load_corpus(path), ingest_text(lines)
+        assert (loaded.vocab, loaded.doc_ids, loaded.dropped_doc_ids) == (
+            direct.vocab, direct.doc_ids, direct.dropped_doc_ids)
+        assert_rows_equal(loaded, direct.docs)
+
     def test_empty_text_file_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("")
         with pytest.raises(DataError, match="empty corpus: no input documents"):
             load_corpus(path)
+
+    def test_sparse_file_is_opened_and_sniffed_once(self, tmp_path, monkeypatch):
+        opened, matched = [], []
+
+        class CountingHeader:
+            def match(self, line):
+                matched.append(line)
+                return SPARSE_HEADER_RE.match(line)
+
+        monkeypatch.setattr(corpus_module, "open",
+                            lambda *args, **kw: opened.append(args[0]) or open(*args, **kw),
+                            raising=False)
+        monkeypatch.setattr(corpus_module, "SPARSE_HEADER_RE", CountingHeader())
+        path = tmp_path / "corpus.sparse"
+        path.write_text("docs=2 terms=2 nnz=3\na\nb\nd0 a 1\nd0 b 2\nd1 b 3\n")
+        loaded = load_corpus(path)
+        assert (opened, matched) == ([path], ["docs=2 terms=2 nnz=3\n"])
+        assert loaded.vocab.terms == ["a", "b"] and row_as_dict(loaded, 1) == {"b": 3}
 
     @pytest.mark.parametrize("filters", [{"stopwords": {"a"}}, {"min_df": 2}])
     def test_text_filters_on_a_sparse_file_rejected(self, tmp_path, filters):
