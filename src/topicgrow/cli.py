@@ -25,8 +25,8 @@ from .autostop import (
     train_parameter_free,
     train_weakly_supervised,
 )
-from .corpus import (MIN_DF, Vocabulary, load_corpus, read_stopwords, reindex_corpus,
-                     write_sparse_corpus)
+from .corpus import (MIN_DF, Vocabulary, load_corpus, open_input, read_stopwords,
+                     reindex_corpus, write_sparse_corpus)
 from .errors import AlgorithmError, DataError
 from .metrics import (
     DEFAULT_SPLIT_FRACTION,
@@ -143,7 +143,7 @@ def _store_true_flags(parser):
 def _read_config_file(path, switches):
     """Flags from a key=value file; a key in ``switches`` takes true (the flag) or false."""
     pairs = []
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -321,13 +321,13 @@ def _cmd_train(args, out_dir):
 
 
 def _truth_errors(topics, vocab, truth_path):
-    with open(truth_path, encoding="utf-8") as fh:
-        truth = json.load(fh)
-    try:
-        truth_vocab = Vocabulary(truth["config"]["vocab"])
-        truth_topics = np.asarray(truth["topics"], dtype=float)
-    except (DataError, KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"bad truth file {truth_path}: {exc}") from exc
+    with open_input(truth_path) as fh:
+        try:
+            truth = json.load(fh)
+            truth_vocab = Vocabulary(truth["config"]["vocab"])
+            truth_topics = np.asarray(truth["topics"], dtype=float)
+        except (DataError, KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"bad truth file {truth_path}: {exc}") from exc
     check_rows(truth_path, "truth", "topic", truth_topics, len(truth_vocab))
     shared = [j for j, term in enumerate(vocab.terms) if term in truth_vocab.index]
     aligned = np.zeros((topics.shape[0], len(truth_vocab)))

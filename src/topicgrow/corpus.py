@@ -1,7 +1,10 @@
-"""Sparse bag-of-words corpora, each built by ``Corpus.from_entries``, and their unigram models."""
+"""Sparse bag-of-words corpora, each built by ``Corpus.from_entries``, and their unigram models.
+
+Every file the package reads opens through ``open_input``, its one UTF-8 reader."""
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import logging
 import re
@@ -201,14 +204,10 @@ def ingest_text(lines, min_df=MIN_DF, stopwords=None):
     stopwords = {term.lower() for term in stopwords} if stopwords else set()
     df = np.bincount(corpus._word_idx, minlength=len(terms))  # an entry per (document, term)
     keep = (df >= min_df) & np.array([t not in stopwords for t in terms], dtype=bool)
-    if not keep.all():  # rebuild from the merged entries of the kept terms
-        if not keep.any():
-            raise DataError("empty corpus: all documents empty after filtering")
-        kept = keep[corpus._word_idx]
-        corpus = Corpus.from_entries(Vocabulary(t for t, k in zip(terms, keep) if k),
-                                     np.repeat(np.flatnonzero(lengths), corpus.segments()[1])[kept],
-                                     (np.cumsum(keep) - 1)[corpus._word_idx[kept]],
-                                     corpus._counts[kept], doc_ids)
+    if not keep.all():  # rebuild from the merged entries of the kept terms, at their lines
+        corpus = _remap_terms(corpus, Vocabulary(t for t, k in zip(terms, keep) if k),
+                              np.repeat(np.flatnonzero(lengths), corpus.segments()[1]), doc_ids,
+                              "all documents empty after filtering")
     if corpus.dropped_doc_ids:
         logger.warning("dropped %d empty documents after filtering", len(corpus.dropped_doc_ids))
     return corpus
@@ -218,8 +217,8 @@ def ingest_sparse(triples, vocab=None):
     """Build a Corpus from (doc_id, term, count) triples held in memory.
 
     This is the library's constructor for counts that are not in a file;
-    ``read_sparse_corpus`` reads the same triples from one through the same
-    builder, and ``ingest_text`` tokenizes raw strings instead. Duplicate
+    ``load_corpus`` reads the same triples from one through the same builder,
+    and ``ingest_text`` tokenizes raw strings instead. Duplicate
     (doc, term) pairs are summed. Documents, and terms unless a ``vocab``
     fixes them, follow first-appearance order. Counts must be positive integers.
     """
@@ -279,37 +278,34 @@ def reindex_corpus(corpus, vocab):
 
     Documents left empty are dropped and recorded on ``dropped_doc_ids``.
     """
-    new_id = np.array([vocab.index.get(term, -1) for term in corpus.vocab.terms], dtype=np.int64)
-    word_idx = new_id[corpus._word_idx]
+    return _remap_terms(corpus, vocab, corpus.flat()[0], corpus.doc_ids,
+                        "no documents survive reindexing")
+
+
+def _remap_terms(corpus, vocab, doc_idx, doc_ids, empty):
+    """``corpus``'s entries on ``vocab``, entry i in ``doc_ids[doc_idx[i]]``, less unknown terms."""
+    word_idx = np.array([vocab.index.get(t, -1) for t in corpus.vocab.terms])[corpus._word_idx]
     kept = word_idx >= 0
     if not kept.any():
-        raise DataError("empty corpus: no documents survive reindexing")
-    return Corpus.from_entries(vocab, corpus.flat()[0][kept], word_idx[kept],
-                               corpus._counts[kept], corpus.doc_ids)
+        raise DataError(f"empty corpus: {empty}")
+    return Corpus.from_entries(vocab, doc_idx[kept], word_idx[kept], corpus._counts[kept], doc_ids)
+
+
+@contextlib.contextmanager
+def open_input(path):
+    """Open ``path`` to read as UTF-8 text, a leading byte-order mark skipped. Bytes that do not
+    decode are a DataError naming ``path`` and the reason (no offset: lines decode in chunks)."""
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from exc
 
 
 def read_stopwords(path):
     """Read a stopword file, one term per line."""
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path) as fh:
         return {line.strip() for line in fh if line.strip()}
-
-
-def read_sparse_corpus(path):
-    """Read a sparse corpus file: a "docs= terms= nnz=" header, the vocabulary one
-    term per line, then doc/term/count triples. Without vocabulary lines the
-    terms of the triples are taken in order of first appearance.
-
-    The triples are read into flat integer lists and checked as ``ingest_sparse``
-    checks them once every line is read: a line that is not a triple or whose
-    count is not an integer is reported by line number, a count below 1 or a
-    term outside the vocabulary by entry number, the triples counted from 1.
-    """
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        m = SPARSE_HEADER_RE.match(header)
-        if not m:
-            raise DataError(f"bad sparse corpus header: {header.strip()!r}")
-        return _read_sparse_body(fh, m)
 
 
 def _read_sparse_body(fh, header):
@@ -345,7 +341,7 @@ def _read_sparse_body(fh, header):
 
 
 def write_sparse_corpus(corpus, path):
-    """Write a corpus in the sparse format read by read_sparse_corpus, vocabulary included.
+    """Write a corpus in the sparse format read by load_corpus, vocabulary included.
 
     That format splits lines on whitespace: an empty term or doc id, or one holding
     whitespace, is a DataError raised before the file is opened.
@@ -364,14 +360,17 @@ def write_sparse_corpus(corpus, path):
 
 
 def load_corpus(path, min_df=MIN_DF, stopwords=None):
-    """Load a corpus file, sniffing the sparse header to pick the format.
+    """Load a corpus file, the package's one corpus-file reader. It opens the file once, through
+    ``open_input``, and reads either format through the handle that sniffed the first line.
 
-    Either format is read through the handle that sniffed it. A text corpus is
-    UTF-8, one document per line, streamed into ``ingest_text``. ``min_df`` and
-    ``stopwords`` filter text corpora only: a sparse file given stopwords or a
-    non-default ``min_df`` is rejected rather than read unfiltered.
+    A sparse file is a "docs= terms= nnz=" header, the vocabulary one term per line (without
+    it, the triples' terms in order of first appearance), then doc/term/count triples. A bad
+    line or count is reported by line number, a count below 1 or an unknown term by entry
+    number, from 1. Any other file is text, one document per line, read by ``ingest_text``,
+    and only text is filtered: a sparse file given stopwords or a non-default ``min_df`` is
+    rejected rather than read unfiltered.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path) as fh:
         header = SPARSE_HEADER_RE.match(fh.readline())
         if not header:
             fh.seek(0)

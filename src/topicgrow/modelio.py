@@ -16,7 +16,7 @@ import json
 
 import numpy as np
 
-from .corpus import Vocabulary
+from .corpus import Vocabulary, open_input
 from .errors import DataError
 
 BASE_COLUMNS = ["iter", "K", "loglik", "objective", "diversity", "epsilon"]
@@ -69,19 +69,19 @@ def check_rows(path, kind, name, rows, width):
 def read_model(path):
     """Load a model file into (vocab, topics, mixes or None, meta).
 
-    Topic rows and, when present, mix rows must be finite, non-negative and
-    sum to 1 within 1e-9; anything else is a DataError.
+    The file opens through ``open_input``. Topic rows and, when present, mix rows
+    must be finite, non-negative and sum to 1 within 1e-9; anything else is a DataError.
     """
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    try:
-        vocab = Vocabulary(payload["vocab"])
-        topics = np.asarray(payload["topics"], dtype=float)
-        mixes = payload.get("mixes")
-        if mixes is not None:
-            mixes = np.asarray(mixes, dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"bad model file {path}: {exc}") from exc
+    with open_input(path) as fh:
+        try:
+            payload = json.load(fh)
+            vocab = Vocabulary(payload["vocab"])
+            topics = np.asarray(payload["topics"], dtype=float)
+            mixes = payload.get("mixes")
+            if mixes is not None:
+                mixes = np.asarray(mixes, dtype=float)
+        except (DataError, KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"bad model file {path}: {exc}") from exc
     check_rows(path, "model", "topic", topics, len(vocab))
     if mixes is not None:
         check_rows(path, "model", "mix", mixes, topics.shape[0])

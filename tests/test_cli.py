@@ -1,9 +1,11 @@
 """End-to-end runs of the command-line pipeline: synth, then train, then eval."""
 
+import codecs
 import csv
 import inspect
 import json
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -517,3 +519,77 @@ def test_eval_text_filters_apply_to_the_reference_only(synth_dir, tmp_path):
                           str(tmp_path / "train.txt"))
     assert scoped["pmi"] == by_hand["pmi"] != unfiltered["pmi"]
     assert scoped["perplexity"] == unfiltered["perplexity"]  # the held-out file is not filtered
+
+
+def input_runs(synth_dir, tmp_path):
+    """Each input flag's plain file, and the argv that reads the file in place of ``{}``.
+
+    The two train flags, --config and the four eval flags cover every file the CLI reads.
+    """
+    sparse, truth = str(synth_dir / "corpus.sparse"), str(synth_dir / "truth.json")
+    assert main(train_argv(synth_dir, tmp_path / "model", "--algo", "plsa", "--k", "3")) == 0
+    model = str(tmp_path / "model" / "model.json")
+    corpus = load_corpus(sparse)
+    text = tmp_path / "corpus.txt"
+    text.write_text("".join(" ".join(np.repeat(np.array(corpus.vocab.terms)[ids], counts)) + "\n"
+                            for ids, counts in corpus.docs))
+    top = np.argsort(-background_model(corpus))[:3]  # the first stopword is a frequent term
+    (tmp_path / "sw.txt").write_text("".join(corpus.vocab.terms[w] + "\n" for w in top))
+    (tmp_path / "k.cfg").write_text("k=3\n")
+    train, evaluate = ["train", "--algo", "plsa", "--seed", "1"], ["eval", "--seed", "1"]
+    return {
+        "train --corpus": (sparse, [*train, "--k", "3", "--corpus", "{}"]),
+        "train --stopwords": (tmp_path / "sw.txt",
+                              [*train, "--k", "3", "--corpus", str(text), "--stopwords", "{}"]),
+        "--config": (tmp_path / "k.cfg", [*train, "--corpus", sparse, "--config", "{}"]),
+        "eval --corpus": (sparse, [*evaluate, "--model", model, "--corpus", "{}"]),
+        "eval --reference": (sparse, [*evaluate, "--model", model, "--reference", "{}"]),
+        "eval --model": (model, [*evaluate, "--model", "{}", "--truth", truth]),
+        "eval --truth": (truth, [*evaluate, "--model", model, "--truth", "{}"]),
+    }
+
+
+def reading(argv, path):
+    """``argv`` with ``path`` in place of ``{}``."""
+    return [str(path) if arg == "{}" else arg for arg in argv]
+
+
+def run_output(argv, path, out):
+    """Run ``argv`` on ``path`` into ``out``: its model.json's bytes, or its metrics less the
+    config echo, which names the input paths and --out."""
+    assert main([*reading(argv, path), "--out", str(out)]) == 0
+    if argv[0] == "train":
+        return (out / "model.json").read_bytes()
+    report = json.loads((out / "metrics.json").read_text(encoding="utf-8"))
+    del report["config"]
+    return report
+
+
+FLAGS = ["train --corpus", "train --stopwords", "--config", "eval --corpus", "eval --reference",
+         "eval --model", "eval --truth"]
+
+
+@pytest.mark.parametrize("flag", FLAGS)
+def test_a_byte_order_mark_changes_no_output(synth_dir, tmp_path, flag):
+    plain, argv = input_runs(synth_dir, tmp_path)[flag]
+    marked = tmp_path / "marked.input"
+    marked.write_bytes(codecs.BOM_UTF8 + Path(plain).read_bytes())
+    expected = run_output(argv, plain, tmp_path / "plain")
+    assert run_output(argv, marked, tmp_path / "marked") == expected
+
+
+@pytest.mark.parametrize("flag, content", [
+    *(pytest.param(flag, "café\n".encode("latin-1"), id=f"{flag}-latin1") for flag in FLAGS),
+    pytest.param("eval --model", b"not json\n", id="eval --model-not-json"),
+    pytest.param("eval --truth", b"not json\n", id="eval --truth-not-json"),
+])
+def test_an_unreadable_input_is_a_data_error_naming_the_file(synth_dir, tmp_path, capsys, flag,
+                                                             content):
+    _, argv = input_runs(synth_dir, tmp_path)[flag]
+    bad, out = tmp_path / "bad.input", tmp_path / "out"
+    bad.write_bytes(content)
+    capsys.readouterr()
+    assert main([*reading(argv, bad), "--out", str(out)]) == EXIT_DATA == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(bad) in err
+    assert list(out.glob("*")) == []

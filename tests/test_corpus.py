@@ -15,7 +15,7 @@ from topicgrow.corpus import (
     ingest_sparse,
     ingest_text,
     load_corpus,
-    read_sparse_corpus,
+    read_stopwords,
     reindex_corpus,
     tokenize,
     write_sparse_corpus,
@@ -341,8 +341,6 @@ class TestSparseReaderOracle:
         assert got == outcome(reference_read_sparse, path)
 
     @pytest.mark.parametrize("text", [
-        "docs=zzz\n",
-        "",
         "docs=1 terms=1 nnz=1\nd0 a\n",
         "docs=1 terms=1 nnz=1\nd0 a 1 extra\n",
         "docs=1 terms=1 nnz=2\nd0 a 1\nlonely\n",
@@ -366,7 +364,7 @@ class TestSparseReaderOracle:
     def test_malformed_files_keep_their_messages(self, tmp_path, text):
         path = tmp_path / "bad.sparse"
         path.write_text(text)
-        got = outcome(read_sparse_corpus, path)
+        got = outcome(load_corpus, path)
         assert isinstance(got, str)
         assert got == outcome(reference_read_sparse, path)
 
@@ -622,7 +620,7 @@ class TestFiles:
         corpus = ingest_sparse([(0, "a", 2), (0, "b", 1), (1, "b", 3)])
         path = tmp_path / "corpus.sparse"
         write_sparse_corpus(corpus, path)
-        loaded = read_sparse_corpus(path)
+        loaded = load_corpus(path)
         assert loaded.vocab == corpus.vocab
         for d in range(corpus.n_docs):
             assert row_as_dict(loaded, d) == row_as_dict(corpus, d)
@@ -632,7 +630,7 @@ class TestFiles:
         corpus = Corpus(vocab, [(np.array([0, 2]), np.array([2, 1]))], ["d0"])
         path = tmp_path / "corpus.sparse"
         write_sparse_corpus(corpus, path)
-        loaded = read_sparse_corpus(path)
+        loaded = load_corpus(path)
         assert loaded.vocab == vocab
         assert row_as_dict(loaded, 0) == {"a": 2, "b": 1}
 
@@ -653,7 +651,7 @@ class TestFiles:
         corpus = ingest_sparse([("d-0", "a_b", 2), ("d1", "ç,é", 1), (7, "c", 3)])
         path = tmp_path / "corpus.sparse"
         write_sparse_corpus(corpus, path)
-        loaded = read_sparse_corpus(path)
+        loaded = load_corpus(path)
         assert loaded.vocab == corpus.vocab
         assert loaded.doc_ids == ["d-0", "d1", "7"]
         for d in range(corpus.n_docs):
@@ -662,7 +660,7 @@ class TestFiles:
     def test_sparse_without_vocabulary_lines(self, tmp_path):
         path = tmp_path / "corpus.sparse"
         path.write_text("docs=2 terms=2 nnz=3\nd0 b 1\nd0 a 2\nd1 b 3\n")
-        loaded = read_sparse_corpus(path)
+        loaded = load_corpus(path)
         assert loaded.vocab.terms == ["b", "a"]
         assert row_as_dict(loaded, 1) == {"b": 3}
 
@@ -670,19 +668,36 @@ class TestFiles:
         path = tmp_path / "bad.sparse"
         path.write_text("docs=1 terms=1 nnz=1\na\nd0 b 1\n")
         with pytest.raises(DataError, match="not in the vocabulary"):
-            read_sparse_corpus(path)
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.sparse"
-        path.write_text("docs=zzz\n")
-        with pytest.raises(DataError, match="header"):
-            read_sparse_corpus(path)
+            load_corpus(path)
 
     def test_header_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.sparse"
         path.write_text("docs=5 terms=1 nnz=1\nd0 a 1\n")
         with pytest.raises(DataError, match="mismatch"):
-            read_sparse_corpus(path)
+            load_corpus(path)
+
+    @pytest.mark.parametrize("text", ["docs=2 terms=2 nnz=3\na\nb\nd0 a 1\nd0 b 2\nd1 b 3\n",
+                                      "the cat sat\nthe dog\n"], ids=["sparse", "text"])
+    def test_a_byte_order_mark_does_not_change_the_corpus(self, tmp_path, text):
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert outcome(load_corpus, marked) == outcome(load_corpus, plain)
+
+    def test_a_byte_order_mark_is_not_part_of_the_first_stopword(self, tmp_path):
+        path = tmp_path / "sw.txt"
+        path.write_text("w225\nthe\n", encoding="utf-8-sig")
+        assert read_stopwords(path) == {"w225", "the"}
+
+    @pytest.mark.parametrize("read", [load_corpus, read_stopwords])
+    @pytest.mark.parametrize("data", [b"caf\xe9\n", b"docs=1 terms=1 nnz=1\nd0 caf\xe9 1\n"],
+                             ids=["first-line", "past-the-header"])
+    def test_bytes_that_are_not_utf8_are_a_data_error_naming_the_file(self, tmp_path, read,
+                                                                     data):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(data)
+        with pytest.raises(DataError, match=re.escape(f"{path} is not UTF-8 text")):
+            read(path)
 
     @pytest.mark.parametrize("filters", [{}, {"stopwords": {"the"}}, {"min_df": 2}])
     def test_text_file_loads_as_its_lines(self, tmp_path, filters):

@@ -79,6 +79,16 @@ def test_rejects_ragged_rows(tmp_path):
         read_model(path)
 
 
+def test_a_repeated_term_names_the_model_file(tmp_path):
+    path = model_file(tmp_path)
+    payload = json.loads(path.read_text())
+    payload["vocab"] = ["a", "a"]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataError) as raised:
+        read_model(path)
+    assert str(raised.value) == f"bad model file {path}: duplicate vocabulary term: 'a'"
+
+
 @pytest.mark.parametrize("query_rows", [(), (1,), (0, 2)])
 def test_trace_has_query_columns_exactly_when_a_row_has_a_query_distance(tmp_path, query_rows):
     rows = [TraceRow(iteration=i, k=i + 1, loglik=-1.0 - i, wall_ms=0.5) for i in range(3)]

@@ -12,8 +12,9 @@ patience, with no spawn budget, or by ``nplsa`` at one spawn threshold per
 token: epsilon is ``eps_tok`` times the profile's document length, and the
 row's patience is None. The query is the top words of the truth's first
 topic. The grid imports ``topicgrow`` from the checkout's ``src/`` (this
-repository by default; another clone measures another commit) and appends one
-row per run to ``BENCH_kgrid.json`` at the root of this repository: the
+repository by default; a clone whose trainers take ``patience=`` measures
+another commit) and appends one row per run to ``BENCH_kgrid.json`` at the
+root of this repository: the
 checkout's commit, whether its ``src/`` differs from that commit, the
 post-spawn refit's pass cap and the new-topic weight past which a document
 runs on to the full budget (each None where the checkout has none), the cell, the
@@ -60,18 +61,12 @@ def run_cell(tg, profile, k_true, algo, patience, eps_tok, seed, n_docs=None):
     start = time.perf_counter()
     if algo == "nplsa":
         topics, _, trace = nplsa.train_nplsa(corpus, eps_tok * sizes["doc_len"], config)
+    elif algo == "auto":
+        topics, _, trace = autostop.train_parameter_free(corpus, config, patience=patience)
     else:
-        if hasattr(autostop, "PATIENCE"):
-            stop = {"patience": patience}
-        else:  # a checkout whose trainers take a stop detector
-            mode = "maximize" if algo == "auto" else "minimize"
-            stop = {"detector": autostop.StopDetector(mode=mode, patience=patience)}
-        if algo == "auto":
-            topics, _, trace = autostop.train_parameter_free(corpus, config, **stop)
-        else:
-            query = [corpus.vocab.terms[w]
-                     for w in metrics.top_words(truth.topics[0], QUERY_WORDS)]
-            topics, _, trace = autostop.train_weakly_supervised(corpus, query, config, **stop)
+        query = [corpus.vocab.terms[w] for w in metrics.top_words(truth.topics[0], QUERY_WORDS)]
+        topics, _, trace = autostop.train_weakly_supervised(corpus, query, config,
+                                                            patience=patience)
     seconds = time.perf_counter() - start
     return {"k": int(topics.shape[0]),
             "tce": metrics.topic_coverage_error(topics, truth.topics),
