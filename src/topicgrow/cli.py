@@ -66,8 +66,10 @@ def _add_common(parser):
     parser.add_argument("--verbose", action="store_true", help="log progress at INFO level")
 
 
+_SWITCHES = {"--verbose"}  # every store-true flag; a config file gives each true or false
+
+
 def build_parser():
-    em = EmConfig(seed=0)
     synth_defaults = SynthConfig(seed=0)
     parser = _Parser(prog="topicgrow", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -101,16 +103,16 @@ def build_parser():
     train.add_argument("--max-topics", type=int, help="topic cap (nplsa/auto/query)")
     train.add_argument("--order-seed", type=int,
                        help="shuffle the document sweep order (nplsa only)")
-    train.add_argument("--max-iters", type=int, default=em.max_iters)
-    train.add_argument("--rel-tol", type=float, default=em.rel_tol)
-    train.add_argument("--floor", type=float, default=em.smoothing_floor)
+    train.add_argument("--max-iters", type=int, default=EmConfig.max_iters)
+    train.add_argument("--rel-tol", type=float, default=EmConfig.rel_tol)
+    train.add_argument("--floor", type=float, default=EmConfig.smoothing_floor)
     train.add_argument("--fold-in-iters", type=int,
                        help="fold-in passes at most per document, in every fold-in "
-                            f"(nplsa/auto/query; default {em.fold_in_max_iters}); the post-spawn "
-                            "refit of auto/query stops earlier, after a fixed few passes, in "
-                            "documents that do not take up the new topic")
+                            f"(nplsa/auto/query; default {EmConfig.fold_in_max_iters}); the "
+                            "post-spawn refit of auto/query stops earlier, after a fixed few "
+                            "passes, in documents that do not take up the new topic")
     train.add_argument("--fold-in-tol", type=float, help="fold-in plateau tolerance "
-                       f"(nplsa/auto/query; default {em.fold_in_rel_tol})")
+                       f"(nplsa/auto/query; default {EmConfig.fold_in_rel_tol})")
     train.add_argument("--min-df", type=int, default=MIN_DF, help="text ingestion: df filter")
     train.add_argument("--stopwords", help="text ingestion: stopword file")
 
@@ -121,27 +123,17 @@ def build_parser():
     ev.add_argument("--corpus", help="held-out corpus for perplexity")
     ev.add_argument("--truth", help="truth.json for quality/coverage error")
     ev.add_argument("--reference", help="reference corpus for PMI coherence")
-    ev.add_argument("--split-fraction", type=float, help="perplexity: share of a document seen")
-    ev.add_argument("--top-n", type=int, help="words per topic for PMI")
+    ev.add_argument("--split-fraction", type=float, help="perplexity: share of a document seen "
+                    f"(with --corpus; default {DEFAULT_SPLIT_FRACTION})")
+    ev.add_argument("--top-n", type=int,
+                    help=f"words per topic for PMI (with --reference; default {DEFAULT_TOP_N})")
     ev.add_argument("--min-df", type=int, help="text ingestion of --reference: df filter")
     ev.add_argument("--stopwords", help="text ingestion of --reference: stopword file")
     return parser
 
 
-def _store_true_flags(parser):
-    """The option strings of every store-true flag of ``parser`` and its subcommands."""
-    flags = set()
-    for action in parser._actions:
-        if isinstance(action, argparse._StoreTrueAction):
-            flags.update(action.option_strings)
-        elif isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                flags |= _store_true_flags(sub)
-    return flags
-
-
-def _read_config_file(path, switches):
-    """Flags from a key=value file; a key in ``switches`` takes true (the flag) or false."""
+def _read_config_file(path):
+    """Flags from a key=value file; a key in ``_SWITCHES`` takes true (the flag) or false."""
     pairs = []
     with open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -152,7 +144,7 @@ def _read_config_file(path, switches):
                 raise DataError(f"bad config line {lineno}: {line!r}")
             key, value = line.split("=", 1)
             flag, value = "--" + key.strip().replace("_", "-"), value.strip()
-            if flag not in switches:
+            if flag not in _SWITCHES:
                 pairs.extend([flag, value])
             elif value.lower() == "true":
                 pairs.append(flag)
@@ -161,7 +153,7 @@ def _read_config_file(path, switches):
     return pairs
 
 
-def _inject_config(argv, parser):
+def _inject_config(argv):
     """Insert config-file pairs after the subcommand so real flags override them.
 
     The file is named by ``--config PATH`` or ``--config=PATH``. Any other
@@ -177,7 +169,7 @@ def _inject_config(argv, parser):
         path, end = argv[idx + 1], idx + 2
     else:
         raise UsageError("--config requires a path")
-    pairs = _read_config_file(path, _store_true_flags(parser))
+    pairs = _read_config_file(path)
     rest = argv[:idx] + argv[end:]
     if not rest:
         raise UsageError("missing subcommand")
@@ -242,39 +234,40 @@ def _em_config(args):
     )
 
 
-def _mutually_exclusive(args):
-    """Reject a train flag the chosen --algo ignores, or a missing one it requires."""
-    growth = ("nplsa", "auto", "query")
-    applies = {"k": ("plsa",), "epsilon": ("nplsa",), "query": ("query",),
-               "order_seed": ("nplsa",), "max_spawns": ("auto", "query"),
-               "patience": ("auto", "query"), "lam": ("query",), "max_topics": growth,
-               "fold_in_iters": growth, "fold_in_tol": growth}
-    for dest, algos in applies.items():
+_REQUIRED = object()  # a default that makes the flag required on the runs it applies to
+#: Each scoped flag's dest -> (the --algo values, or the eval input, it applies to; the
+#: library default filled when it is unset, which config.json echoes), checked in this order.
+_SCOPED = {
+    "train": {"k": ("plsa", _REQUIRED), "epsilon": ("nplsa", _REQUIRED),
+              "query": ("query", _REQUIRED), "order_seed": ("nplsa", None),
+              "max_spawns": ("auto/query", None), "patience": ("auto/query", PATIENCE),
+              "lam": ("query", DEFAULT_LAM), "max_topics": ("nplsa/auto/query", MAX_TOPICS),
+              "fold_in_iters": ("nplsa/auto/query", EmConfig.fold_in_max_iters),
+              "fold_in_tol": ("nplsa/auto/query", EmConfig.fold_in_rel_tol)},
+    "eval": {"split_fraction": ("corpus", DEFAULT_SPLIT_FRACTION),
+             "top_n": ("reference", DEFAULT_TOP_N), "min_df": ("reference", MIN_DF),
+             "stopwords": ("reference", None)},
+}
+
+
+def _resolve_scoped_flags(args):
+    """Reject a flag the run ignores or a required one it lacks; fill each unset default."""
+    for dest, (runs, default) in _SCOPED.get(args.command, {}).items():
         flag = "--lambda" if dest == "lam" else "--" + dest.replace("_", "-")
-        value = getattr(args, dest)
-        if dest in ("k", "epsilon", "query") and args.algo in algos and value is None:
-            raise UsageError(f"--algo {args.algo} requires {flag}")
-        if args.algo not in algos and value is not None:
-            raise UsageError(f"{flag} only applies to --algo {'/'.join(algos)}")
-
-
-def _resolve_defaults(args):
-    """Fill the library default of each train or eval flag left unset; config.json echoes them."""
-    em = EmConfig(seed=0)
-    defaults = {
-        "train": {"patience": PATIENCE, "lam": DEFAULT_LAM, "max_topics": MAX_TOPICS,
-                  "fold_in_iters": em.fold_in_max_iters, "fold_in_tol": em.fold_in_rel_tol},
-        "eval": {"split_fraction": DEFAULT_SPLIT_FRACTION, "top_n": DEFAULT_TOP_N,
-                 "min_df": MIN_DF},
-    }[args.command]
-    for dest, default in defaults.items():
-        if getattr(args, dest) is None:
+        if args.command == "train":
+            applies, scope = args.algo in runs.split("/"), f"to --algo {runs}"
+        else:
+            applies, scope = getattr(args, runs) is not None, f"with --{runs}"
+        if getattr(args, dest) is not None:
+            if not applies:
+                raise UsageError(f"{flag} only applies {scope}")
+        elif default is not _REQUIRED:
             setattr(args, dest, default)
+        elif applies:
+            raise UsageError(f"--algo {args.algo} requires {flag}")
 
 
 def _cmd_train(args, out_dir):
-    _mutually_exclusive(args)
-    _resolve_defaults(args)
     stopwords = read_stopwords(args.stopwords) if args.stopwords else None
     corpus = load_corpus(args.corpus, min_df=args.min_df, stopwords=stopwords)
     config = _em_config(args)
@@ -336,11 +329,6 @@ def _truth_errors(topics, vocab, truth_path):
 
 
 def _cmd_eval(args, out_dir):
-    for dest, source in (("split_fraction", "corpus"), ("top_n", "reference"),
-                         ("min_df", "reference"), ("stopwords", "reference")):
-        if getattr(args, dest) is not None and getattr(args, source) is None:
-            raise UsageError(f"--{dest.replace('_', '-')} only applies with --{source}")
-    _resolve_defaults(args)
     vocab, topics, _, meta = read_model(args.model)
     report = {
         "K": int(topics.shape[0]),
@@ -376,11 +364,10 @@ def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
     try:
-        parser = build_parser()
-        argv = _inject_config(list(argv), parser)
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(_inject_config(list(argv)))
         if args.config is not None:  # a second --config, or one argparse matched by prefix
             raise UsageError("spell --config out, once: --config PATH or --config=PATH")
+        _resolve_scoped_flags(args)
         logging.basicConfig(
             level=logging.INFO if args.verbose else logging.WARNING,
             format="%(levelname)s %(name)s: %(message)s",

@@ -20,8 +20,10 @@ documents sorted longest first (``fold_in_docs``), cut by the same
 whose probability is 1 under every topic, with count 0: it adds log 1 = 0 to
 the log-likelihoods and nothing to the expected counts. ``_e_step``'s
 ``ratio`` has one zero cell more, which the word side's padding reads. ``em_steps``
-is the one EM loop and ``run_to_plateau`` its one stop: ``em_refine`` and both
-growth runs (``nplsa.grow``) run it to a plateau. At fixed K (``em_refine``:
+is the one EM loop, and both growth runs step it through ``nplsa.grow``.
+``run_to_plateau`` stops ``em_refine`` and nPLSA at a plateau; farthest-first
+growth (``autostop._grow``) stops on its patience or its spawn budget, and only
+its refine phase runs to a plateau. At fixed K (``em_refine``:
 ``train_plsa`` and the refine phase of ``autostop``) its M-step is adaptively
 over-relaxed, the multiplicative factors raised to a power eta > 1, with a fall-back
 to the plain step that keeps the log-likelihood monotone; growth runs take plain

@@ -58,6 +58,8 @@ class SynthConfig:
             raise DataError("min_topic_dist must lie in [0, sqrt(2))")
         if self.seed < 0:
             raise DataError("seed must be non-negative")
+        if self.seed >= 2**64:  # stream_rng keys Philox with the seed as one uint64 word
+            raise DataError("seed must be below 2**64")
 
 
 #: Corpus sizes by name: "paper" is ``SynthConfig``'s default; "desk" is a fast

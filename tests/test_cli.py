@@ -1,10 +1,12 @@
 """End-to-end runs of the command-line pipeline: synth, then train, then eval."""
 
+import argparse
 import codecs
 import csv
 import inspect
 import json
 import logging
+import re
 from pathlib import Path
 
 import numpy as np
@@ -222,7 +224,7 @@ def test_parsed_defaults_are_the_library_defaults():
 
     train = parser.parse_args(["train", "--algo", "auto", "--corpus", "c", *common])
     assert (train.patience, train.lam, train.max_topics) == (None, None, None)  # unset
-    cli._resolve_defaults(train)
+    cli._resolve_scoped_flags(train)
     em = EmConfig(seed=0)
     assert (train.max_iters, train.rel_tol, train.floor, train.fold_in_iters,
             train.fold_in_tol) == (em.max_iters, em.rel_tol, em.smoothing_floor,
@@ -238,7 +240,7 @@ def test_parsed_defaults_are_the_library_defaults():
 
     ev = parser.parse_args(["eval", "--model", "m", *common])
     assert (ev.top_n, ev.split_fraction, ev.min_df) == (None, None, None)  # unset
-    cli._resolve_defaults(ev)
+    cli._resolve_scoped_flags(ev)
     assert ev.top_n == DEFAULT_TOP_N
     assert ev.split_fraction == metrics.DEFAULT_SPLIT_FRACTION
     assert inspect.signature(metrics.perplexity).parameters["split_fraction"].default == (
@@ -248,6 +250,51 @@ def test_parsed_defaults_are_the_library_defaults():
     assert train.min_df == ev.min_df == MIN_DF
     for fn in (ingest_text, load_corpus):
         assert inspect.signature(fn).parameters["min_df"].default == MIN_DF
+
+
+def subcommands(parser):
+    """The subparsers of ``build_parser()``, by name."""
+    return next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def store_true_flags(parser):
+    """The option strings of every store-true flag of ``parser`` and its subcommands."""
+    flags = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._StoreTrueAction):
+            flags.update(action.option_strings)
+        elif isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= store_true_flags(sub)
+    return flags
+
+
+def test_config_switches_are_the_store_true_flags():
+    assert cli._SWITCHES == store_true_flags(build_parser())
+
+
+MINIMAL = {"train": ["--algo", "auto", "--corpus", "c"], "eval": ["--model", "m"]}
+
+
+@pytest.mark.parametrize("command", sorted(cli._SCOPED))
+def test_every_scoped_flag_parses_to_none_when_absent(command):
+    # the table takes any value but None as given, so a default would reject every run
+    args = build_parser().parse_args([command, *MINIMAL[command], "--out", "o", "--seed", "0"])
+    assert {dest: getattr(args, dest) for dest in cli._SCOPED[command]} == dict.fromkeys(
+        cli._SCOPED[command])
+
+
+@pytest.mark.parametrize("command, dest", [
+    (command, dest) for command, table in sorted(cli._SCOPED.items()) for dest in table])
+def test_help_of_a_scoped_flag_names_its_runs_and_default(command, dest):
+    runs, default = cli._SCOPED[command][dest]
+    action = next(a for a in subcommands(build_parser())[command]._actions if a.dest == dest)
+    if command == "train":  # "(auto/query; default 8)" or "(plsa only)"
+        assert re.search(r"\(([^;)]*)", action.help).group(1).removesuffix(" only") == runs
+    else:
+        assert f"--{runs}" in action.help
+    stated = re.search(r"default ([^;)]*)", action.help)
+    assert stated is None or stated.group(1) == str(default)
 
 
 def train_argv(synth_dir, tmp_path, *flags):
@@ -359,6 +406,17 @@ def test_synth_dirichlet_parameter_not_finite_is_a_data_error(tmp_path, field, v
     assert code == EXIT_DATA == 2
     assert "Dirichlet parameters must be finite and > 0" in capsys.readouterr().err
     assert not (tmp_path / "truth.json").exists()
+
+
+@pytest.mark.parametrize("seed, message", [
+    ("18446744073709551616", "seed must be below 2**64"),
+    ("-1", "seed must be non-negative"),
+])
+def test_synth_seed_outside_a_philox_key_word_is_a_data_error(tmp_path, seed, message, capsys):
+    code = main(["synth", *SYNTH, "--out", str(tmp_path), "--seed", seed])
+    assert code == EXIT_DATA == 2
+    assert f"data error: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("name, text, query, terms", [

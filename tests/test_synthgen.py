@@ -111,6 +111,19 @@ class TestConfig:
         with pytest.raises(DataError, match="Dirichlet parameters must be finite and > 0"):
             SynthConfig(seed=0, **{field: value})
 
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be non-negative"),
+        (2**64, r"seed must be below 2\*\*64"),
+        (2**70 + 3, r"seed must be below 2\*\*64"),
+    ])
+    def test_rejects_a_seed_that_is_not_one_philox_key_word(self, seed, message):
+        with pytest.raises(DataError, match=message):
+            SynthConfig(seed=seed)
+
+    def test_accepts_the_largest_key_word(self):
+        config = desk_config(seed=2**64 - 1)
+        assert sample_distinct_topics(config).shape == (config.n_topics, config.vocab_size)
+
 
 class TestDistinctTopics:
     def test_zero_threshold_accepts_first_draws(self):
