@@ -1,9 +1,9 @@
 """Command-line entry point: synth, train, and eval subcommands.
 
-Every run requires an explicit --seed and writes a config.json echo with the
-resolved parameters and library versions, so any output can be reproduced
-exactly. Exit codes: 0 success, 1 usage error, 2 data error, 3 algorithmic
-failure.
+Every run requires an explicit --seed and writes a config.json echo with the resolved
+parameters and library versions, so any output can be reproduced exactly. The --out
+directory is made only once a run's inputs have been read and checked. Exit codes:
+0 success, 1 usage error, 2 data error, 3 algorithmic failure.
 """
 
 from __future__ import annotations
@@ -192,7 +192,7 @@ def _echo(args, extra=None):
     return payload
 
 
-def _cmd_synth(args, out_dir):
+def _cmd_synth(args):
     params = dict(PROFILES[args.profile])
     for key, flag in (("n_docs", "docs"), ("doc_len", "doc_len"),
                       ("n_topics", "topics"), ("vocab_size", "vocab")):
@@ -207,6 +207,8 @@ def _cmd_synth(args, out_dir):
         **params,
     )
     corpus, truth = generate_corpus(config)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_sparse_corpus(corpus, out_dir / "corpus.sparse")
     write_json(
         out_dir / "truth.json",
@@ -267,10 +269,12 @@ def _resolve_scoped_flags(args):
             raise UsageError(f"--algo {args.algo} requires {flag}")
 
 
-def _cmd_train(args, out_dir):
+def _cmd_train(args):
     stopwords = read_stopwords(args.stopwords) if args.stopwords else None
     corpus = load_corpus(args.corpus, min_df=args.min_df, stopwords=stopwords)
     config = _em_config(args)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     meta = {
         "algo": args.algo,
         "seed": args.seed,
@@ -328,7 +332,7 @@ def _truth_errors(topics, vocab, truth_path):
     return topic_quality_error(aligned, truth_topics), topic_coverage_error(aligned, truth_topics)
 
 
-def _cmd_eval(args, out_dir):
+def _cmd_eval(args):
     vocab, topics, _, meta = read_model(args.model)
     report = {
         "K": int(topics.shape[0]),
@@ -354,7 +358,8 @@ def _cmd_eval(args, out_dir):
         stats = CooccurrenceStats.from_corpus(reference)
         report["pmi"] = pmi_coherence(topics, vocab, stats, top_n=args.top_n)
     report["config"] = _echo(args, extra={"model_meta": meta})
-    write_json(out_dir / "metrics.json", report)
+    Path(args.out).mkdir(parents=True, exist_ok=True)
+    write_json(Path(args.out) / "metrics.json", report)
     summary = {k: report[k] for k in ("K", "tqe", "tce", "pmi", "perplexity", "diversity")}
     print(f"metrics: {summary}")
     return EXIT_OK
@@ -372,13 +377,11 @@ def main(argv=None):
             level=logging.INFO if args.verbose else logging.WARNING,
             format="%(levelname)s %(name)s: %(message)s",
         )
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "synth":
-            return _cmd_synth(args, out_dir)
+            return _cmd_synth(args)
         if args.command == "train":
-            return _cmd_train(args, out_dir)
-        return _cmd_eval(args, out_dir)
+            return _cmd_train(args)
+        return _cmd_eval(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

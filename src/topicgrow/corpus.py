@@ -22,6 +22,7 @@ _ASCII_SEPARATORS = {c: chr(c) if chr(c).isalnum() else " " for c in range(128)}
 SPARSE_HEADER_RE = re.compile(r"^docs=(\d+)\s+terms=(\d+)\s+nnz=(\d+)\s*$")
 
 MIN_DF = 1  # default document-frequency filter of text ingestion: keep every term
+_MERGE_ENTRIES = 1 << 15  # entries per block of documents the builder merges at once
 
 
 def tokenize(text):
@@ -55,7 +56,7 @@ class Vocabulary:
 class Corpus:
     """A vocabulary plus one sparse count row per document.
 
-    ``from_entries`` is the one builder from (document, term, count) entries;
+    ``from_entries`` is the one builder from entries, merged per block of documents;
     ``Corpus(vocab, docs, doc_ids)`` takes rows in any term order. Both take
     integers, or floats that are integral, and store the rows flat in two int64
     arrays, term ids strictly increasing within a row and counts >= 1:
@@ -89,7 +90,9 @@ class Corpus:
         summed in int64; documents without entries are left out, their ids kept in order
         on ``dropped_doc_ids``. A value neither an integer nor an integral float below
         2**63 in size, a count below 1, or a term id or document position out of range,
-        is a DataError raised before any pair is keyed."""
+        is a DataError raised before any pair is keyed. Memory: entries in non-decreasing
+        document order (every token caller's, every ``write_sparse_corpus`` file's) merge with
+        temporaries of one block of whole documents, ``_MERGE_ENTRIES`` entries or one document."""
         return cls.__new__(cls)._store(vocab, doc_idx, word_idx, counts, doc_ids)
 
     def _store(self, vocab, doc_idx, word_idx, counts, doc_ids):
@@ -104,15 +107,24 @@ class Corpus:
             raise DataError("invalid count: counts must be >= 1")
         if doc_idx.min() < 0 or doc_idx.max() >= len(doc_ids):
             raise DataError("document position out of range")
-        keys = doc_idx * len(vocab) + word_idx
-        order = np.argsort(keys)  # each step below frees what it replaces: a lower peak memory
-        keys = keys[order]
-        counts = counts[order]
-        del order
-        first = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))  # each pair's first entry
-        keys = keys[first]
-        sums = np.add.reduceat(counts, first)  # integer sums: a float bincount rounds above 2**53
-        del counts, first
+        # Blocks hold whole documents in order, so each block's pairs follow the last block's.
+        grouped = (doc_idx[1:] >= doc_idx[:-1]).all()
+        cuts = doc_idx.searchsorted(np.arange(doc_idx[-1] + 2)) if grouped else [0, doc_idx.size]
+        start, merged = 0, []
+        while start < doc_idx.size:  # to the last cut within _MERGE_ENTRIES, else the next cut
+            stop = max(cuts[np.searchsorted(cuts, start + _MERGE_ENTRIES, "right") - 1],
+                       cuts[np.searchsorted(cuts, start, "right")])
+            keys = doc_idx[start:stop] * len(vocab) + word_idx[start:stop]
+            order = np.argsort(keys)
+            keys = keys[order]
+            sorted_counts = counts[start:stop][order]
+            del order  # each step frees what it replaces: a lower peak memory
+            first = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))  # a pair's first entry
+            merged.append((keys[first], np.add.reduceat(sorted_counts, first)))
+            start = stop
+        del keys, sorted_counts, first  # the last block's, freed before the blocks are joined
+        keys, sums = map(np.concatenate, zip(*merged))  # int64: float sums round above 2**53
+        del merged
         docs, word_idx = np.divmod(keys, len(vocab))
         lengths = np.bincount(docs, minlength=len(doc_ids))
         self.vocab = vocab

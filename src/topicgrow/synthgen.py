@@ -104,8 +104,7 @@ def sample_distinct_topics(config):
     rng = stream_rng(config.seed, 0)
     alpha = np.full(config.vocab_size, config.beta)
     accepted = []
-    rejections = 0
-    budget = _MAX_REJECTIONS_PER_TOPIC * config.n_topics
+    rejections = 0  # since the last accepted topic
     while len(accepted) < config.n_topics:
         batch = rng.dirichlet(alpha, size=_CANDIDATE_BATCH)
         # One (batch, V) operation per earlier topic, in one buffer the size of the batch.
@@ -124,9 +123,10 @@ def sample_distinct_topics(config):
                 > config.min_topic_dist
             ):
                 accepted.append(batch[i].copy())  # a copy, so that a spent batch is freed
+                rejections = 0
             else:
                 rejections += 1
-                if rejections > budget:
+                if rejections >= _MAX_REJECTIONS_PER_TOPIC:
                     raise AlgorithmError(
                         f"distinctness threshold unsatisfiable: {rejections} rejections "
                         f"for {config.n_topics} topics at min_topic_dist="
@@ -155,8 +155,8 @@ def generate_corpus(config):
     words, spent as the module docstring describes. ``Generator.choice``
     consumes the same stream when it draws the topics and then the words of
     each topic in turn, so corpora equal those of that per-topic form. Only the
-    draws run per document; the rest runs once per block of documents of at
-    most ``_BLOCK_TOKENS`` tokens (or one document, if longer).
+    draws run per document; the rest runs per block of documents of at most ``_BLOCK_TOKENS``
+    tokens (or one document, if longer), and ``Corpus.from_entries`` merges per block too.
     """
     topics = sample_distinct_topics(config)
     topic_cdf = _cdf_rows(topics)

@@ -402,10 +402,11 @@ def test_eval_flag_without_its_input_is_a_usage_error(synth_dir, tmp_path, flags
 @pytest.mark.parametrize("field", ["alpha", "beta"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_synth_dirichlet_parameter_not_finite_is_a_data_error(tmp_path, field, value, capsys):
-    code = main(["synth", *SYNTH, f"--{field}", value, "--out", str(tmp_path), "--seed", "1"])
+    out = tmp_path / "out"
+    code = main(["synth", *SYNTH, f"--{field}", value, "--out", str(out), "--seed", "1"])
     assert code == EXIT_DATA == 2
     assert "Dirichlet parameters must be finite and > 0" in capsys.readouterr().err
-    assert not (tmp_path / "truth.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("seed, message", [
@@ -413,10 +414,20 @@ def test_synth_dirichlet_parameter_not_finite_is_a_data_error(tmp_path, field, v
     ("-1", "seed must be non-negative"),
 ])
 def test_synth_seed_outside_a_philox_key_word_is_a_data_error(tmp_path, seed, message, capsys):
-    code = main(["synth", *SYNTH, "--out", str(tmp_path), "--seed", seed])
+    out = tmp_path / "out"
+    code = main(["synth", *SYNTH, "--out", str(out), "--seed", seed])
     assert code == EXIT_DATA == 2
     assert f"data error: {message}" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    assert not out.exists()
+
+
+def test_unsatisfiable_synth_threshold_exits_3_without_a_directory(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["synth", "--profile", "desk", "--topics", "20", "--vocab", "10",
+                 "--min-topic-dist", "1.4", "--out", str(out), "--seed", "1"])
+    assert code == cli.EXIT_ALGORITHM == 3
+    assert "distinctness threshold unsatisfiable: 10000 rejections" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name, text, query, terms", [
@@ -650,4 +661,4 @@ def test_an_unreadable_input_is_a_data_error_naming_the_file(synth_dir, tmp_path
     assert main([*reading(argv, bad), "--out", str(out)]) == EXIT_DATA == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and str(bad) in err
-    assert list(out.glob("*")) == []
+    assert not out.exists()

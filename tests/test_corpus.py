@@ -1,6 +1,7 @@
 import logging
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -613,6 +614,145 @@ class TestFromEntries:
         with pytest.raises(DataError) as raised:
             Corpus.from_entries(Vocabulary(["a", "b", "c"]), doc_idx, word_idx, counts, ["x", "y"])
         assert str(raised.value) == message
+
+
+def one_sort_merge(vocab, doc_idx, word_idx, counts, doc_ids):
+    """Every entry keyed and sorted at once, kept as the oracle of the blocked merge.
+    Returns what ``merged`` returns of a corpus."""
+    doc_idx, word_idx, counts = (np.asarray(a).astype(np.int64) for a in (doc_idx, word_idx,
+                                                                          counts))
+    keys = doc_idx * len(vocab) + word_idx
+    order = np.argsort(keys)
+    keys, counts = keys[order], counts[order]
+    first = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
+    docs, word_idx = np.divmod(keys[first], len(vocab))
+    lengths = np.bincount(docs, minlength=len(doc_ids))
+    kept = lengths > 0
+    return (vocab.terms, word_idx, np.add.reduceat(counts, first),
+            np.cumsum(lengths[kept]) - lengths[kept], lengths[kept],
+            [doc_ids[d] for d in np.flatnonzero(kept)],
+            [doc_ids[d] for d in np.flatnonzero(~kept)])
+
+
+def merged(corpus):
+    return (corpus.vocab.terms, corpus._word_idx, corpus._counts, *corpus.segments(),
+            corpus.doc_ids, corpus.dropped_doc_ids)
+
+
+def assert_same_merge(vocab, doc_idx, word_idx, counts, doc_ids):
+    got = merged(Corpus.from_entries(vocab, doc_idx, word_idx, counts, doc_ids))
+    expected = one_sort_merge(vocab, doc_idx, word_idx, counts, doc_ids)
+    for a, b in zip(got, expected):
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype == np.int64 and a.tobytes() == b.tobytes()
+        else:
+            assert a == b
+
+
+def grouped_entries(lengths, n_terms, seed):
+    """Entries of documents with the given entry counts, grouped by document in order, their
+    terms drawn at random (so pairs repeat), with counts 1 to 5."""
+    rng = np.random.default_rng(seed)
+    doc_idx = np.repeat(np.arange(len(lengths)), lengths)
+    return doc_idx, rng.integers(n_terms, size=doc_idx.size), rng.integers(1, 6, doc_idx.size)
+
+
+class TestBlockedMerge:
+    VOCAB = Vocabulary([f"t{i}" for i in range(30)])
+
+    def doc_ids(self, n):
+        return [f"doc{d}" for d in range(n)]
+
+    @pytest.mark.parametrize("block", [1, 3, 8, 64, corpus_module._MERGE_ENTRIES])
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["grouped", "shuffled"])
+    def test_random_entries_match_the_one_sort_merge(self, monkeypatch, block, seed, shuffled):
+        monkeypatch.setattr(corpus_module, "_MERGE_ENTRIES", block)
+        lengths = np.random.default_rng(seed).integers(0, 20, size=40)  # some documents empty
+        doc_idx, word_idx, counts = grouped_entries(lengths, len(self.VOCAB), seed)
+        if shuffled:
+            order = np.random.default_rng(seed).permutation(doc_idx.size)
+            doc_idx, word_idx, counts = doc_idx[order], word_idx[order], counts[order]
+        assert_same_merge(self.VOCAB, doc_idx, word_idx, counts, self.doc_ids(40))
+
+    @pytest.mark.parametrize("lengths", [
+        [3, 20, 2],  # a document of more entries than a block, in the middle
+        [20, 1, 1],  # ... first
+        [2, 2, 20],  # ... last
+        [4, 4, 8, 3],  # a block ends exactly where a document starts
+        [8, 8, 8],
+        [0, 5, 0, 0, 4, 0],  # documents without entries, first, between blocks and last
+    ])
+    def test_document_layouts_match_the_one_sort_merge(self, monkeypatch, lengths):
+        monkeypatch.setattr(corpus_module, "_MERGE_ENTRIES", 8)
+        # Eight terms, so a document of 20 entries repeats pairs on both sides of any cut.
+        doc_idx, word_idx, counts = grouped_entries(lengths, 8, sum(lengths))
+        assert_same_merge(self.VOCAB, doc_idx, word_idx, counts, self.doc_ids(len(lengths)))
+
+    def test_duplicate_pairs_are_summed_within_a_long_document(self, monkeypatch):
+        monkeypatch.setattr(corpus_module, "_MERGE_ENTRIES", 2)
+        entries = ([0, 0, 0, 0, 0, 1, 1], [4, 2, 4, 2, 4, 4, 4], [1, 2, 3, 4, 5, 6, 7])
+        assert_same_merge(self.VOCAB, *entries, ["x", "y"])
+        corpus = Corpus.from_entries(self.VOCAB, *entries, ["x", "y"])
+        assert [row.tolist() for row in corpus.docs[0]] == [[2, 4], [6, 9]]
+
+    @pytest.mark.parametrize("block", [2, 64])
+    def test_integral_floats_match_the_one_sort_merge(self, monkeypatch, block):
+        monkeypatch.setattr(corpus_module, "_MERGE_ENTRIES", block)
+        doc_idx, word_idx, counts = grouped_entries([5, 0, 7, 3], len(self.VOCAB), 1)
+        floats = [a.astype(float) for a in (doc_idx, word_idx, counts)]
+        assert_same_merge(self.VOCAB, *floats, self.doc_ids(4))
+        assert (outcome(Corpus.from_entries, self.VOCAB, *floats, self.doc_ids(4))
+                == outcome(Corpus.from_entries, self.VOCAB, doc_idx, word_idx, counts,
+                           self.doc_ids(4)))
+
+    @pytest.mark.parametrize("shuffled, sizes", [(False, [8, 2, 9, 2]), (True, [21])],
+                             ids=["grouped", "shuffled"])
+    def test_blocks_hold_whole_documents_up_to_the_block_size(self, monkeypatch, shuffled,
+                                                                sizes):
+        monkeypatch.setattr(corpus_module, "_MERGE_ENTRIES", 8)
+        sorted_sizes = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda keys: sorted_sizes.append(keys.size) or
+                            argsort(keys))
+        doc_idx, word_idx, counts = grouped_entries([3, 5, 2, 9, 1, 1], len(self.VOCAB), 2)
+        if shuffled:
+            doc_idx, word_idx, counts = doc_idx[::-1], word_idx[::-1], counts[::-1]
+        Corpus.from_entries(self.VOCAB, doc_idx, word_idx, counts, self.doc_ids(6))
+        assert sorted_sizes == sizes
+
+    @pytest.mark.parametrize("doc_idx, word_idx, counts, message", [
+        # several defects at once: the builder's first failing check wins, whatever the blocks
+        ([0.5, 1], [0, 1.5], [0.5, 1], "document positions must be integers"),
+        ([0, 1], [0, 1.5], [0.5, 1], "term ids must be integers"),
+        ([0, 5], [0, 30], [0, 1], "term id out of vocabulary range"),
+        ([0, 5], [0, 3], [0, 1], "invalid count: counts must be >= 1"),
+        ([5, 0], [0, 3], [1, 1], "document position out of range"),
+        ([0, 0, 0, 0, 1, 1, 1, 1, 2], [1] * 9, [1] * 8 + [0], "invalid count: counts must be >= 1"),
+        ([0, 0, 0, 0, 1, 1, 1, 1, 9], [1] * 9, [1] * 9, "document position out of range"),
+        ([0, 0, 0, 0, 1, 1, 1, 1, 2], [1] * 8 + [30], [1] * 9, "term id out of vocabulary range"),
+    ])
+    def test_a_defect_anywhere_is_rejected_before_any_block_is_keyed(
+            self, monkeypatch, doc_idx, word_idx, counts, message):
+        monkeypatch.setattr(corpus_module, "_MERGE_ENTRIES", 2)
+        monkeypatch.setattr(np, "argsort", lambda keys: pytest.fail("a block was keyed"))
+        with pytest.raises(DataError) as raised:
+            Corpus.from_entries(self.VOCAB, doc_idx, word_idx, counts, self.doc_ids(3))
+        assert str(raised.value) == message
+
+    def test_merge_memory_is_bounded_by_a_block_not_the_tokens(self):
+        # 240,000 tokens grouped by document: one sort of them all peaks at 5.5 MiB (keys,
+        # their order and the sorted keys); per block the merged entries dominate.
+        corpus, truth = generate_corpus(SynthConfig(seed=1, n_docs=1200))
+        doc_idx = np.repeat(np.arange(1200), truth.token_words.shape[1])
+        tracemalloc.start()
+        try:
+            Corpus.from_entries(corpus.vocab, doc_idx, truth.token_words.ravel(),
+                                np.broadcast_to(1, doc_idx.shape), corpus.doc_ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestFiles:

@@ -24,8 +24,7 @@ def reference_distinct_topics(config):
     rng = stream_rng(config.seed, 0)
     alpha = np.full(config.vocab_size, config.beta)
     accepted = []
-    rejections = 0
-    budget = synthgen._MAX_REJECTIONS_PER_TOPIC * config.n_topics
+    rejections = 0  # since the last accepted topic
     while len(accepted) < config.n_topics:
         batch = rng.dirichlet(alpha, size=synthgen._CANDIDATE_BATCH)
         for cand in batch:
@@ -37,9 +36,10 @@ def reference_distinct_topics(config):
                 dmin = np.inf
             if dmin > config.min_topic_dist:
                 accepted.append(cand)
+                rejections = 0
             else:
                 rejections += 1
-                if rejections > budget:
+                if rejections == synthgen._MAX_REJECTIONS_PER_TOPIC:
                     raise AlgorithmError(f"unsatisfiable after {rejections} rejections")
     return np.asarray(accepted)
 
@@ -172,9 +172,20 @@ class TestDistinctTopics:
         with pytest.raises(AlgorithmError) as expected:
             reference_distinct_topics(config)
         rejections = int(str(expected.value).split()[-2])
-        assert rejections == 30 * config.n_topics + 1
+        assert rejections == 30  # in a row since the last accepted topic, not in total
         with pytest.raises(AlgorithmError, match=f"unsatisfiable: {rejections} rejections "):
             sample_distinct_topics(config)
+
+    @pytest.mark.parametrize("budget", [45, 46])
+    def test_budget_counts_rejections_since_the_last_accepted_topic(self, monkeypatch, budget):
+        # 113 rejections in all, at most 45 in a row: a budget of 46 suffices, one of 45 does not.
+        monkeypatch.setattr(synthgen, "_MAX_REJECTIONS_PER_TOPIC", budget)
+        config = desk_config(seed=2, n_topics=8, vocab_size=10, beta=0.2, min_topic_dist=1.0)
+        if budget == 45:
+            with pytest.raises(AlgorithmError, match="unsatisfiable: 45 rejections for 8 topics"):
+                sample_distinct_topics(config)
+        else:
+            assert same_bytes(sample_distinct_topics(config), reference_distinct_topics(config))
 
 
 GENERATOR_CASES = [
