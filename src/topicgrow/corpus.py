@@ -22,7 +22,7 @@ _ASCII_SEPARATORS = {c: chr(c) if chr(c).isalnum() else " " for c in range(128)}
 SPARSE_HEADER_RE = re.compile(r"^docs=(\d+)\s+terms=(\d+)\s+nnz=(\d+)\s*$")
 
 MIN_DF = 1  # default document-frequency filter of text ingestion: keep every term
-_MERGE_ENTRIES = 1 << 15  # entries per block of documents the builder merges at once
+_MERGE_ENTRIES = 1 << 15  # entries per block of documents that Corpus.from_entries merges
 
 
 def tokenize(text):

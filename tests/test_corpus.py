@@ -722,7 +722,7 @@ class TestBlockedMerge:
         assert sorted_sizes == sizes
 
     @pytest.mark.parametrize("doc_idx, word_idx, counts, message", [
-        # several defects at once: the builder's first failing check wins, whatever the blocks
+        # several defects at once: from_entries' first failing check wins, whatever the blocks
         ([0.5, 1], [0, 1.5], [0.5, 1], "document positions must be integers"),
         ([0, 1], [0, 1.5], [0.5, 1], "term ids must be integers"),
         ([0, 5], [0, 30], [0, 1], "term id out of vocabulary range"),
