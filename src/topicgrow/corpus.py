@@ -92,7 +92,9 @@ class Corpus:
         2**63 in size, a count below 1, or a term id or document position out of range,
         is a DataError raised before any pair is keyed. Memory: entries in non-decreasing
         document order (every token caller's, every ``write_sparse_corpus`` file's) merge with
-        temporaries of one block of whole documents, ``_MERGE_ENTRIES`` entries or one document."""
+        temporaries of one block of whole documents, ``_MERGE_ENTRIES`` entries or one document;
+        the merged pairs then take at most three int64 arrays of their size, as the blocks'
+        term ids and sums are joined one after the other."""
         return cls.__new__(cls)._store(vocab, doc_idx, word_idx, counts, doc_ids)
 
     def _store(self, vocab, doc_idx, word_idx, counts, doc_ids):
@@ -110,7 +112,8 @@ class Corpus:
         # Blocks hold whole documents in order, so each block's pairs follow the last block's.
         grouped = (doc_idx[1:] >= doc_idx[:-1]).all()
         cuts = doc_idx.searchsorted(np.arange(doc_idx[-1] + 2)) if grouped else [0, doc_idx.size]
-        start, merged = 0, []
+        lengths = np.zeros(len(doc_ids), dtype=np.int64)
+        start, terms, sums = 0, [], []
         while start < doc_idx.size:  # to the last cut within _MERGE_ENTRIES, else the next cut
             stop = max(cuts[np.searchsorted(cuts, start + _MERGE_ENTRIES, "right") - 1],
                        cuts[np.searchsorted(cuts, start, "right")])
@@ -120,22 +123,25 @@ class Corpus:
             sorted_counts = counts[start:stop][order]
             del order  # each step frees what it replaces: a lower peak memory
             first = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))  # a pair's first entry
-            merged.append((keys[first], np.add.reduceat(sorted_counts, first)))
+            sums.append(np.add.reduceat(sorted_counts, first))  # int64: float sums round past 2**53
+            keys = keys[first]
+            del sorted_counts, first
+            docs, block_terms = np.divmod(keys, len(vocab))
+            terms.append(block_terms)
+            lengths[docs[0] : docs[-1] + 1] = np.bincount(docs - docs[0])  # a run of documents
             start = stop
-        del keys, sorted_counts, first  # the last block's, freed before the blocks are joined
-        keys, sums = map(np.concatenate, zip(*merged))  # int64: float sums round above 2**53
-        del merged
-        docs, word_idx = np.divmod(keys, len(vocab))
-        lengths = np.bincount(docs, minlength=len(doc_ids))
+        del keys, docs  # the last block's, freed before the join
+        terms = np.concatenate(terms)  # each join frees its parts: three entry-sized arrays at most
+        sums = np.concatenate(sums)
         self.vocab = vocab
         self.doc_ids = [doc_ids[d] for d in np.flatnonzero(lengths).tolist()]
         self.dropped_doc_ids = [doc_ids[d] for d in np.flatnonzero(lengths == 0).tolist()]
         lengths = lengths[lengths > 0]
         starts = np.cumsum(lengths) - lengths
-        for array in (word_idx, sums, starts, lengths):
+        for array in (terms, sums, starts, lengths):
             array.flags.writeable = False
-        self._word_idx, self._counts, self._segments = word_idx, sums, (starts, lengths)
-        self.docs = [(word_idx[a : a + n], sums[a : a + n])
+        self._word_idx, self._counts, self._segments = terms, sums, (starts, lengths)
+        self.docs = [(terms[a : a + n], sums[a : a + n])
                      for a, n in zip(starts.tolist(), lengths.tolist())]
         self._flat = None
         return self
@@ -356,19 +362,21 @@ def write_sparse_corpus(corpus, path):
     """Write a corpus in the sparse format read by load_corpus, vocabulary included.
 
     That format splits lines on whitespace: an empty term or doc id, or one holding
-    whitespace, is a DataError raised before the file is opened.
+    whitespace, is a DataError raised before the file is opened. Rows are written one
+    at a time, so no list of the corpus's entries is held.
     """
     for kind, names in (("term", corpus.vocab.terms), ("doc id", corpus.doc_ids)):
         bad = next((name for name in map(str, names) if name.split() != [name]), None)
         if bad is not None:
             raise DataError(f"{kind} {bad!r} is empty or holds whitespace: "
                             "the sparse format cannot write it")
-    doc_idx, word_idx, _ = corpus.flat()  # the int64 counts, as float ones round above 2**53
+    terms = corpus.vocab.terms
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"docs={corpus.n_docs} terms={corpus.n_terms} nnz={word_idx.size}\n")
-        fh.writelines(f"{term}\n" for term in corpus.vocab.terms)
-        fh.writelines(f"{corpus.doc_ids[d]} {corpus.vocab.terms[w]} {c}\n" for d, w, c in
-                      zip(doc_idx.tolist(), word_idx.tolist(), corpus._counts.tolist()))
+        fh.write(f"docs={corpus.n_docs} terms={corpus.n_terms} nnz={corpus._word_idx.size}\n")
+        fh.writelines(f"{term}\n" for term in terms)
+        for doc_id, (ids, counts) in zip(corpus.doc_ids, corpus.docs):  # int64 counts, exact
+            fh.writelines(f"{doc_id} {terms[w]} {c}\n" for w, c in zip(ids.tolist(),
+                                                                      counts.tolist()))
 
 
 def load_corpus(path, min_df=MIN_DF, stopwords=None):

@@ -41,7 +41,7 @@ from itertools import count, islice
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, require_integers
 
 logger = logging.getLogger(__name__)
 
@@ -72,6 +72,7 @@ class EmConfig:
     fold_in_rel_tol: float = 1e-6
 
     def __post_init__(self):
+        require_integers(self, "seed", "max_iters", "fold_in_max_iters")
         if self.seed < 0:
             raise DataError("seed must be non-negative")
         if self.max_iters < 1:

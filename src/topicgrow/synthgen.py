@@ -25,13 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus, Vocabulary
-from .errors import AlgorithmError, DataError
+from .errors import AlgorithmError, DataError, require_integers
 
 # One Philox stream per logical unit: stream 0 draws the topics, stream d+1
 # draws document d (mixture, then assignments, then words).
 RNG_ALGORITHM = "numpy.random.Philox4x64 key=(seed, stream); stream 0 topics, stream d+1 document d"
 
-_CANDIDATE_BATCH = 256
+_CANDIDATE_BATCH = 32  # candidates per Dirichlet draw
 _BLOCK_TOKENS = 1 << 13  # tokens per block of documents drawn together; bounds the temporaries
 _MAX_REJECTIONS_PER_TOPIC = 10_000
 
@@ -50,6 +50,7 @@ class SynthConfig:
     min_topic_dist: float = 0.5
 
     def __post_init__(self):
+        require_integers(self, "seed", "n_docs", "doc_len", "n_topics", "vocab_size")
         if min(self.n_docs, self.doc_len, self.n_topics, self.vocab_size) < 1:
             raise DataError("synth sizes must be positive")
         if not (0 < self.alpha < np.inf and 0 < self.beta < np.inf):  # also rejects NaN
@@ -95,11 +96,12 @@ def sample_distinct_topics(config):
     """Draw topic rows from Dirichlet(beta) keeping only well-separated ones.
 
     A candidate is accepted iff its minimum L2 distance to every previously
-    accepted topic exceeds ``min_topic_dist``. Candidates are drawn in fixed
-    batches so the stream consumption, and hence the result, is reproducible.
-    A batch's distances to the topics accepted before it are computed over the
-    whole batch at once; a candidate is then checked alone only against the
-    topics accepted earlier in its own batch.
+    accepted topic exceeds ``min_topic_dist``. Candidates are drawn
+    ``_CANDIDATE_BATCH`` at a time: a draw of n rows equals n draws of one, so
+    the batch size sets the memory, never the topics. A batch's distances to
+    the topics accepted before it are computed over the whole batch at once; a
+    candidate is then checked alone only against the topics accepted earlier in
+    its own batch.
     """
     rng = stream_rng(config.seed, 0)
     alpha = np.full(config.vocab_size, config.beta)

@@ -682,6 +682,8 @@ class TestBlockedMerge:
         [4, 4, 8, 3],  # a block ends exactly where a document starts
         [8, 8, 8],
         [0, 5, 0, 0, 4, 0],  # documents without entries, first, between blocks and last
+        [2, 0, 3, 0, 0, 2, 9],  # documents without entries inside a block
+        [5, 0, 0, 5, 0, 8],  # ... at a block's edge: after its last document
     ])
     def test_document_layouts_match_the_one_sort_merge(self, monkeypatch, lengths):
         monkeypatch.setattr(corpus_module, "_MERGE_ENTRIES", 8)
@@ -754,6 +756,22 @@ class TestBlockedMerge:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
+    def test_merge_memory_is_three_arrays_of_the_merged_pairs(self):
+        # 240,000 tokens uniform over 1,000 terms merge to 217,824 (document, term) pairs, 1.66
+        # MiB per int64 array: the two joins keep three such arrays alive, not four (7.07 MiB).
+        words = np.random.default_rng(0).integers(1000, size=1200 * 200)
+        doc_idx = np.repeat(np.arange(1200), 200)
+        vocab, doc_ids = Vocabulary([f"w{i}" for i in range(1000)]), self.doc_ids(1200)
+        tracemalloc.start()
+        try:
+            corpus = Corpus.from_entries(vocab, doc_idx, words, np.broadcast_to(1, words.shape),
+                                         doc_ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert corpus.flat()[1].size == 217_824
+        assert peak <= 5.5 * 2**20
+
 
 class TestFiles:
     def test_sparse_roundtrip(self, tmp_path):
@@ -796,6 +814,26 @@ class TestFiles:
         assert loaded.doc_ids == ["d-0", "d1", "7"]
         for d in range(corpus.n_docs):
             assert row_as_dict(loaded, d) == row_as_dict(corpus, d)
+
+    def test_sparse_writer_writes_each_row_in_term_order_with_exact_counts(self, tmp_path):
+        corpus = Corpus.from_entries(Vocabulary(["a", "b", "c"]), [2, 0, 2, 2, 0],
+                                     [2, 1, 0, 2, 1], [2**53, 1, 4, 1, 2**60], ["x", "y", "z"])
+        path = tmp_path / "corpus.sparse"
+        write_sparse_corpus(corpus, path)
+        assert path.read_text() == ("docs=2 terms=3 nnz=3\na\nb\nc\n"
+                                    f"x b {2**60 + 1}\nz a 4\nz c {2**53 + 1}\n")
+
+    def test_sparse_writer_holds_no_list_of_the_entries(self, tmp_path):
+        # 72,400 entries: three lists of them, their ints included, peaked at 5.2 MiB.
+        corpus = generate_corpus(SynthConfig(seed=1, n_docs=1200))[0]
+        tracemalloc.start()
+        try:
+            write_sparse_corpus(corpus, tmp_path / "corpus.sparse")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert load_corpus(tmp_path / "corpus.sparse").flat()[1].size == 72_400
 
     def test_sparse_without_vocabulary_lines(self, tmp_path):
         path = tmp_path / "corpus.sparse"

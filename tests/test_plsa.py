@@ -1141,6 +1141,16 @@ class TestFoldInDocs:
         with pytest.raises(DataError, match="fold_in_max_iters"):
             EmConfig(seed=0, fold_in_max_iters=0)
 
+    @pytest.mark.parametrize("field", ["seed", "max_iters", "fold_in_max_iters"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, np.float64(3.0), None])
+    def test_an_integer_field_that_holds_no_integer_raises(self, field, value):
+        with pytest.raises(DataError, match=f"^{field} must be an integer, not "):
+            EmConfig(**{"seed": 0, field: value})
+
+    def test_numpy_integers_are_accepted(self):
+        config = EmConfig(seed=np.uint32(3), max_iters=np.int64(5), fold_in_max_iters=np.int8(2))
+        assert (config.seed, config.max_iters, config.fold_in_max_iters) == (3, 5, 2)
+
     @pytest.mark.parametrize("name", ["rel_tol", "fold_in_rel_tol"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-6])
     def test_tolerance_must_be_finite_and_positive(self, name, value):

@@ -120,6 +120,17 @@ class TestConfig:
         with pytest.raises(DataError, match=message):
             SynthConfig(seed=seed)
 
+    @pytest.mark.parametrize("field", ["seed", "n_docs", "doc_len", "n_topics", "vocab_size"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, np.float64(3.0), "4"])
+    def test_rejects_an_integer_field_that_holds_no_integer(self, field, value):
+        with pytest.raises(DataError, match=f"^{field} must be an integer, not "):
+            SynthConfig(**{"seed": 1, field: value})
+
+    def test_accepts_numpy_integers(self):
+        config = desk_config(seed=np.uint64(11), n_docs=np.int32(30), doc_len=np.int64(80))
+        assert same_bytes(generate_corpus(config)[1].token_words,
+                          generate_corpus(desk_config())[1].token_words)
+
     def test_accepts_the_largest_key_word(self):
         config = desk_config(seed=2**64 - 1)
         assert sample_distinct_topics(config).shape == (config.n_topics, config.vocab_size)
@@ -157,14 +168,23 @@ class TestDistinctTopics:
         "overrides",
         [
             {},
-            dict(n_topics=6, vocab_size=10, beta=1.0, min_topic_dist=0.6),  # 24 batches
-            dict(n_topics=8, vocab_size=10, beta=0.5, min_topic_dist=0.8),  # 5 batches
-            dict(seed=3, n_topics=20, vocab_size=1000, min_topic_dist=0.5),  # 2 batches
+            dict(n_topics=6, vocab_size=10, beta=1.0, min_topic_dist=0.6),  # 23 batches
+            dict(n_topics=8, vocab_size=10, beta=0.5, min_topic_dist=0.8),  # 59 batches
+            dict(seed=3, n_topics=20, vocab_size=1000, min_topic_dist=0.5),  # 9 batches
         ],
     )
     def test_same_acceptances_as_reference(self, overrides):
         config = desk_config(**overrides)
         assert same_bytes(sample_distinct_topics(config), reference_distinct_topics(config))
+
+    def test_the_batch_size_does_not_change_the_topics(self, monkeypatch):
+        # Paper seed 2 accepts its 20th topic at candidate 839: 27 batches of 32, 4 of 256.
+        config = SynthConfig(seed=2)
+        topics = []
+        for batch in (1, 7, 32, 256):
+            monkeypatch.setattr(synthgen, "_CANDIDATE_BATCH", batch)
+            topics.append(sample_distinct_topics(config))
+        assert all(same_bytes(other, topics[0]) for other in topics[1:])
 
     def test_budget_runs_out_where_the_reference_does(self, monkeypatch):
         monkeypatch.setattr(synthgen, "_MAX_REJECTIONS_PER_TOPIC", 30)
