@@ -140,8 +140,9 @@ def _grow(corpus, config, score_fn, patience, max_topics, max_spawns, advice):
     ``score_fn(topics)`` returns (score, trace fields), a larger score being
     better; only a strictly larger one improves on the best. Once ``patience``
     rows in a row have not improved (or the spawn budget runs out) the best
-    row's topics and mixes are restored, recorded with its score fields in a
-    "rollback" row, and refined with plain EM. Returns (topics, mixes, trace).
+    row's topics and mixes are restored, recorded with its score fields in a "rollback"
+    row (``stop`` "patience" or "spawn budget"), and refined with plain EM. Returns
+    (topics, mixes, trace).
     """
     if patience < 1:
         raise DataError("patience must be >= 1")
@@ -188,13 +189,15 @@ def _grow(corpus, config, score_fn, patience, max_topics, max_spawns, advice):
         else:
             stalls += 1
             if stalls >= patience:
+                stop = "patience"
                 break
     else:
+        stop = "spawn budget"
         logger.info("spawn budget exhausted at K=%d", topics.shape[0])
     _, fields, topics, mixes, best_ll = best
     logger.info("rolled back to best K=%d %s", topics.shape[0], fields)
     trace.append(TraceRow(iteration=trace[-1].iteration + 1, k=topics.shape[0], loglik=best_ll,
-                          phase="rollback", **fields))
+                          phase="rollback", stop=stop, **fields))
     topics, mixes, _ = em_refine(corpus, topics, mixes, config, trace=trace, phase="refine")
     return topics, mixes, trace
 

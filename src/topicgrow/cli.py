@@ -311,9 +311,11 @@ def _cmd_train(args):
         meta["k"] = args.k
     write_model(out_dir / "model.json", corpus.vocab, topics, mixes=mixes, meta=meta)
     write_trace(out_dir / "trace.csv", trace)
-    write_json(out_dir / "config.json", _echo(args))
+    stop = " then ".join(row.stop for row in trace if row.stop)  # growth's, then EM's
+    write_json(out_dir / "config.json", _echo(args, extra={"stop": stop}))
     final_ll = next((r.loglik for r in reversed(trace) if r.loglik is not None), None)
-    print(f"trained {args.algo}: K={meta['K']} loglik={final_ll} ({len(trace)} trace rows)")
+    print(f"trained {args.algo}: K={meta['K']} loglik={final_ll} ({len(trace)} trace rows, "
+          f"stop: {stop})")
     return EXIT_OK
 
 

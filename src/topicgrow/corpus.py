@@ -92,13 +92,13 @@ class Corpus:
         2**63 in size, a count below 1, or a term id or document position out of range,
         is a DataError raised before any pair is keyed. Memory: entries in non-decreasing
         document order (every token caller's, every ``write_sparse_corpus`` file's) merge with
-        temporaries of one block of whole documents, ``_MERGE_ENTRIES`` entries or one document;
-        the merged pairs then take at most three int64 arrays of their size, as the blocks'
-        term ids and sums are joined one after the other."""
+        temporaries of one block of whole documents, ``_MERGE_ENTRIES`` entries or one document
+        (``synthgen`` merges each block as it draws it); the merged pairs then take at most
+        three int64 arrays of their size, as the blocks' term ids and sums are joined in turn."""
         return cls.__new__(cls)._store(vocab, doc_idx, word_idx, counts, doc_ids)
 
     def _store(self, vocab, doc_idx, word_idx, counts, doc_ids):
-        """Check and merge the entries into read-only rows sorted by term id; returns self."""
+        """Check the entries, then merge them per block of whole documents; returns self."""
         doc_idx, word_idx, counts = (_int64(doc_idx, "document positions"),
                                      _int64(word_idx, "term ids"), _int64(counts, "counts"))
         if not counts.size:
@@ -112,16 +112,27 @@ class Corpus:
         # Blocks hold whole documents in order, so each block's pairs follow the last block's.
         grouped = (doc_idx[1:] >= doc_idx[:-1]).all()
         cuts = doc_idx.searchsorted(np.arange(doc_idx[-1] + 2)) if grouped else [0, doc_idx.size]
+
+        def blocks(start=0):  # to the last cut within _MERGE_ENTRIES, else the next cut
+            while start < doc_idx.size:
+                stop = max(cuts[np.searchsorted(cuts, start + _MERGE_ENTRIES, "right") - 1],
+                           cuts[np.searchsorted(cuts, start, "right")])
+                yield doc_idx[start:stop], word_idx[start:stop], counts[start:stop]
+                start = stop
+
+        return self._merge_blocks(vocab, blocks(), doc_ids)
+
+    def _merge_blocks(self, vocab, blocks, doc_ids):
+        """Merge checked ``blocks``, (positions, term ids, counts) of whole documents in order,
+        positions and counts int64, into read-only rows sorted by term id; returns self."""
         lengths = np.zeros(len(doc_ids), dtype=np.int64)
-        start, terms, sums = 0, [], []
-        while start < doc_idx.size:  # to the last cut within _MERGE_ENTRIES, else the next cut
-            stop = max(cuts[np.searchsorted(cuts, start + _MERGE_ENTRIES, "right") - 1],
-                       cuts[np.searchsorted(cuts, start, "right")])
-            keys = doc_idx[start:stop] * len(vocab) + word_idx[start:stop]
+        terms, sums = [], []
+        for doc_idx, word_idx, counts in blocks:
+            keys = doc_idx * len(vocab) + word_idx
             order = np.argsort(keys)
             keys = keys[order]
-            sorted_counts = counts[start:stop][order]
-            del order  # each step frees what it replaces: a lower peak memory
+            sorted_counts = counts[order]
+            del order, doc_idx, word_idx, counts  # each step frees what it replaces
             first = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))  # a pair's first entry
             sums.append(np.add.reduceat(sorted_counts, first))  # int64: float sums round past 2**53
             keys = keys[first]
@@ -129,7 +140,6 @@ class Corpus:
             docs, block_terms = np.divmod(keys, len(vocab))
             terms.append(block_terms)
             lengths[docs[0] : docs[-1] + 1] = np.bincount(docs - docs[0])  # a run of documents
-            start = stop
         del keys, docs  # the last block's, freed before the join
         terms = np.concatenate(terms)  # each join frees its parts: three entry-sized arrays at most
         sums = np.concatenate(sums)

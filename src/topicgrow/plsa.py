@@ -92,9 +92,9 @@ class TraceRow:
 
     ``phase``, ``spawned`` (ids of the documents that spawned a topic in an
     iteration of a growth run), ``eta`` (the over-relaxation exponent of the
-    iteration's first M-step try) and ``rejected`` (whether that try was
-    discarded for the plain EM step) are in-memory diagnostics and are not
-    part of the CSV serialization.
+    iteration's first M-step try), ``rejected`` (whether that try was discarded
+    for the plain EM step) and ``stop`` (why the loop ending at the row stopped)
+    are in-memory diagnostics and are not part of the CSV serialization.
     """
 
     iteration: int
@@ -110,6 +110,7 @@ class TraceRow:
     spawned: tuple = field(default=(), repr=False)
     eta: float = field(default=1.0, repr=False)
     rejected: bool = field(default=False, repr=False)
+    stop: str = field(default="", repr=False, compare=False)
 
 
 def _plateaued(ll, prev, tol):
@@ -409,7 +410,7 @@ def run_to_plateau(rows, config, trace=None, phase=""):
     It stops after a row that spawned nothing has plateaued (``_plateaued`` at
     ``config.rel_tol``) or after ``config.max_iters`` rows; given a ``trace``, it
     appends the rows, tagged ``phase`` and numbered on from its last row. Returns
-    the last row's (topics, mixes, TraceRow).
+    the last row's (topics, mixes, TraceRow), its ``stop`` "plateau" or "max_iters".
     """
     start, prev_ll = (trace[-1].iteration if trace else 0), None
     for topics, mixes, row in islice(rows, 1, config.max_iters + 1):
@@ -417,8 +418,11 @@ def run_to_plateau(rows, config, trace=None, phase=""):
             row.iteration, row.phase = start + row.iteration, phase
             trace.append(row)
         if not (row.spawned or prev_ll is None) and _plateaued(row.loglik, prev_ll, config.rel_tol):
+            row.stop = "plateau"
             break
         prev_ll = row.loglik
+    else:
+        row.stop = "max_iters"
     return topics, mixes, row
 
 

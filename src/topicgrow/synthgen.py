@@ -1,11 +1,12 @@
 """Synthetic corpus generation with known ground-truth topics.
 
-Documents follow the standard Dirichlet-multinomial generative process: topic
-word distributions are symmetric-Dirichlet draws kept only if sufficiently far
-from all previously accepted topics, each document draws a topic mixture and
-then a topic and a word for every token. All randomness flows through named
-counter-based streams so the same seed reproduces the corpus bit-for-bit, even
-if documents are generated in parallel.
+Documents follow the standard Dirichlet-multinomial generative process: topic word
+distributions are symmetric-Dirichlet draws kept only if sufficiently far from all previously
+accepted topics, each document draws a topic mixture and then a topic and a word for every
+token. All randomness flows through named counter-based streams so the same seed reproduces
+the corpus bit-for-bit, even if documents are generated in parallel. Documents are drawn a
+block at a time, each block merged into corpus rows before the next is drawn, and the tokens'
+topics and words are kept as int32.
 
 Stream layout: stream s is numpy's Philox keyed by (seed, s), ``stream_rng``.
 Stream 0 draws the candidate topics, ``_CANDIDATE_BATCH`` at a time. Stream
@@ -59,6 +60,8 @@ class SynthConfig:
             raise DataError("min_topic_dist must lie in [0, sqrt(2))")
         if self.seed < 0:
             raise DataError("seed must be non-negative")
+        if max(self.n_topics, self.vocab_size) >= 2**31:  # the token arrays are int32
+            raise DataError("n_topics and vocab_size must be below 2**31")
         if self.seed >= 2**64:  # stream_rng keys Philox with the seed as one uint64 word
             raise DataError("seed must be below 2**64")
 
@@ -76,8 +79,8 @@ class SyntheticTruth:
     """Ground truth emitted alongside a generated corpus.
 
     ``token_topics[d, i]`` and ``token_words[d, i]`` are the topic and the word
-    drawn for token i of document d, two ``(D, doc_len)`` int64 arrays retained
-    so statistical checks can condition on the latent variables.
+    drawn for token i of document d, two ``(D, doc_len)`` int32 arrays (ids below
+    2**31, by ``SynthConfig``) retained so checks can condition on the latent variables.
     """
 
     topics: np.ndarray
@@ -158,22 +161,22 @@ def generate_corpus(config):
     consumes the same stream when it draws the topics and then the words of
     each topic in turn, so corpora equal those of that per-topic form. Only the
     draws run per document; the rest runs per block of documents of at most ``_BLOCK_TOKENS``
-    tokens (or one document, if longer), and ``Corpus.from_entries`` merges per block too.
+    tokens (or one document, if longer), and each block's tokens are merged into corpus rows
+    as soon as it is drawn, by the block merge of ``Corpus.from_entries``.
     """
     topics = sample_distinct_topics(config)
     topic_cdf = _cdf_rows(topics)
     doc_mixes = np.empty((config.n_docs, config.n_topics))
-    token_topics = np.zeros((config.n_docs, config.doc_len), dtype=np.int64)
+    token_topics = np.zeros((config.n_docs, config.doc_len), dtype=np.int32)
     words = np.empty_like(token_topics)  # ravel() is then a view
     step = max(1, _BLOCK_TOKENS // config.doc_len)
-    for first in range(0, config.n_docs, step):
-        block = slice(first, first + step)
-        _draw_block(config, topic_cdf, first, doc_mixes[block], token_topics[block], words[block])
+    blocks = (_draw_block(config, topic_cdf, first, doc_mixes[first : first + step],
+                          token_topics[first : first + step], words[first : first + step])
+              for first in range(0, config.n_docs, step))  # each merged before the next is drawn
     term_width, id_width = len(str(config.vocab_size - 1)), len(str(config.n_docs - 1))
     vocab = Vocabulary([f"w{i:0{term_width}d}" for i in range(config.vocab_size)])
     doc_ids = [f"d{d:0{id_width}d}" for d in range(config.n_docs)]
-    corpus = Corpus.from_entries(vocab, np.repeat(np.arange(config.n_docs), config.doc_len),
-                                 words.ravel(), np.broadcast_to(1, words.size), doc_ids)
+    corpus = Corpus.__new__(Corpus)._merge_blocks(vocab, blocks, doc_ids)
     return corpus, SyntheticTruth(topics, doc_mixes, token_topics, token_words=words)
 
 
@@ -182,6 +185,7 @@ def _draw_block(config, topic_cdf, first, mixes, z, w):
 
     Fills ``mixes``, the token topics ``z`` (zeros on entry) and the token
     words ``w`` in place, the last two ``(len(mixes), doc_len)`` arrays.
+    Returns the block's entries for ``Corpus._merge_blocks``: (positions, words, counts).
     """
     shape = (len(mixes), config.doc_len)
     topic_u = np.empty(shape)
@@ -199,3 +203,5 @@ def _draw_block(config, topic_cdf, first, mixes, z, w):
     for t, cdf in enumerate(topic_cdf):
         sel = z == t
         w[sel] = cdf.searchsorted(topic_u[sel], side="right")
+    return (np.repeat(np.arange(first, first + len(w)), config.doc_len), w.ravel(),
+            np.broadcast_to(np.int64(1), w.size))

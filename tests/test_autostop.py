@@ -196,7 +196,13 @@ class TestStopRule:
     def test_fires_after_patience_stalls(self):
         rollback, grown = scripted_grow([0.1, 0.5, 0.4, 0.3, 0.9], patience=2)
         assert [row.k for row in grown] == [1, 2, 3, 4]
-        assert (rollback.k, rollback.diversity) == (2, 0.5)
+        assert (rollback.k, rollback.diversity, rollback.stop) == (2, 0.5, "patience")
+
+    def test_a_spent_spawn_budget_ends_growth(self):
+        rollback, grown = scripted_grow([0.1, 0.2, 0.3], patience=5)
+        assert [row.k for row in grown] == [1, 2, 3]
+        assert (rollback.k, rollback.stop) == (3, "spawn budget")
+        assert [row.stop for row in grown] == ["", "", ""]
 
     def test_improvement_resets_patience(self):
         rollback, grown = scripted_grow([0.1, 0.05, 0.2, 0.15, 0.1, 0.0], patience=2)

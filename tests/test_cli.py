@@ -68,6 +68,32 @@ def test_synth_train_eval(synth_dir, tmp_path, algo):
         assert np.isfinite(report[key]), key
 
 
+@pytest.mark.parametrize("algo, flags, stop", [
+    ("plsa", [], "plateau"),
+    ("plsa", ["--max-iters", "2"], "max_iters"),
+    ("nplsa", [], "plateau"),
+    ("nplsa", ["--max-iters", "2"], "max_iters"),
+    ("auto", [], "patience then plateau"),
+    ("auto", ["--max-spawns", "2", "--max-iters", "1"], "spawn budget then max_iters"),
+    ("query", [], "patience then plateau"),
+    ("query", ["--max-spawns", "1", "--patience", "3"], "spawn budget then plateau"),
+])
+def test_train_reports_why_it_stopped(synth_dir, tmp_path, capsys, algo, flags, stop):
+    corpus = synth_dir / "corpus.sparse"
+    assert main(train_argv(synth_dir, tmp_path, "--algo", algo, *algo_flags(algo, corpus),
+                           *flags)) == 0
+    assert capsys.readouterr().out.endswith(f" trace rows, stop: {stop})\n")
+    with open(tmp_path / "config.json", encoding="utf-8") as fh:
+        assert json.load(fh)["stop"] == stop
+    with open(tmp_path / "trace.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert "stop" not in rows[0]  # trace.csv keeps its columns
+    score = {"auto": "diversity", "query": "query_distance"}.get(algo)
+    em_rows = [row for row in rows if not (score and row[score])]  # auto/query: the refine
+    cap = int(flags[flags.index("--max-iters") + 1]) if "--max-iters" in flags else 200
+    assert (len(em_rows) == cap) == stop.endswith("max_iters")
+
+
 def test_nplsa_order_seed_run_is_reproducible(synth_dir, tmp_path):
     corpus = synth_dir / "corpus.sparse"
     models = []

@@ -549,10 +549,11 @@ class TestRunToPlateau:
         topics, mixes, row = run_to_plateau(self.scripted(lls, spawned={2, 3}),
                                             EmConfig(seed=0), trace)
         # Rows 2 and 3 have plateaued but spawned; row 4 is the first plateau without a spawn.
-        assert (topics, mixes, row.iteration) == ("topics4", "mixes4", 4)
+        assert (topics, mixes, row.iteration, row.stop) == ("topics4", "mixes4", 4, "plateau")
         assert [r.iteration for r in trace] == [1, 2, 3, 4]
+        assert [r.stop for r in trace] == ["", "", "", "plateau"]
         _, _, row = run_to_plateau(self.scripted(lls), EmConfig(seed=0))
-        assert row.iteration == 2
+        assert (row.iteration, row.stop) == (2, "plateau")
 
     def test_rows_number_on_from_the_trace(self):
         trace = [TraceRow(iteration=7, k=3, phase="rollback")]
@@ -566,8 +567,14 @@ class TestRunToPlateau:
         lls = [-1000.0 / (it + 1) for it in range(50)]  # rising by far more than rel_tol
         _, _, row = run_to_plateau(self.scripted(lls, produced=produced),
                                    EmConfig(seed=0, max_iters=5), trace)
-        assert row.iteration == 5 and len(trace) == 5
+        assert row.iteration == 5 and len(trace) == 5 and row.stop == "max_iters"
         assert produced == [0, 1, 2, 3, 4, 5]  # no row past the cap is drawn
+
+    @pytest.mark.parametrize("max_iters, stop", [(2, "max_iters"), (3, "plateau")])
+    def test_a_plateau_on_the_last_allowed_row_is_a_plateau(self, max_iters, stop):
+        _, _, row = run_to_plateau(self.scripted([-9.0, -5.0, -4.0, -4.0]),
+                                   EmConfig(seed=0, max_iters=max_iters))
+        assert (row.iteration, row.stop) == (max_iters, stop)
 
     def test_no_trace_records_nothing(self):
         rows = list(self.scripted([-9.0, -5.0, -4.0, -4.0]))

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from topicgrow import corpus as corpus_module
 from topicgrow import synthgen
+from topicgrow.corpus import Corpus
 from topicgrow.errors import AlgorithmError, DataError
 from topicgrow.synthgen import (
     PROFILES,
@@ -111,14 +115,22 @@ class TestConfig:
         with pytest.raises(DataError, match="Dirichlet parameters must be finite and > 0"):
             SynthConfig(seed=0, **{field: value})
 
-    @pytest.mark.parametrize("seed, message", [
-        (-1, "seed must be non-negative"),
-        (2**64, r"seed must be below 2\*\*64"),
-        (2**70 + 3, r"seed must be below 2\*\*64"),
+    @pytest.mark.parametrize("field, value, message", [
+        ("seed", -1, "seed must be non-negative"),
+        ("seed", 2**64, r"seed must be below 2\*\*64"),
+        ("seed", 2**70 + 3, r"seed must be below 2\*\*64"),
+        # the token arrays hold topic and term ids as int32
+        ("n_topics", 2**31, r"n_topics and vocab_size must be below 2\*\*31"),
+        ("vocab_size", 2**31, r"n_topics and vocab_size must be below 2\*\*31"),
+        ("vocab_size", 2**40 + 1, r"n_topics and vocab_size must be below 2\*\*31"),
     ])
-    def test_rejects_a_seed_that_is_not_one_philox_key_word(self, seed, message):
+    def test_rejects_an_integer_its_type_cannot_hold(self, field, value, message):
         with pytest.raises(DataError, match=message):
-            SynthConfig(seed=seed)
+            SynthConfig(**{"seed": 1, field: value})
+
+    def test_accepts_the_largest_int32_sizes(self):
+        config = SynthConfig(seed=1, n_topics=2**31 - 1, vocab_size=2**31 - 1)
+        assert config.n_topics == config.vocab_size == 2**31 - 1
 
     @pytest.mark.parametrize("field", ["seed", "n_docs", "doc_len", "n_topics", "vocab_size"])
     @pytest.mark.parametrize("value", [1.5, 2.0, True, np.float64(3.0), "4"])
@@ -228,8 +240,9 @@ def assert_matches_reference(config):
     assert same_bytes(truth.topics, topics)
     assert same_bytes(truth.doc_mixes, mixes)
     assert truth.token_topics.shape == truth.token_words.shape == (config.n_docs, config.doc_len)
+    assert truth.token_topics.dtype == truth.token_words.dtype == np.int32
     for z, w, (ref_z, ref_w) in zip(truth.token_topics, truth.token_words, assignments):
-        assert same_bytes(z, ref_z) and same_bytes(w, ref_w)
+        assert same_bytes(z, ref_z.astype(np.int32)) and same_bytes(w, ref_w.astype(np.int32))
 
 
 class TestGenerateCorpus:
@@ -244,6 +257,34 @@ class TestGenerateCorpus:
         # one document per block, blocks that split the corpus unevenly, one block
         monkeypatch.setattr(synthgen, "_BLOCK_TOKENS", block_tokens)
         assert_matches_reference(desk_config(seed=8, n_docs=23, doc_len=50))
+
+    @pytest.mark.parametrize("merge_entries", [7, 120])  # one document per block, two
+    @pytest.mark.parametrize("block_tokens", [1, 250, 1 << 30])
+    def test_block_feed_equals_from_entries(self, monkeypatch, block_tokens, merge_entries):
+        monkeypatch.setattr(synthgen, "_BLOCK_TOKENS", block_tokens)
+        monkeypatch.setattr(corpus_module, "_MERGE_ENTRIES", merge_entries)
+        config = desk_config(seed=8, n_docs=23, doc_len=50)
+        corpus, truth = generate_corpus(config)
+        doc_idx = np.repeat(np.arange(config.n_docs), config.doc_len)
+        expected = Corpus.from_entries(corpus.vocab, doc_idx, truth.token_words.ravel(),
+                                       np.broadcast_to(1, doc_idx.shape), corpus.doc_ids)
+        assert corpus.doc_ids == expected.doc_ids and corpus.dropped_doc_ids == []
+        for got, want in zip((corpus._word_idx, corpus._counts, *corpus.segments()),
+                             (expected._word_idx, expected._counts, *expected.segments())):
+            assert same_bytes(got, want)
+
+    def test_memory_is_bounded_by_a_block_not_the_tokens(self):
+        # 240,000 paper tokens: merging them all after the draws peaked at 7.90 MiB traced.
+        # Merged as each block is drawn, the int32 token arrays (1.83 MiB) and the merged
+        # corpus dominate.
+        config = SynthConfig(seed=1, n_docs=1200)
+        tracemalloc.start()
+        try:
+            generate_corpus(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2**20
 
     def test_row_counts_sum_to_doc_len(self):
         config = desk_config()
