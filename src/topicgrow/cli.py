@@ -329,6 +329,8 @@ def _truth_errors(topics, vocab, truth_path):
             raise DataError(f"bad truth file {truth_path}: {exc}") from exc
     check_rows(truth_path, "truth", "topic", truth_topics, len(truth_vocab))
     shared = [j for j, term in enumerate(vocab.terms) if term in truth_vocab.index]
+    if not shared:
+        raise DataError(f"the model shares no term with the truth file {truth_path}")
     aligned = np.zeros((topics.shape[0], len(truth_vocab)))
     aligned[:, [truth_vocab.index[vocab.terms[j]] for j in shared]] = topics[:, shared]
     return topic_quality_error(aligned, truth_topics), topic_coverage_error(aligned, truth_topics)

@@ -119,7 +119,8 @@ def pmi_coherence(topics, vocab, stats, top_n=DEFAULT_TOP_N):
     top word missing from the stats is treated as having df 0.5, so the score
     stays finite. Each topic's pair terms are summed one by one, in
     ``itertools.combinations`` order. A model of fewer than two terms has no
-    pairs to score and raises ``DataError``, as does a ``top_n`` below 2.
+    pairs to score and raises ``DataError``, as do a ``top_n`` below 2 and a
+    reference that holds no top word, whose pairs would all score log(2 n_docs).
     """
     if top_n < 2:
         raise DataError("top_n must be >= 2")
@@ -130,9 +131,12 @@ def pmi_coherence(topics, vocab, stats, top_n=DEFAULT_TOP_N):
         )
     ranked = np.array([[stats.vocab.index.get(vocab.terms[w], -1)
                         for w in top_words(row, top_n)] for row in topics])
+    present = (ranked >= 0) & (stats.df[ranked] > 0)
+    if not present.any():
+        raise DataError("PMI: no document of the reference corpus holds a top word of the model")
     a, b = np.triu_indices(ranked.shape[1], 1)
     co = stats.count_pairs(ranked)[:, a, b]
-    df = np.where((ranked >= 0) & (stats.df[ranked] > 0), stats.df[ranked], 0.5)
+    df = np.where(present, stats.df[ranked], 0.5)
     ratios = np.where(co > 0, co, 0.5) * stats.n_docs / (df[:, a] * df[:, b])
     logs = np.array([[math.log(r) for r in row] for row in ratios.tolist()])
     # cumsum adds left to right, as the pair loop did; a pairwise sum changes the last bits

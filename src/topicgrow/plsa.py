@@ -15,12 +15,13 @@ the one pass that evaluates the mixture probability of every corpus entry, so
 it also returns the per-document log-likelihoods that nPLSA's spawn test,
 perplexity and the training traces read, nPLSA's penalized ``objective``
 column included. The batched fold-in works on padded ``(n, L, K)`` blocks of
-documents sorted longest first (``fold_in_docs``), cut by the same
-``pad_runs``. A padding cell, in either kind of block, holds term ``n_terms``,
-whose probability is 1 under every topic, with count 0: it adds log 1 = 0 to
-the log-likelihoods and nothing to the expected counts. ``_e_step``'s
-``ratio`` has one zero cell more, which the word side's padding reads. ``em_steps``
-is the one EM loop, and both growth runs step it through ``nplsa.grow``.
+documents sorted longest first (``fold_in_docs``), cut by the same ``pad_runs``;
+its kernel ``_fold_in_block`` is the one fold-in loop, and ``fold_in`` is its
+one-document call. A padding cell, in either kind of block, holds term
+``n_terms``, whose probability is 1 under every topic, with count 0: it adds
+log 1 = 0 to the log-likelihoods and nothing to the expected counts.
+``_e_step``'s ``ratio`` has one zero cell more, which the word side's padding
+reads. ``em_steps`` is the one EM loop, and both growth runs step it through ``nplsa.grow``.
 ``run_to_plateau`` stops ``em_refine`` and nPLSA at a plateau; farthest-first
 growth (``autostop._grow``) stops on its patience or its spawn budget, and only
 its refine phase runs to a plateau. At fixed K (``em_refine``:
@@ -149,7 +150,7 @@ def _floor_rows(mat, floor):
 def e_step_doc(corpus, d, topics, mix):
     """Posterior p(z|d,w) over the distinct words of document d, one row per word.
 
-    No trainer calls it (they use ``_e_step``); ``perfbench/tracing.py`` still names it.
+    No trainer calls it (they use ``_e_step``); the tracer and the tests' E-step checks do.
     """
     ids, _ = corpus.docs[d]
     if mix.size != topics.shape[0]:
@@ -454,38 +455,19 @@ def train_plsa(corpus, k, config):
     return topics, mixes, trace
 
 
-def fold_in(doc, topics, config, init_mix=None, ll_history=None):
-    """Fit one document's topic proportions against frozen topics.
+def fold_in(doc, topics, config, init_mix=None):
+    """Fit one document's mix against frozen topics: the batch kernel on one unpadded row.
 
-    ``doc`` is a sparse row (term_ids, counts). Holding p(w|z) fixed, the mix
-    p(z|d) is re-estimated by alternating the posterior and mix updates until
-    the document log-likelihood plateaus. The problem is concave in the mix,
-    so any interior starting point reaches the same optimum; ``init_mix``
+    ``doc`` is a sparse row (term_ids, counts); the result is ``fold_in_docs``'s for it
+    alone, bit for bit. The fit is concave in the mix, so ``init_mix`` (default uniform)
     only affects convergence speed. Returns (mix, fitted log-likelihood).
     """
     ids, counts = doc
     k = topics.shape[0]
-    rows = topics[:, ids].T
-    mix = np.full(k, 1.0 / k) if init_mix is None else np.asarray(init_mix, dtype=float)
-    prev_ll = None
-    for _ in range(config.fold_in_max_iters):
-        probs = rows @ mix
-        if np.any(probs <= 0.0):
-            raise DataError("unmodelable word: zero mixture probability in fold-in")
-        ll = float(np.dot(counts, np.log(probs)))
-        if ll_history is not None:
-            ll_history.append(ll)
-        if prev_ll is not None and _plateaued(ll, prev_ll, config.fold_in_rel_tol):
-            return mix, ll
-        prev_ll = ll
-        post = rows * (mix[None, :] / probs[:, None])
-        mix = post.T @ counts
-        mix /= mix.sum()
-    probs = rows @ mix
-    ll = float(np.dot(counts, np.log(probs)))
-    if ll_history is not None:
-        ll_history.append(ll)
-    return mix, ll
+    init = np.full(k, 1.0 / k) if init_mix is None else np.asarray(init_mix, dtype=float)
+    mixes, lls = _fold_in_block(np.asarray(ids)[None], np.asarray(counts, dtype=float)[None],
+                                topics.T, np.array([len(ids)]), init[None], config)
+    return mixes[0], float(lls[0])
 
 
 def fold_in_docs(corpus, docs, topics, config, init_mixes):

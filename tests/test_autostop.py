@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import per_document_fold_in
 
 from topicgrow import autostop
 from topicgrow.autostop import (
@@ -17,7 +18,7 @@ from topicgrow.corpus import background_model, ingest_sparse, ingest_text
 from topicgrow.errors import AlgorithmError, DataError
 from topicgrow.metrics import topic_coverage_error
 from topicgrow.nplsa import doc_self_loglik, grow, spawn, warm_start
-from topicgrow.plsa import EmConfig, _e_step, _m_step, fold_in, fold_in_all
+from topicgrow.plsa import EmConfig, _e_step, _m_step, fold_in_all
 from topicgrow.synthgen import PROFILES, SynthConfig, generate_corpus
 
 
@@ -358,7 +359,7 @@ def spy_grow_states(monkeypatch):
 
 
 def oracle_deficits(corpus, topics, mixes, config):
-    """(deficits, E-step bounds): every document fitted by its own ``fold_in``.
+    """(deficits, E-step bounds): every document fitted by the reference fold-in on its own.
 
     A deficit is the self log-likelihood minus the better of the fold-in fit,
     warm-started as growth starts it, and the log-likelihood under the EM mix.
@@ -366,7 +367,7 @@ def oracle_deficits(corpus, topics, mixes, config):
     self_lls = np.array([doc_self_loglik(doc) for doc in corpus.docs])
     em_lls = _e_step(corpus, topics, mixes)[2]
     warm = warm_start(mixes, topics.shape[0])[1]
-    fit_lls = np.array([fold_in(corpus.docs[d], topics, config, init_mix=warm[d])[1]
+    fit_lls = np.array([per_document_fold_in(corpus.docs[d], topics, config, init_mix=warm[d])[1]
                         for d in range(corpus.n_docs)])
     return self_lls - np.maximum(fit_lls, em_lls), self_lls - em_lls
 
@@ -379,8 +380,8 @@ def refit_config(config):
 
 def check_fold_ins(corpus, config, calls, states, trace):
     """Each spawn the oracle's argmax, its deficits fitted with the full budget, then a refit
-    equal to per-document ``fold_in``: capped, the new topic's takers running on to the full
-    budget. The next state is one EM step from the refit. Returns the takers run on."""
+    equal to the per-document reference fold-in: capped, the new topic's takers running on to
+    the full budget. The next state is one EM step from the refit. Returns the takers run on."""
     grow = [row for row in trace if row.phase == "grow"]
     assert len(calls) == len(grow)  # one fold_in_all per spawn: the post-spawn one
     refit = refit_config(config)
@@ -392,7 +393,7 @@ def check_fold_ins(corpus, config, calls, states, trace):
         np.testing.assert_array_equal(topics[:-1], old_topics)
         np.testing.assert_array_equal(init, warm_start(old_mixes, topics.shape[0])[1])
         for d in range(corpus.n_docs):
-            mix, ll = fold_in(corpus.docs[d], topics, refit, init_mix=init[d])
+            mix, ll = per_document_fold_in(corpus.docs[d], topics, refit, init_mix=init[d])
             np.testing.assert_allclose(mixes[d], mix, rtol=1e-12, atol=1e-12)
             assert lls[d] == pytest.approx(ll, rel=1e-12)
         deficits, bounds = oracle_deficits(corpus, old_topics, old_mixes, config)
@@ -413,7 +414,7 @@ def check_fold_ins(corpus, config, calls, states, trace):
                                    - refit.fold_in_max_iters)
             np.testing.assert_array_equal(rest_init, mixes[docs])
             for d, start, got in zip(docs, rest_init, rest_mixes):
-                mix, _ = fold_in(corpus.docs[d], topics, rest, init_mix=start)
+                mix, _ = per_document_fold_in(corpus.docs[d], topics, rest, init_mix=start)
                 np.testing.assert_allclose(got, mix, rtol=1e-12, atol=1e-12)
             post[docs] = rest_mixes
             n_rest += docs.size

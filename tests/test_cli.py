@@ -222,6 +222,24 @@ def test_pmi_of_a_single_term_model_is_a_data_error(tmp_path, capsys):
     assert "at least 2 ranked words per topic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, name, message", [
+    ("--truth", "truth.json", "the model shares no term with the truth file"),
+    ("--reference", "corpus.sparse", "no document of the reference corpus holds a top word"),
+])
+def test_eval_against_an_input_without_the_model_terms_is_a_data_error(
+        synth_dir, tmp_path, flag, name, message, capsys):
+    # The text model's words are none of the synth vocabulary's w0, w1, ...
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("the cat sat on the mat\nthe dog ran\na cat and a dog\nthe mat\n")
+    assert main(["train", "--algo", "plsa", "--k", "2", "--corpus", str(corpus),
+                 "--out", str(tmp_path / "text"), "--seed", "1"]) == 0
+    code = main(["eval", "--model", str(tmp_path / "text" / "model.json"), flag,
+                 str(synth_dir / name), "--out", str(tmp_path / "ev"), "--seed", "1"])
+    assert code == EXIT_DATA == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "ev").exists()
+
+
 def test_pmi_top_n_below_two_is_a_data_error(synth_dir, tmp_path, capsys):
     assert main(train_argv(synth_dir, tmp_path, "--algo", "plsa", "--k", "3")) == 0
     code = main(["eval", "--model", str(tmp_path / "model.json"), "--out", str(tmp_path),

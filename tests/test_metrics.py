@@ -5,6 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from oracles import per_document_fold_in
 
 from topicgrow import metrics
 from topicgrow.corpus import Corpus, Vocabulary, ingest_sparse
@@ -17,7 +18,7 @@ from topicgrow.metrics import (
     topic_quality_error,
     top_words,
 )
-from topicgrow.plsa import EmConfig, _e_step, fold_in, fold_in_docs
+from topicgrow.plsa import EmConfig, _e_step, fold_in_docs
 from topicgrow.synthgen import PROFILES, SynthConfig, generate_corpus
 
 
@@ -201,6 +202,15 @@ class TestPmi:
         score = pmi_coherence(topics, other_vocab, stats, top_n=2)
         assert math.isfinite(score)
 
+    @pytest.mark.parametrize("terms", [["y", "zzz"], ["c", "zzz"]],
+                             ids=["not_in_vocab", "in_no_document"])
+    def test_no_top_word_in_the_reference_raises(self, terms):
+        # "c" is in the reference's vocabulary, but no document holds it
+        corpus = ingest_sparse([(0, "a", 1), (0, "b", 1)], vocab=Vocabulary(["a", "b", "c"]))
+        stats = CooccurrenceStats.from_corpus(corpus)
+        with pytest.raises(DataError, match="no document of the reference corpus holds a top"):
+            pmi_coherence(np.array([[0.4, 0.6]]), Vocabulary(terms), stats, top_n=2)
+
     def test_stats_invariants(self):
         rng = np.random.default_rng(9)
         corpus = random_reference(rng, 12, 8, 5)
@@ -294,7 +304,7 @@ class TestPerplexity:
         config = EmConfig(seed=123)
         total_ll, total_n = 0.0, 0
         for wid in (0, 1):
-            mix, _ = fold_in((np.array([wid]), np.array([8])), topics, config)
+            mix, _ = per_document_fold_in((np.array([wid]), np.array([8])), topics, config)
             total_ll += 2 * math.log(float(mix @ topics[:, wid]))
             total_n += 2
         expected = math.exp(-total_ll / total_n)
@@ -381,7 +391,7 @@ class TestPerplexity:
             tokens = split_rng.permutation(tokens)
             n1 = min(max(int(0.8 * tokens.size), 1), tokens.size - 1)
             seen_ids, seen_counts = np.unique(tokens[:n1], return_counts=True)
-            mix, _ = fold_in((seen_ids, seen_counts), topics, config)
+            mix, _ = per_document_fold_in((seen_ids, seen_counts), topics, config)
             total_ll += float(np.log(mix @ topics[:, tokens[n1:]]).sum())
             total_n += tokens.size - n1
         expected = math.exp(-total_ll / total_n)

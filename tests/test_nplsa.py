@@ -2,18 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from oracles import per_document_fold_in
 
 from topicgrow import nplsa, plsa
 from topicgrow.corpus import background_model, doc_language_model, ingest_sparse
 from topicgrow.errors import AlgorithmError, DataError
 from topicgrow.nplsa import doc_self_loglik, train_nplsa
-from topicgrow.plsa import EmConfig, _e_step, _floor_rows, fold_in
+from topicgrow.plsa import EmConfig, _e_step, _floor_rows
 from topicgrow.synthgen import PROFILES, SynthConfig, generate_corpus
 
 
 def deficit(doc, topics, config):
     """Goodness-of-fit deficit in nats: log p(doc | own MLE) - log p(doc | fold-in fit)."""
-    return doc_self_loglik(doc) - fold_in(doc, topics, config)[1]
+    return doc_self_loglik(doc) - per_document_fold_in(doc, topics, config)[1]
 
 
 def random_corpus(rng, n_docs=8, n_terms=10, max_count=6):
@@ -47,7 +48,8 @@ def serial_nplsa(corpus, epsilon, config, order_seed=None):
             k = topics.shape[0]
             old = np.zeros(k)
             old[: mixes[d].size] = mixes[d]
-            fit_mix, fit_ll = fold_in(corpus.docs[d], topics, config, init_mix=0.9 * old + 0.1 / k)
+            fit_mix, fit_ll = per_document_fold_in(corpus.docs[d], topics, config,
+                                                   init_mix=0.9 * old + 0.1 / k)
             old_probs = old @ topics[:, ids]
             if np.all(old_probs > 0.0):
                 old_ll = float(np.dot(counts, np.log(old_probs)))

@@ -5,6 +5,7 @@ from itertools import count, islice
 
 import numpy as np
 import pytest
+from oracles import per_document_fold_in
 
 from topicgrow import autostop, nplsa, plsa
 from topicgrow.corpus import (
@@ -23,6 +24,7 @@ from topicgrow.plsa import (
     _floor_rows,
     _m_step,
     _plateaued,
+    e_step_doc,
     em_refine,
     em_steps,
     fold_in,
@@ -65,13 +67,6 @@ def random_instance(rng, n_docs=4, n_terms=6, k=3):
     topics = rng.dirichlet(np.ones(corpus.n_terms), size=k)
     mixes = rng.dirichlet(np.ones(k), size=corpus.n_docs)
     return corpus, topics, mixes
-
-
-def e_step_doc(corpus, d, topics, mix):
-    """Per-document oracle: posterior p(z|d,w) over the distinct words of document d."""
-    ids, _ = corpus.docs[d]
-    joint = mix[None, :] * topics[:, ids].T
-    return joint / joint.sum(axis=1)[:, None]
 
 
 def m_step(corpus, posteriors, smoothing_floor):
@@ -952,7 +947,7 @@ class TestFoldIn:
         topics = rng.dirichlet(np.ones(8), size=4)
         doc = (np.array([1, 3, 4, 6]), np.array([2, 5, 1, 3]))
         history = []
-        fold_in(doc, topics, EmConfig(seed=0), ll_history=history)
+        per_document_fold_in(doc, topics, EmConfig(seed=0), ll_history=history)
         for prev, cur in zip(history, history[1:]):
             assert cur >= prev - 1e-8 * abs(prev)
 
@@ -969,7 +964,7 @@ class TestFoldIn:
         passes = []
         for d in range(corpus.n_docs):
             history = []
-            fold_in(corpus.docs[d], topics, config, ll_history=history)
+            per_document_fold_in(corpus.docs[d], topics, config, ll_history=history)
             passes.append(len(history))
         assert min(passes) <= 7  # one document plateaus early
         assert max(passes) == config.fold_in_max_iters + 1  # one is stopped by the cap
@@ -977,11 +972,28 @@ class TestFoldIn:
         for init in (None, warm):  # None is the uniform start
             mixes, lls = fold_in_all(corpus, topics, config, init_mixes=init)
             for d in range(corpus.n_docs):
-                mix, ll = fold_in(
+                mix, ll = per_document_fold_in(
                     corpus.docs[d], topics, config, init_mix=None if init is None else init[d]
                 )
                 np.testing.assert_allclose(mixes[d], mix, rtol=1e-12, atol=1e-12)
                 assert lls[d] == pytest.approx(ll, rel=1e-12)
+
+    @pytest.mark.parametrize("budget", [2**6, plsa._BLOCK_ENTRIES])
+    def test_is_the_batch_kernel_on_one_document(self, monkeypatch, budget):
+        # At 2^6 entries, fold_in_docs cuts blocks of 16 cells: the 48-word document is longer.
+        corpus, topics = mixed_length_instance(k=4)
+        assert corpus.segments()[1].max() > 2**6 // 4
+        monkeypatch.setattr(plsa, "_BLOCK_ENTRIES", budget)
+        config = EmConfig(seed=0, fold_in_max_iters=30)
+        warm = np.random.default_rng(3).dirichlet(np.ones(4), size=corpus.n_docs)
+        for init in (None, warm):  # None is the uniform start
+            starts = np.full((corpus.n_docs, 4), 0.25) if init is None else init
+            for d in range(corpus.n_docs):
+                mixes, lls = fold_in_docs(corpus, np.array([d]), topics, config, starts[[d]])
+                mix, ll = fold_in(corpus.docs[d], topics, config,
+                                  init_mix=None if init is None else init[d])
+                assert np.array_equal(mix, mixes[0])
+                assert ll == lls[0]
 
 
 def sparse_topic_instance():
@@ -1042,7 +1054,7 @@ def reference_fold_in_block(words, cnt, table, lens, init_mixes, config):
 
 
 class TestFoldInDocs:
-    """The padded-block batch kernel against single-document ``fold_in``."""
+    """The padded-block batch kernel against the per-document reference fold-in."""
 
     def test_each_document_matches_fold_in(self):
         corpus, topics = sparse_topic_instance()
@@ -1050,7 +1062,7 @@ class TestFoldInDocs:
         passes = []
         for d in range(corpus.n_docs):
             history = []
-            fold_in(corpus.docs[d], topics, config, ll_history=history)
+            per_document_fold_in(corpus.docs[d], topics, config, ll_history=history)
             passes.append(len(history))
         docs = np.array([6, 1, 4, 0, 7, 3])  # a subset, out of corpus order
         assert len({passes[d] for d in docs}) == docs.size
@@ -1058,7 +1070,7 @@ class TestFoldInDocs:
         init = np.random.default_rng(3).dirichlet(np.ones(4), size=docs.size)
         mixes, lls = fold_in_docs(corpus, docs, topics, config, init)
         for i, d in enumerate(docs):
-            mix, ll = fold_in(corpus.docs[d], topics, config, init_mix=init[i])
+            mix, ll = per_document_fold_in(corpus.docs[d], topics, config, init_mix=init[i])
             np.testing.assert_allclose(mixes[i], mix, rtol=1e-12, atol=1e-12)
             assert lls[i] == pytest.approx(ll, rel=1e-12)
 
@@ -1070,7 +1082,7 @@ class TestFoldInDocs:
         expected, passes = [], []
         for i, d in enumerate(docs):
             history = []
-            expected.append(fold_in(corpus.docs[d], topics, config, init[i], history))
+            expected.append(per_document_fold_in(corpus.docs[d], topics, config, init[i], history))
             passes.append(len(history))
         # Under one block, at least 30% plateau before the slowest, so the batch drop runs.
         assert np.mean(np.array(passes) < max(passes)) >= 0.3
@@ -1105,8 +1117,8 @@ class TestFoldInDocs:
         mixes, lls = fold_in_docs(corpus, docs, topics, EmConfig(seed=0), np.ones((5, 1)))
         np.testing.assert_array_equal(mixes, 1.0)
         for i, d in enumerate(docs):
-            assert lls[i] == pytest.approx(fold_in(corpus.docs[d], topics, EmConfig(seed=0))[1],
-                                           rel=1e-12)
+            expected = per_document_fold_in(corpus.docs[d], topics, EmConfig(seed=0))[1]
+            assert lls[i] == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("instance", [lambda: mixed_length_instance(k=4), sparse_topic_instance],
                              ids=["mixed_length", "sparse_topic"])
