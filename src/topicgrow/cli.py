@@ -95,12 +95,14 @@ def build_parser():
     train.add_argument("--epsilon", type=float, help="spawn threshold in nats (nplsa only)")
     train.add_argument("--query", help="whitespace-separated query terms (query only)")
     train.add_argument("--lambda", dest="lam", type=float,
-                       help="query/background mixture weight for pseudo feedback (query only)")
+                       help="query/background mixture weight for pseudo feedback "
+                       f"(query; default {DEFAULT_LAM})")
     train.add_argument("--patience", type=int, help="stalled iterations before the stop "
                        f"rule ends growth (auto/query; default {PATIENCE})")
     train.add_argument("--max-spawns", type=int,
                        help="cap growth iterations (auto/query; full-curve runs)")
-    train.add_argument("--max-topics", type=int, help="topic cap (nplsa/auto/query)")
+    train.add_argument("--max-topics", type=int,
+                       help=f"topic cap (nplsa/auto/query; default {MAX_TOPICS})")
     train.add_argument("--order-seed", type=int,
                        help="shuffle the document sweep order (nplsa only)")
     train.add_argument("--max-iters", type=int, default=EmConfig.max_iters)
@@ -127,7 +129,8 @@ def build_parser():
                     f"(with --corpus; default {DEFAULT_SPLIT_FRACTION})")
     ev.add_argument("--top-n", type=int,
                     help=f"words per topic for PMI (with --reference; default {DEFAULT_TOP_N})")
-    ev.add_argument("--min-df", type=int, help="text ingestion of --reference: df filter")
+    ev.add_argument("--min-df", type=int,
+                    help=f"text ingestion of --reference: df filter (default {MIN_DF})")
     ev.add_argument("--stopwords", help="text ingestion of --reference: stopword file")
     return parser
 

@@ -117,10 +117,12 @@ def pmi_coherence(topics, vocab, stats, top_n=DEFAULT_TOP_N):
     call, -1 standing for a word the reference lacks. Pairs that never
     co-occur contribute the additively smoothed ratio (co-df of 0.5), and a
     top word missing from the stats is treated as having df 0.5, so the score
-    stays finite. Each topic's pair terms are summed one by one, in
-    ``itertools.combinations`` order. A model of fewer than two terms has no
-    pairs to score and raises ``DataError``, as do a ``top_n`` below 2 and a
-    reference that holds no top word, whose pairs would all score log(2 n_docs).
+    stays finite. A topic none of whose top words the reference holds, whose
+    pairs would all score log(2 n_docs), is left out of the mean. Each topic's
+    pair terms are summed one by one, in ``itertools.combinations`` order. A
+    model of fewer than two terms has no pairs to score and raises
+    ``DataError``, as do a ``top_n`` below 2 and a reference that holds no top
+    word of any topic.
     """
     if top_n < 2:
         raise DataError("top_n must be >= 2")
@@ -140,7 +142,7 @@ def pmi_coherence(topics, vocab, stats, top_n=DEFAULT_TOP_N):
     ratios = np.where(co > 0, co, 0.5) * stats.n_docs / (df[:, a] * df[:, b])
     logs = np.array([[math.log(r) for r in row] for row in ratios.tolist()])
     # cumsum adds left to right, as the pair loop did; a pairwise sum changes the last bits
-    return float(np.mean(logs.cumsum(axis=1)[:, -1] / logs.shape[1]))
+    return float(np.mean(logs.cumsum(axis=1)[present.any(axis=1), -1] / logs.shape[1]))
 
 
 def perplexity(held_out, topics, config, split_fraction=DEFAULT_SPLIT_FRACTION):

@@ -58,7 +58,7 @@ class EmConfig:
     """Knobs shared by the EM loop and the fold-ins of the package.
 
     ``rel_tol`` stops the outer loop when |dL/L| falls below it;
-    ``smoothing_floor`` is the minimum probability kept in every topic row so
+    ``smoothing_floor`` is the least entry of every topic (``_floor_rows``), so
     a freshly spawned topic (a document MLE full of zeros) can still explain
     unseen words. The fold-in fields budget each document's fit against
     frozen topics; the batched kernel (``fold_in_docs``) applies them to every
@@ -125,26 +125,16 @@ def init_topics(k, n_terms, rng):
 
 
 def _floor_rows(mat, floor):
-    """Clamp every entry to >= floor and renormalize rows to sum to 1.
-
-    A pass floors the entries below the floor and rescales the rest of the row,
-    entries floored by an earlier pass included, which can take those below it
-    again: entries may take turns below the floor until a pass finds none, for
-    at most 50 passes, and one floored before the last pass can end an ulp above.
-    """
+    """Normalize rows, floor their fewest smallest entries and rescale the rest to sum to 1."""
     mat = mat / mat.sum(axis=1, keepdims=True)
-    if floor <= 0:
-        return mat
     if mat.shape[1] * floor >= 0.5:
         raise DataError("smoothing_floor too large for this vocabulary size")
-    for _ in range(50):
-        low = mat < floor
-        if not low.any():
-            break
-        budget = 1.0 - low.sum(axis=1, keepdims=True) * floor
-        high_sum = np.where(low, 0.0, mat).sum(axis=1, keepdims=True)
-        mat = np.where(low, floor, mat * (budget / high_sum))
-    return mat
+    ranked = np.sort(mat, axis=1)
+    rest = 1.0 - (np.cumsum(ranked, axis=1) - ranked)  # mass of each ranked entry and those above
+    # ranked entry i ends below the floor even once the i entries under it are floored
+    low = ranked * (1.0 - np.arange(mat.shape[1]) * floor) < floor * rest
+    n_low = low.sum(axis=1, keepdims=True)
+    return np.maximum(mat * ((1.0 - n_low * floor) / np.take_along_axis(rest, n_low, 1)), floor)
 
 
 def e_step_doc(corpus, d, topics, mix):
@@ -312,8 +302,8 @@ def _m_step(corpus, topics, mixes, ratio, doc_counts, smoothing_floor, eta=1.0):
     The topic counts n(z,w) = p(w|z) S(z,w), S(z,w) = sum_d p(z|d) ratio(d,w),
     run on the word side of the corpus's ``BlockLayout``: per block, the mixes of the
     documents holding each word are gathered once into ``(n, L, K)`` and one
-    batched matmul with the ratio gives the sums. Topic rows are floored then
-    renormalized; a topic without mass is reset to uniform. The mixes are the
+    batched matmul with the ratio gives the sums. Topic rows are floored by
+    ``_floor_rows``; a topic without mass is reset to uniform. The mixes are the
     normalized ``doc_counts``. An ``eta`` other than 1 over-relaxes the
     multiplicative update: topics are proportional to p(w|z) S^eta and mixes
     to p(z|d) F^eta, F = n(d,z) / p(z|d) (0 where p(z|d) = 0); at eta = 1

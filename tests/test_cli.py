@@ -338,7 +338,10 @@ def test_help_of_a_scoped_flag_names_its_runs_and_default(command, dest):
     else:
         assert f"--{runs}" in action.help
     stated = re.search(r"default ([^;)]*)", action.help)
-    assert stated is None or stated.group(1) == str(default)
+    if default is None or default is cli._REQUIRED:
+        assert stated is None
+    else:
+        assert stated is not None and stated.group(1) == str(default)
 
 
 def train_argv(synth_dir, tmp_path, *flags):

@@ -43,12 +43,15 @@ class AllPairsStats:
 
 
 def oracle_pmi(topics, vocab, stats, top_n):
-    """Oracle: PMI scored pair by pair from ``AllPairsStats``."""
+    """Oracle: PMI scored pair by pair from ``AllPairsStats``, over the topics
+    with at least one top word that a reference document holds."""
     n = stats.n_docs
     per_topic = []
     for row in np.asarray(topics, dtype=float):
         ranked = top_words(row, top_n)
         sids = [stats.index.get(vocab.terms[w]) for w in ranked]
+        if all(i is None or stats.df[i] == 0 for i in sids):
+            continue
         total = 0.0
         pairs = 0
         for a, b in itertools.combinations(range(len(ranked)), 2):
@@ -201,6 +204,26 @@ class TestPmi:
         topics = np.array([[0.4, 0.6]])
         score = pmi_coherence(topics, other_vocab, stats, top_n=2)
         assert math.isfinite(score)
+
+    def test_topic_without_a_reference_word_is_left_out(self):
+        # alone, the topic on the absent x and y would score log(2 * 100) per pair
+        corpus = ingest_sparse([(d, t, 1) for d in range(100) for t in ("a", "b")])
+        stats = CooccurrenceStats.from_corpus(corpus)
+        vocab = Vocabulary(["a", "b", "x", "y"])
+        on_ab = np.array([[0.5, 0.4, 0.05, 0.05]])
+        assert pmi_coherence(on_ab, vocab, stats, top_n=2) == 0.0
+        both = np.vstack([on_ab, [[0.05, 0.05, 0.5, 0.4]]])
+        assert pmi_coherence(both, vocab, stats, top_n=2) == 0.0
+
+    def test_topic_with_one_reference_word_keeps_the_smoothing(self):
+        # df(a) = 80, df(b) = 40, co-df(a, b) = 20 of 100; y is absent, so (a, y) is smoothed
+        triples = [(d, "a", 1) for d in range(80)] + [(d, "b", 1) for d in range(20)]
+        corpus = ingest_sparse(triples + [(d, "b", 1) for d in range(80, 100)])
+        stats = CooccurrenceStats.from_corpus(corpus)
+        topics = np.array([[0.5, 0.4, 0.1], [0.5, 0.1, 0.4]])
+        expected = (math.log(20 * 100 / (80 * 40)) + math.log(0.5 * 100 / (80 * 0.5))) / 2
+        score = pmi_coherence(topics, Vocabulary(["a", "b", "y"]), stats, top_n=2)
+        assert score == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("terms", [["y", "zzz"], ["c", "zzz"]],
                              ids=["not_in_vocab", "in_no_document"])

@@ -160,15 +160,40 @@ class TestMStep:
         topics, _ = em_step(corpus, np.array([[1.0], [1.0]]), np.array([[1.0, 0.0]]))
         np.testing.assert_allclose(topics[1], [1.0])
 
-    def test_floored_entries_taking_turns_settle_on_the_floor(self):
-        # Entries 0 and 1 take turns below the floor for 6 passes: each pass's
-        # rescaling takes the entry floored by the pass before it just below.
+    def test_entry_rescaled_below_the_floor_is_floored_too(self):
+        # entry 0 lies below the floor and entry 1 just above it, so rescaling
+        # the rest of the row takes entry 1 below it as well: both are floored
         f = 1e-3
         row = np.array([[0.2 * f, f * (1 + 1e-7)] + [(1 - 1.2 * f) / 10] * 10])
         out = _floor_rows(row, f)[0]
-        assert np.all(out >= f)
-        assert out[1] == f and out[0] - f <= np.spacing(f)  # entry 0 was floored a pass earlier
+        plain = row[0] / row.sum()
+        assert out[0] == f and out[1] == f
+        scale = (1 - 2 * f) / (1 - plain[:2].sum())
+        np.testing.assert_allclose(out[2:], plain[2:] * scale, rtol=1e-14)
         assert abs(out.sum() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("k, v", [(1, 2), (3, 7), (5, 40), (10, 400)])
+    def test_floor_properties_on_random_rows_with_zeros(self, k, v):
+        rng = np.random.default_rng(k * 1000 + v)
+        for floor in [0.0, 1e-12, 1e-6 / v, 0.1 / v, 0.4999 / v]:
+            mat = rng.dirichlet(np.full(v, 0.5), size=k)
+            mat[rng.random((k, v)) < 0.4] = 0.0
+            mat[:, 0] += 1e-3  # no row is all zeros
+            mat *= rng.uniform(0.5, 50.0)
+            out = _floor_rows(mat, floor)
+            plain = mat / mat.sum(axis=1, keepdims=True)
+            if floor == 0.0:
+                np.testing.assert_array_equal(out, plain)
+            assert np.all(out >= floor)
+            assert np.all(out[plain < floor] == floor)  # zeros among them
+            np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+            for o, p in zip(out, plain):
+                order = np.argsort(p, kind="stable")
+                assert np.all(np.diff(o[order]) >= 0)  # order is kept
+                kept = o > floor  # these share one scale, which takes each floored one to <= floor
+                scale = (1 - floor * (~kept).sum()) / p[kept].sum()
+                np.testing.assert_allclose(o[kept], p[kept] * scale, rtol=1e-12, atol=0)
+                assert np.all(p[~kept] * scale <= floor * (1 + 1e-12))
 
     def test_floor_respected(self):
         corpus = ingest_sparse([(0, "a", 5), (0, "b", 1), (1, "a", 2)])
