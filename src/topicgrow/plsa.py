@@ -125,7 +125,7 @@ def init_topics(k, n_terms, rng):
 
 
 def _floor_rows(mat, floor):
-    """Normalize rows, floor their fewest smallest entries and rescale the rest to sum to 1."""
+    """Normalize rows; floor the fewest smallest entries that keep the rescaled rest >= floor."""
     mat = mat / mat.sum(axis=1, keepdims=True)
     if mat.shape[1] * floor >= 0.5:
         raise DataError("smoothing_floor too large for this vocabulary size")
