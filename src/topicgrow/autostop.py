@@ -31,7 +31,7 @@ from .corpus import background_model, pooled_counts
 from .errors import DataError
 from .metrics import l2_distances
 from .nplsa import MAX_TOPICS, best_fits, grow, spawn, warm_start
-from .plsa import TraceRow, em_refine, fold_in_all, fold_in_docs
+from .plsa import FOLD_IN_PASSES, TraceRow, em_refine, fold_in_all, fold_in_docs
 
 logger = logging.getLogger(__name__)
 
@@ -127,10 +127,10 @@ def _grow(corpus, config, score_fn, patience, max_topics, max_spawns, advice):
     documents are fitted in decreasing bound order, in doubling batches, until
     no bound left can beat the best deficit: the spawn is the argmax over every
     document, ties to the lowest id. One ``fold_in_all`` from the EM mixes then
-    refits every document to the enlarged topic set for at most the smaller of
-    ``config.fold_in_max_iters`` and ``_SPAWN_REFIT_PASSES`` passes; a document
-    then holding more than ``_SPAWN_UPTAKE`` of the new topic runs on from there
-    with ``fold_in_docs`` for at most the rest of ``config.fold_in_max_iters``.
+    refits every document to the enlarged topic set for at most
+    ``_SPAWN_REFIT_PASSES`` passes; a document then holding more than
+    ``_SPAWN_UPTAKE`` of the new topic runs on from there with ``fold_in_docs``
+    for at most the rest of the fold-in budget ``FOLD_IN_PASSES``.
     The run-on starts a fresh plateau test, so each such document runs at least
     one more pass, even one that had already plateaued inside the capped
     refit; its mix is near, not equal to, that of a full-budget fold-in. The
@@ -148,10 +148,6 @@ def _grow(corpus, config, score_fn, patience, max_topics, max_spawns, advice):
         raise DataError("patience must be >= 1")
     if max_spawns is not None and max_spawns < 0:
         raise DataError("max_spawns must be >= 0")
-    refit = min(config.fold_in_max_iters, _SPAWN_REFIT_PASSES)
-    refit_config = replace(config, fold_in_max_iters=refit)
-    rest = config.fold_in_max_iters - refit
-    rest_config = replace(config, fold_in_max_iters=rest) if rest else None
 
     def farthest_first(topics, mixes, doc_lls, self_lls, fitted):
         k = topics.shape[0]
@@ -161,18 +157,18 @@ def _grow(corpus, config, score_fn, patience, max_topics, max_spawns, advice):
         n, step = 0, 1
         while n < order.size and bounds[order[n]] >= deficits.max():
             docs = order[n : n + step]
-            deficits[docs] = self_lls[docs] - best_fits(corpus, docs, topics, mixes, doc_lls,
-                                                        config)[1]
+            deficits[docs] = self_lls[docs] - best_fits(corpus, docs, topics, mixes, doc_lls)[1]
             n, step = n + step, 2 * step
         d_star = int(np.argmax(deficits))
         topics = spawn(corpus, topics, d_star, max_topics, advice)
-        new_mixes, _ = fold_in_all(corpus, topics, refit_config,
-                                   init_mixes=warm_start(mixes, k + 1)[1])
+        new_mixes, _ = fold_in_all(corpus, topics, warm_start(mixes, k + 1)[1],
+                                   _SPAWN_REFIT_PASSES)
         takers = new_mixes[:, k] > _SPAWN_UPTAKE
         takers[d_star] = False
-        if rest_config is not None and takers.any():
+        if takers.any():
             docs = np.flatnonzero(takers)
-            new_mixes[docs] = fold_in_docs(corpus, docs, topics, rest_config, new_mixes[docs])[0]
+            new_mixes[docs] = fold_in_docs(corpus, docs, topics, new_mixes[docs],
+                                           FOLD_IN_PASSES - _SPAWN_REFIT_PASSES)[0]
         new_mixes[d_star] = 0.0
         new_mixes[d_star, k] = 1.0
         return topics, new_mixes, (d_star,), {"epsilon": float(deficits[d_star]), "phase": "grow"}

@@ -1,9 +1,9 @@
 """Command-line entry point: synth, train, and eval subcommands.
 
-Every run requires an explicit --seed and writes a config.json echo with the resolved
-parameters and library versions, so any output can be reproduced exactly. The --out
-directory is made only once a run's inputs have been read and checked. Exit codes:
-0 success, 1 usage error, 2 data error, 3 algorithmic failure.
+Every run requires an explicit --seed and echoes its resolved parameters and library versions
+(config.json; eval: the "config" key of metrics.json), so any output can be reproduced exactly.
+--out is made only once a run's results are computed, so a run that fails before writing
+leaves none. Exit codes: 0 success, 1 usage error, 2 data error, 3 algorithmic failure.
 """
 
 from __future__ import annotations
@@ -108,13 +108,6 @@ def build_parser():
     train.add_argument("--max-iters", type=int, default=EmConfig.max_iters)
     train.add_argument("--rel-tol", type=float, default=EmConfig.rel_tol)
     train.add_argument("--floor", type=float, default=EmConfig.smoothing_floor)
-    train.add_argument("--fold-in-iters", type=int,
-                       help="fold-in passes at most per document, in every fold-in "
-                            f"(nplsa/auto/query; default {EmConfig.fold_in_max_iters}); the "
-                            "post-spawn refit of auto/query stops earlier, after a fixed few "
-                            "passes, in documents that do not take up the new topic")
-    train.add_argument("--fold-in-tol", type=float, help="fold-in plateau tolerance "
-                       f"(nplsa/auto/query; default {EmConfig.fold_in_rel_tol})")
     train.add_argument("--min-df", type=int, default=MIN_DF, help="text ingestion: df filter")
     train.add_argument("--stopwords", help="text ingestion: stopword file")
 
@@ -234,8 +227,6 @@ def _em_config(args):
         max_iters=args.max_iters,
         rel_tol=args.rel_tol,
         smoothing_floor=args.floor,
-        fold_in_max_iters=args.fold_in_iters,
-        fold_in_rel_tol=args.fold_in_tol,
     )
 
 
@@ -246,9 +237,7 @@ _SCOPED = {
     "train": {"k": ("plsa", _REQUIRED), "epsilon": ("nplsa", _REQUIRED),
               "query": ("query", _REQUIRED), "order_seed": ("nplsa", None),
               "max_spawns": ("auto/query", None), "patience": ("auto/query", PATIENCE),
-              "lam": ("query", DEFAULT_LAM), "max_topics": ("nplsa/auto/query", MAX_TOPICS),
-              "fold_in_iters": ("nplsa/auto/query", EmConfig.fold_in_max_iters),
-              "fold_in_tol": ("nplsa/auto/query", EmConfig.fold_in_rel_tol)},
+              "lam": ("query", DEFAULT_LAM), "max_topics": ("nplsa/auto/query", MAX_TOPICS)},
     "eval": {"split_fraction": ("corpus", DEFAULT_SPLIT_FRACTION),
              "top_n": ("reference", DEFAULT_TOP_N), "min_df": ("reference", MIN_DF),
              "stopwords": ("reference", None)},
@@ -276,8 +265,6 @@ def _cmd_train(args):
     stopwords = read_stopwords(args.stopwords) if args.stopwords else None
     corpus = load_corpus(args.corpus, min_df=args.min_df, stopwords=stopwords)
     config = _em_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     meta = {
         "algo": args.algo,
         "seed": args.seed,
@@ -312,6 +299,8 @@ def _cmd_train(args):
     meta["iters"] = len(trace)
     if args.algo == "plsa":
         meta["k"] = args.k
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_model(out_dir / "model.json", corpus.vocab, topics, mixes=mixes, meta=meta)
     write_trace(out_dir / "trace.csv", trace)
     stop = " then ".join(row.stop for row in trace if row.stop)  # growth's, then EM's
@@ -353,12 +342,8 @@ def _cmd_eval(args):
         report["tqe"], report["tce"] = _truth_errors(topics, vocab, args.truth)
     if args.corpus:  # read unfiltered: reindexing drops every term the model lacks
         held_out = reindex_corpus(load_corpus(args.corpus), vocab)
-        report["perplexity"] = perplexity(
-            held_out,
-            topics,
-            EmConfig(seed=args.seed),
-            split_fraction=args.split_fraction,
-        )
+        report["perplexity"] = perplexity(held_out, topics, args.seed,
+                                          split_fraction=args.split_fraction)
     if args.reference:
         stopwords = read_stopwords(args.stopwords) if args.stopwords else None
         reference = load_corpus(args.reference, min_df=args.min_df, stopwords=stopwords)

@@ -145,10 +145,10 @@ def pmi_coherence(topics, vocab, stats, top_n=DEFAULT_TOP_N):
     return float(np.mean(logs.cumsum(axis=1)[present.any(axis=1), -1] / logs.shape[1]))
 
 
-def perplexity(held_out, topics, config, split_fraction=DEFAULT_SPLIT_FRACTION):
+def perplexity(held_out, topics, seed, split_fraction=DEFAULT_SPLIT_FRACTION):
     """Held-out perplexity of the unseen portion of each document.
 
-    Each document's tokens are shuffled with the run seed and split at
+    Each document's tokens are shuffled with ``seed`` and split at
     ``split_fraction``; the observed parts are folded in together against the
     frozen topics (``fold_in_docs``, uniform start) and each remainder is scored
     under its document's fitted mixture by the EM kernel's E-step. Documents
@@ -160,7 +160,9 @@ def perplexity(held_out, topics, config, split_fraction=DEFAULT_SPLIT_FRACTION):
         raise DataError("vocabulary mismatch: held-out corpus does not match the topics")
     if not 0.0 < split_fraction < 1.0:
         raise DataError("split_fraction must lie in (0, 1)")
-    rng = np.random.default_rng(config.seed)
+    if seed < 0:
+        raise DataError("seed must be non-negative")
+    rng = np.random.default_rng(seed)
     halves = []  # each evaluable document's seen and unseen tokens
     for ids, counts in held_out.docs:
         tokens = np.repeat(ids, counts)
@@ -175,7 +177,7 @@ def perplexity(held_out, topics, config, split_fraction=DEFAULT_SPLIT_FRACTION):
         raise DataError("no evaluable documents for perplexity")
     seen, unseen = (_token_corpus(held_out.vocab, rows) for rows in zip(*halves))
     k = topics.shape[0]
-    mixes, _ = fold_in_docs(seen, np.arange(seen.n_docs), topics, config,
+    mixes, _ = fold_in_docs(seen, np.arange(seen.n_docs), topics,
                             np.full((seen.n_docs, k), 1.0 / k))
     try:
         lls = _e_step(unseen, topics, mixes)[2]

@@ -46,20 +46,21 @@ def warm_start(mixes, k):
     return old, _WARM_KEEP * old + (1.0 - _WARM_KEEP) / k
 
 
-def best_fits(corpus, docs, topics, mixes, old_lls, config):
+def best_fits(corpus, docs, topics, mixes, old_lls):
     """Fold documents in, but never fall below their previous fit.
 
     ``old_lls`` are the documents' log-likelihoods under ``mixes``. The fold-in
-    warm start blends in uniform mass so new topics are reachable; when it stops
-    short of the optimum it can land below the old (zero-padded) mix, which would
-    break the monotonicity of the penalized objective. Taking whichever of the
-    two fits is better restores the guarantee while still letting new topics be
-    adopted. Both growth algorithms score deficits with it: nPLSA's sweep and
-    farthest-first growth's bounded search, which relies on a returned ll never
-    falling below ``old_lls``. Returns (mixes (len(docs), K), lls (len(docs),)).
+    (``fold_in_docs`` at its full budget) warm start blends in uniform mass so
+    new topics are reachable; when it stops short of the optimum it can land
+    below the old (zero-padded) mix, which would break the monotonicity of the
+    penalized objective. Taking whichever of the two fits is better restores the
+    guarantee while still letting new topics be adopted. Both growth algorithms
+    score deficits with it: nPLSA's sweep and farthest-first growth's bounded
+    search, which relies on a returned ll never falling below ``old_lls``.
+    Returns (mixes (len(docs), K), lls (len(docs),)).
     """
     old, warm = warm_start(mixes[docs], topics.shape[0])
-    fit_mixes, fit_lls = fold_in_docs(corpus, docs, topics, config, warm)
+    fit_mixes, fit_lls = fold_in_docs(corpus, docs, topics, warm)
     use_old = old_lls[docs] > fit_lls
     return np.where(use_old[:, None], old, fit_mixes), np.where(use_old, old_lls[docs], fit_lls)
 
@@ -144,7 +145,7 @@ def train_nplsa(corpus, epsilon, config, max_topics=MAX_TOPICS, order_seed=None)
             deficits = np.zeros(head.size)
             if fold.any():
                 docs = head[fold]
-                fits, best = best_fits(corpus, docs, topics, mixes, doc_lls, config)
+                fits, best = best_fits(corpus, docs, topics, mixes, doc_lls)
                 deficits[fold] = self_lls[docs] - best
                 post_mixes[docs[stale[fold]]] = fits[stale[fold]]
             over = np.flatnonzero(deficits > epsilon)

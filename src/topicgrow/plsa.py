@@ -16,10 +16,11 @@ it also returns the per-document log-likelihoods that nPLSA's spawn test,
 perplexity and the training traces read, nPLSA's penalized ``objective``
 column included. The batched fold-in works on padded ``(n, L, K)`` blocks of
 documents sorted longest first (``fold_in_docs``), cut by the same ``pad_runs``;
-its kernel ``_fold_in_block`` is the one fold-in loop, and ``fold_in`` is its
-one-document call. A padding cell, in either kind of block, holds term
-``n_terms``, whose probability is 1 under every topic, with count 0: it adds
-log 1 = 0 to the log-likelihoods and nothing to the expected counts.
+its kernel ``_fold_in_block`` is the one fold-in loop, stopping a document on its plateau
+(``_FOLD_IN_TOL``) or after ``passes``, ``FOLD_IN_PASSES`` by default; ``fold_in`` is its
+one-document call. A padding cell, in either kind of block, holds term ``n_terms``, whose
+probability is 1 under every topic, with count 0: it adds log 1 = 0 to the log-likelihoods
+and nothing to the expected counts.
 ``_e_step``'s ``ratio`` has one zero cell more, which the word side's padding
 reads. ``em_steps`` is the one EM loop, and both growth runs step it through ``nplsa.grow``.
 ``run_to_plateau`` stops ``em_refine`` and nPLSA at a plateau; farthest-first
@@ -51,38 +52,33 @@ _BLOCK_ENTRIES = 1 << 17  # padded (document, word, topic) entries per fold-in b
 _DROP_SHARE = 0.3  # converged share of a block's working documents at which they leave it
 _ETA_GROWTH = 1.1  # factor on the over-relaxation exponent after each accepted fixed-K step
 _ETA_CAP = 2.5  # largest over-relaxation exponent
+FOLD_IN_PASSES = 50  # default fold-in passes at most per document
+_FOLD_IN_TOL = 1e-6  # relative log-likelihood change at which a document's fold-in plateaus
 
 
 @dataclass(frozen=True)
 class EmConfig:
-    """Knobs shared by the EM loop and the fold-ins of the package.
+    """Knobs of the EM loop; the fold-ins keep their own budget, ``FOLD_IN_PASSES``.
 
     ``rel_tol`` stops the outer loop when |dL/L| falls below it;
     ``smoothing_floor`` is the least entry of every topic (``_floor_rows``), so
     a freshly spawned topic (a document MLE full of zeros) can still explain
-    unseen words. The fold-in fields budget each document's fit against
-    frozen topics; the batched kernel (``fold_in_docs``) applies them to every
-    document of a block on its own.
+    unseen words.
     """
 
     seed: int
     max_iters: int = 200
     rel_tol: float = 1e-5
     smoothing_floor: float = 1e-9
-    fold_in_max_iters: int = 50
-    fold_in_rel_tol: float = 1e-6
 
     def __post_init__(self):
-        require_integers(self, "seed", "max_iters", "fold_in_max_iters")
+        require_integers(self, "seed", "max_iters")
         if self.seed < 0:
             raise DataError("seed must be non-negative")
         if self.max_iters < 1:
             raise DataError("max_iters must be >= 1")
-        if self.fold_in_max_iters < 1:
-            raise DataError("fold_in_max_iters must be >= 1")
-        for name in ("rel_tol", "fold_in_rel_tol"):
-            if not 0 < getattr(self, name) < np.inf:  # also rejects NaN
-                raise DataError(f"{name} must be finite and > 0")
+        if not 0 < self.rel_tol < np.inf:  # also rejects NaN
+            raise DataError("rel_tol must be finite and > 0")
         if not 0 <= self.smoothing_floor <= 1e-3:
             raise DataError("smoothing_floor must lie in [0, 1e-3]")
 
@@ -445,7 +441,7 @@ def train_plsa(corpus, k, config):
     return topics, mixes, trace
 
 
-def fold_in(doc, topics, config, init_mix=None):
+def fold_in(doc, topics, init_mix=None):
     """Fit one document's mix against frozen topics: the batch kernel on one unpadded row.
 
     ``doc`` is a sparse row (term_ids, counts); the result is ``fold_in_docs``'s for it
@@ -456,11 +452,11 @@ def fold_in(doc, topics, config, init_mix=None):
     k = topics.shape[0]
     init = np.full(k, 1.0 / k) if init_mix is None else np.asarray(init_mix, dtype=float)
     mixes, lls = _fold_in_block(np.asarray(ids)[None], np.asarray(counts, dtype=float)[None],
-                                topics.T, np.array([len(ids)]), init[None], config)
+                                topics.T, np.array([len(ids)]), init[None], FOLD_IN_PASSES)
     return mixes[0], float(lls[0])
 
 
-def fold_in_docs(corpus, docs, topics, config, init_mixes):
+def fold_in_docs(corpus, docs, topics, init_mixes, passes=FOLD_IN_PASSES):
     """Fold in the documents ``docs`` against frozen topics, each to its own plateau.
 
     The documents are sorted longest first and cut into blocks of at most
@@ -469,9 +465,9 @@ def fold_in_docs(corpus, docs, topics, config, init_mixes):
     pass runs two batched matmuls, ``probs = rows @ mix`` and ``mix *= (cnt /
     probs) @ rows``, and one log for the documents' lls; the per-document
     plateau test and write-back touch only the working rows. A document stops
-    iterating on its own plateau or at the ``fold_in_max_iters`` cap, where its
-    result is written; converged documents keep iterating unread until they are
-    at least ``_DROP_SHARE`` of the block's rows, then leave it together. Each
+    iterating on its own plateau (``_FOLD_IN_TOL``) or after ``passes`` passes,
+    where its result is written; converged documents keep iterating unread until
+    they are at least ``_DROP_SHARE`` of the block's rows, then leave it together. Each
     document gets ``fold_in``'s iterates up to round-off. ``init_mixes`` is
     ``(len(docs), K)``; returns the fitted mixes and their lls in the order of ``docs``.
     """
@@ -488,12 +484,12 @@ def fold_in_docs(corpus, docs, topics, config, init_mixes):
     for r0, r1, c0, c1 in blocks:
         block, cells = order[r0:r1], idx[c0:c1].reshape(r1 - r0, -1)
         out_mixes[block], out_lls[block] = _fold_in_block(
-            words[cells], counts[cells], table, lengths[docs[block]], init_mixes[block], config
+            words[cells], counts[cells], table, lengths[docs[block]], init_mixes[block], passes
         )
     return out_mixes, out_lls
 
 
-def _fold_in_block(words, cnt, table, lens, init_mixes, config):
+def _fold_in_block(words, cnt, table, lens, init_mixes, passes):
     """``fold_in_docs`` on one block: padded (n, L) words and counts, ``lens`` longest first.
 
     A pass runs two matmuls and one log; a zero probability shows as a non-finite
@@ -508,15 +504,15 @@ def _fold_in_block(words, cnt, table, lens, init_mixes, config):
     n_done = 0  # rows plateaued and written, not yet dropped
     prev_lls = np.full(lens.size, np.nan)  # no row plateaus on the first pass
     with np.errstate(divide="ignore", invalid="ignore"):  # zero probabilities are tested below
-        for it in range(config.fold_in_max_iters + 1):
+        for it in range(passes + 1):
             probs = (rows @ mix[:, :, None])[:, :, 0]
             lls = np.einsum("nl,nl->n", cnt, np.log(probs))
             if not math.isfinite(lls.sum()) and np.any(probs[~np.isfinite(lls)] <= 0.0):
                 raise DataError("unmodelable word: zero mixture probability in fold-in")
-            if it == config.fold_in_max_iters:  # the cap: every working row is written
+            if it == passes:  # the cap: every working row is written
                 new = np.flatnonzero(working)
             else:
-                hit = _plateaued(lls, prev_lls, config.fold_in_rel_tol)
+                hit = _plateaued(lls, prev_lls, _FOLD_IN_TOL)
                 new = np.flatnonzero(hit & working if n_done else hit)
             if new.size:
                 pos = active[new]
@@ -535,15 +531,15 @@ def _fold_in_block(words, cnt, table, lens, init_mixes, config):
                 active, prev_lls, working, n_done = active[keep], prev_lls[keep], working[keep], 0
 
 
-def fold_in_all(corpus, topics, config, init_mixes=None):
+def fold_in_all(corpus, topics, init_mixes=None, passes=FOLD_IN_PASSES):
     """Fold in every document against frozen topics: ``fold_in_docs`` over the whole corpus.
 
     The documents run in padded blocks sorted longest first, two batched
-    matmuls per pass; each stops on its own plateau or at the
-    ``fold_in_max_iters`` cap, and converged documents leave their block in
-    batches. ``init_mixes`` (D, K) defaults to uniform mixes. Returns
-    (mixes (D, K), fitted lls (D,)), the lls being those of the returned mixes.
+    matmuls per pass; each stops on its own plateau or after ``passes`` passes,
+    and converged documents leave their block in batches. ``init_mixes`` (D, K)
+    defaults to uniform mixes. Returns (mixes (D, K), fitted lls (D,)), the lls
+    being those of the returned mixes.
     """
     if init_mixes is None:
         init_mixes = np.full((corpus.n_docs, topics.shape[0]), 1.0 / topics.shape[0])
-    return fold_in_docs(corpus, np.arange(corpus.n_docs), topics, config, init_mixes)
+    return fold_in_docs(corpus, np.arange(corpus.n_docs), topics, init_mixes, passes)

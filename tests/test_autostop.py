@@ -1,12 +1,11 @@
 import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from oracles import per_document_fold_in
 
-from topicgrow import autostop
+from topicgrow import autostop, nplsa, plsa
 from topicgrow.autostop import (
     diversity,
     estimate_query_model,
@@ -18,7 +17,7 @@ from topicgrow.corpus import background_model, ingest_sparse, ingest_text
 from topicgrow.errors import AlgorithmError, DataError
 from topicgrow.metrics import topic_coverage_error
 from topicgrow.nplsa import doc_self_loglik, grow, spawn, warm_start
-from topicgrow.plsa import EmConfig, _e_step, _m_step, fold_in_all
+from topicgrow.plsa import FOLD_IN_PASSES, EmConfig, _e_step, _m_step, fold_in_all
 from topicgrow.synthgen import PROFILES, SynthConfig, generate_corpus
 
 
@@ -321,22 +320,22 @@ class TestWeaklySupervised:
 def spy_fold_ins(monkeypatch):
     """Record the post-spawn refits of a grow, one dict per spawn.
 
-    Each holds the ``fold_in_all`` call's (config, topics, init_mixes, mixes,
-    lls) and, under "rest", the (docs, config, init_mixes, mixes) of the
+    Each holds the ``fold_in_all`` call's (passes, topics, init_mixes, mixes,
+    lls) and, under "rest", the (docs, passes, init_mixes, mixes) of the
     ``autostop.fold_in_docs`` call that runs the new topic's takers on, if any.
     """
     calls = []
     real_all, real_docs = autostop.fold_in_all, autostop.fold_in_docs
 
-    def spy_all(corpus, topics, config, init_mixes=None):
-        mixes, lls = real_all(corpus, topics, config, init_mixes=init_mixes)
-        calls.append({"all": (config, topics.copy(), np.array(init_mixes), mixes.copy(),
+    def spy_all(corpus, topics, init_mixes=None, passes=FOLD_IN_PASSES):
+        mixes, lls = real_all(corpus, topics, init_mixes, passes)
+        calls.append({"all": (passes, topics.copy(), np.array(init_mixes), mixes.copy(),
                               lls.copy()), "rest": None})
         return mixes, lls
 
-    def spy_docs(corpus, docs, topics, config, init_mixes):
-        mixes, lls = real_docs(corpus, docs, topics, config, init_mixes)
-        calls[-1]["rest"] = (docs.copy(), config, np.array(init_mixes), mixes.copy())
+    def spy_docs(corpus, docs, topics, init_mixes, passes=FOLD_IN_PASSES):
+        mixes, lls = real_docs(corpus, docs, topics, init_mixes, passes)
+        calls[-1]["rest"] = (docs.copy(), passes, np.array(init_mixes), mixes.copy())
         return mixes, lls
 
     monkeypatch.setattr(autostop, "fold_in_all", spy_all)
@@ -358,7 +357,7 @@ def spy_grow_states(monkeypatch):
     return states
 
 
-def oracle_deficits(corpus, topics, mixes, config):
+def oracle_deficits(corpus, topics, mixes):
     """(deficits, E-step bounds): every document fitted by the reference fold-in on its own.
 
     A deficit is the self log-likelihood minus the better of the fold-in fit,
@@ -367,24 +366,19 @@ def oracle_deficits(corpus, topics, mixes, config):
     self_lls = np.array([doc_self_loglik(doc) for doc in corpus.docs])
     em_lls = _e_step(corpus, topics, mixes)[2]
     warm = warm_start(mixes, topics.shape[0])[1]
-    fit_lls = np.array([per_document_fold_in(corpus.docs[d], topics, config, init_mix=warm[d])[1]
+    fit_lls = np.array([per_document_fold_in(corpus.docs[d], topics, init_mix=warm[d])[1]
                         for d in range(corpus.n_docs)])
     return self_lls - np.maximum(fit_lls, em_lls), self_lls - em_lls
 
 
-def refit_config(config):
-    """The post-spawn refit's first budget: at most ``_SPAWN_REFIT_PASSES`` fold-in passes."""
-    return replace(config, fold_in_max_iters=min(config.fold_in_max_iters,
-                                                 autostop._SPAWN_REFIT_PASSES))
-
-
 def check_fold_ins(corpus, config, calls, states, trace):
     """Each spawn the oracle's argmax, its deficits fitted with the full budget, then a refit
-    equal to the per-document reference fold-in: capped, the new topic's takers running on to
-    the full budget. The next state is one EM step from the refit. Returns the takers run on."""
+    equal to the per-document reference fold-in: 10 passes, the new topic's takers running on
+    for 40 more. The next state is one EM step from the refit. Returns the takers run on."""
     grow = [row for row in trace if row.phase == "grow"]
     assert len(calls) == len(grow)  # one fold_in_all per spawn: the post-spawn one
-    refit = refit_config(config)
+    refit, rest = autostop._SPAWN_REFIT_PASSES, FOLD_IN_PASSES - autostop._SPAWN_REFIT_PASSES
+    assert (refit, rest) == (10, 40)
     n_rest = 0
     for row, call in zip(grow, calls):
         used, topics, init, mixes, lls = call["all"]
@@ -393,10 +387,10 @@ def check_fold_ins(corpus, config, calls, states, trace):
         np.testing.assert_array_equal(topics[:-1], old_topics)
         np.testing.assert_array_equal(init, warm_start(old_mixes, topics.shape[0])[1])
         for d in range(corpus.n_docs):
-            mix, ll = per_document_fold_in(corpus.docs[d], topics, refit, init_mix=init[d])
+            mix, ll = per_document_fold_in(corpus.docs[d], topics, init_mix=init[d], passes=refit)
             np.testing.assert_allclose(mixes[d], mix, rtol=1e-12, atol=1e-12)
             assert lls[d] == pytest.approx(ll, rel=1e-12)
-        deficits, bounds = oracle_deficits(corpus, old_topics, old_mixes, config)
+        deficits, bounds = oracle_deficits(corpus, old_topics, old_mixes)
         assert np.all(deficits <= bounds)
         d_star = int(np.argmax(deficits))
         assert row.spawned == (d_star,)
@@ -405,16 +399,15 @@ def check_fold_ins(corpus, config, calls, states, trace):
         takers = np.flatnonzero((mixes[:, -1] > autostop._SPAWN_UPTAKE)
                                 & (np.arange(corpus.n_docs) != d_star))
         post = mixes.copy()
-        if refit == config or not takers.size:
+        if not takers.size:
             assert call["rest"] is None
         else:
-            docs, rest, rest_init, rest_mixes = call["rest"]
+            docs, used, rest_init, rest_mixes = call["rest"]
             np.testing.assert_array_equal(docs, takers)
-            assert rest == replace(config, fold_in_max_iters=config.fold_in_max_iters
-                                   - refit.fold_in_max_iters)
+            assert used == rest
             np.testing.assert_array_equal(rest_init, mixes[docs])
             for d, start, got in zip(docs, rest_init, rest_mixes):
-                mix, _ = per_document_fold_in(corpus.docs[d], topics, rest, init_mix=start)
+                mix, _ = per_document_fold_in(corpus.docs[d], topics, init_mix=start, passes=rest)
                 np.testing.assert_allclose(got, mix, rtol=1e-12, atol=1e-12)
             post[docs] = rest_mixes
             n_rest += docs.size
@@ -473,11 +466,10 @@ class TestGrowthBudgets:
 
 
 class TestGrowFoldIns:
-    @pytest.mark.parametrize("budget", [EmConfig(seed=7).fold_in_max_iters, 3])
-    def test_parameter_free_fold_ins_match_fold_in(self, monkeypatch, budget):
+    def test_parameter_free_fold_ins_match_fold_in(self, monkeypatch):
         calls, states = spy_fold_ins(monkeypatch), spy_grow_states(monkeypatch)
         corpus = clustered_corpus(np.random.default_rng(67), n_docs=18)
-        config = EmConfig(seed=7, max_iters=40, fold_in_max_iters=budget)
+        config = EmConfig(seed=7, max_iters=40)
         _, _, trace = train_parameter_free(corpus, config, max_spawns=5)
         check_fold_ins(corpus, config, calls, states, trace)
 
@@ -498,38 +490,38 @@ class TestGrowFoldIns:
 
     @pytest.mark.parametrize("which", ["auto", "query"])
     def test_the_bounded_search_keeps_the_full_budget(self, monkeypatch, which):
-        configs = []
-        real = autostop.best_fits
+        budgets = []
+        real = nplsa.fold_in_docs
 
-        def spy(corpus, docs, topics, mixes, old_lls, config):
-            configs.append(config)
-            return real(corpus, docs, topics, mixes, old_lls, config)
+        def spy(corpus, docs, topics, init_mixes, passes=FOLD_IN_PASSES):
+            budgets.append(passes)
+            return real(corpus, docs, topics, init_mixes, passes)
 
-        monkeypatch.setattr(autostop, "best_fits", spy)
+        monkeypatch.setattr(nplsa, "fold_in_docs", spy)
         corpus = clustered_corpus(np.random.default_rng(71), n_docs=18)
         config = EmConfig(seed=8, max_iters=40)
         if which == "auto":
             train_parameter_free(corpus, config, max_spawns=4)
         else:
             train_weakly_supervised(corpus, ["t07"], config, max_spawns=4)
-        assert configs and all(used is config for used in configs)
+        assert budgets and all(used == FOLD_IN_PASSES for used in budgets)
 
 
-def fold_in_until_slowest(corpus, topics, config, init_mixes):
+def fold_in_until_slowest(corpus, topics, init_mixes, passes):
     """Reference batch fold-in: every document iterates until the slowest one plateaus."""
     _, word_idx, counts = corpus.flat()
     starts, lengths = corpus.segments()
     rows = np.take(topics, word_idx, axis=1)
     mixes = np.asarray(init_mixes, dtype=float).T.copy()
     prev_lls = None
-    for it in range(config.fold_in_max_iters + 1):
+    for it in range(passes + 1):
         weighted = np.repeat(mixes, lengths, axis=1) * rows
         probs = weighted.sum(axis=0)
         lls = np.add.reduceat(counts * np.log(probs), starts)
         converged = prev_lls is not None and np.all(
-            np.abs(lls - prev_lls) <= config.fold_in_rel_tol * (np.abs(prev_lls) + 1e-12)
+            np.abs(lls - prev_lls) <= plsa._FOLD_IN_TOL * (np.abs(prev_lls) + 1e-12)
         )
-        if converged or it == config.fold_in_max_iters:
+        if converged or it == passes:
             return mixes.T, lls
         prev_lls = lls
         weighted *= counts / probs
@@ -552,18 +544,16 @@ def test_desk_grid_picks_the_reference_k(monkeypatch, seed):
     assert tce == pytest.approx(ref_tce, rel=0.10)
 
 
-def two_fold_in_phase(corpus, config, max_topics):
+def two_fold_in_phase(corpus, max_topics):
     """Farthest-first spawning by two full fold-ins per spawn, the reference for the search."""
 
     def phase(topics, mixes, doc_lls, self_lls, fitted):
         k = topics.shape[0]
-        fit_mixes, fit_lls = fold_in_all(corpus, topics, config, init_mixes=warm_start(mixes, k)[1])
+        fit_mixes, fit_lls = fold_in_all(corpus, topics, warm_start(mixes, k)[1])
         deltas = self_lls - fit_lls
         d_star = int(np.argmax(deltas))
         topics = spawn(corpus, topics, d_star, max_topics, "")
-        new_mixes, _ = fold_in_all(
-            corpus, topics, config, init_mixes=warm_start(fit_mixes, k + 1)[1]
-        )
+        new_mixes, _ = fold_in_all(corpus, topics, warm_start(fit_mixes, k + 1)[1])
         new_mixes[d_star] = 0.0
         new_mixes[d_star, k] = 1.0
         return topics, new_mixes, (d_star,), {"epsilon": float(deltas[d_star]), "phase": "grow"}
@@ -578,7 +568,7 @@ def test_desk_grid_search_picks_the_two_fold_in_k(monkeypatch, seed):
     config = EmConfig(seed=seed)
 
     def two_fold_in_grow(corpus, config, max_topics, spawn_phase):
-        return grow(corpus, config, max_topics, two_fold_in_phase(corpus, config, max_topics))
+        return grow(corpus, config, max_topics, two_fold_in_phase(corpus, max_topics))
 
     results = []
     for grow_fn in (two_fold_in_grow, grow):

@@ -128,33 +128,12 @@ def test_auto_run_is_reproducible(synth_dir, tmp_path):
     assert models[0] == models[1]
 
 
-def test_fold_in_iters_below_one_is_a_data_error(synth_dir, tmp_path):
-    code = main(["train", "--algo", "auto", "--fold-in-iters", "0", "--corpus",
-                 str(synth_dir / "corpus.sparse"), "--out", str(tmp_path), "--seed", "1"])
-    assert code == EXIT_DATA
-
-
-def test_fold_in_iters_below_the_refit_cap_bounds_the_post_spawn_refit(synth_dir, tmp_path,
-                                                                        monkeypatch):
-    budgets = []
-    real = autostop.fold_in_all
-
-    def spy(corpus, topics, config, init_mixes=None):
-        budgets.append(config.fold_in_max_iters)
-        return real(corpus, topics, config, init_mixes=init_mixes)
-
-    monkeypatch.setattr(autostop, "fold_in_all", spy)
-    assert main(train_argv(synth_dir, tmp_path, "--algo", "auto", "--max-spawns", "3",
-                           "--fold-in-iters", "3")) == 0
-    assert budgets == [3] * 3
-    with open(tmp_path / "config.json", encoding="utf-8") as fh:  # the echo keeps the flag
-        assert json.load(fh)["fold_in_iters"] == 3
-
-
-def test_nan_fold_in_tolerance_is_a_data_error(synth_dir, tmp_path):
-    code = main(["train", "--algo", "auto", "--fold-in-tol", "nan", "--corpus",
-                 str(synth_dir / "corpus.sparse"), "--out", str(tmp_path), "--seed", "1"])
-    assert code == EXIT_DATA == 2
+@pytest.mark.parametrize("flag, value", [("--fold-in-iters", "5"), ("--fold-in-tol", "1e-3")])
+def test_a_fold_in_budget_flag_is_unrecognized(synth_dir, tmp_path, flag, value, capsys):
+    out = tmp_path / "out"
+    assert main(train_argv(synth_dir, out, "--algo", "auto", flag, value)) == EXIT_USAGE == 1
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_nan_epsilon_is_a_data_error(synth_dir, tmp_path):
@@ -258,6 +237,33 @@ def test_floor_too_large_for_the_vocabulary_is_a_data_error(tmp_path, capsys):
     assert "smoothing_floor too large for this vocabulary size" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def wide_synth_dir(tmp_path_factory):
+    """A desk corpus over the profile's 500 terms, where a floor of 1e-3 is too large."""
+    out = tmp_path_factory.mktemp("wide")
+    assert main(["synth", "--profile", "desk", "--docs", "30", "--doc-len", "40", "--topics", "3",
+                 "--out", str(out), "--seed", "1"]) == 0
+    return out
+
+
+@pytest.mark.parametrize("flags, code, corpus", [
+    (["--algo", "plsa", "--k", "0"], EXIT_DATA, "synth_dir"),
+    (["--algo", "nplsa", "--epsilon", "-1"], EXIT_DATA, "synth_dir"),
+    (["--algo", "auto", "--patience", "0"], EXIT_DATA, "synth_dir"),
+    (["--algo", "auto", "--max-topics", "0"], EXIT_DATA, "synth_dir"),
+    (["--algo", "nplsa", "--epsilon", "30", "--order-seed", "-1"], EXIT_DATA, "synth_dir"),
+    (["--algo", "query", "--query", "absent"], EXIT_DATA, "synth_dir"),
+    (["--algo", "query", "--query", "w00", "--lambda", "2"], EXIT_DATA, "synth_dir"),
+    (["--algo", "plsa", "--k", "3", "--floor", "0.001"], EXIT_DATA, "wide_synth_dir"),
+    (["--algo", "auto", "--max-topics", "2"], cli.EXIT_ALGORITHM, "synth_dir"),
+], ids=["k", "epsilon", "patience", "max-topics", "order-seed", "query", "lambda", "floor",
+        "topic-explosion"])
+def test_a_failed_train_leaves_no_out_directory(request, tmp_path, flags, code, corpus):
+    out = tmp_path / "out"
+    assert main(train_argv(request.getfixturevalue(corpus), out, *flags)) == code
+    assert not out.exists()
+
+
 def test_parsed_defaults_are_the_library_defaults():
     parser = build_parser()
     common = ["--out", "o", "--seed", "0"]
@@ -270,9 +276,8 @@ def test_parsed_defaults_are_the_library_defaults():
     assert (train.patience, train.lam, train.max_topics) == (None, None, None)  # unset
     cli._resolve_scoped_flags(train)
     em = EmConfig(seed=0)
-    assert (train.max_iters, train.rel_tol, train.floor, train.fold_in_iters,
-            train.fold_in_tol) == (em.max_iters, em.rel_tol, em.smoothing_floor,
-                                   em.fold_in_max_iters, em.fold_in_rel_tol)
+    assert (train.max_iters, train.rel_tol, train.floor) == (em.max_iters, em.rel_tol,
+                                                              em.smoothing_floor)
     assert train.patience == autostop.PATIENCE
     assert train.max_topics == nplsa.MAX_TOPICS
     assert train.lam == autostop.DEFAULT_LAM
@@ -399,10 +404,6 @@ def test_zero_spawn_budget_trains_one_topic(synth_dir, tmp_path):
     (["--algo", "auto", "--lambda", "0.9"], "--lambda only applies to --algo query"),
     (["--algo", "plsa", "--k", "3", "--max-topics", "2"],
      "--max-topics only applies to --algo nplsa/auto/query"),
-    (["--algo", "plsa", "--k", "3", "--fold-in-iters", "7"],
-     "--fold-in-iters only applies to --algo nplsa/auto/query"),
-    (["--algo", "plsa", "--k", "3", "--fold-in-tol", "0.5"],
-     "--fold-in-tol only applies to --algo nplsa/auto/query"),
 ])
 def test_flag_missing_or_ignored_by_the_algo_is_a_usage_error(synth_dir, tmp_path, flags,
                                                               message, capsys):

@@ -18,7 +18,7 @@ from topicgrow.metrics import (
     topic_quality_error,
     top_words,
 )
-from topicgrow.plsa import EmConfig, _e_step, fold_in_docs
+from topicgrow.plsa import _e_step, fold_in_docs
 from topicgrow.synthgen import PROFILES, SynthConfig, generate_corpus
 
 
@@ -309,13 +309,13 @@ class TestPerplexity:
         corpus = ingest_sparse([(0, "a", 6), (0, "b", 4), (1, "c", 5), (1, "a", 5)])
         v = corpus.n_terms
         topics = np.full((1, v), 1.0 / v)
-        value = perplexity(corpus, topics, EmConfig(seed=0))
+        value = perplexity(corpus, topics, 0)
         assert value == pytest.approx(v, abs=1e-6)
 
     def test_perfect_topics_approach_one(self):
         corpus = ingest_sparse([(0, "a", 10), (1, "a", 8)])
         topics = np.array([[1.0 - 1e-9]])
-        value = perplexity(corpus, topics, EmConfig(seed=0))
+        value = perplexity(corpus, topics, 0)
         assert value == pytest.approx(1.0, abs=1e-6)
 
     def test_matches_direct_evaluation(self):
@@ -324,20 +324,19 @@ class TestPerplexity:
         corpus = ingest_sparse([(0, "a", 10), (1, "b", 10)])
         f = 1e-6
         topics = np.array([[1.0 - f, f], [f, 1.0 - f]])
-        config = EmConfig(seed=123)
         total_ll, total_n = 0.0, 0
         for wid in (0, 1):
-            mix, _ = per_document_fold_in((np.array([wid]), np.array([8])), topics, config)
+            mix, _ = per_document_fold_in((np.array([wid]), np.array([8])), topics)
             total_ll += 2 * math.log(float(mix @ topics[:, wid]))
             total_n += 2
         expected = math.exp(-total_ll / total_n)
-        assert perplexity(corpus, topics, config) == pytest.approx(expected, abs=1e-9)
+        assert perplexity(corpus, topics, 123) == pytest.approx(expected, abs=1e-9)
 
     def test_short_documents_skipped(self):
         corpus = ingest_sparse([(0, "a", 1), (1, "a", 4), (1, "b", 4)])
         v = corpus.n_terms
         topics = np.full((1, v), 1.0 / v)
-        value = perplexity(corpus, topics, EmConfig(seed=0))
+        value = perplexity(corpus, topics, 0)
         assert value == pytest.approx(v, abs=1e-6)
 
     def test_at_least_one(self):
@@ -348,35 +347,34 @@ class TestPerplexity:
                 triples.append((d, f"t{t}", int(rng.integers(1, 7))))
         corpus = ingest_sparse(triples)
         topics = rng.dirichlet(np.ones(corpus.n_terms), size=3)
-        assert perplexity(corpus, topics, EmConfig(seed=5)) >= 1.0
+        assert perplexity(corpus, topics, 5) >= 1.0
 
     def test_bad_split_fraction(self):
         corpus = ingest_sparse([(0, "a", 3)])
         with pytest.raises(DataError):
-            perplexity(corpus, np.array([[1.0]]), EmConfig(seed=0), split_fraction=1.0)
+            perplexity(corpus, np.array([[1.0]]), 0, split_fraction=1.0)
 
     def test_no_evaluable_documents_raises(self):
         corpus = ingest_sparse([(0, "a", 1), (1, "b", 1)])
         with pytest.raises(DataError, match="no evaluable documents"):
-            perplexity(corpus, np.array([[0.5, 0.5]]), EmConfig(seed=0))
+            perplexity(corpus, np.array([[0.5, 0.5]]), 0)
 
     def test_zero_predictive_probability_raises(self):
         # whichever token is seen, its fold-in zeroes the other topic's weight
         corpus = ingest_sparse([(0, "a", 1), (0, "b", 1)])
         topics = np.array([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(DataError, match="zero predictive probability"):
-            perplexity(corpus, topics, EmConfig(seed=0))
+            perplexity(corpus, topics, 0)
         # a NaN topic entry leaves no predictive probability either
         with pytest.raises(DataError, match="zero predictive probability"):
-            perplexity(corpus, np.array([[0.5, 0.5], [np.nan, 0.5]]), EmConfig(seed=0))
+            perplexity(corpus, np.array([[0.5, 0.5], [np.nan, 0.5]]), 0)
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_equals_the_per_document_unique_split_on_a_desk_corpus(self, seed):
         corpus, truth = generate_corpus(SynthConfig(seed=seed, **PROFILES["desk"]))
         topics = 0.99 * truth.topics + 0.01 / corpus.n_terms
-        config = EmConfig(seed=seed)
         # reference: each document's halves counted with np.unique into row lists
-        split_rng = np.random.default_rng(config.seed)
+        split_rng = np.random.default_rng(seed)
         seen_rows, unseen_rows = [], []
         for ids, counts in corpus.docs:
             tokens = split_rng.permutation(np.repeat(ids, counts))
@@ -387,11 +385,11 @@ class TestPerplexity:
         seen = Corpus(corpus.vocab, seen_rows, doc_ids)
         unseen = Corpus(corpus.vocab, unseen_rows, doc_ids)
         k = topics.shape[0]
-        mixes, _ = fold_in_docs(seen, np.arange(seen.n_docs), topics, config,
+        mixes, _ = fold_in_docs(seen, np.arange(seen.n_docs), topics,
                                 np.full((seen.n_docs, k), 1.0 / k))
         lls = _e_step(unseen, topics, mixes)[2]
         expected = math.exp(-float(lls.sum()) / unseen.total_tokens)
-        assert perplexity(corpus, topics, config) == expected
+        assert perplexity(corpus, topics, seed) == expected
 
     @pytest.mark.parametrize("k", [1, 3, 6])
     def test_matches_per_document_fold_in_oracle(self, k):
@@ -403,9 +401,8 @@ class TestPerplexity:
         corpus = ingest_sparse(triples)
         topics = rng.dirichlet(np.full(corpus.n_terms, 0.5), size=k)
         topics = 0.99 * topics + 0.01 / corpus.n_terms
-        config = EmConfig(seed=11, fold_in_max_iters=40)
         # oracle: split each document in rng order, fold its seen part in on its own
-        split_rng = np.random.default_rng(config.seed)
+        split_rng = np.random.default_rng(11)
         total_ll, total_n = 0.0, 0
         for ids, counts in corpus.docs:
             tokens = np.repeat(ids, counts)
@@ -414,8 +411,8 @@ class TestPerplexity:
             tokens = split_rng.permutation(tokens)
             n1 = min(max(int(0.8 * tokens.size), 1), tokens.size - 1)
             seen_ids, seen_counts = np.unique(tokens[:n1], return_counts=True)
-            mix, _ = per_document_fold_in((seen_ids, seen_counts), topics, config)
+            mix, _ = per_document_fold_in((seen_ids, seen_counts), topics)
             total_ll += float(np.log(mix @ topics[:, tokens[n1:]]).sum())
             total_n += tokens.size - n1
         expected = math.exp(-total_ll / total_n)
-        assert perplexity(corpus, topics, config) == pytest.approx(expected, rel=1e-12)
+        assert perplexity(corpus, topics, 11) == pytest.approx(expected, rel=1e-12)

@@ -12,9 +12,9 @@ from topicgrow.plsa import EmConfig, _e_step, _floor_rows
 from topicgrow.synthgen import PROFILES, SynthConfig, generate_corpus
 
 
-def deficit(doc, topics, config):
+def deficit(doc, topics, **budget):
     """Goodness-of-fit deficit in nats: log p(doc | own MLE) - log p(doc | fold-in fit)."""
-    return doc_self_loglik(doc) - per_document_fold_in(doc, topics, config)[1]
+    return doc_self_loglik(doc) - per_document_fold_in(doc, topics, **budget)[1]
 
 
 def random_corpus(rng, n_docs=8, n_terms=10, max_count=6):
@@ -48,7 +48,7 @@ def serial_nplsa(corpus, epsilon, config, order_seed=None):
             k = topics.shape[0]
             old = np.zeros(k)
             old[: mixes[d].size] = mixes[d]
-            fit_mix, fit_ll = per_document_fold_in(corpus.docs[d], topics, config,
+            fit_mix, fit_ll = per_document_fold_in(corpus.docs[d], topics,
                                                    init_mix=0.9 * old + 0.1 / k)
             old_probs = old @ topics[:, ids]
             if np.all(old_probs > 0.0):
@@ -99,12 +99,12 @@ def desk_corpus(seed, n_docs=60):
     return generate_corpus(SynthConfig(seed=seed, **profile))[0]
 
 
-def penalized_objective(corpus, topics, mixes, fitted, epsilon, config):
+def penalized_objective(corpus, topics, mixes, fitted, epsilon):
     """loglik - epsilon * K, a document fitted against fewer than K topics refreshed by fold-in."""
     lls = _e_step(corpus, topics, mixes)[2]
     stale = np.flatnonzero(fitted < topics.shape[0])
     if stale.size:
-        lls[stale] = nplsa.best_fits(corpus, stale, topics, mixes, lls, config)[1]
+        lls[stale] = nplsa.best_fits(corpus, stale, topics, mixes, lls)[1]
     return float(lls.sum()) - epsilon * topics.shape[0]
 
 
@@ -114,25 +114,23 @@ class TestDelta:
         topics = np.vstack([doc_language_model(corpus, d) for d in range(2)])
         topics = _floor_rows(topics, 1e-9)
         # tight inner budget so convergence slack does not mask the floor slack
-        config = EmConfig(seed=0, fold_in_max_iters=500, fold_in_rel_tol=1e-13)
         for d in range(2):
-            assert deficit(corpus.docs[d], topics, config) <= 1e-6
+            assert deficit(corpus.docs[d], topics, passes=500, tol=1e-13) <= 1e-6
 
     def test_floored_one_hot_hand_value(self):
         # doc {a:4} against the floored one-hot-at-b topic: 0 - 4*log(1e-9)
         corpus = ingest_sparse([(0, "a", 4), (1, "b", 1)])
         topics = np.array([[1e-9, 1.0 - 1e-9]])
-        value = deficit(corpus.docs[0], topics, EmConfig(seed=0))
+        value = deficit(corpus.docs[0], topics)
         assert value == pytest.approx(-4 * math.log(1e-9), rel=1e-9)
 
     def test_never_meaningfully_negative(self):
         rng = np.random.default_rng(5)
-        config = EmConfig(seed=0)
         for _ in range(10):
             corpus = random_corpus(rng, n_docs=4, n_terms=8)
             topics = rng.dirichlet(np.ones(corpus.n_terms), size=int(rng.integers(1, 4)))
             for d in range(corpus.n_docs):
-                assert deficit(corpus.docs[d], topics, config) >= -1e-9
+                assert deficit(corpus.docs[d], topics) >= -1e-9
 
     def test_self_loglik(self):
         doc = (np.array([0, 1]), np.array([1, 3]))
@@ -274,16 +272,15 @@ class TestPenalizedObjective:
         topics, mixes, _ = train_nplsa(corpus, 1e9, config)  # K=1 background fit
         eps = 3.0
         d_out = 2
-        gap = deficit(corpus.docs[d_out], topics, config)
+        gap = deficit(corpus.docs[d_out], topics)
         assert gap > eps
 
-        before = penalized_objective(corpus, topics, mixes, np.array([1, 1, 1]), eps, config)
+        before = penalized_objective(corpus, topics, mixes, np.array([1, 1, 1]), eps)
         after = penalized_objective(
             corpus,
             np.vstack([topics, doc_language_model(corpus, d_out)]),
             np.vstack([np.pad(mixes[:d_out], ((0, 0), (0, 1))), [0.0, 1.0]]),
             np.array([1, 1, 2]),
             eps,
-            config,
         )
         assert after > before

@@ -382,8 +382,7 @@ class TestBlockLayout:
     def test_fold_in_of_no_documents(self):
         corpus = layout_instance()
         topics = np.full((2, corpus.n_terms), 1.0 / corpus.n_terms)
-        mixes, lls = fold_in_docs(corpus, np.array([], dtype=np.int64), topics,
-                                  EmConfig(seed=0), np.ones((0, 2)))
+        mixes, lls = fold_in_docs(corpus, np.array([], dtype=np.int64), topics, np.ones((0, 2)))
         assert mixes.shape == (0, 2) and lls.shape == (0,)
 
     def test_results_do_not_depend_on_call_history(self):
@@ -946,14 +945,14 @@ class TestFoldIn:
     def test_degenerate_fit(self):
         topics = np.array([[1.0, 0.0], [0.0, 1.0]])
         doc = (np.array([0]), np.array([3]))
-        mix, ll = fold_in(doc, topics, EmConfig(seed=0))
+        mix, ll = fold_in(doc, topics)
         assert mix[0] == pytest.approx(1.0, abs=1e-9)
         assert ll == pytest.approx(0.0, abs=1e-9)
 
     def test_single_topic(self):
         topics = np.array([[0.25, 0.75]])
         doc = (np.array([0, 1]), np.array([1, 2]))
-        mix, ll = fold_in(doc, topics, EmConfig(seed=0))
+        mix, ll = fold_in(doc, topics)
         np.testing.assert_array_equal(mix, [1.0])
         assert ll == pytest.approx(math.log(0.25) + 2 * math.log(0.75), abs=1e-12)
 
@@ -961,7 +960,7 @@ class TestFoldIn:
         rng = np.random.default_rng(23)
         topics = rng.dirichlet(np.ones(6), size=3)
         doc = (np.array([0, 2, 5]), np.array([4, 1, 2]))
-        mix, ll = fold_in(doc, topics, EmConfig(seed=0))
+        mix, ll = fold_in(doc, topics)
         uniform_ll = float(
             np.dot(doc[1], np.log(np.full(3, 1.0 / 3.0) @ topics[:, doc[0]]))
         )
@@ -972,7 +971,7 @@ class TestFoldIn:
         topics = rng.dirichlet(np.ones(8), size=4)
         doc = (np.array([1, 3, 4, 6]), np.array([2, 5, 1, 3]))
         history = []
-        per_document_fold_in(doc, topics, EmConfig(seed=0), ll_history=history)
+        per_document_fold_in(doc, topics, ll_history=history)
         for prev, cur in zip(history, history[1:]):
             assert cur >= prev - 1e-8 * abs(prev)
 
@@ -981,24 +980,23 @@ class TestFoldIn:
         corpus = ingest_sparse([(0, "a", 1), (0, "b", 1), (1, "a", 2)])
         topics = np.array([[1.0, 0.0]])
         with pytest.raises(DataError, match="unmodelable"):
-            fold_in_all(corpus, topics, EmConfig(seed=0, fold_in_max_iters=budget))
+            fold_in_all(corpus, topics, passes=budget)
 
     def test_batch_matches_per_doc(self):
         corpus, topics = sparse_topic_instance()
-        config = EmConfig(seed=0, fold_in_max_iters=30)
-        passes = []
+        cap, passes = 30, []
         for d in range(corpus.n_docs):
             history = []
-            per_document_fold_in(corpus.docs[d], topics, config, ll_history=history)
+            per_document_fold_in(corpus.docs[d], topics, ll_history=history, passes=cap)
             passes.append(len(history))
         assert min(passes) <= 7  # one document plateaus early
-        assert max(passes) == config.fold_in_max_iters + 1  # one is stopped by the cap
+        assert max(passes) == cap + 1  # one is stopped by the cap
         warm = np.random.default_rng(5).dirichlet(np.ones(4), size=corpus.n_docs)
         for init in (None, warm):  # None is the uniform start
-            mixes, lls = fold_in_all(corpus, topics, config, init_mixes=init)
+            mixes, lls = fold_in_all(corpus, topics, init_mixes=init, passes=cap)
             for d in range(corpus.n_docs):
                 mix, ll = per_document_fold_in(
-                    corpus.docs[d], topics, config, init_mix=None if init is None else init[d]
+                    corpus.docs[d], topics, init_mix=None if init is None else init[d], passes=cap
                 )
                 np.testing.assert_allclose(mixes[d], mix, rtol=1e-12, atol=1e-12)
                 assert lls[d] == pytest.approx(ll, rel=1e-12)
@@ -1009,13 +1007,12 @@ class TestFoldIn:
         corpus, topics = mixed_length_instance(k=4)
         assert corpus.segments()[1].max() > 2**6 // 4
         monkeypatch.setattr(plsa, "_BLOCK_ENTRIES", budget)
-        config = EmConfig(seed=0, fold_in_max_iters=30)
         warm = np.random.default_rng(3).dirichlet(np.ones(4), size=corpus.n_docs)
         for init in (None, warm):  # None is the uniform start
             starts = np.full((corpus.n_docs, 4), 0.25) if init is None else init
             for d in range(corpus.n_docs):
-                mixes, lls = fold_in_docs(corpus, np.array([d]), topics, config, starts[[d]])
-                mix, ll = fold_in(corpus.docs[d], topics, config,
+                mixes, lls = fold_in_docs(corpus, np.array([d]), topics, starts[[d]])
+                mix, ll = fold_in(corpus.docs[d], topics,
                                   init_mix=None if init is None else init[d])
                 assert np.array_equal(mix, mixes[0])
                 assert ll == lls[0]
@@ -1045,7 +1042,7 @@ def mixed_length_instance(k):
     return corpus, 0.999 * topics + 0.001 / corpus.n_terms
 
 
-def reference_fold_in_block(words, cnt, table, lens, init_mixes, config):
+def reference_fold_in_block(words, cnt, table, lens, init_mixes, passes):
     """``plsa._fold_in_block`` with its straightforward bookkeeping: whole-block masks every pass."""
     rows = np.take(table, words, axis=0)
     mix = init_mixes.copy()
@@ -1054,14 +1051,14 @@ def reference_fold_in_block(words, cnt, table, lens, init_mixes, config):
     active = np.arange(lens.size)  # block positions of the working rows
     done = np.zeros(lens.size, dtype=bool)  # plateaued, result written, not yet dropped
     prev_lls = None
-    for it in range(config.fold_in_max_iters + 1):
+    for it in range(passes + 1):
         probs = (rows @ mix[:, :, None])[:, :, 0]
         if np.any(probs <= 0.0):
             raise DataError("unmodelable word: zero mixture probability in fold-in")
         lls = np.einsum("nl,nl->n", cnt, np.log(probs))
-        new = np.full(done.size, it == config.fold_in_max_iters)
+        new = np.full(done.size, it == passes)
         if prev_lls is not None:
-            new |= plsa._plateaued(lls, prev_lls, config.fold_in_rel_tol)
+            new |= plsa._plateaued(lls, prev_lls, plsa._FOLD_IN_TOL)
         new &= ~done
         out_mixes[active[new]] = mix[new]
         out_lls[active[new]] = lls[new]
@@ -1083,31 +1080,29 @@ class TestFoldInDocs:
 
     def test_each_document_matches_fold_in(self):
         corpus, topics = sparse_topic_instance()
-        config = EmConfig(seed=0, fold_in_max_iters=30)
-        passes = []
+        cap, passes = 30, []
         for d in range(corpus.n_docs):
             history = []
-            per_document_fold_in(corpus.docs[d], topics, config, ll_history=history)
+            per_document_fold_in(corpus.docs[d], topics, ll_history=history, passes=cap)
             passes.append(len(history))
         docs = np.array([6, 1, 4, 0, 7, 3])  # a subset, out of corpus order
         assert len({passes[d] for d in docs}) == docs.size
-        assert passes[1] == config.fold_in_max_iters + 1  # doc 1 stops at the cap
+        assert passes[1] == cap + 1  # doc 1 stops at the cap
         init = np.random.default_rng(3).dirichlet(np.ones(4), size=docs.size)
-        mixes, lls = fold_in_docs(corpus, docs, topics, config, init)
+        mixes, lls = fold_in_docs(corpus, docs, topics, init, passes=cap)
         for i, d in enumerate(docs):
-            mix, ll = per_document_fold_in(corpus.docs[d], topics, config, init_mix=init[i])
+            mix, ll = per_document_fold_in(corpus.docs[d], topics, init_mix=init[i], passes=cap)
             np.testing.assert_allclose(mixes[i], mix, rtol=1e-12, atol=1e-12)
             assert lls[i] == pytest.approx(ll, rel=1e-12)
 
     def test_blocks_match_fold_in(self, monkeypatch):
         corpus, topics = mixed_length_instance(k=4)
-        config = EmConfig(seed=0, fold_in_max_iters=30)
         docs = np.array([3, 0, 9, 6, 1, 13, 3, 7, 11, 2, 5, 12])  # out of order, 3 twice
         init = np.random.default_rng(4).dirichlet(np.ones(4), size=docs.size)
         expected, passes = [], []
         for i, d in enumerate(docs):
             history = []
-            expected.append(per_document_fold_in(corpus.docs[d], topics, config, init[i], history))
+            expected.append(per_document_fold_in(corpus.docs[d], topics, init[i], history, 30))
             passes.append(len(history))
         # Under one block, at least 30% plateau before the slowest, so the batch drop runs.
         assert np.mean(np.array(passes) < max(passes)) >= 0.3
@@ -1123,7 +1118,7 @@ class TestFoldInDocs:
         for budget in 2 ** np.arange(6, 18):
             monkeypatch.setattr(plsa, "_BLOCK_ENTRIES", int(budget))
             blocks.clear()
-            results[budget] = fold_in_docs(corpus, docs, topics, config, init)
+            results[budget] = fold_in_docs(corpus, docs, topics, init, passes=30)
             assert all(len(b) == 1 or len(b) * b[0] * 4 <= budget for b in blocks)
             if budget == 2**6:  # several blocks; the 48-word document (192 entries) alone
                 assert len(blocks) > 2 and blocks[0] == [48]
@@ -1139,10 +1134,10 @@ class TestFoldInDocs:
         corpus, topics = mixed_length_instance(k=1)
         monkeypatch.setattr(plsa, "_BLOCK_ENTRIES", 2**4)
         docs = np.array([5, 0, 1, 5, 3])
-        mixes, lls = fold_in_docs(corpus, docs, topics, EmConfig(seed=0), np.ones((5, 1)))
+        mixes, lls = fold_in_docs(corpus, docs, topics, np.ones((5, 1)))
         np.testing.assert_array_equal(mixes, 1.0)
         for i, d in enumerate(docs):
-            expected = per_document_fold_in(corpus.docs[d], topics, EmConfig(seed=0))[1]
+            expected = per_document_fold_in(corpus.docs[d], topics)[1]
             assert lls[i] == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("instance", [lambda: mixed_length_instance(k=4), sparse_topic_instance],
@@ -1152,13 +1147,12 @@ class TestFoldInDocs:
         # 2^6: many blocks; 2^17: one block. The instances cover the batch drop
         # (test_blocks_match_fold_in) and the cap (test_batch_matches_per_doc).
         corpus, topics = instance()
-        config = EmConfig(seed=0, fold_in_max_iters=30)
         docs = np.concatenate([np.arange(corpus.n_docs)[::-1], [3, 0]])
         init = np.random.default_rng(6).dirichlet(np.ones(topics.shape[0]), size=docs.size)
         monkeypatch.setattr(plsa, "_BLOCK_ENTRIES", budget)
-        mixes, lls = fold_in_docs(corpus, docs, topics, config, init)
+        mixes, lls = fold_in_docs(corpus, docs, topics, init, passes=30)
         monkeypatch.setattr(plsa, "_fold_in_block", reference_fold_in_block)
-        ref_mixes, ref_lls = fold_in_docs(corpus, docs, topics, config, init)
+        ref_mixes, ref_lls = fold_in_docs(corpus, docs, topics, init, passes=30)
         assert np.array_equal(mixes, ref_mixes)
         assert np.array_equal(lls, ref_lls)
 
@@ -1171,7 +1165,7 @@ class TestFoldInDocs:
         topics = np.array([[0.5, 0.3, 0.2, 0.0], [0.2, 0.2, 0.6, 0.0]])
         init = np.full((3, 2), 0.5)
         with pytest.raises(DataError, match="unmodelable"):
-            fold_in_docs(corpus, np.array([2, 0, 1]), topics, EmConfig(seed=0), init)
+            fold_in_docs(corpus, np.array([2, 0, 1]), topics, init)
 
     def test_seed_must_be_non_negative(self):
         with pytest.raises(DataError, match="seed must be non-negative"):
@@ -1181,22 +1175,17 @@ class TestFoldInDocs:
         with pytest.raises(DataError, match=r"smoothing_floor must lie in \[0, 1e-3\]"):
             EmConfig(seed=0, smoothing_floor=2e-3)
 
-    def test_fold_in_budget_must_be_positive(self):
-        with pytest.raises(DataError, match="fold_in_max_iters"):
-            EmConfig(seed=0, fold_in_max_iters=0)
-
-    @pytest.mark.parametrize("field", ["seed", "max_iters", "fold_in_max_iters"])
+    @pytest.mark.parametrize("field", ["seed", "max_iters"])
     @pytest.mark.parametrize("value", [1.5, 2.0, True, np.float64(3.0), None])
     def test_an_integer_field_that_holds_no_integer_raises(self, field, value):
         with pytest.raises(DataError, match=f"^{field} must be an integer, not "):
             EmConfig(**{"seed": 0, field: value})
 
     def test_numpy_integers_are_accepted(self):
-        config = EmConfig(seed=np.uint32(3), max_iters=np.int64(5), fold_in_max_iters=np.int8(2))
-        assert (config.seed, config.max_iters, config.fold_in_max_iters) == (3, 5, 2)
+        config = EmConfig(seed=np.uint32(3), max_iters=np.int64(5))
+        assert (config.seed, config.max_iters) == (3, 5)
 
-    @pytest.mark.parametrize("name", ["rel_tol", "fold_in_rel_tol"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-6])
-    def test_tolerance_must_be_finite_and_positive(self, name, value):
-        with pytest.raises(DataError, match=f"^{name} must be finite and > 0"):
-            EmConfig(seed=0, **{name: value})
+    def test_tolerance_must_be_finite_and_positive(self, value):
+        with pytest.raises(DataError, match="^rel_tol must be finite and > 0"):
+            EmConfig(seed=0, rel_tol=value)
