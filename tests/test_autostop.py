@@ -371,14 +371,15 @@ def oracle_deficits(corpus, topics, mixes):
     return self_lls - np.maximum(fit_lls, em_lls), self_lls - em_lls
 
 
-def check_fold_ins(corpus, config, calls, states, trace):
+def check_fold_ins(corpus, config, calls, states, trace, split=(10, 40)):
     """Each spawn the oracle's argmax, its deficits fitted with the full budget, then a refit
-    equal to the per-document reference fold-in: 10 passes, the new topic's takers running on
-    for 40 more. The next state is one EM step from the refit. Returns the takers run on."""
+    equal to the per-document reference fold-in: ``split[0]`` passes, the new topic's takers
+    running on for ``split[1]`` more. The next state is one EM step from the refit. Returns the
+    takers run on."""
     grow = [row for row in trace if row.phase == "grow"]
     assert len(calls) == len(grow)  # one fold_in_all per spawn: the post-spawn one
     refit, rest = autostop._SPAWN_REFIT_PASSES, FOLD_IN_PASSES - autostop._SPAWN_REFIT_PASSES
-    assert (refit, rest) == (10, 40)
+    assert (refit, rest) == split
     n_rest = 0
     for row, call in zip(grow, calls):
         used, topics, init, mixes, lls = call["all"]
@@ -466,12 +467,16 @@ class TestGrowthBudgets:
 
 
 class TestGrowFoldIns:
-    def test_parameter_free_fold_ins_match_fold_in(self, monkeypatch):
+    @pytest.mark.parametrize("refit", [autostop._SPAWN_REFIT_PASSES, 3])
+    def test_parameter_free_fold_ins_match_fold_in(self, monkeypatch, refit):
+        # A shorter refit leaves the run-on the rest of the budget.
+        monkeypatch.setattr(autostop, "_SPAWN_REFIT_PASSES", refit)
         calls, states = spy_fold_ins(monkeypatch), spy_grow_states(monkeypatch)
         corpus = clustered_corpus(np.random.default_rng(67), n_docs=18)
         config = EmConfig(seed=7, max_iters=40)
         _, _, trace = train_parameter_free(corpus, config, max_spawns=5)
-        check_fold_ins(corpus, config, calls, states, trace)
+        split = (refit, 50 - refit)
+        assert check_fold_ins(corpus, config, calls, states, trace, split) > 0
 
     def test_weakly_supervised_fold_ins_match_fold_in(self, monkeypatch):
         calls, states = spy_fold_ins(monkeypatch), spy_grow_states(monkeypatch)

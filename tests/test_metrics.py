@@ -18,7 +18,7 @@ from topicgrow.metrics import (
     topic_quality_error,
     top_words,
 )
-from topicgrow.plsa import _e_step, fold_in_docs
+from topicgrow.plsa import FOLD_IN_PASSES, _e_step, fold_in_docs
 from topicgrow.synthgen import PROFILES, SynthConfig, generate_corpus
 
 
@@ -348,6 +348,19 @@ class TestPerplexity:
         corpus = ingest_sparse(triples)
         topics = rng.dirichlet(np.ones(corpus.n_terms), size=3)
         assert perplexity(corpus, topics, 5) >= 1.0
+
+    def test_folds_in_once_with_the_full_budget(self, monkeypatch):
+        budgets = []
+        real = metrics.fold_in_docs
+
+        def spy(corpus, docs, topics, init_mixes, passes=FOLD_IN_PASSES):
+            budgets.append(passes)
+            return real(corpus, docs, topics, init_mixes, passes)
+
+        monkeypatch.setattr(metrics, "fold_in_docs", spy)
+        corpus = ingest_sparse([(0, "a", 3), (0, "b", 2), (1, "a", 5), (1, "b", 1)])
+        perplexity(corpus, np.array([[0.6, 0.4], [0.5, 0.5]]), 0)
+        assert budgets == [FOLD_IN_PASSES]
 
     def test_bad_split_fraction(self):
         corpus = ingest_sparse([(0, "a", 3)])

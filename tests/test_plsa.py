@@ -1001,6 +1001,37 @@ class TestFoldIn:
                 np.testing.assert_allclose(mixes[d], mix, rtol=1e-12, atol=1e-12)
                 assert lls[d] == pytest.approx(ll, rel=1e-12)
 
+    @pytest.mark.parametrize("warm", [False, True], ids=["uniform", "warm"])
+    def test_zero_passes_return_the_start(self, warm):
+        corpus, topics = sparse_topic_instance()
+        start = np.full((corpus.n_docs, 4), 0.25)
+        if warm:
+            start = np.random.default_rng(8).dirichlet(np.ones(4), size=corpus.n_docs)
+        mixes, lls = fold_in_all(corpus, topics, init_mixes=start if warm else None, passes=0)
+        np.testing.assert_array_equal(mixes, start)
+        for d, (ids, counts) in enumerate(corpus.docs):
+            assert lls[d] == pytest.approx(np.dot(counts, np.log(start[d] @ topics[:, ids])),
+                                           rel=1e-12)
+
+    def test_the_default_budget_is_fold_in_passes(self):
+        # Two near-identical topics: neither document plateaus within 90 passes.
+        corpus = ingest_sparse([(0, "a", 3), (0, "b", 2), (1, "a", 5), (1, "b", 1)])
+        topics = np.array([[0.6, 0.4], [0.5, 0.5]])
+        assert plsa.FOLD_IN_PASSES == 50
+        mixes, lls = fold_in_all(corpus, topics)
+        longer_lls = fold_in_all(corpus, topics, passes=2 * plsa.FOLD_IN_PASSES)[1]
+        assert np.all(longer_lls > lls)  # the default stopped every document at its cap
+        for d in range(corpus.n_docs):
+            history = []
+            per_document_fold_in(corpus.docs[d], topics, ll_history=history,
+                                 passes=2 * plsa.FOLD_IN_PASSES)
+            assert len(history) > plsa.FOLD_IN_PASSES + 1
+            mix, ll = per_document_fold_in(corpus.docs[d], topics, passes=plsa.FOLD_IN_PASSES)
+            np.testing.assert_allclose(mixes[d], mix, rtol=1e-12, atol=1e-12)
+            assert lls[d] == pytest.approx(ll, rel=1e-12)
+            np.testing.assert_allclose(fold_in(corpus.docs[d], topics)[0], mix, rtol=1e-12,
+                                       atol=1e-12)
+
     @pytest.mark.parametrize("budget", [2**6, plsa._BLOCK_ENTRIES])
     def test_is_the_batch_kernel_on_one_document(self, monkeypatch, budget):
         # At 2^6 entries, fold_in_docs cuts blocks of 16 cells: the 48-word document is longer.
@@ -1094,6 +1125,22 @@ class TestFoldInDocs:
             mix, ll = per_document_fold_in(corpus.docs[d], topics, init_mix=init[i], passes=cap)
             np.testing.assert_allclose(mixes[i], mix, rtol=1e-12, atol=1e-12)
             assert lls[i] == pytest.approx(ll, rel=1e-12)
+
+    @pytest.mark.parametrize("cap", [1, 2, 5])
+    def test_a_budget_below_every_plateau_stops_each_document_at_it(self, cap):
+        corpus, topics = sparse_topic_instance()  # every document plateaus after 7+ passes
+        docs = np.array([5, 2, 7, 0])
+        init = np.random.default_rng(9).dirichlet(np.ones(4), size=docs.size)
+        mixes, lls = fold_in_docs(corpus, docs, topics, init, passes=cap)
+        for i, d in enumerate(docs):
+            history = []
+            mix, ll = per_document_fold_in(corpus.docs[d], topics, init_mix=init[i],
+                                           ll_history=history, passes=cap)
+            assert len(history) == cap + 1
+            np.testing.assert_allclose(mixes[i], mix, rtol=1e-12, atol=1e-12)
+            assert lls[i] == pytest.approx(ll, rel=1e-12)
+        longer = fold_in_docs(corpus, docs, topics, init, passes=cap + 1)[1]
+        assert np.all(longer > lls)
 
     def test_blocks_match_fold_in(self, monkeypatch):
         corpus, topics = mixed_length_instance(k=4)
