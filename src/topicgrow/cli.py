@@ -1,7 +1,10 @@
 """Command-line entry point: synth, train, and eval subcommands.
 
-Every run requires an explicit --seed and echoes its resolved parameters and library versions
-(config.json; eval: the "config" key of metrics.json), so any output can be reproduced exactly.
+Every run requires an explicit, non-negative --seed and echoes its resolved parameters and
+library versions (config.json; eval: the "config" key of metrics.json), so any output can be
+reproduced exactly. One table, ``_SCOPED``, states which runs take each scoped flag and its
+default; for train it also fixes each trainer's keyword arguments and the flags echoed into
+model.json's meta, so train makes one trainer call whatever --algo is.
 --out is made only once a run's results are computed, so a run that fails before writing
 leaves none. Exit codes: 0 success, 1 usage error, 2 data error, 3 algorithmic failure.
 """
@@ -172,17 +175,10 @@ def _inject_config(argv):
     return rest[:1] + pairs + rest[1:]
 
 
-def _versions():
-    return {
-        "topicgrow": __version__,
-        "numpy": np.__version__,
-        "python": ".".join(str(v) for v in sys.version_info[:3]),
-    }
-
-
 def _echo(args, extra=None):
     payload = {k: v for k, v in vars(args).items() if k not in ("config", "verbose")}
-    payload["versions"] = _versions()
+    payload["versions"] = {"topicgrow": __version__, "numpy": np.__version__,
+                           "python": ".".join(str(v) for v in sys.version_info[:3])}
     if extra:
         payload.update(extra)
     return payload
@@ -221,18 +217,11 @@ def _cmd_synth(args):
     return EXIT_OK
 
 
-def _em_config(args):
-    return EmConfig(
-        seed=args.seed,
-        max_iters=args.max_iters,
-        rel_tol=args.rel_tol,
-        smoothing_floor=args.floor,
-    )
-
-
 _REQUIRED = object()  # a default that makes the flag required on the runs it applies to
 #: Each scoped flag's dest -> (the --algo values, or the eval input, it applies to; the
 #: library default filled when it is unset, which config.json echoes), checked in this order.
+#: A train row is also a keyword argument of each trainer it applies to (--query's as
+#: ``query_terms``), and a _REQUIRED flag's value is echoed into model.json's meta.
 _SCOPED = {
     "train": {"k": ("plsa", _REQUIRED), "epsilon": ("nplsa", _REQUIRED),
               "query": ("query", _REQUIRED), "order_seed": ("nplsa", None),
@@ -242,6 +231,10 @@ _SCOPED = {
              "top_n": ("reference", DEFAULT_TOP_N), "min_df": ("reference", MIN_DF),
              "stopwords": ("reference", None)},
 }
+
+
+_TRAINERS = {"plsa": train_plsa, "nplsa": train_nplsa, "auto": train_parameter_free,
+             "query": train_weakly_supervised}
 
 
 def _resolve_scoped_flags(args):
@@ -264,41 +257,23 @@ def _resolve_scoped_flags(args):
 def _cmd_train(args):
     stopwords = read_stopwords(args.stopwords) if args.stopwords else None
     corpus = load_corpus(args.corpus, min_df=args.min_df, stopwords=stopwords)
-    config = _em_config(args)
-    meta = {
-        "algo": args.algo,
-        "seed": args.seed,
-        "smoothing_floor": config.smoothing_floor,
-    }
+    config = EmConfig(seed=args.seed, max_iters=args.max_iters, rel_tol=args.rel_tol,
+                      smoothing_floor=args.floor)
+    flags = {dest: getattr(args, dest) for dest, (runs, _) in _SCOPED["train"].items()
+             if args.algo in runs.split("/")}
+    kwargs = {dest: value for dest, value in flags.items() if dest != "query"}
+    if "query" in flags:  # the library takes the terms as a list
+        kwargs["query_terms"] = flags["query"].split()
+    topics, mixes, trace = _TRAINERS[args.algo](corpus, config=config, **kwargs)
 
-    if args.algo == "plsa":
-        topics, mixes, trace = train_plsa(corpus, args.k, config)
-    elif args.algo == "nplsa":
-        topics, mixes, trace = train_nplsa(
-            corpus, args.epsilon, config,
-            max_topics=args.max_topics, order_seed=args.order_seed,
-        )
-        meta["epsilon"] = args.epsilon
-    elif args.algo == "auto":
-        topics, mixes, trace = train_parameter_free(
-            corpus, config, patience=args.patience,
-            max_topics=args.max_topics, max_spawns=args.max_spawns,
-        )
-    else:
-        topics, mixes, trace = train_weakly_supervised(
-            corpus, args.query.split(), config, lam=args.lam, patience=args.patience,
-            max_topics=args.max_topics, max_spawns=args.max_spawns,
-        )
-        meta["query"] = args.query
-    if args.algo in ("auto", "query"):
-        rollback = next(r for r in trace if r.phase == "rollback")
-        score = "diversity" if args.algo == "auto" else "query_distance"
+    meta = {"algo": args.algo, "seed": args.seed, "smoothing_floor": config.smoothing_floor,
+            "K": int(topics.shape[0]), "iters": len(trace)}
+    meta.update((dest, value) for dest, value in flags.items()
+                if _SCOPED["train"][dest][1] is _REQUIRED)
+    rollback = next((row for row in trace if row.phase == "rollback"), None)
+    if rollback is not None:  # growth: the K it kept and that K's stop-rule score
+        score = "diversity" if rollback.diversity is not None else "query_distance"
         meta["best_k"], meta[f"best_{score}"] = rollback.k, getattr(rollback, score)
-
-    meta["K"] = int(topics.shape[0])
-    meta["iters"] = len(trace)
-    if args.algo == "plsa":
-        meta["k"] = args.k
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_model(out_dir / "model.json", corpus.vocab, topics, mixes=mixes, meta=meta)
@@ -362,6 +337,8 @@ def main(argv=None):
         argv = sys.argv[1:]
     try:
         args = build_parser().parse_args(_inject_config(list(argv)))
+        if args.seed < 0:  # whatever the run uses the seed for, or if it uses none
+            raise DataError("seed must be non-negative")
         if args.config is not None:  # a second --config, or one argparse matched by prefix
             raise UsageError("spell --config out, once: --config PATH or --config=PATH")
         _resolve_scoped_flags(args)

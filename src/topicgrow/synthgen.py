@@ -102,9 +102,9 @@ def sample_distinct_topics(config):
     accepted topic exceeds ``min_topic_dist``. Candidates are drawn
     ``_CANDIDATE_BATCH`` at a time: a draw of n rows equals n draws of one, so
     the batch size sets the memory, never the topics. A batch's distances to
-    the topics accepted before it are computed over the whole batch at once; a
-    candidate is then checked alone only against the topics accepted earlier in
-    its own batch.
+    the topics accepted before it are computed over the whole batch at once, and
+    each candidate accepted adds the distances from the rest of its batch to it
+    the same way.
     """
     rng = stream_rng(config.seed, 0)
     alpha = np.full(config.vocab_size, config.beta)
@@ -112,23 +112,21 @@ def sample_distinct_topics(config):
     rejections = 0  # since the last accepted topic
     while len(accepted) < config.n_topics:
         batch = rng.dirichlet(alpha, size=_CANDIDATE_BATCH)
-        # One (batch, V) operation per earlier topic, in one buffer the size of the batch.
+        # One (rows, V) operation per topic, in one buffer the size of the batch.
         near = np.zeros(_CANDIDATE_BATCH, dtype=bool)
-        diff = np.empty_like(batch) if accepted else None
+        diff = np.empty_like(batch)
         for topic in accepted:
             np.square(np.subtract(batch, topic, out=diff), out=diff)
             near |= np.sqrt(diff.sum(axis=1)) <= config.min_topic_dist
-        earlier = len(accepted)
         for i in range(_CANDIDATE_BATCH):
             if len(accepted) == config.n_topics:
                 break
-            if not near[i] and (
-                len(accepted) == earlier
-                or np.sqrt(((np.asarray(accepted[earlier:]) - batch[i]) ** 2).sum(axis=1)).min()
-                > config.min_topic_dist
-            ):
+            if not near[i]:
                 accepted.append(batch[i].copy())  # a copy, so that a spent batch is freed
                 rejections = 0
+                rest = diff[i + 1:]
+                np.square(np.subtract(batch[i + 1:], batch[i], out=rest), out=rest)
+                near[i + 1:] |= np.sqrt(rest.sum(axis=1)) <= config.min_topic_dist
             else:
                 rejections += 1
                 if rejections >= _MAX_REJECTIONS_PER_TOPIC:

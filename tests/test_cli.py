@@ -68,6 +68,26 @@ def test_synth_train_eval(synth_dir, tmp_path, algo):
         assert np.isfinite(report[key]), key
 
 
+@pytest.mark.parametrize("algo, keys", [
+    ("plsa", {"k"}),
+    ("nplsa", {"epsilon"}),
+    ("auto", {"best_k", "best_diversity"}),
+    ("query", {"query", "best_k", "best_query_distance"}),
+])
+def test_model_meta_holds_the_run_and_its_required_flag_as_given(synth_dir, tmp_path, algo,
+                                                                 keys):
+    flags = algo_flags(algo, synth_dir / "corpus.sparse")
+    assert main(train_argv(synth_dir, tmp_path, "--algo", algo, *flags)) == 0
+    with open(tmp_path / "model.json", encoding="utf-8") as fh:
+        meta = json.load(fh)["meta"]
+    assert set(meta) == {"algo", "seed", "smoothing_floor", "K", "iters"} | keys
+    assert (meta["algo"], meta["seed"], meta["smoothing_floor"]) == (
+        algo, 1, EmConfig.smoothing_floor)
+    given = {"plsa": {"k": 3}, "nplsa": {"epsilon": 30.0}, "auto": {},
+             "query": {"query": " ".join(flags[1:])}}[algo]
+    assert {dest: meta[dest] for dest in given} == given
+
+
 @pytest.mark.parametrize("algo, flags, stop", [
     ("plsa", [], "plateau"),
     ("plsa", ["--max-iters", "2"], "max_iters"),
@@ -349,6 +369,18 @@ def test_help_of_a_scoped_flag_names_its_runs_and_default(command, dest):
         assert stated is not None and stated.group(1) == str(default)
 
 
+ALGOS = next(a for a in subcommands(build_parser())["train"]._actions if a.dest == "algo").choices
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+def test_the_scoped_train_rows_are_the_trainer_parameters(algo):
+    # every row the run takes reaches its trainer, and every trainer parameter has a row
+    rows = {"query_terms" if dest == "query" else dest
+            for dest, (runs, _) in cli._SCOPED["train"].items() if algo in runs.split("/")}
+    params = set(inspect.signature(cli._TRAINERS[algo]).parameters) - {"corpus", "config"}
+    assert rows == params
+
+
 def train_argv(synth_dir, tmp_path, *flags):
     return ["train", *flags, "--corpus", str(synth_dir / "corpus.sparse"),
             "--out", str(tmp_path), "--seed", "1"]
@@ -534,6 +566,20 @@ def test_negative_eval_seed_is_a_data_error(synth_dir, tmp_path):
     code = main(["eval", "--model", str(tmp_path / "model.json"), "--out", str(tmp_path),
                  "--corpus", corpus, "--seed", "-1"])
     assert code == EXIT_DATA == 2
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "eval"])
+def test_a_negative_seed_is_a_data_error_whatever_the_run(synth_dir, tmp_path, capsys, command):
+    assert main(train_argv(synth_dir, tmp_path / "model", "--algo", "plsa", "--k", "3")) == 0
+    inputs = {"synth": SYNTH,
+              "train": ["--algo", "plsa", "--k", "3", "--corpus", str(synth_dir / "corpus.sparse")],
+              "eval": ["--model", str(tmp_path / "model" / "model.json"),
+                       "--truth", str(synth_dir / "truth.json")]}
+    out = tmp_path / "out"
+    code = main([command, *inputs[command], "--out", str(out), "--seed", "-1"])
+    assert code == EXIT_DATA == 2
+    assert "data error: seed must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--stopwords", "--min-df"])

@@ -367,6 +367,11 @@ class TestPerplexity:
         with pytest.raises(DataError):
             perplexity(corpus, np.array([[1.0]]), 0, split_fraction=1.0)
 
+    def test_negative_seed_raises(self):
+        corpus = ingest_sparse([(0, "a", 3), (0, "b", 2)])
+        with pytest.raises(DataError, match="seed must be non-negative"):
+            perplexity(corpus, np.array([[0.6, 0.4]]), -1)
+
     def test_no_evaluable_documents_raises(self):
         corpus = ingest_sparse([(0, "a", 1), (1, "b", 1)])
         with pytest.raises(DataError, match="no evaluable documents"):
